@@ -17,20 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import KrausChannel
-from .entropy import classical_rel_entropy, cmi, fidelity, rel_entropy, vn_entropy
+from .entropy import classical_rel_entropy, fidelity, rel_entropy, vn_entropy
 from .errors import SingularMatrixError
-from .linalg import (
-    dagger,
-    eig_hermitian,
-    hermitian_part,
-    hs_norm,
-    mat_exp,
-    mat_log,
-    mat_sqrt,
-    support_projector,
-    trace_norm,
-)
-from .states import DensityMatrix, TripartiteState, embed, partial_trace, validate_density
+from .linalg import _eigh, hermitian_part, mat_exp, mat_log, mat_sqrt
+from .states import DensityMatrix, TripartiteState, validate_density
 
 # Tr[sqrt(rho) sqrt(sigma)] at or below this is treated as zero overlap.
 ZERO_OVERLAP = 1e-300
@@ -50,43 +40,17 @@ class BoundReport:
     support_restricted: bool
 
 
-def _intersection_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Intersection of the ranges of two orthogonal projectors: the
-    # eigenvalue-2 eigenspace of p + q.
-    e = eig_hermitian(p + q)
-    cols = e.eigenvectors[:, e.eigenvalues > 2.0 - 1e-8]
-    return hermitian_part(cols @ dagger(cols))
-
-
-def _sigma_star_parts(state: TripartiteState) -> tuple[np.ndarray, bool]:
-    dims = state.dims
-    rho_ab = partial_trace(state, "AB")
-    rho_bc = partial_trace(state, "BC")
-    rho_b = partial_trace(state, "B")
-    h = (
-        embed(mat_log(rho_ab.mat), "AB", dims)
-        + embed(mat_log(rho_bc.mat), "BC", dims)
-        - embed(mat_log(rho_b.mat), "B", dims)
-    )
-    if rho_ab.is_full_rank() and rho_bc.is_full_rank():
-        return mat_exp(h), False
-    proj = _intersection_projector(
-        embed(support_projector(rho_ab.mat), "AB", dims),
-        embed(support_projector(rho_bc.mat), "BC", dims),
-    )
-    compressed = hermitian_part(proj @ h @ proj)
-    return hermitian_part(proj @ mat_exp(compressed) @ proj), True
-
-
 def sigma_star(state: TripartiteState) -> np.ndarray:
-    """The exponentiated-marginal-logs candidate state (PSD, trace <= 1)."""
-    sig, _ = _sigma_star_parts(state)
-    return sig
+    """The exponentiated-marginal-logs candidate state (PSD, trace <= 1).
+
+    The returned array is the state's cached operator and is read-only.
+    """
+    return state.analysis.sigma_star
 
 
 def trace_exp_check(state: TripartiteState) -> float:
     """Trace of sigma_star; at most 1 up to roundoff."""
-    return float(np.trace(sigma_star(state)).real)
+    return state.analysis.sigma_star_trace
 
 
 def _overlap_bound(overlap: float) -> float:
@@ -97,9 +61,7 @@ def _overlap_bound(overlap: float) -> float:
 
 def log_overlap_bound(state: TripartiteState) -> float:
     """-2 log Tr[sqrt(rho) sqrt(sigma_star)], the sharpest bound in the chain."""
-    sig, _ = _sigma_star_parts(state)
-    overlap = float(np.trace(mat_sqrt(state.mat) @ mat_sqrt(sig)).real)
-    return _overlap_bound(overlap)
+    return _overlap_bound(state.analysis.overlap)
 
 
 def bound_report(state: TripartiteState) -> BoundReport:
@@ -108,23 +70,17 @@ def bound_report(state: TripartiteState) -> BoundReport:
     The three bounds are ordered: corollary <= thm1 <= log_overlap <= cmi,
     each up to the documented tolerances.
     """
-    report = cmi(state)
-    sig, restricted = _sigma_star_parts(state)
-    sq_rho = mat_sqrt(state.mat)
-    sq_sig = mat_sqrt(sig)
-    overlap = float(np.trace(sq_rho @ sq_sig).real)
-    log_overlap = _overlap_bound(overlap)
-    thm1 = hs_norm(sq_rho - sq_sig) ** 2
-    corollary = 0.25 * trace_norm(state.mat - sig) ** 2
+    a = state.analysis
+    corollary = 0.25 * a.trace_distance**2
     return BoundReport(
-        cmi=report.cmi,
-        sigma_star_trace=float(np.trace(sig).real),
-        log_overlap_bound=log_overlap,
-        thm1_bound=thm1,
+        cmi=a.cmi,
+        sigma_star_trace=a.sigma_star_trace,
+        log_overlap_bound=_overlap_bound(a.overlap),
+        thm1_bound=a.thm1,
         corollary_bound=corollary,
-        slack_thm1=report.cmi - thm1,
-        slack_corollary=report.cmi - corollary,
-        support_restricted=restricted,
+        slack_thm1=a.cmi - a.thm1,
+        slack_corollary=a.cmi - corollary,
+        support_restricted=a.support_restricted,
     )
 
 
@@ -179,8 +135,8 @@ def fidelity_lower_bound(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[floa
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
     f = fidelity(rho, sigma)
-    w_rho = eig_hermitian(rho.mat).eigenvalues
-    w_sigma = eig_hermitian(sigma.mat).eigenvalues
+    w_rho = _eigh(rho.mat).eigenvalues
+    w_sigma = _eigh(sigma.mat).eigenvalues
     tr_sqrt = float(np.sum(np.sqrt(np.clip(w_rho, 0.0, None))))
     entropy = vn_entropy(rho)
     divergence = classical_rel_entropy(w_rho[::-1], w_sigma)

@@ -8,7 +8,6 @@ written in that case).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .bounds import bound_report
@@ -18,6 +17,8 @@ from .harness import (
     CONJECTURES,
     CORPORA,
     ScanConfig,
+    _json_value,
+    _proven_checks,
     channel_gap_scan,
     run_conjecture,
     scan,
@@ -118,20 +119,6 @@ def _fmt_value(x) -> str:
     return str(x)
 
 
-def _json_field(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if x is None:
-        return "null"
-    if isinstance(x, float):
-        if math.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
-        return fmt17(x)
-    if isinstance(x, int):
-        return str(x)
-    return '"' + str(x) + '"'
-
-
 def _cmd_info(args) -> int:
     state = read_state(args.state)
     if args.regularize:
@@ -169,28 +156,20 @@ def _cmd_info(args) -> int:
     ]
     if args.json:
         body = ",".join(
-            f'"{k}":{_json_field(v)}' for k, v in fields if k != "dims"
+            f'"{k}":{_json_value(v)}' for k, v in fields if k != "dims"
         )
         dims = ",".join(str(d) for d in state.dims)
         print('{"dims":[' + dims + "]," + body + "}")
     else:
         for k, v in fields:
             print(f"{k}: {'n/a' if v is None else _fmt_value(v)}")
-    slacks = [
-        ("ssa-cmi-nonnegative", rep.cmi),
-        ("slack_thm1", rep.slack_thm1),
-        ("slack_corollary", rep.slack_corollary),
-        ("trace-exp-at-most-one", 1.0 - rep.sigma_star_trace),
-    ]
-    bad = [(name, s) for name, s in slacks if not s >= -args.tol]
-    if bad:
-        name, s = bad[0]
+    bad = [(name, s) for name, s in _proven_checks(state, rep, None) if not s >= -args.tol]
+    for name, s in bad:
         print(
             f"proven inequality {name!r} violated: slack {s:.6e} below -{args.tol:.1e}",
             file=sys.stderr,
         )
-        return 2
-    return 0
+    return 2 if bad else 0
 
 
 def _cmd_scan(args) -> int:
@@ -241,10 +220,10 @@ def _cmd_classify(args) -> int:
     cls = classify(state, tol=args.tol)
     if args.json:
         print(
-            '{"label":' + _json_field(cls.label)
-            + ',"commutator_trace_norm":' + _json_field(cls.commutator_norm)
-            + ',"reconstruction_gap":' + _json_field(cls.reconstruction_gap)
-            + ',"tol":' + _json_field(cls.tol) + "}"
+            '{"label":' + _json_value(cls.label)
+            + ',"commutator_trace_norm":' + _json_value(cls.commutator_norm)
+            + ',"reconstruction_gap":' + _json_value(cls.reconstruction_gap)
+            + ',"tol":' + _json_value(cls.tol) + "}"
         )
     else:
         print(f"label: {cls.label}")

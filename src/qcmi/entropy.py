@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DimensionMismatchError, NotDistributionError
 from .linalg import (
     Spectrum,
-    eig_hermitian,
+    _eigh,
     hermitian_part,
     hs_norm,
     mat_log,
@@ -24,7 +24,7 @@ from .linalg import (
     support_projector,
     trace_norm,
 )
-from .states import DensityMatrix, TripartiteState, partial_trace
+from .states import DensityMatrix, TripartiteState
 
 REL_ENTROPY_SUPPORT_TOL = 1e-9
 
@@ -41,15 +41,18 @@ class EntropyReport:
 
 
 def _spectrum(rho: DensityMatrix) -> np.ndarray:
-    return eig_hermitian(rho.mat).eigenvalues
+    return _eigh(rho.mat).eigenvalues
+
+
+def spectrum_entropy(w: np.ndarray) -> float:
+    """-sum w log w over the eigenvalues above the support cutoff, in nats."""
+    on = w > support_cutoff(w)
+    return float(-np.sum(w[on] * np.log(w[on])))
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy -Tr[rho log rho] in nats."""
-    w = _spectrum(rho)
-    tau = support_cutoff(w)
-    on = w > tau
-    return float(-np.sum(w[on] * np.log(w[on])))
+    return spectrum_entropy(_spectrum(rho))
 
 
 def rel_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -66,27 +69,14 @@ def rel_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     comp = np.eye(sigma.dim) - proj
     if hs_norm(comp @ rho.mat @ comp) > REL_ENTROPY_SUPPORT_TOL:
         return math.inf
-    w = _spectrum(rho)
-    tau = support_cutoff(w)
-    on = w > tau
-    tr_rho_log_rho = float(np.sum(w[on] * np.log(w[on])))
+    tr_rho_log_rho = -vn_entropy(rho)
     tr_rho_log_sigma = float(np.trace(rho.mat @ mat_log(sigma.mat)).real)
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
 def cmi(state: TripartiteState) -> EntropyReport:
     """Conditional mutual information I(A:C|B) = S_AB + S_BC - S_ABC - S_B."""
-    s_abc = vn_entropy(state.rho)
-    s_ab = vn_entropy(partial_trace(state, "AB"))
-    s_bc = vn_entropy(partial_trace(state, "BC"))
-    s_b = vn_entropy(partial_trace(state, "B"))
-    return EntropyReport(
-        s_abc=s_abc,
-        s_ab=s_ab,
-        s_bc=s_bc,
-        s_b=s_b,
-        cmi=s_ab + s_bc - s_abc - s_b,
-    )
+    return state.analysis.entropies
 
 
 def classical_rel_entropy(p, q) -> float:

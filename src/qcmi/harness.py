@@ -16,12 +16,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bounds import bound_report, channel_exp_operator, channel_gap_bound, sigma_star
+from .bounds import BoundReport, bound_report, channel_exp_operator, channel_gap_bound
 from .channels import petz_dual, random_channel
-from .entropy import cmi
 from .errors import ConfigError, InequalityViolationError, SingularMatrixError
-from .linalg import commutator, dagger, hermitian_part, mat_exp, mat_log, trace_norm
-from .recovery import classify, m_operator, ruskai_residual
+from .linalg import dagger, hermitian_part, mat_exp, trace_norm
+from .recovery import classify
 from .sampling import (
     near_markov_state,
     random_classical_state,
@@ -31,9 +30,8 @@ from .sampling import (
     random_unitary,
     substream,
 )
-from .states import TripartiteState, embed, partial_trace
+from .states import TripartiteState
 from .stateio import _matrix_text, _write_text, fmt17, write_state
-from .trace_inequalities import lieb_triple_rhs, powers_stormer_sandwich
 
 CSV_COLUMNS = (
     "sample_index",
@@ -167,9 +165,13 @@ def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
 
 
 def _proven_checks(
-    state: TripartiteState, row: ScanRow, corpus: str
+    state: TripartiteState, row: ScanRow | BoundReport, corpus: str | None
 ) -> list[tuple[str, float]]:
-    # Each entry is (name, slack); slack >= -tol must hold or the scan aborts.
+    # Each entry is (name, slack); slack >= -tol must hold or the run
+    # aborts. row carries the bound chain (a ScanRow, or a BoundReport
+    # for a single state); the remaining terms come from the state's
+    # analysis. The Powers-Stormer sandwich of rho and sigma* is
+    # (corollary, thm1, ||rho - sigma*||_1).
     checks = [
         ("ssa-cmi-nonnegative", row.cmi),
         ("trace-exp-at-most-one", 1.0 - row.sigma_star_trace),
@@ -180,18 +182,11 @@ def _proven_checks(
     else:
         checks.append(("log-overlap-below-cmi", row.cmi - row.log_overlap_bound))
         checks.append(("thm1-below-log-overlap", row.log_overlap_bound - row.thm1_bound))
-    sig = sigma_star(state)
-    lower, middle, upper = powers_stormer_sandwich(state.mat, sig)
-    checks.append(("powers-stormer-upper", upper - middle))
-    checks.append(("powers-stormer-lower", middle - lower))
+    a = state.analysis
+    checks.append(("powers-stormer-upper", a.trace_distance - row.thm1_bound))
+    checks.append(("powers-stormer-lower", row.thm1_bound - row.corollary_bound))
     if state.rho.is_full_rank():
-        dims = state.dims
-        rhs = lieb_triple_rhs(
-            embed(partial_trace(state, "AB").mat, "AB", dims),
-            embed(partial_trace(state, "B").mat, "B", dims),
-            embed(partial_trace(state, "BC").mat, "BC", dims),
-        )
-        checks.append(("lieb-triple-vs-trace-exp", rhs - row.sigma_star_trace))
+        checks.append(("lieb-triple-vs-trace-exp", a.lieb_rhs - row.sigma_star_trace))
     if corpus == "classical-random":
         gap = max(row.recovery_gap_M, row.recovery_gap_Mprime)
         checks.append(("classical-recovery-pinsker", row.cmi - 0.5 * gap * gap))
@@ -203,11 +198,7 @@ def _proven_checks(
 def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
     """Compute the full per-sample record of bound and recovery diagnostics."""
     rep = bound_report(state)
-    m = m_operator(state)
-    gap_m = trace_norm(state.mat - m @ dagger(m))
-    gap_mp = trace_norm(state.mat - dagger(m) @ m)
-    comm = trace_norm(commutator(m, dagger(m)))
-    cls = classify(state)
+    a = state.analysis
     return ScanRow(
         sample_index=index,
         dA=state.dims[0],
@@ -220,11 +211,11 @@ def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
         corollary_bound=rep.corollary_bound,
         slack_thm1=rep.slack_thm1,
         slack_corollary=rep.slack_corollary,
-        recovery_gap_M=gap_m,
-        recovery_gap_Mprime=gap_mp,
-        commutator_trace_norm=comm,
-        ruskai_residual=ruskai_residual(state),
-        label=cls.label,
+        recovery_gap_M=a.gap_m,
+        recovery_gap_Mprime=a.gap_mprime,
+        commutator_trace_norm=a.commutator_norm,
+        ruskai_residual=a.ruskai,
+        label=classify(state).label,
         support_restricted=rep.support_restricted,
     )
 
@@ -318,18 +309,15 @@ def _json_config(cfg: ScanConfig) -> str:
 
 def half_recovery_slack(state: TripartiteState) -> float:
     """cmi - max(||rho - M M^dag||_1, ||rho - M^dag M||_1)^2 / 2."""
-    m = m_operator(state)
-    gap_m = trace_norm(state.mat - m @ dagger(m))
-    gap_mp = trace_norm(state.mat - dagger(m) @ m)
-    worst = max(gap_m, gap_mp)
-    return cmi(state).cmi - 0.5 * worst * worst
+    a = state.analysis
+    worst = max(a.gap_m, a.gap_mprime)
+    return a.cmi - 0.5 * worst * worst
 
 
 def commutator_slack(state: TripartiteState) -> float:
     """cmi - ||[M, M^dag]||_1^2 / 8."""
-    m = m_operator(state)
-    comm = trace_norm(commutator(m, dagger(m)))
-    return cmi(state).cmi - comm * comm / 8.0
+    a = state.analysis
+    return a.cmi - a.commutator_norm**2 / 8.0
 
 
 def rotated_slacks(
@@ -345,17 +333,16 @@ def rotated_slacks(
     """
     if not state.rho.is_full_rank():
         raise SingularMatrixError("rotated-bound sampling needs a full-rank state")
-    dims = state.dims
-    value = cmi(state).cmi
-    log_ab = embed(mat_log(partial_trace(state, "AB").mat), "AB", dims)
-    log_bc = embed(mat_log(partial_trace(state, "BC").mat), "BC", dims)
-    log_b = embed(mat_log(partial_trace(state, "B").mat), "B", dims)
+    a = state.analysis
+    value = a.cmi
+    log_ab, log_bc, log_b = a.embedded_logs
 
     def slack_for(exponent: np.ndarray) -> float:
         dist = trace_norm(state.mat - mat_exp(hermitian_part(exponent)))
         return value - 0.25 * dist * dist
 
-    identity_slack = slack_for(log_ab + log_bc - log_b)
+    # The identity triple's candidate is sigma* itself.
+    identity_slack = value - 0.25 * a.trace_distance**2
     best = identity_slack
     dim = state.dim
     for _ in range(unitary_samples):

@@ -67,10 +67,59 @@ def support_cutoff(eigenvalues: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class HermitianEigen:
-    """Eigendecomposition with ascending eigenvalues and fixed phases."""
+    """Eigendecomposition with ascending eigenvalues.
+
+    eig_hermitian fixes the eigenvector phases. Matrix functions skip
+    that step, because Q f(w) Q^dag does not depend on the phases.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+
+    def apply(self, f: np.ndarray) -> np.ndarray:
+        """Q diag(f) Q^dag for values f on the eigenvalues."""
+        q = self.eigenvectors
+        return (q * f) @ dagger(q)
+
+
+@dataclass(frozen=True, eq=False)
+class PsdEigen(HermitianEigen):
+    """Eigendecomposition of a PSD matrix and its support cutoff.
+
+    One decomposition serves every support-restricted function of the
+    matrix: eigenvalues at or below the cutoff count as kernel.
+    """
+
+    cutoff: float
+
+    @property
+    def on_support(self) -> np.ndarray:
+        return self.eigenvalues > self.cutoff
+
+    @property
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.on_support))
+
+    def _on_support(self, f) -> np.ndarray:
+        # f applied to the support eigenvalues, 0 on the kernel.
+        on = self.on_support
+        return np.where(on, f(np.where(on, self.eigenvalues, 1.0)), 0.0)
+
+    def log(self) -> np.ndarray:
+        return hermitian_part(self.apply(self._on_support(np.log)))
+
+    def sqrt(self) -> np.ndarray:
+        return hermitian_part(self.apply(self._on_support(np.sqrt)))
+
+    def power(self, t: float) -> np.ndarray:
+        return hermitian_part(self.apply(self._on_support(lambda w: np.power(w, t))))
+
+    def cpower(self, t: float) -> np.ndarray:
+        return self.apply(self._on_support(lambda w: np.exp(1j * t * np.log(w))))
+
+    def projector(self) -> np.ndarray:
+        cols = self.eigenvectors[:, self.on_support]
+        return hermitian_part(cols @ dagger(cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,14 +133,24 @@ class Spectrum:
 def _fix_phases(q: np.ndarray) -> np.ndarray:
     # Rephase each column so its first non-negligible component is real
     # and positive. This pins the eigenvector matrix for a fixed input.
-    q = q.copy()
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            pivot = col[nz[0]]
-            q[:, j] = col * (pivot.conj() / abs(pivot))
-    return q
+    big = np.abs(q) > 1e-12
+    first = np.argmax(big, axis=0)
+    cols = np.arange(q.shape[1])
+    pivot = q[first, cols]
+    found = big[first, cols]
+    scale = np.where(found, pivot.conj() / np.where(found, np.abs(pivot), 1.0), 1.0)
+    return q * scale
+
+
+def _eigh(m) -> HermitianEigen:
+    # Eigendecomposition with the phases LAPACK returns, which is enough
+    # for any function of the matrix.
+    h = require_hermitian(m)
+    try:
+        w, q = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    return HermitianEigen(eigenvalues=w, eigenvectors=q)
 
 
 def eig_hermitian(m) -> HermitianEigen:
@@ -101,31 +160,28 @@ def eig_hermitian(m) -> HermitianEigen:
     fixed deterministically so repeated calls on the same input agree
     bitwise.
     """
-    h = require_hermitian(m)
-    try:
-        w, q = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
-    return HermitianEigen(eigenvalues=w, eigenvectors=_fix_phases(q))
+    e = _eigh(m)
+    return HermitianEigen(eigenvalues=e.eigenvalues, eigenvectors=_fix_phases(e.eigenvectors))
 
 
-def _rebuild(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return (q * w) @ dagger(q)
-
-
-def _psd_eig(m, what: str) -> tuple[np.ndarray, np.ndarray, float]:
-    e = eig_hermitian(m)
+def as_psd(e: HermitianEigen, what: str) -> PsdEigen:
+    """Attach the support cutoff, raising if e has a genuinely negative eigenvalue."""
     w = e.eigenvalues
     tau = support_cutoff(w)
     if w[0] < -tau:
         raise NotPSDError(f"{what} requires a PSD input, found eigenvalue {w[0]:.3e}")
-    return w, e.eigenvectors, tau
+    return PsdEigen(eigenvalues=w, eigenvectors=e.eigenvectors, cutoff=tau)
+
+
+def psd_eig(m, what: str) -> PsdEigen:
+    """One eigendecomposition of a PSD matrix; what names the caller in errors."""
+    return as_psd(_eigh(m), what)
 
 
 def mat_exp(m) -> np.ndarray:
     """exp(m) for Hermitian m."""
-    e = eig_hermitian(m)
-    return hermitian_part(_rebuild(np.exp(e.eigenvalues), e.eigenvectors))
+    e = _eigh(m)
+    return hermitian_part(e.apply(np.exp(e.eigenvalues)))
 
 
 def mat_log(m) -> np.ndarray:
@@ -134,16 +190,12 @@ def mat_log(m) -> np.ndarray:
     Kernel eigenvalues map to 0, so exp(mat_log(rho)) reproduces rho on its
     support and acts as the identity times zero on the kernel.
     """
-    w, q, tau = _psd_eig(m, "log")
-    f = np.where(w > tau, np.log(np.where(w > tau, w, 1.0)), 0.0)
-    return hermitian_part(_rebuild(f, q))
+    return psd_eig(m, "log").log()
 
 
 def mat_sqrt(m) -> np.ndarray:
     """Principal square root of a PSD matrix (kernel stays kernel)."""
-    w, q, tau = _psd_eig(m, "sqrt")
-    f = np.sqrt(np.where(w > tau, w, 0.0))
-    return hermitian_part(_rebuild(f, q))
+    return psd_eig(m, "sqrt").sqrt()
 
 
 def mat_power(m, t: float) -> np.ndarray:
@@ -152,37 +204,28 @@ def mat_power(m, t: float) -> np.ndarray:
     Negative exponents invert on the support only, so mat_power(rho, -0.5)
     is the pseudo-inverse square root.
     """
-    w, q, tau = _psd_eig(m, "power")
-    on = w > tau
-    f = np.where(on, np.power(np.where(on, w, 1.0), t), 0.0)
-    return hermitian_part(_rebuild(f, q))
+    return psd_eig(m, "power").power(t)
 
 
 def mat_cpower(m, t: float) -> np.ndarray:
     """m**(it) for PSD m: unitary on the support, zero on the kernel."""
-    w, q, tau = _psd_eig(m, "cpower")
-    on = w > tau
-    f = np.where(on, np.exp(1j * t * np.log(np.where(on, w, 1.0))), 0.0)
-    return _rebuild(f, q)
+    return psd_eig(m, "cpower").cpower(t)
 
 
 def mat_abs(m) -> np.ndarray:
     """Operator absolute value |m| of a Hermitian matrix."""
-    e = eig_hermitian(m)
-    return hermitian_part(_rebuild(np.abs(e.eigenvalues), e.eigenvectors))
+    e = _eigh(m)
+    return hermitian_part(e.apply(np.abs(e.eigenvalues)))
 
 
 def support_projector(m) -> np.ndarray:
     """Orthogonal projector onto the support (range) of a PSD matrix."""
-    w, q, tau = _psd_eig(m, "support projector")
-    cols = q[:, w > tau]
-    return hermitian_part(cols @ dagger(cols))
+    return psd_eig(m, "support projector").projector()
 
 
 def support_rank(m) -> int:
     """Number of eigenvalues above the support cutoff."""
-    w, _, tau = _psd_eig(m, "support rank")
-    return int(np.count_nonzero(w > tau))
+    return psd_eig(m, "support rank").rank
 
 
 def trace_norm(m) -> float:

@@ -17,17 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import (
-    commutator,
-    dagger,
-    hs_norm,
-    mat_cpower,
-    mat_log,
-    mat_power,
-    mat_sqrt,
-    trace_norm,
-)
-from .states import DensityMatrix, TripartiteState, embed, partial_trace, validate_density
+from .linalg import hs_norm
+from .states import DensityMatrix, TripartiteState, embed, validate_density
 
 DEFAULT_CLASSIFY_TOL = 1e-8
 DEFAULT_MODULAR_TIMES = (0.5, 1.0, 2.0)
@@ -48,34 +39,22 @@ class ClassificationLabel:
     tol: float
 
 
-def _marginals(state: TripartiteState):
-    return (
-        partial_trace(state, "AB"),
-        partial_trace(state, "BC"),
-        partial_trace(state, "B"),
-    )
-
-
 def m_operator(state: TripartiteState) -> np.ndarray:
-    """sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded in A (x) B (x) C."""
-    rho_ab, rho_bc, rho_b = _marginals(state)
-    dims = state.dims
-    left = embed(mat_sqrt(rho_ab.mat), "AB", dims)
-    middle = embed(mat_power(rho_b.mat, -0.5), "B", dims)
-    right = embed(mat_sqrt(rho_bc.mat), "BC", dims)
-    return left @ middle @ right
+    """sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded in A (x) B (x) C.
+
+    The returned array is the state's cached operator and is read-only.
+    """
+    return state.analysis.m
 
 
 def recover_via_ab(state: TripartiteState) -> DensityMatrix:
     """Recovered state M M^dag: rho_BC sandwiched through the AB marginal."""
-    m = m_operator(state)
-    return validate_density(m @ dagger(m))
+    return validate_density(state.analysis.m_mdag)
 
 
 def recover_via_bc(state: TripartiteState) -> DensityMatrix:
     """Mirror recovery M^dag M: rho_AB sandwiched through the BC marginal."""
-    m = m_operator(state)
-    return validate_density(dagger(m) @ m)
+    return validate_density(state.analysis.mdag_m)
 
 
 def ruskai_residual(state: TripartiteState) -> float:
@@ -85,15 +64,7 @@ def ruskai_residual(state: TripartiteState) -> float:
     residual is defined for singular states as well; reports flag that
     case separately.
     """
-    rho_ab, rho_bc, rho_b = _marginals(state)
-    dims = state.dims
-    combo = (
-        mat_log(state.mat)
-        + embed(mat_log(rho_b.mat), "B", dims)
-        - embed(mat_log(rho_ab.mat), "AB", dims)
-        - embed(mat_log(rho_bc.mat), "BC", dims)
-    )
-    return hs_norm(combo)
+    return state.analysis.ruskai
 
 
 def modular_residual(state: TripartiteState, times=DEFAULT_MODULAR_TIMES) -> float:
@@ -108,32 +79,28 @@ def modular_residual(state: TripartiteState, times=DEFAULT_MODULAR_TIMES) -> flo
             f"modular residual needs a full-rank state "
             f"(support rank {state.rho.support_rank} of {state.dim})"
         )
-    rho_ab, rho_bc, rho_b = _marginals(state)
+    a = state.analysis
+    psd_ab, psd_bc, psd_b = a.marginal_psd
     dims = state.dims
     worst = 0.0
     for t in times:
-        lhs = mat_cpower(state.mat, t) @ embed(mat_cpower(rho_bc.mat, -t), "BC", dims)
-        rhs = embed(mat_cpower(rho_ab.mat, t), "AB", dims) @ embed(
-            mat_cpower(rho_b.mat, -t), "B", dims
-        )
+        lhs = a.rho_psd.cpower(t) @ embed(psd_bc.cpower(-t), "BC", dims)
+        rhs = embed(psd_ab.cpower(t), "AB", dims) @ embed(psd_b.cpower(-t), "B", dims)
         worst = max(worst, hs_norm(lhs - rhs))
     return worst
 
 
 def zhang_gaps(state: TripartiteState) -> tuple[float, float]:
     """Trace distances of rho to both factorizations M M^dag and M^dag M."""
-    m = m_operator(state)
-    return (
-        trace_norm(state.mat - m @ dagger(m)),
-        trace_norm(state.mat - dagger(m) @ m),
-    )
+    a = state.analysis
+    return a.gap_m, a.gap_mprime
 
 
 def classify(state: TripartiteState, tol: float = DEFAULT_CLASSIFY_TOL) -> ClassificationLabel:
     """Classify by whether M is normal and whether M M^dag reproduces rho."""
-    m = m_operator(state)
-    comm_norm = trace_norm(commutator(m, dagger(m)))
-    gap = trace_norm(state.mat - m @ dagger(m))
+    a = state.analysis
+    comm_norm = a.commutator_norm
+    gap = a.gap_m
     if comm_norm > tol:
         label = "D3"
     elif gap <= tol:

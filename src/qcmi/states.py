@@ -8,6 +8,8 @@ numpy.kron applied as kron(A_part, kron(B_part, C_part)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +20,9 @@ from .errors import (
     TraceNotOneError,
 )
 from .linalg import as_matrix, hermitian_part, require_hermitian, support_cutoff
+
+if TYPE_CHECKING:
+    from .analysis import StateAnalysis
 
 SUBSYSTEMS = "ABC"
 
@@ -88,6 +93,13 @@ class TripartiteState:
     @property
     def dim(self) -> int:
         return self.rho.dim
+
+    @cached_property
+    def analysis(self) -> StateAnalysis:
+        """The state's spectral analysis, built on first access and kept."""
+        from .analysis import StateAnalysis
+
+        return StateAnalysis(self)
 
 
 def tripartite(m, dims) -> TripartiteState:

@@ -11,13 +11,13 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
 from .linalg import (
-    _psd_eig,
     dagger,
     hs_norm,
     mat_exp,
     mat_log,
     mat_power,
     mat_sqrt,
+    psd_eig,
     require_hermitian,
     trace_norm,
 )
@@ -69,13 +69,26 @@ def lieb_triple_rhs(r, s, t) -> float:
     to the (i, j) entry, with the diagonal limit 1/s_i. Requires s to be
     positive definite; r and t only need to be PSD.
     """
-    _psd_eig(r, "lieb triple r")
-    _psd_eig(t, "lieb triple t")
-    ws, qs, tau = _psd_eig(s, "lieb triple s")
-    if ws[0] <= tau:
-        raise SingularMatrixError(f"middle operand is singular (min eigenvalue {ws[0]:.3e})")
+    psd_eig(r, "lieb triple r")
+    psd_eig(t, "lieb triple t")
+    es = psd_eig(s, "lieb triple s")
+    qs = es.eigenvectors
     rr = dagger(qs) @ np.asarray(r, dtype=complex) @ qs
     tt = dagger(qs) @ np.asarray(t, dtype=complex) @ qs
+    return lieb_triple_rhs_in_eigenbasis(rr, tt, es.eigenvalues, es.cutoff)
+
+
+def lieb_triple_rhs_in_eigenbasis(rr, tt, ws, cutoff: float) -> float:
+    """lieb_triple_rhs with r and t given in an eigenbasis of s.
+
+    ws are the eigenvalues of s in the order of that basis (any order)
+    and cutoff is its support cutoff. Callers that already know the
+    eigenbasis of s, such as the embedded I (x) rho_B (x) I, skip the
+    decomposition.
+    """
+    smin = float(np.min(ws))
+    if smin <= cutoff:
+        raise SingularMatrixError(f"middle operand is singular (min eigenvalue {smin:.3e})")
     si = ws[:, None]
     sj = ws[None, :]
     diff = si - sj

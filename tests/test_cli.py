@@ -70,6 +70,28 @@ class TestInfo:
         assert main(["info", str(path)]) == 2
         assert "ssa-cmi-nonnegative" in capsys.readouterr().err
 
+    def test_reports_every_failing_check(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "p.json"
+        write_state(parity_state(), path)
+        broken = dataclasses.replace(bound_report(parity_state()), cmi=-1.0)
+        monkeypatch.setattr("qcmi.cli.bound_report", lambda st: broken)
+        assert main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        for name in ("ssa-cmi-nonnegative", "log-overlap-below-cmi"):
+            assert f"'{name}'" in err
+
+    def test_asserts_the_scan_chain_checks(self, tmp_path, capsys, monkeypatch):
+        # log_overlap above cmi violates only a chain link that scan checks.
+        path = tmp_path / "p.json"
+        write_state(parity_state(), path)
+        rep = bound_report(parity_state())
+        broken = dataclasses.replace(rep, log_overlap_bound=rep.cmi + 1e-3)
+        monkeypatch.setattr("qcmi.cli.bound_report", lambda st: broken)
+        assert main(["info", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'log-overlap-below-cmi'" in err
+        assert "ssa-cmi-nonnegative" not in err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["info", "no-such-state.json"]) == 1
         assert "error" in capsys.readouterr().err
