@@ -16,6 +16,7 @@ from .errors import DimensionMismatchError, NotDistributionError
 from .linalg import (
     Spectrum,
     _eigh,
+    _scalar,
     hermitian_part,
     hs_norm,
     mat_log,
@@ -44,10 +45,14 @@ def _spectrum(rho: DensityMatrix) -> np.ndarray:
     return _eigh(rho.mat).eigenvalues
 
 
-def spectrum_entropy(w: np.ndarray) -> float:
-    """-sum w log w over the eigenvalues above the support cutoff, in nats."""
-    on = w > support_cutoff(w)
-    return float(-np.sum(w[on] * np.log(w[on])))
+def spectrum_entropy(w: np.ndarray):
+    """-sum w log w over the eigenvalues above the support cutoff, in nats.
+
+    w has shape (..., n); a stack of spectra gives an array of entropies.
+    """
+    on = w > np.asarray(support_cutoff(w))[..., None]
+    terms = np.where(on, w * np.log(np.where(on, w, 1.0)), 0.0)
+    return _scalar(-np.sum(terms, axis=-1))
 
 
 def vn_entropy(rho: DensityMatrix) -> float:

@@ -12,12 +12,13 @@ theorems (classical and Markov states).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import BoundReport, bound_report, channel_exp_operator, channel_gap_bound
 from .channels import petz_dual, random_channel
+from .analysis import analyse_together
 from .errors import ConfigError, InequalityViolationError, SingularMatrixError
 from .linalg import dagger, hermitian_part, mat_exp, trace_norm
 from .recovery import classify
@@ -54,6 +55,19 @@ CSV_COLUMNS = (
 
 CORPORA = ("hs-random", "classical-random", "markov", "near-markov")
 CONJECTURES = ("half-recovery", "commutator-eighth", "rotated-quarter", "channel")
+
+# Scan analyses consecutive samples together in stacks of up to
+# STACK_BUDGET // n**2 states of dimension n, so that one stacked operand
+# holds at most this many complex entries (256 KiB), or one matrix if that
+# is larger. 2,2,2 stacks 256 samples, 3,3,3 stacks 22 and 4,4,4 stacks 4;
+# from n = 91 on, 5,5,5 among them, each sample is a stack of its own.
+# A stack holds about a dozen such operands, so the budget also bounds the
+# memory a scan adds. On an Intel Xeon with one BLAS thread, scans of 200
+# samples at 2,2,2, 44 at 3,3,3 and 16 at 4,4,4 peaked 4.2-4.6 MiB higher
+# than with one sample at a time, and ran 3.2-6.9x, 1.8-2.2x and 1.0-1.3x
+# as fast. Half the budget halved that memory, but ran 3,3,3 about 9%
+# slower and 4,4,5 (n = 80) one sample at a time, which was 4% slower.
+STACK_BUDGET = 2**14
 
 # Mixing weights cycled through by the near-markov corpus.
 NEAR_MARKOV_MIXES = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -235,16 +249,57 @@ def _abort(state: TripartiteState, cfg: ScanConfig, name: str, index: int, slack
     )
 
 
-def scan(cfg: ScanConfig) -> list[ScanRow]:
-    """Evaluate the corpus, assert proven inequalities, write the report."""
+def _one_by_one(cfg: ScanConfig, indices: range, drawn: list[TripartiteState]):
+    for k, i in enumerate(indices):
+        if k < len(drawn):
+            state = drawn[k]
+            vars(state).pop("analysis", None)  # its row of the failed stack
+        else:
+            state = corpus_state(cfg, i)
+        yield state, evaluate_sample(state, i)
+
+
+def _evaluated(cfg: ScanConfig, indices: range):
+    # (state, row) for samples `indices`, drawn one substream each and
+    # evaluated from one stacked analysis. If that raises, the samples are
+    # evaluated again one at a time, each after the checks of the one
+    # before, so the error surfaces at the same sample as without stacking.
+    # States already drawn are reused; the draw that raised is repeated in
+    # its turn.
+    states = []
+    try:
+        for i in indices:
+            states.append(corpus_state(cfg, i))
+        analyse_together(states)
+        return zip(states, [evaluate_sample(state, i) for state, i in zip(states, indices)])
+    except Exception:
+        return _one_by_one(cfg, indices, states)
+
+
+def _checked_rows(cfg: ScanConfig, indices: range) -> list[ScanRow]:
+    # The rows of one group, checked in index order. The group's states and
+    # their stacked analysis are released on return, before the next group
+    # is drawn.
     rows = []
-    for i in range(cfg.samples):
-        state = corpus_state(cfg, i)
-        row = evaluate_sample(state, i)
+    for i, (state, row) in zip(indices, _evaluated(cfg, indices)):
         for name, slack in _proven_checks(state, row, cfg.corpus):
             if not slack >= -cfg.tol:
                 _abort(state, cfg, name, i, slack)
         rows.append(row)
+    return rows
+
+
+def scan(cfg: ScanConfig) -> list[ScanRow]:
+    """Evaluate the corpus, assert proven inequalities, write the report.
+
+    Consecutive samples are analysed together (see STACK_BUDGET); each row
+    is bitwise the row of its sample analysed alone.
+    """
+    n = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
+    size = max(1, STACK_BUDGET // (n * n))
+    rows = []
+    for start in range(0, cfg.samples, size):
+        rows += _checked_rows(cfg, range(start, min(start + size, cfg.samples)))
     if cfg.out is not None:
         write_scan_report(cfg, rows)
     return rows
@@ -262,14 +317,12 @@ def write_scan_report(cfg: ScanConfig, rows: list[ScanRow]) -> None:
     if cfg.fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         for row in rows:
-            record = asdict(row)
-            lines.append(",".join(_csv_cell(record[c]) for c in CSV_COLUMNS))
+            lines.append(",".join(_csv_cell(getattr(row, c)) for c in CSV_COLUMNS))
         text = "\n".join(lines) + "\n"
     else:
         body = []
         for row in rows:
-            record = asdict(row)
-            fields = [f'"{c}":{_json_value(record[c])}' for c in CSV_COLUMNS]
+            fields = [f'"{c}":{_json_value(getattr(row, c))}' for c in CSV_COLUMNS]
             fields.append(f'"support_restricted":{_json_value(row.support_restricted)}')
             body.append("{" + ",".join(fields) + "}")
         text = (

@@ -25,6 +25,22 @@ SUPPORT_RTOL = 1e-10
 SUPPORT_FLOOR = 1e-14
 
 
+def _scalar(x):
+    # A 0-d result unwrapped to a Python number; results for stacks stay arrays.
+    return x.item() if x.ndim == 0 else x
+
+
+def as_matrices(m) -> np.ndarray:
+    """Coerce input to C-ordered complex128 square matrices, shape (..., n, n).
+
+    Leading axes index a stack of matrices.
+    """
+    a = np.ascontiguousarray(m, dtype=np.complex128)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatchError(f"expected square matrices, got shape {a.shape}")
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce input to a square, C-ordered complex128 array."""
     a = np.ascontiguousarray(m, dtype=np.complex128)
@@ -34,35 +50,62 @@ def as_matrix(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose, of each matrix of a stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def hs_norm(m) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(m)))
+def hs_norm(m):
+    """Hilbert-Schmidt (Frobenius) norm; an array of norms for a stack."""
+    a = np.asarray(m)
+    if a.ndim == 2:
+        return float(np.linalg.norm(a))
+    # numpy.linalg.norm's reduction for each matrix of the stack: the dot
+    # of the entries with themselves, for complex input the dot of the real
+    # parts plus the dot of the imaginary parts. matmul makes that same BLAS
+    # dot call per matrix, so every norm is bitwise its matrix's norm alone.
+    stack = a.shape[:-2]
+    if np.iscomplexobj(a):
+        v = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
+        v = v.reshape(stack + (1, -1, 2))
+        re, im = v[..., 0], v[..., 1]
+        sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    else:
+        v = np.ascontiguousarray(a, dtype=np.float64).reshape(stack + (1, -1))
+        sq = v @ v.swapaxes(-1, -2)
+    return np.sqrt(sq.reshape(stack))
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + dagger(m)) / 2.0
 
 
+def _first(values, failed) -> float:
+    # The value of the first matrix of a stack that failed a check.
+    return float(np.asarray(values)[failed][0])
+
+
 def require_hermitian(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """Return the symmetrized copy of m, raising if it is not Hermitian.
 
     The deviation ||m - m^dag||_2 is compared against rtol * max(1, ||m||_2).
+    For a stack each matrix is checked on its own, and the first one that
+    fails raises.
     """
-    a = as_matrix(m)
+    a = as_matrices(m)
     dev = hs_norm(a - dagger(a))
-    if dev > rtol * max(1.0, hs_norm(a)):
-        raise NotHermitianError(f"matrix deviates from Hermitian by {dev:.3e}")
+    failed = (dev > rtol) & (dev > rtol * hs_norm(a))
+    if np.count_nonzero(failed):
+        raise NotHermitianError(f"matrix deviates from Hermitian by {_first(dev, failed):.3e}")
     return hermitian_part(a)
 
 
-def support_cutoff(eigenvalues: np.ndarray) -> float:
-    """Threshold below which eigenvalues count as kernel, not support."""
-    lam_max = float(np.max(eigenvalues)) if np.size(eigenvalues) else 0.0
-    return max(SUPPORT_RTOL * max(lam_max, 0.0), SUPPORT_FLOOR)
+def support_cutoff(eigenvalues):
+    """Threshold below which eigenvalues count as kernel, not support.
+
+    eigenvalues has shape (..., n); a stack gets one threshold per matrix.
+    """
+    lam_max = np.asarray(eigenvalues).max(axis=-1, initial=0.0)
+    return _scalar(np.maximum(SUPPORT_RTOL * lam_max, SUPPORT_FLOOR))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +113,8 @@ class HermitianEigen:
     """Eigendecomposition with ascending eigenvalues.
 
     eig_hermitian fixes the eigenvector phases. Matrix functions skip
-    that step, because Q f(w) Q^dag does not depend on the phases.
+    that step, because Q f(w) Q^dag does not depend on the phases. For a
+    stack, eigenvalues has shape (..., n) and eigenvectors (..., n, n).
     """
 
     eigenvalues: np.ndarray
@@ -79,7 +123,7 @@ class HermitianEigen:
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Q diag(f) Q^dag for values f on the eigenvalues."""
         q = self.eigenvectors
-        return (q * f) @ dagger(q)
+        return (q * f[..., None, :]) @ dagger(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,18 +131,19 @@ class PsdEigen(HermitianEigen):
     """Eigendecomposition of a PSD matrix and its support cutoff.
 
     One decomposition serves every support-restricted function of the
-    matrix: eigenvalues at or below the cutoff count as kernel.
+    matrix: eigenvalues at or below the cutoff count as kernel. A stack
+    has one cutoff per matrix.
     """
 
-    cutoff: float
+    cutoff: float | np.ndarray
 
     @property
     def on_support(self) -> np.ndarray:
-        return self.eigenvalues > self.cutoff
+        return self.eigenvalues > np.asarray(self.cutoff)[..., None]
 
     @property
-    def rank(self) -> int:
-        return int(np.count_nonzero(self.on_support))
+    def rank(self):
+        return _scalar(np.count_nonzero(self.on_support, axis=-1))
 
     def _on_support(self, f) -> np.ndarray:
         # f applied to the support eigenvalues, 0 on the kernel.
@@ -118,8 +163,7 @@ class PsdEigen(HermitianEigen):
         return self.apply(self._on_support(lambda w: np.exp(1j * t * np.log(w))))
 
     def projector(self) -> np.ndarray:
-        cols = self.eigenvectors[:, self.on_support]
-        return hermitian_part(cols @ dagger(cols))
+        return hermitian_part(self.apply(self.on_support.astype(float)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +209,16 @@ def eig_hermitian(m) -> HermitianEigen:
 
 
 def as_psd(e: HermitianEigen, what: str) -> PsdEigen:
-    """Attach the support cutoff, raising if e has a genuinely negative eigenvalue."""
+    """Attach the support cutoff, raising if e has a genuinely negative eigenvalue.
+
+    For a stack the first matrix with such an eigenvalue raises.
+    """
     w = e.eigenvalues
     tau = support_cutoff(w)
-    if w[0] < -tau:
-        raise NotPSDError(f"{what} requires a PSD input, found eigenvalue {w[0]:.3e}")
+    failed = w[..., 0] < -tau
+    if np.count_nonzero(failed):
+        found = _first(w[..., 0], failed)
+        raise NotPSDError(f"{what} requires a PSD input, found eigenvalue {found:.3e}")
     return PsdEigen(eigenvalues=w, eigenvectors=e.eigenvectors, cutoff=tau)
 
 
@@ -228,11 +277,13 @@ def support_rank(m) -> int:
     return psd_eig(m, "support rank").rank
 
 
-def trace_norm(m) -> float:
-    """Schatten 1-norm of a Hermitian matrix (sum of |eigenvalues|)."""
-    h = require_hermitian(m)
-    w = np.linalg.eigvalsh(h)
-    return float(np.sum(np.abs(w)))
+def trace_norm(m):
+    """Schatten 1-norm of a Hermitian matrix (sum of |eigenvalues|).
+
+    A stack of matrices takes one eigvalsh call and gives an array of norms.
+    """
+    w = np.linalg.eigvalsh(require_hermitian(m))
+    return _scalar(np.abs(w).sum(axis=-1))
 
 
 def commutator(a, b) -> np.ndarray:

@@ -7,6 +7,7 @@ numpy.kron applied as kron(A_part, kron(B_part, C_part)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -19,7 +20,14 @@ from .errors import (
     NotPSDError,
     TraceNotOneError,
 )
-from .linalg import as_matrix, hermitian_part, require_hermitian, support_cutoff
+from .linalg import (
+    _first,
+    as_matrices,
+    as_matrix,
+    hermitian_part,
+    require_hermitian,
+    support_cutoff,
+)
 
 if TYPE_CHECKING:
     from .analysis import StateAnalysis
@@ -51,21 +59,32 @@ class DensityMatrix:
         return self.support_rank == self.dim
 
 
+def _validated(m) -> tuple[np.ndarray, np.ndarray]:
+    # validate_density on matrices of shape (..., n, n): their read-only
+    # symmetrized copies and support ranks. Each matrix is checked on its
+    # own, and the first one that fails raises.
+    sym = require_hermitian(m)
+    w = np.linalg.eigvalsh(sym)
+    failed = w[..., 0] < EIG_FLOOR
+    if np.count_nonzero(failed):
+        found = _first(w[..., 0], failed)
+        raise NotPSDError(f"minimum eigenvalue {found:.3e} is below {EIG_FLOOR}")
+    tr = sym.trace(axis1=-2, axis2=-1).real
+    failed = abs(tr - 1.0) > TRACE_ATOL
+    if np.count_nonzero(failed):
+        raise TraceNotOneError(f"trace is {_first(tr, failed)!r}, expected 1 within {TRACE_ATOL}")
+    rank = np.count_nonzero(w > np.asarray(support_cutoff(w))[..., None], axis=-1)
+    return _frozen(sym), rank
+
+
 def validate_density(m) -> DensityMatrix:
     """Check Hermiticity, positivity, and unit trace; record support rank.
 
     The returned matrix is the symmetrized copy of the input and is marked
     read-only.
     """
-    sym = require_hermitian(m)
-    w = np.linalg.eigvalsh(sym)
-    if w[0] < EIG_FLOOR:
-        raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} is below {EIG_FLOOR}")
-    tr = float(np.trace(sym).real)
-    if abs(tr - 1.0) > TRACE_ATOL:
-        raise TraceNotOneError(f"trace is {tr!r}, expected 1 within {TRACE_ATOL}")
-    rank = int(np.count_nonzero(w > support_cutoff(w)))
-    return DensityMatrix(mat=_frozen(sym), support_rank=rank)
+    sym, rank = _validated(as_matrix(m))
+    return DensityMatrix(mat=sym, support_rank=int(rank))
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +116,9 @@ class TripartiteState:
     @cached_property
     def analysis(self) -> StateAnalysis:
         """The state's spectral analysis, built on first access and kept."""
-        from .analysis import StateAnalysis
+        from .analysis import StackAnalysis, StateAnalysis
 
-        return StateAnalysis(self)
+        return StateAnalysis(StackAnalysis([self]), 0)
 
 
 def tripartite(m, dims) -> TripartiteState:
@@ -138,6 +157,20 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def _traced_out(mat: np.ndarray, dims, keep: str) -> np.ndarray:
+    # The partial trace onto keep (normalized, not "ABC") of matrices of
+    # shape (..., n, n) on A (x) B (x) C, unvalidated.
+    tens = mat.reshape(*mat.shape[:-2], *dims, *dims)
+    row = {"A": "a", "B": "b", "C": "c"}
+    col = {"A": "x", "B": "y", "C": "z"}
+    sub_in = "".join(row[s] for s in SUBSYSTEMS)
+    sub_in += "".join(col[s] if s in keep else row[s] for s in SUBSYSTEMS)
+    sub_out = "".join(row[s] for s in keep) + "".join(col[s] for s in keep)
+    reduced = np.einsum(f"...{sub_in}->...{sub_out}", tens)
+    d = math.prod(marginal_dims(dims, keep))
+    return reduced.reshape(*mat.shape[:-2], d, d)
+
+
 def partial_trace(state: TripartiteState, keep) -> DensityMatrix:
     """Trace out the subsystems not named in keep.
 
@@ -145,18 +178,9 @@ def partial_trace(state: TripartiteState, keep) -> DensityMatrix:
     validated, so marginals come back as DensityMatrix values.
     """
     keep = _normalize_keep(keep)
-    dims = state.dims
     if keep == SUBSYSTEMS:
         return state.rho
-    tens = state.mat.reshape(*dims, *dims)
-    row = {"A": "a", "B": "b", "C": "c"}
-    col = {"A": "x", "B": "y", "C": "z"}
-    sub_in = "".join(row[s] for s in SUBSYSTEMS)
-    sub_in += "".join(col[s] if s in keep else row[s] for s in SUBSYSTEMS)
-    sub_out = "".join(row[s] for s in keep) + "".join(col[s] for s in keep)
-    reduced = np.einsum(f"{sub_in}->{sub_out}", tens)
-    d = int(np.prod(marginal_dims(dims, keep)))
-    return validate_density(reduced.reshape(d, d))
+    return validate_density(_traced_out(state.mat, state.dims, keep))
 
 
 def embed(m, acts_on, dims) -> np.ndarray:
@@ -164,31 +188,35 @@ def embed(m, acts_on, dims) -> np.ndarray:
 
     acts_on names the subsystems m lives on (in A, B, C order); dims are
     the full tripartite dimensions. embed(log_rho_AB, "AB", dims) is the
-    operator log_rho_AB (x) I_C.
+    operator log_rho_AB (x) I_C. m may be a stack (..., d, d), embedded
+    matrix by matrix.
+
+    The entries are products of entries of m with the 1s and 0s of the
+    identities, so they equal those of numpy.kron exactly.
     """
     acts_on = _normalize_keep(acts_on)
     dims = tuple(int(d) for d in dims)
-    sub = marginal_dims(dims, acts_on)
-    a = as_matrix(m)
-    if a.shape[0] != int(np.prod(sub)):
+    a = as_matrices(m)
+    # Axes (a, b, c, x, y, z): m spans the axes of acts_on, and each
+    # identity the row and column axis of its own subsystem.
+    shape = [d if s in acts_on else 1 for s, d in zip(SUBSYSTEMS, dims)]
+    if a.shape[-1] != math.prod(shape):
         raise DimensionMismatchError(
-            f"operator of dimension {a.shape[0]} cannot act on {acts_on} with dims {sub}"
+            f"operator of dimension {a.shape[-1]} cannot act on {acts_on} "
+            f"with dims {marginal_dims(dims, acts_on)}"
         )
     if acts_on == SUBSYSTEMS:
         return a
-    row = {"A": "a", "B": "b", "C": "c"}
-    col = {"A": "x", "B": "y", "C": "z"}
-    operands = [a.reshape(*sub, *sub)]
-    script = "".join(row[s] for s in acts_on) + "".join(col[s] for s in acts_on)
-    scripts = [script]
-    for s in SUBSYSTEMS:
+    ident = 1.0
+    for i, s in enumerate(SUBSYSTEMS):
         if s not in acts_on:
-            operands.append(np.eye(dims[SUBSYSTEMS.index(s)], dtype=complex))
-            scripts.append(row[s] + col[s])
-    out = "abcxyz"
-    full = np.einsum(",".join(scripts) + "->" + out, *operands)
+            eye_shape = [1] * 6
+            eye_shape[i] = eye_shape[i + 3] = dims[i]
+            ident = ident * np.eye(dims[i]).reshape(eye_shape)
+    stack = a.shape[:-2]
+    full = a.reshape(*stack, *shape, *shape) * ident
     d = dims[0] * dims[1] * dims[2]
-    return np.ascontiguousarray(full.reshape(d, d))
+    return full.reshape(*stack, d, d)
 
 
 @dataclass(frozen=True, eq=False)

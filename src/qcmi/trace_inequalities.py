@@ -11,6 +11,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
 from .linalg import (
+    _first,
+    _scalar,
     dagger,
     hs_norm,
     mat_exp,
@@ -78,24 +80,27 @@ def lieb_triple_rhs(r, s, t) -> float:
     return lieb_triple_rhs_in_eigenbasis(rr, tt, es.eigenvalues, es.cutoff)
 
 
-def lieb_triple_rhs_in_eigenbasis(rr, tt, ws, cutoff: float) -> float:
+def lieb_triple_rhs_in_eigenbasis(rr, tt, ws, cutoff):
     """lieb_triple_rhs with r and t given in an eigenbasis of s.
 
     ws are the eigenvalues of s in the order of that basis (any order)
     and cutoff is its support cutoff. Callers that already know the
     eigenbasis of s, such as the embedded I (x) rho_B (x) I, skip the
-    decomposition.
+    decomposition. Stacks (k, n, n) of rr and tt, with ws of shape (k, n)
+    and k cutoffs, give an array of k values; the first singular s raises.
     """
-    smin = float(np.min(ws))
-    if smin <= cutoff:
-        raise SingularMatrixError(f"middle operand is singular (min eigenvalue {smin:.3e})")
-    si = ws[:, None]
-    sj = ws[None, :]
+    smin = np.min(ws, axis=-1)
+    singular = smin <= cutoff
+    if np.count_nonzero(singular):
+        found = _first(smin, singular)
+        raise SingularMatrixError(f"middle operand is singular (min eigenvalue {found:.3e})")
+    si = ws[..., :, None]
+    sj = ws[..., None, :]
     diff = si - sj
     close = np.abs(diff) <= 1e-12 * np.maximum(si, sj)
     safe = np.where(close, 1.0, diff)
     weights = np.where(close, 2.0 / (si + sj), (np.log(si) - np.log(sj)) / safe)
-    return float(np.sum(rr * tt.T * weights).real)
+    return _scalar(np.sum(rr * np.swapaxes(tt, -1, -2) * weights, axis=(-2, -1)).real)
 
 
 def audenaert_gap(m, n, t: float) -> float:

@@ -6,15 +6,16 @@ import weakref
 import numpy as np
 import pytest
 
-from qcmi.analysis import StateAnalysis
+from qcmi.analysis import StackAnalysis, analyse_together
 from qcmi.bounds import sigma_star
-from qcmi.harness import ScanConfig, scan
+from qcmi.errors import SingularMatrixError
+from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
 from qcmi.linalg import mat_sqrt
 from qcmi.recovery import m_operator
 from qcmi.sampling import random_tripartite, substream
-from qcmi.states import embed
+from qcmi.states import TripartiteState, embed
 from qcmi.trace_inequalities import lieb_triple_rhs
-from test_golden import restricted_states, sub_cutoff_classical
+from test_golden import record, restricted_states, sub_cutoff_classical
 
 # One scan sample at full dimension d decomposes: the validation of rho
 # (sampling), rho itself, the exponent h, and the four trace-norm
@@ -24,13 +25,17 @@ FULL_DIM_DECOMPOSITIONS_PER_SAMPLE = 7
 
 @pytest.fixture
 def decompositions(monkeypatch):
-    """Count numpy eigh/eigvalsh calls by matrix size."""
+    """Count the matrices numpy eigh/eigvalsh decompose, by matrix size.
+
+    A stacked call on (k, n, n) counts k matrices of size n.
+    """
     sizes = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _original=original, **kwargs):
-            sizes.append(np.shape(a)[-1])
+            shape = np.shape(a)
+            sizes.extend([shape[-1]] * int(np.prod(shape[:-2])))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -39,13 +44,13 @@ def decompositions(monkeypatch):
 
 @pytest.fixture
 def m_builds(monkeypatch):
-    """Count how often the body that forms M runs."""
+    """Count the M operators the body that forms M builds, one per stacked state."""
     calls = []
-    prop = StateAnalysis.__dict__["m"]
+    prop = StackAnalysis.__dict__["m"]
     original = prop.func
 
     def counted(self):
-        calls.append(self)
+        calls.extend([self] * len(self))
         return original(self)
 
     monkeypatch.setattr(prop, "func", counted)
@@ -116,3 +121,46 @@ def test_state_and_analysis_form_no_reference_cycle():
     ref = weakref.ref(st)
     del st
     assert ref() is None
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 3)])
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_scan_rows_do_not_depend_on_the_grouping(corpus, dims):
+    cfg = ScanConfig(dims=dims, samples=5, seed=36, corpus=corpus)
+    assert STACK_BUDGET // int(np.prod(dims)) ** 2 >= cfg.samples  # one stack
+    alone = [evaluate_sample(corpus_state(cfg, i), i) for i in range(cfg.samples)]
+    assert scan(cfg) == alone
+
+
+def _mixed_stacks():
+    # Each stack holds a full-rank state and states that take the
+    # support-restricted branch of sigma* or drop a sub-cutoff eigenvalue.
+    special = list(restricted_states().values()) + [sub_cutoff_classical()]
+    by_dims = {}
+    for st in special:
+        by_dims.setdefault(st.dims, []).append(st)
+    return [
+        [random_tripartite(dims, substream(37, sum(dims)))] + states
+        for dims, states in by_dims.items()
+    ]
+
+
+@pytest.mark.parametrize("states", _mixed_stacks(), ids=lambda states: str(states[0].dims))
+def test_mixed_stack_matches_states_analysed_alone(states):
+    stacked = [TripartiteState(rho=st.rho, dims=st.dims) for st in states]
+    analyse_together(stacked)
+    assert len({id(st.analysis.stack) for st in stacked}) == 1
+    for together, alone in zip(stacked, states):
+        assert record(together, "hs-random") == record(alone, "hs-random")
+        for name in ("sigma_star", "sqrt_sigma_star", "m", "m_mdag", "mdag_m"):
+            want = getattr(alone.analysis, name)
+            np.testing.assert_array_equal(getattr(together.analysis, name), want)
+        assert together.analysis.support_restricted == alone.analysis.support_restricted
+        assert _lieb_rhs_or_error(together) == _lieb_rhs_or_error(alone)
+
+
+def _lieb_rhs_or_error(state):
+    try:
+        return state.analysis.lieb_rhs
+    except SingularMatrixError as exc:  # rho_B is singular
+        return str(exc)

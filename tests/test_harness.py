@@ -1,15 +1,18 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qcmi.bounds import bound_report
 from qcmi.entropy import cmi
-from qcmi.errors import ConfigError, InequalityViolationError, SingularMatrixError
+from qcmi import harness
+from qcmi.errors import ConfigError, InequalityViolationError, NotPSDError, SingularMatrixError
 from qcmi.harness import (
     CSV_COLUMNS,
     ScanConfig,
+    ScanRow,
     _abort,
     _json_value,
     channel_gap_scan,
@@ -20,15 +23,17 @@ from qcmi.harness import (
     rotated_slacks,
     run_conjecture,
     scan,
+    write_scan_report,
 )
 from qcmi.sampling import (
     near_markov_state,
     random_classical_state,
     random_markov_state,
+    random_tripartite,
     substream,
 )
 from qcmi.stateio import read_state
-from qcmi.states import ClassicalJoint, classical_state
+from qcmi.states import ClassicalJoint, DensityMatrix, TripartiteState, classical_state
 
 LN2 = math.log(2)
 
@@ -160,6 +165,159 @@ class TestScan:
         assert first["cmi"] == rows[0].cmi
         assert first["support_restricted"] is False
         assert first["label"] in ("D1", "D2", "D3")
+
+
+# Two rows as a scan reports them: an infinite log-overlap bound, a
+# support-restricted sample, a negative zero and a tiny value.
+REPORT_ROWS = (
+    ScanRow(
+        sample_index=0, dA=2, dB=1, dC=2, cmi=math.log(2), sigma_star_trace=1.0,
+        log_overlap_bound=math.log(2) - 1e-16, thm1_bound=2 - math.sqrt(2), corollary_bound=0.25,
+        slack_thm1=math.log(2) - (2 - math.sqrt(2)), slack_corollary=math.log(2) - 0.25,
+        recovery_gap_M=1.0, recovery_gap_Mprime=1.0, commutator_trace_norm=0.0,
+        ruskai_residual=1e-35, label="D2", support_restricted=False,
+    ),
+    ScanRow(
+        sample_index=1, dA=2, dB=1, dC=2, cmi=0.0, sigma_star_trace=0.5,
+        log_overlap_bound=math.inf, thm1_bound=0.5, corollary_bound=0.0625,
+        slack_thm1=-0.5, slack_corollary=-0.0625, recovery_gap_M=2.220446049250313e-16,
+        recovery_gap_Mprime=-0.0, commutator_trace_norm=0.0, ruskai_residual=0.98025814346854706,
+        label="D1", support_restricted=True,
+    ),
+)
+
+REPORT_CSV = (
+    "sample_index,dA,dB,dC,cmi,sigma_star_trace,log_overlap_bound,thm1_bound,corollary_bound,"
+    "slack_thm1,slack_corollary,recovery_gap_M,recovery_gap_Mprime,commutator_trace_norm,"
+    "ruskai_residual,label\n"
+    "0,2,1,2,0.69314718055994529,1,0.69314718055994518,0.58578643762690485,0.25,"
+    "0.10736074293304043,0.44314718055994529,1,1,0,1e-35,D2\n"
+    "1,2,1,2,0,0.5,inf,0.5,0.0625,-0.5,-0.0625,2.2204460492503131e-16,-0,0,"
+    "0.98025814346854701,D1\n"
+)
+
+REPORT_JSON = (
+    '{"config":{"dims":[2,1,2],"samples":2,"seed":7,"corpus":"hs-random","tol":1e-08,'
+    '"format":"json"},"rows":['
+    '{"sample_index":0,"dA":2,"dB":1,"dC":2,"cmi":0.69314718055994529,"sigma_star_trace":1,'
+    '"log_overlap_bound":0.69314718055994518,"thm1_bound":0.58578643762690485,'
+    '"corollary_bound":0.25,"slack_thm1":0.10736074293304043,'
+    '"slack_corollary":0.44314718055994529,"recovery_gap_M":1,"recovery_gap_Mprime":1,'
+    '"commutator_trace_norm":0,"ruskai_residual":1e-35,"label":"D2",'
+    '"support_restricted":false},'
+    '{"sample_index":1,"dA":2,"dB":1,"dC":2,"cmi":0,"sigma_star_trace":0.5,'
+    '"log_overlap_bound":"inf","thm1_bound":0.5,"corollary_bound":0.0625,"slack_thm1":-0.5,'
+    '"slack_corollary":-0.0625,"recovery_gap_M":2.2204460492503131e-16,'
+    '"recovery_gap_Mprime":-0,"commutator_trace_norm":0,"ruskai_residual":0.98025814346854701,'
+    '"label":"D1","support_restricted":true}]}\n'
+)
+
+
+@pytest.mark.parametrize("fmt,want", [("csv", REPORT_CSV), ("json", REPORT_JSON)])
+def test_scan_report_bytes(tmp_path, fmt, want):
+    out = tmp_path / f"scan.{fmt}"
+    cfg = ScanConfig(dims=(2, 1, 2), samples=2, seed=7, out=str(out), fmt=fmt)
+    write_scan_report(cfg, list(REPORT_ROWS))
+    assert out.read_bytes() == want.encode()
+
+
+def _negative_diagonal_state(dims):
+    # A TripartiteState that skipped validation: its AB marginal has the
+    # eigenvalue -1e-6, so analysing it raises NotPSDError.
+    n = int(np.prod(dims))
+    diag = np.full(n, (1.0 + 1e-6) / (n - 2))
+    diag[0] = -1e-6
+    diag[1] = 0.0
+    rho = DensityMatrix(mat=np.diag(diag).astype(complex), support_rank=n - 1)
+    return TripartiteState(rho=rho, dims=dims)
+
+
+class TestStackedScan:
+    """Samples evaluated in one stack abort exactly as samples evaluated one by one."""
+
+    @pytest.fixture
+    def inject(self, monkeypatch):
+        # Replace corpus samples: inject({index: state_for(cfg, index)}).
+        original = harness.corpus_state
+
+        def install(replacements):
+            def corpus_state(cfg, index):
+                if index in replacements:
+                    return replacements[index](cfg, index)
+                return original(cfg, index)
+
+            monkeypatch.setattr(harness, "corpus_state", corpus_state)
+
+        return install
+
+    @staticmethod
+    def _failure(tmp_path, monkeypatch, budget, error):
+        # (message with the out path replaced, artifact bytes or None)
+        monkeypatch.setattr(harness, "STACK_BUDGET", budget)
+        out = tmp_path / f"budget-{budget}"
+        cfg = ScanConfig(dims=(2, 2, 2), samples=6, seed=38, corpus="markov", out=str(out))
+        with pytest.raises(error) as exc:
+            scan(cfg)
+        path = getattr(exc.value, "artifact_path", None)
+        return str(exc.value).replace(str(out), "OUT"), path and Path(path).read_bytes()
+
+    def _stacked_and_alone(self, tmp_path, monkeypatch, error):
+        stacked = self._failure(tmp_path, monkeypatch, harness.STACK_BUDGET, error)
+        alone = self._failure(tmp_path, monkeypatch, 1, error)  # a stack per sample
+        assert stacked == alone
+        return stacked
+
+    def test_violation_inside_a_stack_aborts_at_its_index(self, tmp_path, monkeypatch, inject):
+        # An hs-random state in the markov corpus fails markov-cmi-zero.
+        inject({2: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
+        message, artifact = self._stacked_and_alone(tmp_path, monkeypatch, InequalityViolationError)
+        assert "'markov-cmi-zero' violated at sample 2" in message
+        assert artifact is not None
+
+    def test_a_stack_that_raises_is_evaluated_one_by_one(self, tmp_path, monkeypatch, inject):
+        inject({3: lambda cfg, i: _negative_diagonal_state(cfg.dims)})
+        message, _ = self._stacked_and_alone(tmp_path, monkeypatch, NotPSDError)
+        assert "-1.000e-06" in message
+
+    def test_a_violation_before_a_failing_state_comes_first(self, tmp_path, monkeypatch, inject):
+        inject({
+            1: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i)),
+            3: lambda cfg, i: _negative_diagonal_state(cfg.dims),
+        })
+        message, _ = self._stacked_and_alone(tmp_path, monkeypatch, InequalityViolationError)
+        assert "violated at sample 1" in message
+
+    def test_drawn_states_are_reused_and_a_failed_draw_repeated(
+        self, tmp_path, monkeypatch, inject
+    ):
+        def failing_draw(cfg, i):
+            raise ConfigError(f"no state for sample {i}")
+
+        def failure(budget, error, replacements):
+            # (message, artifact) and the sample indices drawn, in order
+            inject(replacements)
+            inner, draws = harness.corpus_state, []
+
+            def corpus_state(cfg, i):
+                draws.append(i)
+                return inner(cfg, i)
+
+            monkeypatch.setattr(harness, "corpus_state", corpus_state)
+            return self._failure(tmp_path, monkeypatch, budget, error), draws
+
+        violating = lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))  # noqa: E731
+        cases = [
+            # Samples 0 and 1 are reused; one by one stops at the violation.
+            ({1: violating, 4: failing_draw}, InequalityViolationError, [0, 1, 2, 3, 4]),
+            # 0-3 are reused and the draw that raised is repeated in its turn.
+            ({4: failing_draw}, ConfigError, [0, 1, 2, 3, 4, 4]),
+        ]
+        for replacements, error, want in cases:
+            stacked, draws = failure(harness.STACK_BUDGET, error, replacements)
+            assert draws == want
+            alone, _ = failure(1, error, replacements)
+            assert stacked == alone
+        assert stacked[0] == "no state for sample 4"
 
 
 class TestViolationHandling:

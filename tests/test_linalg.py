@@ -4,6 +4,8 @@ import scipy.linalg
 
 from qcmi.errors import DimensionMismatchError, NotHermitianError, NotPSDError
 from qcmi.linalg import (
+    _eigh,
+    as_psd,
     commutator,
     eig_hermitian,
     hs_norm,
@@ -13,6 +15,8 @@ from qcmi.linalg import (
     mat_log,
     mat_power,
     mat_sqrt,
+    psd_eig,
+    require_hermitian,
     support_projector,
     support_rank,
     trace_norm,
@@ -161,3 +165,37 @@ class TestSupport:
         np.testing.assert_allclose(support_projector(m), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
         assert support_rank(m) == 2
         assert support_rank(np.eye(4) / 4) == 4
+
+
+class TestStacks:
+    """A stack (k, n, n) gives every matrix bitwise its result alone."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 27])
+    def test_stacked_results_match_single_matrices(self, n):
+        rng = np.random.default_rng(40 + n)
+        herm = np.stack([random_hermitian(n, rng) for _ in range(4)])
+        psd = herm @ herm
+        psd[1] = np.zeros((n, n))  # a singular member
+        pe = psd_eig(psd, "test")
+        cases = [
+            (herm, hs_norm(herm), hs_norm),
+            (herm, trace_norm(herm), trace_norm),
+            (herm, require_hermitian(herm), require_hermitian),
+            (herm, mat_exp(herm), mat_exp),
+            (psd, pe.rank, support_rank),
+            (psd, pe.sqrt(), mat_sqrt),
+            (psd, pe.log(), mat_log),
+            (psd, pe.power(-0.5), lambda m: mat_power(m, -0.5)),
+            (psd, pe.projector(), support_projector),
+        ]
+        for operands, stacked, single in cases:
+            for k, m in enumerate(operands):
+                np.testing.assert_array_equal(stacked[k], single(m))
+
+    def test_first_failing_matrix_raises(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([1.0, -0.25])])
+        with pytest.raises(NotPSDError, match="-5.000e-01"):
+            as_psd(_eigh(stack), "test")
+        stack = np.stack([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(NotHermitianError):
+            require_hermitian(stack)

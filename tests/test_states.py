@@ -5,11 +5,14 @@ from qcmi.entropy import cmi
 from qcmi.errors import (
     DimensionMismatchError,
     NotDistributionError,
+    NotPSDError,
     TraceNotOneError,
 )
 from qcmi.linalg import hs_norm
 from qcmi.states import (
     ClassicalJoint,
+    _traced_out,
+    _validated,
     MarkovBlock,
     MarkovSpec,
     classical_state,
@@ -52,6 +55,33 @@ class TestValidate:
     def test_trace_not_one(self):
         with pytest.raises(TraceNotOneError):
             validate_density(np.diag([0.6, 0.5]))
+
+
+class TestStackHelpers:
+    """The array-level forms behind partial_trace and validate_density."""
+
+    def test_stack_matches_states_one_by_one(self):
+        dims = (2, 1, 3)
+        states = [random_tripartite(dims, substream(41, i)) for i in range(3)]
+        stack = np.stack([st.mat for st in states])
+        for keep in ("AB", "BC", "B", "AC"):
+            mats, ranks = _validated(_traced_out(stack, dims, keep))
+            assert not mats.flags.writeable
+            for k, st in enumerate(states):
+                alone = partial_trace(st, keep)
+                np.testing.assert_array_equal(mats[k], alone.mat)
+                assert ranks[k] == alone.support_rank
+
+    def test_first_failing_matrix_raises(self):
+        stack = np.stack([np.eye(2) / 2, np.diag([1.5, -0.5]), np.diag([2.0, -1.0])])
+        with pytest.raises(NotPSDError, match="-5.000e-01"):
+            _validated(stack)
+        with pytest.raises(TraceNotOneError, match="trace is 2.0"):
+            _validated(np.stack([np.eye(2) / 2, np.eye(2)]))
+
+    def test_public_forms_take_one_matrix(self):
+        with pytest.raises(DimensionMismatchError):
+            validate_density(np.stack([np.eye(2) / 2] * 2))
 
 
 class TestTensor:
@@ -138,6 +168,36 @@ class TestEmbed:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             embed(np.eye(3), "A", (2, 2, 2))
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 3), (2, 1, 2), (3, 2, 1), (2, 3, 2)])
+    @pytest.mark.parametrize("acts_on", ["A", "B", "C", "AB", "AC", "BC", "ABC"])
+    def test_matches_kron_exactly(self, acts_on, dims):
+        # m = sum of m[r, c] |r><c| over the basis of acts_on; each term
+        # embeds as the Kronecker product of |r_s><c_s| on the subsystems
+        # of acts_on and identities elsewhere.
+        sub = [d for s, d in zip("ABC", dims) if s in acts_on]
+        n = int(np.prod(sub))
+        rng = substream(13, 2)
+        stack = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+        for m in stack:
+            want = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+            for r, c in np.ndindex(n, n):
+                rs = iter(np.unravel_index(r, sub))
+                cs = iter(np.unravel_index(c, sub))
+                factors = []
+                for s, d in zip("ABC", dims):
+                    if s in acts_on:
+                        unit = np.zeros((d, d))
+                        unit[next(rs), next(cs)] = 1.0
+                        factors.append(unit)
+                    else:
+                        factors.append(np.eye(d))
+                want += m[r, c] * np.kron(np.kron(factors[0], factors[1]), factors[2])
+            np.testing.assert_array_equal(embed(m, acts_on, dims), want)
+        # A stack embeds matrix by matrix.
+        stacked = embed(stack, acts_on, dims)
+        for k, m in enumerate(stack):
+            np.testing.assert_array_equal(stacked[k], embed(m, acts_on, dims))
 
 
 class TestClassicalState:
