@@ -3,8 +3,8 @@
 Every per-state diagnostic reads the same decompositions:
 
 * one eigendecomposition of each marginal rho_AB, rho_BC and rho_B, which
-  serves its entropy, log, sqrt and pseudo-inverse sqrt;
-* one of rho, which serves S(ABC), sqrt(rho) and log(rho);
+  serves its validation, entropy, log, sqrt and pseudo-inverse sqrt;
+* one of rho, which serves its validation, S(ABC), sqrt(rho) and log(rho);
 * one of the exponent h = log rho_AB - log rho_B + log rho_BC, which gives
   sigma* = exp(h) and sqrt(sigma*);
 * one spectrum per trace norm: rho - sigma*, rho - M M^dag, rho - M^dag M
@@ -18,6 +18,9 @@ each matrix bitwise the result of a call on that matrix alone (the
 grouping-invariance tests check this), so a state's values do not depend
 on the stack it was analysed in.
 
+The analysis checks rho and its marginals with validate_density's rules,
+read from their decompositions, before it derives anything from them, so
+states may skip validation on construction (the harness corpus draws do).
 Each piece is computed on first use and then kept, so a stack pays for
 each decomposition at most once. StateAnalysis is one state's row of a
 stack; TripartiteState.analysis holds it, and the functions in entropy,
@@ -106,25 +109,37 @@ class StackAnalysis:
     def __len__(self) -> int:
         return self.mat.shape[0]
 
-    # -- marginals -------------------------------------------------------
+    # -- rho and its marginals, validated ---------------------------------
 
     @cached_property
-    def marginals(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(read-only stack, support ranks) of rho_AB, rho_BC and rho_B, validated."""
+    def _rho(self) -> tuple[HermitianEigen, np.ndarray]:
+        # The decomposition and support ranks of rho, validated.
+        _, e, rank = _validated(self.mat)
+        return e, rank
+
+    @property
+    def rho_eig(self) -> HermitianEigen:
+        return self._rho[0]
+
+    @property
+    def rho_rank(self) -> np.ndarray:
+        return self._rho[1]
+
+    @cached_property
+    def marginals(self) -> tuple[tuple[np.ndarray, HermitianEigen, np.ndarray], ...]:
+        """(read-only stack, decomposition, support ranks) of rho_AB, rho_BC
+        and rho_B, validated after rho."""
+        self._rho  # rho is validated first; every other value derives from it or these
         return tuple(_validated(_traced_out(self.mat, self.dims, keep)) for keep in MARGINALS)
 
-    @cached_property
+    @property
     def marginal_eigs(self) -> tuple[HermitianEigen, HermitianEigen, HermitianEigen]:
-        return tuple(_eigh(mat) for mat, _ in self.marginals)
+        return tuple(e for _, e, _ in self.marginals)
 
     @cached_property
     def marginal_psd(self) -> tuple[PsdEigen, PsdEigen, PsdEigen]:
         """Marginal decompositions with their support cutoffs (raises if not PSD)."""
         return tuple(as_psd(e, "log") for e in self.marginal_eigs)
-
-    @cached_property
-    def rho_eig(self) -> HermitianEigen:
-        return _eigh(self.mat)
 
     @cached_property
     def rho_psd(self) -> PsdEigen:
@@ -161,7 +176,7 @@ class StackAnalysis:
     def _sigma(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # (sigma*, sqrt(sigma*), support_restricted)
         h = self.exponent
-        (ab, rank_ab), (bc, rank_bc), _ = self.marginals
+        (ab, _, rank_ab), (bc, _, rank_bc), _ = self.marginals
         full = (rank_ab == ab.shape[-1]) & (rank_bc == bc.shape[-1])
         if full.all():  # the common case, without copies into a mixed stack
             sigma, root = _exp_and_sqrt(h)
@@ -272,7 +287,7 @@ class StackAnalysis:
         diagonalizes rho_B, so the two outer operands are rotated by the
         small factors I_A (x) Q_B and Q_B (x) I_C and embedded afterwards.
         """
-        (rho_ab, _), (rho_bc, _), _ = self.marginals
+        (rho_ab, _, _), (rho_bc, _, _), _ = self.marginals
         _, _, psd_b = self.marginal_psd
         d_a, d_b, d_c = dims = self.dims
         q = psd_b.eigenvectors[rows]
@@ -330,7 +345,7 @@ class StateAnalysis:
         i = self.index
         return tuple(
             DensityMatrix(mat=mat[i], support_rank=int(rank[i]))
-            for mat, rank in self.stack.marginals
+            for mat, _, rank in self.stack.marginals
         )
 
     @cached_property
@@ -363,6 +378,7 @@ class StateAnalysis:
         """log rho_AB (x) I, I (x) log rho_BC and I (x) log rho_B (x) I."""
         return tuple(log[self.index] for log in self.stack.embedded_logs)
 
+    rho_rank = _row("rho_rank", int, doc="Support rank of rho.")
     sigma_star = _row("sigma_star")
     sqrt_sigma_star = _row("sqrt_sigma_star")
     support_restricted = _row("support_restricted", bool)

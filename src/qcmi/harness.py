@@ -23,15 +23,15 @@ from .errors import ConfigError, InequalityViolationError, SingularMatrixError
 from .linalg import dagger, hermitian_part, mat_exp, trace_norm
 from .recovery import classify
 from .sampling import (
-    near_markov_state,
-    random_classical_state,
+    _hs_matrix,
+    _markov_state_matrix,
+    _near_markov_matrix,
+    random_classical,
     random_density,
-    random_markov_state,
-    random_tripartite,
     random_unitary,
     substream,
 )
-from .states import TripartiteState
+from .states import TripartiteState, _classical_matrix, _DrawnState
 from .stateio import _matrix_text, _write_text, fmt17, write_state
 
 CSV_COLUMNS = (
@@ -167,15 +167,24 @@ class ChannelGapSummary:
 
 
 def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
-    """Deterministically build sample `index` of the configured corpus."""
+    """Deterministically build sample `index` of the configured corpus.
+
+    The matrix is bitwise the one the corpus' public sampler returns
+    (random_tripartite, random_classical_state, random_markov_state or
+    near_markov_state), which is a density matrix by construction. It is
+    validated once, by the state's analysis, rather than on construction.
+    """
     rng = substream(cfg.seed, index)
+    dims = cfg.dims
     if cfg.corpus == "hs-random":
-        return random_tripartite(cfg.dims, rng)
-    if cfg.corpus == "classical-random":
-        return random_classical_state(cfg.dims, rng)
-    if cfg.corpus == "markov":
-        return random_markov_state(cfg.dims, rng)
-    return near_markov_state(cfg.dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
+        m = _hs_matrix(dims[0] * dims[1] * dims[2], rng)
+    elif cfg.corpus == "classical-random":
+        m = _classical_matrix(random_classical(dims, rng))
+    elif cfg.corpus == "markov":
+        m = _markov_state_matrix(dims, rng)
+    else:
+        m = _near_markov_matrix(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
+    return _DrawnState(m, dims)
 
 
 def _proven_checks(

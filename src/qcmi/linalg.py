@@ -93,9 +93,15 @@ def require_hermitian(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
     """
     a = as_matrices(m)
     dev = hs_norm(a - dagger(a))
-    failed = (dev > rtol) & (dev > rtol * hs_norm(a))
-    if np.count_nonzero(failed):
-        raise NotHermitianError(f"matrix deviates from Hermitian by {_first(dev, failed):.3e}")
+    if a.ndim == 2:  # one matrix, without the fixed cost of the stack form
+        found = dev if dev > rtol and dev > rtol * hs_norm(a) else None
+    else:
+        failed = dev > rtol
+        if failed.any():  # only then are the norms of a needed
+            failed &= dev > rtol * hs_norm(a)
+        found = _first(dev, failed) if failed.any() else None
+    if found is not None:
+        raise NotHermitianError(f"matrix deviates from Hermitian by {found:.3e}")
     return hermitian_part(a)
 
 
@@ -104,8 +110,11 @@ def support_cutoff(eigenvalues):
 
     eigenvalues has shape (..., n); a stack gets one threshold per matrix.
     """
-    lam_max = np.asarray(eigenvalues).max(axis=-1, initial=0.0)
-    return _scalar(np.maximum(SUPPORT_RTOL * lam_max, SUPPORT_FLOOR))
+    w = np.asarray(eigenvalues)
+    lam_max = w.max(axis=-1, initial=0.0)
+    if w.ndim == 1:  # one matrix, without the fixed cost of the stack form
+        return max(SUPPORT_RTOL * float(lam_max), SUPPORT_FLOOR)
+    return np.maximum(SUPPORT_RTOL * lam_max, SUPPORT_FLOOR)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,7 +198,11 @@ def _fix_phases(q: np.ndarray) -> np.ndarray:
 def _eigh(m) -> HermitianEigen:
     # Eigendecomposition with the phases LAPACK returns, which is enough
     # for any function of the matrix.
-    h = require_hermitian(m)
+    return _eigh_symmetrized(require_hermitian(m))
+
+
+def _eigh_symmetrized(h: np.ndarray) -> HermitianEigen:
+    # _eigh of matrices that require_hermitian has already returned.
     try:
         w, q = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -215,9 +228,12 @@ def as_psd(e: HermitianEigen, what: str) -> PsdEigen:
     """
     w = e.eigenvalues
     tau = support_cutoff(w)
-    failed = w[..., 0] < -tau
-    if np.count_nonzero(failed):
-        found = _first(w[..., 0], failed)
+    if w.ndim == 1:  # one matrix, without the fixed cost of the stack form
+        found = w[0] if w[0] < -tau else None
+    else:
+        failed = w[..., 0] < -tau
+        found = _first(w[..., 0], failed) if np.count_nonzero(failed) else None
+    if found is not None:
         raise NotPSDError(f"{what} requires a PSD input, found eigenvalue {found:.3e}")
     return PsdEigen(eigenvalues=w, eigenvectors=e.eigenvectors, cutoff=tau)
 
@@ -282,8 +298,10 @@ def trace_norm(m):
 
     A stack of matrices takes one eigvalsh call and gives an array of norms.
     """
-    w = np.linalg.eigvalsh(require_hermitian(m))
-    return _scalar(np.abs(w).sum(axis=-1))
+    w = np.abs(np.linalg.eigvalsh(require_hermitian(m)))
+    if w.ndim == 1:  # one matrix, without the fixed cost of the stack form
+        return float(w.sum())
+    return w.sum(axis=-1)
 
 
 def commutator(a, b) -> np.ndarray:

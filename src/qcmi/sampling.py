@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import hermitian_part
 from .states import (
     ClassicalJoint,
     DensityMatrix,
     MarkovBlock,
     MarkovSpec,
     TripartiteState,
+    _markov_matrix,
     classical_state,
-    markov_state,
     tripartite,
     validate_density,
 )
@@ -40,11 +41,17 @@ def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
 
 
-def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Hilbert-Schmidt distributed density matrix: G G^dag normalized."""
+def _hs_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    # random_density's matrix, unvalidated: PSD with unit trace by
+    # construction, and symmetrized as validate_density does.
     g = _ginibre(dim, rng)
     m = g @ g.conj().T
-    return validate_density(m / np.trace(m).real)
+    return hermitian_part(m / np.trace(m).real)
+
+
+def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    """Hilbert-Schmidt distributed density matrix: G G^dag normalized."""
+    return validate_density(_hs_matrix(dim, rng))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -84,6 +91,13 @@ def random_markov_spec(dims, rng: np.random.Generator) -> MarkovSpec:
     (d_left, d_right) pair uniformly among those that still fit. Block
     weights are flat Dirichlet.
     """
+    blocks = [MarkovBlock(*block) for block in _markov_blocks(dims, rng)]
+    return MarkovSpec(d_a=int(dims[0]), d_c=int(dims[2]), blocks=tuple(blocks))
+
+
+def _markov_blocks(dims, rng: np.random.Generator) -> list:
+    # random_markov_spec's (weight, d_left, d_right, rho_al, rho_rc)
+    # blocks, unvalidated.
     d_a, d_b, d_c = (int(d) for d in dims)
     shapes: list[tuple[int, int]] = []
     remaining = d_b
@@ -96,29 +110,30 @@ def random_markov_spec(dims, rng: np.random.Generator) -> MarkovSpec:
         shapes.append(pairs[int(rng.integers(len(pairs)))])
         remaining -= shapes[-1][0] * shapes[-1][1]
     weights = rng.dirichlet(np.ones(len(shapes)))
-    blocks = [
-        MarkovBlock(
-            weight=float(w),
-            d_left=dl,
-            d_right=dr,
-            rho_al=random_density(d_a * dl, rng),
-            rho_rc=random_density(dr * d_c, rng),
-        )
+    return [
+        (float(w), dl, dr, _hs_matrix(d_a * dl, rng), _hs_matrix(dr * d_c, rng))
         for w, (dl, dr) in zip(weights, shapes)
     ]
-    return MarkovSpec(d_a=d_a, d_c=d_c, blocks=tuple(blocks))
+
+
+def _markov_state_matrix(dims, rng: np.random.Generator) -> np.ndarray:
+    return _markov_matrix(int(dims[0]), int(dims[2]), _markov_blocks(dims, rng))
 
 
 def random_markov_state(dims, rng: np.random.Generator) -> TripartiteState:
-    return markov_state(random_markov_spec(dims, rng))
+    return tripartite(_markov_state_matrix(dims, rng), dims)
 
 
 def random_classical_state(dims, rng: np.random.Generator) -> TripartiteState:
     return classical_state(random_classical(dims, rng))
 
 
+def _near_markov_matrix(dims, rng: np.random.Generator, mix: float) -> np.ndarray:
+    base = _markov_state_matrix(dims, rng)
+    noise = _hs_matrix(base.shape[0], rng)
+    return hermitian_part((1.0 - mix) * base + mix * noise)
+
+
 def near_markov_state(dims, rng: np.random.Generator, mix: float) -> TripartiteState:
     """Convex mixture (1 - mix) * markov + mix * random, for small mix."""
-    base = random_markov_state(dims, rng)
-    noise = random_density(base.dim, rng)
-    return tripartite((1.0 - mix) * base.mat + mix * noise.mat, dims)
+    return tripartite(_near_markov_matrix(dims, rng, mix), dims)

@@ -21,6 +21,8 @@ from .errors import (
     TraceNotOneError,
 )
 from .linalg import (
+    HermitianEigen,
+    _eigh_symmetrized,
     _first,
     as_matrices,
     as_matrix,
@@ -59,12 +61,10 @@ class DensityMatrix:
         return self.support_rank == self.dim
 
 
-def _validated(m) -> tuple[np.ndarray, np.ndarray]:
-    # validate_density on matrices of shape (..., n, n): their read-only
-    # symmetrized copies and support ranks. Each matrix is checked on its
-    # own, and the first one that fails raises.
-    sym = require_hermitian(m)
-    w = np.linalg.eigvalsh(sym)
+def _support_ranks(sym: np.ndarray, w: np.ndarray):
+    # validate_density's checks after the Hermitian one, on symmetrized
+    # matrices of shape (..., n, n) with ascending eigenvalues w: their
+    # support ranks. The first matrix that fails raises.
     failed = w[..., 0] < EIG_FLOOR
     if np.count_nonzero(failed):
         found = _first(w[..., 0], failed)
@@ -73,8 +73,16 @@ def _validated(m) -> tuple[np.ndarray, np.ndarray]:
     failed = abs(tr - 1.0) > TRACE_ATOL
     if np.count_nonzero(failed):
         raise TraceNotOneError(f"trace is {_first(tr, failed)!r}, expected 1 within {TRACE_ATOL}")
-    rank = np.count_nonzero(w > np.asarray(support_cutoff(w))[..., None], axis=-1)
-    return _frozen(sym), rank
+    return np.count_nonzero(w > np.asarray(support_cutoff(w))[..., None], axis=-1)
+
+
+def _validated(m) -> tuple[np.ndarray, HermitianEigen, np.ndarray]:
+    # validate_density on matrices of shape (..., n, n), read from their
+    # eigh, for callers that need the decompositions anyway: the read-only
+    # symmetrized copies, their decompositions and support ranks.
+    sym = require_hermitian(m)
+    e = _eigh_symmetrized(sym)
+    return _frozen(sym), e, _support_ranks(sym, e.eigenvalues)
 
 
 def validate_density(m) -> DensityMatrix:
@@ -83,8 +91,9 @@ def validate_density(m) -> DensityMatrix:
     The returned matrix is the symmetrized copy of the input and is marked
     read-only.
     """
-    sym, rank = _validated(as_matrix(m))
-    return DensityMatrix(mat=sym, support_rank=int(rank))
+    sym = require_hermitian(as_matrix(m))
+    rank = _support_ranks(sym, np.linalg.eigvalsh(sym))
+    return DensityMatrix(mat=_frozen(sym), support_rank=int(rank))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +108,10 @@ class TripartiteState:
         object.__setattr__(self, "dims", dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"dims must be three positive ints, got {dims}")
-        if dims[0] * dims[1] * dims[2] != self.rho.dim:
+        if dims[0] * dims[1] * dims[2] != self.dim:
             raise DimensionMismatchError(
                 f"dims {dims} imply dimension {dims[0] * dims[1] * dims[2]}, "
-                f"matrix has dimension {self.rho.dim}"
+                f"matrix has dimension {self.dim}"
             )
 
     @property
@@ -111,7 +120,7 @@ class TripartiteState:
 
     @property
     def dim(self) -> int:
-        return self.rho.dim
+        return self.mat.shape[0]
 
     @cached_property
     def analysis(self) -> StateAnalysis:
@@ -119,6 +128,26 @@ class TripartiteState:
         from .analysis import StackAnalysis, StateAnalysis
 
         return StateAnalysis(StackAnalysis([self]), 0)
+
+
+class _DrawnState(TripartiteState):
+    # tripartite(m, dims) without the checks, for a complex matrix m that is
+    # a density matrix by construction and already symmetrized as
+    # validate_density does (the corpus draws): the state's analysis runs
+    # the checks, once, and rho with its support rank is read from there.
+
+    def __init__(self, m: np.ndarray, dims):
+        object.__setattr__(self, "_mat", _frozen(m))
+        object.__setattr__(self, "dims", dims)
+        self.__post_init__()
+
+    @property
+    def mat(self) -> np.ndarray:
+        return self._mat
+
+    @cached_property
+    def rho(self) -> DensityMatrix:
+        return DensityMatrix(mat=self._mat, support_rank=self.analysis.rho_rank)
 
 
 def tripartite(m, dims) -> TripartiteState:
@@ -241,9 +270,14 @@ class ClassicalJoint:
         return self.p.shape
 
 
+def _classical_matrix(joint: ClassicalJoint) -> np.ndarray:
+    # Real and diagonal, so bitwise its own Hermitian part.
+    return np.diag(joint.p.ravel(order="C").astype(complex))
+
+
 def classical_state(joint: ClassicalJoint) -> TripartiteState:
     """Embed a classical joint distribution as a diagonal tripartite state."""
-    return tripartite(np.diag(joint.p.ravel(order="C").astype(complex)), joint.dims)
+    return tripartite(_classical_matrix(joint), joint.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,13 +350,19 @@ def markov_state(spec: MarkovSpec) -> TripartiteState:
     scattered into the A (x) B (x) C ordering through an explicit 0/1
     isometry, so the constructor is transparent about the index mapping.
     """
-    d_a, d_b, d_c = spec.dims
+    blocks = [(b.weight, b.d_left, b.d_right, b.rho_al.mat, b.rho_rc.mat) for b in spec.blocks]
+    return tripartite(_markov_matrix(spec.d_a, spec.d_c, blocks), spec.dims)
+
+
+def _markov_matrix(d_a: int, d_c: int, blocks) -> np.ndarray:
+    # markov_state's matrix from (weight, d_left, d_right, rho_al, rho_rc)
+    # blocks, unvalidated.
+    d_b = sum(dl * dr for _, dl, dr, _, _ in blocks)
     dim = d_a * d_b * d_c
     rho = np.zeros((dim, dim), dtype=complex)
     offset = 0
-    for blk in spec.blocks:
-        dl, dr = blk.d_left, blk.d_right
-        block = np.kron(blk.rho_al.mat, blk.rho_rc.mat)
+    for weight, dl, dr, rho_al, rho_rc in blocks:
+        block = np.kron(rho_al, rho_rc)
         n = d_a * dl * dr * d_c
         a_idx = np.arange(d_a)[:, None, None, None]
         l_idx = np.arange(dl)[None, :, None, None]
@@ -332,6 +372,6 @@ def markov_state(spec: MarkovSpec) -> TripartiteState:
         target = ((a_idx * d_b + b_idx) * d_c + c_idx).ravel()
         iso = np.zeros((dim, n))
         iso[target, np.arange(n)] = 1.0
-        rho += blk.weight * (iso @ block @ iso.T)
+        rho += weight * (iso @ block @ iso.T)
         offset += dl * dr
-    return tripartite(hermitian_part(rho), spec.dims)
+    return hermitian_part(rho)

@@ -6,21 +6,25 @@ import weakref
 import numpy as np
 import pytest
 
-from qcmi.analysis import StackAnalysis, analyse_together
+from qcmi.analysis import MARGINALS, StackAnalysis, analyse_together
 from qcmi.bounds import sigma_star
 from qcmi.errors import SingularMatrixError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
 from qcmi.linalg import mat_sqrt
 from qcmi.recovery import m_operator
 from qcmi.sampling import random_tripartite, substream
-from qcmi.states import TripartiteState, embed
+from qcmi.states import TripartiteState, embed, partial_trace, validate_density
 from qcmi.trace_inequalities import lieb_triple_rhs
+from test_golden import cases as golden_cases
 from test_golden import record, restricted_states, sub_cutoff_classical
 
-# One scan sample at full dimension d decomposes: the validation of rho
-# (sampling), rho itself, the exponent h, and the four trace-norm
-# spectra rho - sigma*, rho - M M^dag, rho - M^dag M and [M, M^dag].
-FULL_DIM_DECOMPOSITIONS_PER_SAMPLE = 7
+# One scan sample at full dimension d decomposes rho (which also validates
+# it), the exponent h, and the four trace-norm spectra rho - sigma*,
+# rho - M M^dag, rho - M^dag M and [M, M^dag]; with the three marginals,
+# each decomposed once for its validation and its functions, that makes
+# nine. A support-restricted sample would add decompositions of its own.
+FULL_DIM_DECOMPOSITIONS_PER_SAMPLE = 6
+DECOMPOSITIONS_PER_SAMPLE = 9
 
 
 @pytest.fixture
@@ -63,6 +67,7 @@ def test_scan_sample_decomposition_budget(corpus, decompositions, m_builds):
     scan(ScanConfig(dims=(3, 3, 3), samples=samples, seed=31, corpus=corpus))
     full = sum(1 for n in decompositions if n == 27)
     assert full <= FULL_DIM_DECOMPOSITIONS_PER_SAMPLE * samples
+    assert len(decompositions) <= DECOMPOSITIONS_PER_SAMPLE * samples
     assert len(m_builds) == samples
 
 
@@ -121,6 +126,12 @@ def test_state_and_analysis_form_no_reference_cycle():
     ref = weakref.ref(st)
     del st
     assert ref() is None
+    # A corpus draw reads its rho and support rank from its analysis.
+    drawn = corpus_state(ScanConfig(dims=(2, 2, 2), samples=1, seed=35), 0)
+    assert drawn.rho.is_full_rank()
+    ref = weakref.ref(drawn)
+    del drawn
+    assert ref() is None
 
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 1, 3)])
@@ -164,3 +175,31 @@ def _lieb_rhs_or_error(state):
         return state.analysis.lieb_rhs
     except SingularMatrixError as exc:  # rho_B is singular
         return str(exc)
+
+
+# Dims of the drift set: every corpus, 11 consecutive samples of seed 5.
+DRIFT_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3), (2, 2, 2), (2, 3, 2), (3, 3, 3))
+
+
+def _drift_groups():
+    # The drift set's states, one group per dims and corpus, and the golden
+    # states one by one.
+    groups = []
+    for dims in DRIFT_DIMS:
+        for corpus in CORPORA:
+            cfg = ScanConfig(dims=dims, samples=11, seed=5, corpus=corpus)
+            groups.append([corpus_state(cfg, i) for i in range(cfg.samples)])
+    return groups + [[state] for _, state, _ in golden_cases()]
+
+
+def test_support_ranks_from_eigh_agree_with_validate_density():
+    # The analysis reads the ranks of rho and its marginals from eigh, where
+    # validate_density and partial_trace use eigvalsh. The two eigenvalues
+    # of a matrix differ in the last bits, so an eigenvalue within ulps of
+    # the support cutoff could count differently; none does here.
+    for states in _drift_groups():
+        analyse_together(states)
+        for st in states:
+            assert st.analysis.rho_rank == validate_density(st.mat).support_rank
+            for keep, marginal in zip(MARGINALS, st.analysis.marginals):
+                assert marginal.support_rank == partial_trace(st, keep).support_rank

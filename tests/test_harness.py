@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,14 @@ import pytest
 from qcmi.bounds import bound_report
 from qcmi.entropy import cmi
 from qcmi import harness
-from qcmi.errors import ConfigError, InequalityViolationError, NotPSDError, SingularMatrixError
+from qcmi.errors import (
+    ConfigError,
+    InequalityViolationError,
+    NotHermitianError,
+    NotPSDError,
+    SingularMatrixError,
+    TraceNotOneError,
+)
 from qcmi.harness import (
     CSV_COLUMNS,
     ScanConfig,
@@ -30,10 +38,18 @@ from qcmi.sampling import (
     random_classical_state,
     random_markov_state,
     random_tripartite,
+    random_unitary,
     substream,
 )
 from qcmi.stateio import read_state
-from qcmi.states import ClassicalJoint, DensityMatrix, TripartiteState, classical_state
+from qcmi.states import (
+    ClassicalJoint,
+    DensityMatrix,
+    TripartiteState,
+    _DrawnState,
+    classical_state,
+    validate_density,
+)
 
 LN2 = math.log(2)
 
@@ -232,6 +248,31 @@ def _negative_diagonal_state(dims):
     return TripartiteState(rho=rho, dims=dims)
 
 
+def _invalid_draw(kind, cfg, i):
+    # A corpus draw that skipped validation and is not a density matrix:
+    # the drawn state, made non-Hermitian, scaled to trace 1.5, or rotated
+    # from a spectrum with the eigenvalue -1e-6 (its marginals are PSD).
+    mat = corpus_state(cfg, i).mat
+    n = mat.shape[0]
+    if kind == "non-hermitian":
+        mat = mat + 1e-3 * np.triu(np.ones((n, n)), 1)
+    elif kind == "trace":
+        mat = 1.5 * mat
+    else:
+        u = random_unitary(n, substream(cfg.seed, i, 1))
+        w = np.full(n, (1.0 + 1e-6) / (n - 1))
+        w[0] = -1e-6
+        mat = (u * w) @ u.conj().T
+    return _DrawnState(mat, cfg.dims)
+
+
+INVALID_DRAWS = {
+    "non-hermitian": (NotHermitianError, "matrix deviates from Hermitian by"),
+    "trace": (TraceNotOneError, r"trace is 1\.(5|4999)"),
+    "negative-eigenvalue": (NotPSDError, "minimum eigenvalue -1.000e-06 is below -1e-10"),
+}
+
+
 class TestStackedScan:
     """Samples evaluated in one stack abort exactly as samples evaluated one by one."""
 
@@ -318,6 +359,32 @@ class TestStackedScan:
             alone, _ = failure(1, error, replacements)
             assert stacked == alone
         assert stacked[0] == "no state for sample 4"
+
+    @pytest.mark.parametrize("kind", sorted(INVALID_DRAWS))
+    def test_an_invalid_draw_raises_as_validation_would(self, tmp_path, monkeypatch, inject, kind):
+        # The analysis validates draws: the error type and message are those
+        # of validate_density, alone and inside a stack, and a violation at
+        # an earlier sample still comes first.
+        error, message = INVALID_DRAWS[kind]
+        inject({3: lambda cfg, i: _invalid_draw(kind, cfg, i)})
+        got, artifact = self._stacked_and_alone(tmp_path, monkeypatch, error)
+        assert re.match(message, got)
+        assert artifact is None
+        inject({
+            1: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i)),
+            3: lambda cfg, i: _invalid_draw(kind, cfg, i),
+        })
+        got, _ = self._stacked_and_alone(tmp_path, monkeypatch, InequalityViolationError)
+        assert "violated at sample 1" in got
+
+    def test_invalid_draws_fail_validate_density_alike(self):
+        cfg = ScanConfig(dims=(2, 2, 2), samples=6, seed=38, corpus="markov")
+        for kind, (error, message) in INVALID_DRAWS.items():
+            with pytest.raises(error, match=message) as exc:
+                validate_density(_invalid_draw(kind, cfg, 3).mat)
+            with pytest.raises(error) as alone:
+                _invalid_draw(kind, cfg, 3).analysis.cmi
+            assert str(alone.value) == str(exc.value)
 
 
 class TestViolationHandling:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcmi.entropy import cmi
+from qcmi.harness import CORPORA, NEAR_MARKOV_MIXES, ScanConfig, corpus_state
 from qcmi.linalg import hs_norm
 from qcmi.sampling import (
     near_markov_state,
@@ -15,6 +16,7 @@ from qcmi.sampling import (
     random_unitary,
     substream,
 )
+from qcmi.states import validate_density
 
 
 class TestSubstream:
@@ -116,3 +118,48 @@ class TestCorpusSamplers:
     def test_random_hermitian_is_hermitian(self):
         h = random_hermitian(4, substream(6, 0))
         assert hs_norm(h - h.conj().T) <= 1e-14
+
+
+CONSTRUCTION_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 3, 3))
+
+
+def _public_sample(cfg, i):
+    # Sample i of the corpus from its public sampler, validated on construction.
+    rng = substream(cfg.seed, i)
+    if cfg.corpus == "hs-random":
+        return random_tripartite(cfg.dims, rng)
+    if cfg.corpus == "classical-random":
+        return random_classical_state(cfg.dims, rng)
+    if cfg.corpus == "markov":
+        return random_markov_state(cfg.dims, rng)
+    return near_markov_state(cfg.dims, rng, NEAR_MARKOV_MIXES[i % len(NEAR_MARKOV_MIXES)])
+
+
+class TestCorpusDraws:
+    """Corpus draws skip validation on construction; their analysis validates them."""
+
+    @pytest.mark.parametrize("dims", CONSTRUCTION_DIMS)
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_draw_is_bitwise_the_public_samplers_state(self, corpus, dims):
+        cfg = ScanConfig(dims=dims, samples=4, seed=71, corpus=corpus)
+        for i in range(cfg.samples):
+            drawn, public = corpus_state(cfg, i), _public_sample(cfg, i)
+            assert drawn.dims == public.dims
+            assert drawn.mat.tobytes() == public.mat.tobytes()
+            assert not drawn.mat.flags.writeable
+            assert drawn.rho.support_rank == public.rho.support_rank
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_draws_are_density_matrices_by_construction(self, corpus):
+        for dims in CONSTRUCTION_DIMS:
+            for seed in range(200):
+                cfg = ScanConfig(dims=dims, samples=4, seed=seed, corpus=corpus)
+                validate_density(corpus_state(cfg, seed % cfg.samples).mat)
+
+    def test_drawing_decomposes_nothing(self, monkeypatch):
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: calls.append(args))
+        for corpus in CORPORA:
+            corpus_state(ScanConfig(dims=(2, 2, 2), samples=4, seed=73, corpus=corpus), 1)
+        assert calls == []

@@ -65,7 +65,7 @@ class TestStackHelpers:
         states = [random_tripartite(dims, substream(41, i)) for i in range(3)]
         stack = np.stack([st.mat for st in states])
         for keep in ("AB", "BC", "B", "AC"):
-            mats, ranks = _validated(_traced_out(stack, dims, keep))
+            mats, _, ranks = _validated(_traced_out(stack, dims, keep))
             assert not mats.flags.writeable
             for k, st in enumerate(states):
                 alone = partial_trace(st, keep)
