@@ -26,33 +26,58 @@ each decomposition at most once. StateAnalysis is one state's row of a
 stack; TripartiteState.analysis holds it, and the functions in entropy,
 bounds, recovery and harness are views over it. A state analysed on its
 own is a stack of one; analyse_together gives several states one stack.
+
+ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
+of the channel bound and the Petz recovery: one decomposition per matrix.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
 
-from .entropy import EntropyReport, spectrum_entropy
+from .channels import KrausChannel, _petz_dual
+from .entropy import EntropyReport, _rel_entropy, spectrum_entropy
 from .errors import DimensionMismatchError
 from .linalg import (
     HermitianEigen,
     PsdEigen,
     _eigh,
+    _eigh_symmetrized,
+    as_matrix,
     as_psd,
     dagger,
     hermitian_part,
     hs_norm,
     mat_exp,
     mat_sqrt,
+    psd_eig,
     trace_norm,
 )
-from .states import DensityMatrix, TripartiteState, _traced_out, _validated, embed
+from .states import (
+    DensityMatrix,
+    TripartiteState,
+    _require_full_rank,
+    _traced_out,
+    _validated,
+    embed,
+)
 from .trace_inequalities import lieb_triple_rhs_in_eigenbasis
 
 MARGINALS = ("AB", "BC", "B")
+
+# Tr[sqrt(rho) sqrt(sigma)] at or below this is treated as zero overlap.
+ZERO_OVERLAP = 1e-300
+
+
+def _overlap_bound(overlap: float) -> float:
+    # -2 log overlap, infinite for a zero overlap.
+    if overlap <= ZERO_OVERLAP:
+        return math.inf
+    return -2.0 * math.log(overlap)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -404,3 +429,115 @@ class StateAnalysis:
         if np.isnan(value):
             self.stack.lieb_rhs_of(np.array([self.index]))  # raises
         return value
+
+
+def _density(m) -> tuple[DensityMatrix, HermitianEigen]:
+    # validate_density read from one eigh: the validated matrix with its
+    # support rank, and its decomposition.
+    sym, e, rank = _validated(as_matrix(m))
+    return DensityMatrix(mat=sym, support_rank=int(rank)), e
+
+
+class ChannelAnalysis:
+    """Lazily computed spectral data of one channel triple (rho, sigma, phi).
+
+    The channel bound compares the data-processing gap
+    lhs = S(rho || sigma) - S(phi(rho) || phi(sigma)) with
+    rhs = -2 log Tr[sqrt(rho) sqrt(X)] for the exp operator
+    X = exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma))).
+    Every value reads the same decompositions:
+
+    * one of each of rho, sigma, phi(rho) and phi(sigma), which serves its
+      validation, entropy, log, sqrt and inverse sqrt;
+    * one of the exponent, which gives X;
+    * one of X, which gives sqrt(X) bitwise as mat_sqrt(X) does (the
+      exponent's would give it only to the last bits);
+    * one spectrum for the Petz recovery gap ||rho - P(phi(rho))||_1.
+
+    rho and sigma are matrices, validated here with validate_density's
+    rules, so they may skip validation on construction. The checks raise
+    with the errors of channel_gap_bound, channel_exp_operator and
+    petz_dual, in their order: rho and sigma are validated and must be
+    full rank, then phi(rho) and phi(sigma) are validated; X needs both
+    full rank, and the Petz map needs phi(sigma) nonsingular.
+    """
+
+    def __init__(self, rho, sigma, phi: KrausChannel):
+        self._given = (rho, sigma)
+        self.phi = phi
+
+    @cached_property
+    def _inputs(self) -> tuple[tuple[DensityMatrix, HermitianEigen], ...]:
+        # rho and sigma, validated and full rank, with their decompositions.
+        pairs = tuple(_density(m) for m in self._given)
+        for (dm, _), what in zip(pairs, ("rho", "sigma")):
+            _require_full_rank(dm, what)
+        return pairs
+
+    @property
+    def rho(self) -> DensityMatrix:
+        return self._inputs[0][0]
+
+    @property
+    def sigma(self) -> DensityMatrix:
+        return self._inputs[1][0]
+
+    @cached_property
+    def _phi_rho(self) -> np.ndarray:
+        # phi(rho) as the channel returns it, which the Petz map recovers.
+        return self.phi.apply(self.rho.mat)
+
+    @cached_property
+    def _outputs(self) -> tuple[tuple[DensityMatrix, HermitianEigen], ...]:
+        # phi(rho) and phi(sigma), validated, with their decompositions.
+        return _density(self._phi_rho), _density(self.phi.apply(self.sigma.mat))
+
+    @cached_property
+    def lhs(self) -> float:
+        """S(rho || sigma) - S(phi(rho) || phi(sigma))."""
+        (rho, e_rho), (_, e_sigma) = self._inputs
+        (out_rho, e_out_rho), (_, e_out_sigma) = self._outputs
+        return float(
+            _rel_entropy(rho.mat, e_rho.eigenvalues, e_sigma)
+            - _rel_entropy(out_rho.mat, e_out_rho.eigenvalues, e_out_sigma)
+        )
+
+    @cached_property
+    def exp_operator(self) -> np.ndarray:
+        """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
+        _, (_, e_sigma) = self._inputs
+        (out_rho, e_out_rho), (out_sigma, e_out_sigma) = self._outputs
+        _require_full_rank(out_rho, "phi(rho)")
+        _require_full_rank(out_sigma, "phi(sigma)")
+        x = (
+            as_psd(e_sigma, "log").log()
+            + self.phi.dual(as_psd(e_out_rho, "log").log())
+            - self.phi.dual(as_psd(e_out_sigma, "log").log())
+        )
+        e = _eigh_symmetrized(hermitian_part(x))
+        return _readonly(hermitian_part(e.apply(np.exp(e.eigenvalues))))
+
+    @cached_property
+    def trace_exp(self) -> float:
+        """Tr X, at most 1 if the conjectured trace bound holds."""
+        return float(np.trace(self.exp_operator).real)
+
+    @cached_property
+    def rhs(self) -> float:
+        """-2 log Tr[sqrt(rho) sqrt(X)], the lower bound on lhs."""
+        ex = self.exp_operator
+        (_, e_rho), _ = self._inputs
+        overlap = np.trace(as_psd(e_rho, "sqrt").sqrt() @ psd_eig(ex, "sqrt").sqrt())
+        return _overlap_bound(float(overlap.real))
+
+    @cached_property
+    def petz(self) -> KrausChannel:
+        """The Petz transpose of phi with respect to sigma (channels.petz_dual)."""
+        _, (_, e_sigma) = self._inputs
+        _, (_, e_out_sigma) = self._outputs
+        return _petz_dual(self.phi, e_sigma, e_out_sigma)
+
+    @cached_property
+    def petz_gap(self) -> float:
+        """||rho - P(phi(rho))||_1 for the Petz map P."""
+        return trace_norm(self.rho.mat - self.petz.apply(self._phi_rho))

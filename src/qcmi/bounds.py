@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import ChannelAnalysis, _overlap_bound
 from .channels import KrausChannel
-from .entropy import classical_rel_entropy, fidelity, rel_entropy, vn_entropy
-from .errors import SingularMatrixError
-from .linalg import _eigh, hermitian_part, mat_exp, mat_log, mat_sqrt
-from .states import DensityMatrix, TripartiteState, validate_density
-
-# Tr[sqrt(rho) sqrt(sigma)] at or below this is treated as zero overlap.
-ZERO_OVERLAP = 1e-300
+from .entropy import classical_rel_entropy, fidelity, vn_entropy
+from .linalg import _eigh
+from .states import DensityMatrix, TripartiteState, _require_full_rank
 
 
 @dataclass(frozen=True)
@@ -53,12 +50,6 @@ def trace_exp_check(state: TripartiteState) -> float:
     return state.analysis.sigma_star_trace
 
 
-def _overlap_bound(overlap: float) -> float:
-    if overlap <= ZERO_OVERLAP:
-        return math.inf
-    return -2.0 * math.log(overlap)
-
-
 def log_overlap_bound(state: TripartiteState) -> float:
     """-2 log Tr[sqrt(rho) sqrt(sigma_star)], the sharpest bound in the chain."""
     return _overlap_bound(state.analysis.overlap)
@@ -84,25 +75,12 @@ def bound_report(state: TripartiteState) -> BoundReport:
     )
 
 
-def _require_full_rank(rho: DensityMatrix, what: str) -> None:
-    if not rho.is_full_rank():
-        raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
-
-
 def channel_exp_operator(rho: DensityMatrix, sigma: DensityMatrix, phi: KrausChannel) -> np.ndarray:
-    """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
-    _require_full_rank(rho, "rho")
-    _require_full_rank(sigma, "sigma")
-    phi_rho = validate_density(phi.apply(rho.mat))
-    phi_sigma = validate_density(phi.apply(sigma.mat))
-    _require_full_rank(phi_rho, "phi(rho)")
-    _require_full_rank(phi_sigma, "phi(sigma)")
-    x = (
-        mat_log(sigma.mat)
-        + phi.dual(mat_log(phi_rho.mat))
-        - phi.dual(mat_log(phi_sigma.mat))
-    )
-    return mat_exp(hermitian_part(x))
+    """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma))).
+
+    The returned array is read-only.
+    """
+    return ChannelAnalysis(rho.mat, sigma.mat, phi).exp_operator
 
 
 def channel_gap_bound(
@@ -115,14 +93,8 @@ def channel_gap_bound(
         rhs = -2 log Tr[sqrt(rho) sqrt(channel_exp_operator(rho, sigma, phi))]
     and lhs >= rhs - tolerance for full-rank inputs.
     """
-    _require_full_rank(rho, "rho")
-    _require_full_rank(sigma, "sigma")
-    phi_rho = validate_density(phi.apply(rho.mat))
-    phi_sigma = validate_density(phi.apply(sigma.mat))
-    lhs = rel_entropy(rho, sigma) - rel_entropy(phi_rho, phi_sigma)
-    ex = channel_exp_operator(rho, sigma, phi)
-    overlap = float(np.trace(mat_sqrt(rho.mat) @ mat_sqrt(ex)).real)
-    return float(lhs), _overlap_bound(overlap)
+    a = ChannelAnalysis(rho.mat, sigma.mat, phi)
+    return a.lhs, a.rhs
 
 
 def fidelity_lower_bound(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, float]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
-from .linalg import dagger, hs_norm, mat_power, mat_sqrt, support_cutoff
+from .linalg import HermitianEigen, _eigh, as_psd, dagger, hs_norm, support_cutoff
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -131,11 +131,16 @@ def petz_dual(phi: KrausChannel, sigma: DensityMatrix) -> KrausChannel:
         )
     if not sigma.is_full_rank():
         raise SingularMatrixError("Petz transpose needs a full-rank reference state")
-    out = phi.apply(sigma.mat)
-    w = np.linalg.eigvalsh((out + dagger(out)) / 2.0)
+    return _petz_dual(phi, _eigh(sigma.mat), _eigh(phi.apply(sigma.mat)))
+
+
+def _petz_dual(phi: KrausChannel, sigma: HermitianEigen, out: HermitianEigen) -> KrausChannel:
+    # petz_dual from the decompositions of a full-rank reference state
+    # sigma and of its channel output phi(sigma).
+    w = out.eigenvalues
     if w[0] <= support_cutoff(w):
         raise SingularMatrixError("channel output of the reference state is singular")
-    s_half = mat_sqrt(sigma.mat)
-    out_inv_half = mat_power(out, -0.5)
+    s_half = as_psd(sigma, "sqrt").sqrt()
+    out_inv_half = as_psd(out, "power").power(-0.5)
     ops = tuple(s_half @ dagger(k) @ out_inv_half for k in phi.kraus)
     return KrausChannel(kraus=ops)

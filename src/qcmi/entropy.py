@@ -14,15 +14,15 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotDistributionError
 from .linalg import (
+    HermitianEigen,
     Spectrum,
     _eigh,
     _scalar,
+    as_psd,
     hermitian_part,
     hs_norm,
-    mat_log,
     mat_sqrt,
     support_cutoff,
-    support_projector,
     trace_norm,
 )
 from .states import DensityMatrix, TripartiteState
@@ -70,12 +70,18 @@ def rel_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"states have dimensions {rho.dim} and {sigma.dim}")
-    proj = support_projector(sigma.mat)
-    comp = np.eye(sigma.dim) - proj
-    if hs_norm(comp @ rho.mat @ comp) > REL_ENTROPY_SUPPORT_TOL:
+    return _rel_entropy(rho.mat, _spectrum(rho), _eigh(sigma.mat))
+
+
+def _rel_entropy(rho: np.ndarray, rho_w: np.ndarray, sigma: HermitianEigen) -> float:
+    # rel_entropy of the density matrix rho, with eigenvalues rho_w, and
+    # the density matrix whose decomposition is sigma.
+    psd = as_psd(sigma, "support projector")
+    comp = np.eye(rho.shape[0]) - psd.projector()
+    if hs_norm(comp @ rho @ comp) > REL_ENTROPY_SUPPORT_TOL:
         return math.inf
-    tr_rho_log_rho = -vn_entropy(rho)
-    tr_rho_log_sigma = float(np.trace(rho.mat @ mat_log(sigma.mat)).real)
+    tr_rho_log_rho = -spectrum_entropy(rho_w)
+    tr_rho_log_sigma = float(np.trace(rho @ psd.log()).real)
     return tr_rho_log_rho - tr_rho_log_sigma
 
 

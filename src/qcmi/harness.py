@@ -16,19 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport, bound_report, channel_exp_operator, channel_gap_bound
-from .channels import petz_dual, random_channel
-from .analysis import analyse_together
+from .analysis import ChannelAnalysis, analyse_together
+from .bounds import BoundReport, bound_report
+from .channels import random_channel
 from .errors import ConfigError, InequalityViolationError, SingularMatrixError
 from .linalg import dagger, hermitian_part, mat_exp, trace_norm
 from .recovery import classify
 from .sampling import (
+    _haar_unitaries,
     _hs_matrix,
     _markov_state_matrix,
     _near_markov_matrix,
     random_classical,
-    random_density,
-    random_unitary,
     substream,
 )
 from .states import TripartiteState, _classical_matrix, _DrawnState
@@ -392,32 +391,26 @@ def rotated_slacks(
     slack is cmi - distance^2 / 4. The identity triple reproduces the
     corollary bound. Needs a full-rank state so the embedded logs carry
     the whole marginal information.
+
+    The unitary_samples >= 0 triples (U, V, W) are drawn from rng as
+    consecutive random_unitary calls would draw them, and evaluated as
+    one stack: each slack is bitwise that of its triple alone.
     """
     if not state.rho.is_full_rank():
         raise SingularMatrixError("rotated-bound sampling needs a full-rank state")
     a = state.analysis
     value = a.cmi
-    log_ab, log_bc, log_b = a.embedded_logs
-
-    def slack_for(exponent: np.ndarray) -> float:
-        dist = trace_norm(state.mat - mat_exp(hermitian_part(exponent)))
-        return value - 0.25 * dist * dist
-
     # The identity triple's candidate is sigma* itself.
     identity_slack = value - 0.25 * a.trace_distance**2
-    best = identity_slack
-    dim = state.dim
-    for _ in range(unitary_samples):
-        u = random_unitary(dim, rng)
-        v = random_unitary(dim, rng)
-        w = random_unitary(dim, rng)
-        best = min(
-            best,
-            slack_for(
-                u @ log_ab @ dagger(u) + v @ log_bc @ dagger(v) - w @ log_b @ dagger(w)
-            ),
-        )
-    return identity_slack, best
+    if unitary_samples == 0:
+        return identity_slack, identity_slack
+    log_ab, log_bc, log_b = a.embedded_logs
+    triples = _haar_unitaries((unitary_samples, 3), state.dim, rng)
+    u, v, w = (triples[:, j] for j in range(3))
+    exponent = u @ log_ab @ dagger(u) + v @ log_bc @ dagger(v) - w @ log_b @ dagger(w)
+    dist = trace_norm(state.mat - mat_exp(hermitian_part(exponent)))
+    slacks = value - 0.25 * dist * dist
+    return identity_slack, min([identity_slack, *slacks.tolist()])
 
 
 def _write_conjecture_report(cfg: ScanConfig, which: str, results: list[ConjectureResult]):
@@ -439,12 +432,43 @@ def _write_conjecture_report(cfg: ScanConfig, which: str, results: list[Conjectu
     _write_text(cfg.out, text)
 
 
+class _Minimum:
+    # The running minimum of one conjecture's slack over the samples, with
+    # the sample that attains it (its witness) and the violation count.
+
+    def __init__(self, conjecture_id: str):
+        self.conjecture_id = conjecture_id
+        self.slack = math.inf
+        self.index = 0
+        self.violations = 0
+        self.witness = None
+
+    def add(self, index: int, slack: float, witness, tol: float) -> None:
+        if slack < self.slack:
+            self.slack, self.index, self.witness = slack, index, witness
+        if slack < -tol:
+            self.violations += 1
+
+    def result(self, cfg: ScanConfig, write) -> ConjectureResult:
+        # write(witness, path) writes the argmin artifact when the minimum
+        # comes within tol of a violation.
+        argmin_path = None
+        if cfg.out is not None and self.witness is not None and self.slack < cfg.tol:
+            argmin_path = _artifact_path(cfg.out, f"argmin-{self.conjecture_id}")
+            write(self.witness, argmin_path)
+        return ConjectureResult(
+            conjecture_id=self.conjecture_id,
+            samples=cfg.samples,
+            min_slack=self.slack,
+            argmin_sample=self.index,
+            violations=self.violations,
+            argmin_path=argmin_path,
+        )
+
+
 def _state_conjecture(cfg: ScanConfig, which: str, unitary_samples: int) -> list[ConjectureResult]:
     asserted = cfg.corpus in _PROVEN_CORPORA[which]
-    min_slack = math.inf
-    argmin = 0
-    argmin_state = None
-    violations = 0
+    track = _Minimum(which)
     for i in range(cfg.samples):
         state = corpus_state(cfg, i)
         if which == "half-recovery":
@@ -455,101 +479,63 @@ def _state_conjecture(cfg: ScanConfig, which: str, unitary_samples: int) -> list
             # A separate substream for the unitary triples keeps them
             # independent of the corpus draw for the same sample index.
             _, slack = rotated_slacks(state, substream(cfg.seed, i, 1), unitary_samples)
-        if slack < min_slack:
-            min_slack = slack
-            argmin = i
-            argmin_state = state
-        if slack < -cfg.tol:
-            violations += 1
-            if asserted:
-                _abort(state, cfg, f"{which} (proven on {cfg.corpus})", i, slack)
-    argmin_path = None
-    if cfg.out is not None and argmin_state is not None and min_slack < cfg.tol:
-        argmin_path = _artifact_path(cfg.out, f"argmin-{which}")
-        write_state(argmin_state, argmin_path)
-    return [
-        ConjectureResult(
-            conjecture_id=which,
-            samples=cfg.samples,
-            min_slack=min_slack,
-            argmin_sample=argmin,
-            violations=violations,
-            argmin_path=argmin_path,
-        )
-    ]
+        track.add(i, slack, state, cfg.tol)
+        if asserted and slack < -cfg.tol:
+            _abort(state, cfg, f"{which} (proven on {cfg.corpus})", i, slack)
+    return [track.result(cfg, write_state)]
 
 
-def _write_channel_artifact(path: str, rho, sigma, phi) -> None:
-    kraus = ",".join(_matrix_text(k) for k in phi.kraus)
+def _write_channel_artifact(a: ChannelAnalysis, path: str) -> None:
+    kraus = ",".join(_matrix_text(k) for k in a.phi.kraus)
     _write_text(
         path,
-        f'{{"dim":{rho.dim},"rho":{_matrix_text(rho.mat)},'
-        f'"sigma":{_matrix_text(sigma.mat)},"kraus":[{kraus}]}}\n',
+        f'{{"dim":{a.rho.dim},"rho":{_matrix_text(a.rho.mat)},'
+        f'"sigma":{_matrix_text(a.sigma.mat)},"kraus":[{kraus}]}}\n',
     )
 
 
-def _channel_conjecture(cfg: ScanConfig) -> list[ConjectureResult]:
-    dim = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
-    track = {
-        "channel-traceexp": [math.inf, 0, 0, None],
-        "channel-petz-pinsker": [math.inf, 0, 0, None],
-    }
-    for i in range(cfg.samples):
-        rng = substream(cfg.seed, i)
-        kraus_count = 1 + int(rng.integers(4))
-        rho = random_density(dim, rng)
-        sigma = random_density(dim, rng)
-        phi = random_channel(dim, dim, kraus_count, rng)
-        lhs, rhs = channel_gap_bound(rho, sigma, phi)
+def _checked_channels(dim: int, kraus: int | None, samples: int, seed: int, tol: float, out):
+    # (index, analysis) of each random channel triple, after its proven
+    # checks. Sample i draws from substream(seed, i): a Kraus count in 1-4
+    # unless kraus is given, then rho and sigma (Hilbert-Schmidt, validated
+    # by the analysis) and the channel. A failing check writes the triple
+    # to disk and raises.
+    for i in range(samples):
+        rng = substream(seed, i)
+        count = 1 + int(rng.integers(4)) if kraus is None else kraus
+        rho = _hs_matrix(dim, rng)
+        sigma = _hs_matrix(dim, rng)
+        a = ChannelAnalysis(rho, sigma, random_channel(dim, dim, count, rng))
         for name, slack in (
-            ("channel-dpi-nonnegative", lhs),
-            ("channel-gap-bound", lhs - rhs),
+            ("channel-dpi-nonnegative", a.lhs),
+            ("channel-gap-bound", a.lhs - a.rhs),
         ):
-            if not slack >= -cfg.tol:
-                path = _artifact_path(cfg.out, "violation-channel")
-                _write_channel_artifact(path, rho, sigma, phi)
+            if not slack >= -tol:
+                path = _artifact_path(out, "violation-channel")
+                _write_channel_artifact(a, path)
                 raise InequalityViolationError(
                     f"proven inequality {name!r} violated at sample {i}: "
                     f"slack {slack:.6e}; channel written to {path}",
                     artifact_path=path,
                 )
-        trace_exp = float(np.trace(channel_exp_operator(rho, sigma, phi)).real)
-        recovered = petz_dual(phi, sigma).apply(phi.apply(rho.mat))
-        petz_gap = trace_norm(rho.mat - recovered)
-        slacks = {
-            "channel-traceexp": 1.0 - trace_exp,
-            "channel-petz-pinsker": lhs - 0.25 * petz_gap * petz_gap,
-        }
-        for name, slack in slacks.items():
-            rec = track[name]
-            if slack < rec[0]:
-                rec[0], rec[1] = slack, i
-                rec[3] = (rho, sigma, phi)
-            if slack < -cfg.tol:
-                rec[2] += 1
-    results = []
-    for name, (min_slack, argmin, violations, triple) in track.items():
-        argmin_path = None
-        if cfg.out is not None and triple is not None and min_slack < cfg.tol:
-            argmin_path = _artifact_path(cfg.out, f"argmin-{name}")
-            _write_channel_artifact(argmin_path, *triple)
-        results.append(
-            ConjectureResult(
-                conjecture_id=name,
-                samples=cfg.samples,
-                min_slack=min_slack,
-                argmin_sample=argmin,
-                violations=violations,
-                argmin_path=argmin_path,
-            )
-        )
-    return results
+        yield i, a
+
+
+def _channel_conjecture(cfg: ScanConfig) -> list[ConjectureResult]:
+    dim = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
+    tracks = traceexp, petz = _Minimum("channel-traceexp"), _Minimum("channel-petz-pinsker")
+    for i, a in _checked_channels(dim, None, cfg.samples, cfg.seed, cfg.tol, cfg.out):
+        traceexp.add(i, 1.0 - a.trace_exp, a, cfg.tol)
+        petz.add(i, a.lhs - 0.25 * a.petz_gap * a.petz_gap, a, cfg.tol)
+    return [track.result(cfg, _write_channel_artifact) for track in tracks]
 
 
 def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> list[ConjectureResult]:
     """Run one conjecture over the configured corpus and write its report."""
     if which not in CONJECTURES:
         raise ConfigError(f"unknown conjecture {which!r}, expected one of {CONJECTURES}")
+    if unitary_samples < 0:
+        raise ConfigError(f"unitary_samples must be >= 0, got {unitary_samples}")
     if which == "channel":
         results = _channel_conjecture(cfg)
     else:
@@ -570,37 +556,18 @@ def channel_gap_scan(
     """Check the channel gap bound on random (rho, sigma, channel) triples."""
     if dim < 1 or kraus < 1 or samples < 1:
         raise ConfigError("dim, kraus, and samples must all be >= 1")
-    if dim * kraus < dim:  # pragma: no cover - kraus >= 1 makes this impossible
-        raise ConfigError("kraus count too small for an isometry")
     min_gap = math.inf
     min_lhs = math.inf
-    violations = 0
-    for i in range(samples):
-        rng = substream(seed, i)
-        rho = random_density(dim, rng)
-        sigma = random_density(dim, rng)
-        phi = random_channel(dim, dim, kraus, rng)
-        lhs, rhs = channel_gap_bound(rho, sigma, phi)
-        min_gap = min(min_gap, lhs - rhs)
-        min_lhs = min(min_lhs, lhs)
-        for name, slack in (
-            ("channel-dpi-nonnegative", lhs),
-            ("channel-gap-bound", lhs - rhs),
-        ):
-            if not slack >= -tol:
-                violations += 1
-                path = _artifact_path(out, "violation-channel")
-                _write_channel_artifact(path, rho, sigma, phi)
-                raise InequalityViolationError(
-                    f"proven inequality {name!r} violated at sample {i}: "
-                    f"slack {slack:.6e}; channel written to {path}",
-                    artifact_path=path,
-                )
+    for _, a in _checked_channels(dim, kraus, samples, seed, tol, out):
+        min_gap = min(min_gap, a.lhs - a.rhs)
+        min_lhs = min(min_lhs, a.lhs)
+    # A violation raises, so a summary always reports 0 violations; the
+    # field keeps the summary's and the command line's format.
     return ChannelGapSummary(
         samples=samples,
         dim=dim,
         kraus=kraus,
         min_gap_slack=min_gap,
         min_lhs=min_lhs,
-        violations=violations,
+        violations=0,
     )

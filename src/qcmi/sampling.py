@@ -61,9 +61,20 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     triangular factor has a positive real diagonal (which makes the
     distribution exactly Haar rather than QR-convention dependent).
     """
-    q, r = np.linalg.qr(_ginibre(dim, rng))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar_unitaries((), dim, rng)
+
+
+def _haar_unitaries(shape: tuple[int, ...], dim: int, rng: np.random.Generator) -> np.ndarray:
+    # Haar unitaries of shape shape + (dim, dim), bitwise the ones that
+    # consecutive random_unitary calls draw: one standard_normal call
+    # yields their Ginibre matrices, real and imaginary parts in turn, and
+    # one stacked QR factors them.
+    normal = rng.standard_normal(shape + (2, dim, dim))
+    g = normal[..., 0, :, :] + 1j * normal[..., 1, :, :]
+    del normal  # freed before the QR factors are allocated
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     NotDistributionError,
     NotPSDError,
+    SingularMatrixError,
     TraceNotOneError,
 )
 from .linalg import (
@@ -59,6 +60,11 @@ class DensityMatrix:
 
     def is_full_rank(self) -> bool:
         return self.support_rank == self.dim
+
+
+def _require_full_rank(rho: DensityMatrix, what: str) -> None:
+    if not rho.is_full_rank():
+        raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
 
 
 def _support_ranks(sym: np.ndarray, w: np.ndarray):

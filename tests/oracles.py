@@ -1,13 +1,34 @@
 """Independent reference implementations used to freeze expected values.
 
-Everything here is deliberately written against scipy / closed formulas
+Most of this is deliberately written against scipy / closed formulas
 rather than the package under test, so the two sides of every comparison
-share no code.
+share no code. The conjecture oracles at the end are the exception: they
+are the per-matrix compositions the conjecture runs used before their
+spectral data was shared, built from the package's linalg primitives, so
+that the shared analysis can be held bitwise to them.
 """
+
+import math
 
 import numpy as np
 import scipy.integrate
 import scipy.linalg
+
+from qcmi.channels import KrausChannel
+from qcmi.errors import DimensionMismatchError, SingularMatrixError
+from qcmi.linalg import (
+    dagger,
+    hermitian_part,
+    hs_norm,
+    mat_exp,
+    mat_log,
+    mat_power,
+    mat_sqrt,
+    support_cutoff,
+    support_projector,
+    trace_norm,
+)
+from qcmi.states import validate_density
 
 
 def eig2x2(m):
@@ -63,3 +84,97 @@ def trace_exp_triple(r, s, t):
     """Tr exp(log r - log s + log t) via scipy, positive definite inputs."""
     h = scipy.linalg.logm(r) - scipy.linalg.logm(s) + scipy.linalg.logm(t)
     return np.trace(scipy.linalg.expm((h + h.conj().T) / 2.0)).real
+
+
+# -- conjecture oracles ----------------------------------------------------
+
+
+def random_unitary_alone(dim, rng):
+    """One Haar unitary: QR of one Ginibre matrix, phases fixed."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(g)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+def rotated_slacks_loop(state, rng, unitary_samples):
+    """rotated_slacks with one unitary triple at a time."""
+    if not state.rho.is_full_rank():
+        raise SingularMatrixError("rotated-bound sampling needs a full-rank state")
+    a = state.analysis
+    log_ab, log_bc, log_b = a.embedded_logs
+    identity_slack = a.cmi - 0.25 * a.trace_distance**2
+    best = identity_slack
+    for _ in range(unitary_samples):
+        u, v, w = (random_unitary_alone(state.dim, rng) for _ in range(3))
+        x = u @ log_ab @ dagger(u) + v @ log_bc @ dagger(v) - w @ log_b @ dagger(w)
+        dist = trace_norm(state.mat - mat_exp(hermitian_part(x)))
+        best = min(best, a.cmi - 0.25 * dist * dist)
+    return identity_slack, best
+
+
+def _require_full_rank(rho, what):
+    if not rho.is_full_rank():
+        raise SingularMatrixError(
+            f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})"
+        )
+
+
+def _rel_entropy(rho, sigma):
+    comp = np.eye(sigma.dim) - support_projector(sigma.mat)
+    if hs_norm(comp @ rho.mat @ comp) > 1e-9:
+        return math.inf
+    w = np.linalg.eigh(rho.mat)[0]
+    on = w > support_cutoff(w)
+    entropy = -np.sum(np.where(on, w * np.log(np.where(on, w, 1.0)), 0.0)).item()
+    return -entropy - float(np.trace(rho.mat @ mat_log(sigma.mat)).real)
+
+
+def channel_exp_operator_alone(rho, sigma, phi):
+    """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
+    _require_full_rank(rho, "rho")
+    _require_full_rank(sigma, "sigma")
+    phi_rho = validate_density(phi.apply(rho.mat))
+    phi_sigma = validate_density(phi.apply(sigma.mat))
+    _require_full_rank(phi_rho, "phi(rho)")
+    _require_full_rank(phi_sigma, "phi(sigma)")
+    x = mat_log(sigma.mat) + phi.dual(mat_log(phi_rho.mat)) - phi.dual(mat_log(phi_sigma.mat))
+    return mat_exp(hermitian_part(x))
+
+
+def channel_gap_bound_alone(rho, sigma, phi):
+    """(lhs, rhs) of the channel gap bound, each matrix function on its own."""
+    _require_full_rank(rho, "rho")
+    _require_full_rank(sigma, "sigma")
+    phi_rho = validate_density(phi.apply(rho.mat))
+    phi_sigma = validate_density(phi.apply(sigma.mat))
+    lhs = _rel_entropy(rho, sigma) - _rel_entropy(phi_rho, phi_sigma)
+    ex = channel_exp_operator_alone(rho, sigma, phi)
+    overlap = float(np.trace(mat_sqrt(rho.mat) @ mat_sqrt(ex)).real)
+    return float(lhs), math.inf if overlap <= 1e-300 else -2.0 * math.log(overlap)
+
+
+def petz_dual_alone(phi, sigma):
+    """Petz transpose with Kraus operators sigma^1/2 K^dag phi(sigma)^-1/2."""
+    if sigma.dim != phi.in_dim:
+        raise DimensionMismatchError(
+            f"reference state dimension {sigma.dim} does not match channel input {phi.in_dim}"
+        )
+    if not sigma.is_full_rank():
+        raise SingularMatrixError("Petz transpose needs a full-rank reference state")
+    out = phi.apply(sigma.mat)
+    w = np.linalg.eigvalsh((out + dagger(out)) / 2.0)
+    if w[0] <= support_cutoff(w):
+        raise SingularMatrixError("channel output of the reference state is singular")
+    s_half = mat_sqrt(sigma.mat)
+    out_inv_half = mat_power(out, -0.5)
+    return KrausChannel(kraus=tuple(s_half @ dagger(k) @ out_inv_half for k in phi.kraus))
+
+
+def channel_sample_alone(rho, sigma, phi):
+    """The channel conjecture's values of one triple: lhs, rhs, Tr exp
+    operator and the Petz recovery gap."""
+    lhs, rhs = channel_gap_bound_alone(rho, sigma, phi)
+    trace_exp = float(np.trace(channel_exp_operator_alone(rho, sigma, phi)).real)
+    recovered = petz_dual_alone(phi, sigma).apply(phi.apply(rho.mat))
+    return lhs, rhs, trace_exp, trace_norm(rho.mat - recovered)

@@ -6,13 +6,14 @@ import weakref
 import numpy as np
 import pytest
 
-from qcmi.analysis import MARGINALS, StackAnalysis, analyse_together
+from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_together
 from qcmi.bounds import sigma_star
+from qcmi.channels import identity_channel
 from qcmi.errors import SingularMatrixError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
-from qcmi.linalg import mat_sqrt
+from qcmi.linalg import dagger, hermitian_part, mat_sqrt, support_cutoff
 from qcmi.recovery import m_operator
-from qcmi.sampling import random_tripartite, substream
+from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.states import TripartiteState, embed, partial_trace, validate_density
 from qcmi.trace_inequalities import lieb_triple_rhs
 from test_golden import cases as golden_cases
@@ -203,3 +204,23 @@ def test_support_ranks_from_eigh_agree_with_validate_density():
             assert st.analysis.rho_rank == validate_density(st.mat).support_rank
             for keep, marginal in zip(MARGINALS, st.analysis.marginals):
                 assert marginal.support_rank == partial_trace(st, keep).support_rank
+
+
+def test_eigenvalue_between_zero_and_the_support_cutoff_is_kernel():
+    # Eigenvalues 0.5, 0.5 - 1e-12 and 1e-12 in a random basis: the last is
+    # positive but below the support cutoff 1e-10 * 0.5, so the support
+    # rank is 2 wherever a rank is read.
+    u = random_unitary(3, substream(38, 0))
+    m = hermitian_part(u @ np.diag([0.5, 0.5 - 1e-12, 1e-12]) @ dagger(u))
+    w = np.linalg.eigvalsh(m)
+    assert 0.0 < w[0] < support_cutoff(w)
+    assert validate_density(m).support_rank == 2
+    # At dims 1,3,1 rho_AB, rho_BC and rho_B are rho itself.
+    st = TripartiteState(rho=validate_density(m), dims=(1, 3, 1))
+    assert st.analysis.rho_rank == 2
+    assert [marginal.support_rank for marginal in st.analysis.marginals] == [2, 2, 2]
+    assert [partial_trace(st, keep).support_rank for keep in MARGINALS] == [2, 2, 2]
+    rho = random_density(3, substream(38, 1))
+    with pytest.raises(SingularMatrixError) as exc:
+        ChannelAnalysis(rho.mat, m, identity_channel(3)).lhs
+    assert str(exc.value) == "sigma must be full rank (support rank 2 of 3)"

@@ -178,6 +178,22 @@ class TestConjectureCommand:
         assert rc == 0
         assert "min_slack=" in capsys.readouterr().out
 
+    def test_negative_unitary_samples_rejected(self, tmp_path, capsys):
+        out = tmp_path / "rot.json"
+        rc = main(
+            [
+                "conjecture",
+                "--which", "rotated-quarter",
+                "--dims", "2,2,2",
+                "--samples", "1",
+                "--unitary-samples", "-2",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert "unitary_samples must be >= 0, got -2" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMarkovCommand:
     def test_assemble_then_info_round_trip(self, tmp_path, capsys):

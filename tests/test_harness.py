@@ -445,6 +445,13 @@ class TestRunConjecture:
         with pytest.raises(ConfigError):
             run_conjecture(cfg, "perpetual-motion")
 
+    @pytest.mark.parametrize("which", ["rotated-quarter", "half-recovery"])
+    def test_negative_unitary_samples_rejected(self, which):
+        # Checked before any sample is drawn, also where the count is unused.
+        cfg = ScanConfig(dims=(2, 2, 2), samples=1)
+        with pytest.raises(ConfigError, match="unitary_samples must be >= 0, got -2"):
+            run_conjecture(cfg, which, unitary_samples=-2)
+
     def test_half_recovery_holds_on_classical_corpus(self, tmp_path):
         out = str(tmp_path / "conj")
         cfg = ScanConfig(
