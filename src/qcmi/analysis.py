@@ -263,13 +263,21 @@ class StackAnalysis:
 
     @cached_property
     def m(self) -> np.ndarray:
-        """M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded."""
+        """M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded.
+
+        Evaluated at subsystem dimension: P = sqrt(rho_AB) (I_A (x)
+        pinv_sqrt(rho_B)) on AB, then (P (x) I_C)(I_A (x) sqrt(rho_BC)) as
+        one contraction over B, with entry ((a, b, c), (a', b', c')) the
+        sum over b'' of P[(a, b), (a', b'')] sqrt(rho_BC)[(b'', c), (b', c')].
+        """
         psd_ab, psd_bc, psd_b = self.marginal_psd
-        dims = self.dims
-        left = embed(psd_ab.sqrt(), "AB", dims)
-        middle = embed(psd_b.power(-0.5), "B", dims)
-        right = embed(psd_bc.sqrt(), "BC", dims)
-        return _readonly(left @ middle @ right)
+        d_a, d_b, d_c = self.dims
+        k = len(self)
+        p = psd_ab.sqrt().reshape(k, d_a * d_b * d_a, d_b) @ psd_b.power(-0.5)
+        m = p @ psd_bc.sqrt().reshape(k, d_b, d_c * d_b * d_c)
+        m = m.reshape(k, d_a, d_b, d_a, d_c, d_b, d_c).transpose(0, 1, 2, 4, 3, 5, 6)
+        n = d_a * d_b * d_c
+        return _readonly(m.reshape(k, n, n))
 
     @cached_property
     def m_mdag(self) -> np.ndarray:
@@ -309,20 +317,20 @@ class StackAnalysis:
         the states `rows` (an index or mask array) of the stack.
 
         The middle operand has eigenvectors I (x) Q_B (x) I, where Q_B
-        diagonalizes rho_B, so the two outer operands are rotated by the
-        small factors I_A (x) Q_B and Q_B (x) I_C and embedded afterwards.
+        diagonalizes rho_B, and eigenvalue w_b on every (a, b, c). In that
+        basis the sums over a and c factor out, so the value is the one of
+        the B operands Q_B^dag (Tr_A rho_AB) Q_B and Q_B^dag (Tr_C rho_BC) Q_B
+        with the eigenvalues w of rho_B: Tr rho_B in exact arithmetic.
         """
         (rho_ab, _, _), (rho_bc, _, _), _ = self.marginals
         _, _, psd_b = self.marginal_psd
-        d_a, d_b, d_c = dims = self.dims
+        d_a, d_b, d_c = self.dims
         q = psd_b.eigenvectors[rows]
-        u_ab = embed(q, "B", (d_a, d_b, 1))
-        u_bc = embed(q, "B", (1, d_b, d_c))
-        rr = embed(dagger(u_ab) @ rho_ab[rows] @ u_ab, "AB", dims)
-        tt = embed(dagger(u_bc) @ rho_bc[rows] @ u_bc, "BC", dims)
-        w = psd_b.eigenvalues[rows]
-        ws = np.broadcast_to(w[:, None, :, None], (len(w), d_a, d_b, d_c)).reshape(len(w), -1)
-        return lieb_triple_rhs_in_eigenbasis(rr, tt, ws, psd_b.cutoff[rows])
+        rr = _traced_out(rho_ab[rows], (d_a, d_b, 1), "B")
+        tt = _traced_out(rho_bc[rows], (1, d_b, d_c), "B")
+        return lieb_triple_rhs_in_eigenbasis(
+            dagger(q) @ rr @ q, dagger(q) @ tt @ q, psd_b.eigenvalues[rows], psd_b.cutoff[rows]
+        )
 
     @cached_property
     def lieb_rhs(self) -> np.ndarray:

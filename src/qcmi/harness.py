@@ -100,6 +100,8 @@ class ScanConfig:
         if int(self.samples) < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         object.__setattr__(self, "samples", int(self.samples))
+        if int(self.seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.corpus not in CORPORA:
             raise ConfigError(f"unknown corpus {self.corpus!r}, expected one of {CORPORA}")
         if self.fmt not in ("csv", "json"):
@@ -207,6 +209,9 @@ def _proven_checks(
     a = state.analysis
     checks.append(("powers-stormer-upper", a.trace_distance - row.thm1_bound))
     checks.append(("powers-stormer-lower", row.thm1_bound - row.corollary_bound))
+    # The Lieb value is evaluated at the dimension of B and equals Tr rho_B = 1
+    # in exact arithmetic, so this check repeats trace-exp-at-most-one; both
+    # stay asserted.
     if state.rho.is_full_rank():
         checks.append(("lieb-triple-vs-trace-exp", a.lieb_rhs - row.sigma_star_trace))
     if corpus == "classical-random":
@@ -556,6 +561,8 @@ def channel_gap_scan(
     """Check the channel gap bound on random (rho, sigma, channel) triples."""
     if dim < 1 or kraus < 1 or samples < 1:
         raise ConfigError("dim, kraus, and samples must all be >= 1")
+    if int(seed) < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     min_gap = math.inf
     min_lhs = math.inf
     for _, a in _checked_channels(dim, kraus, samples, seed, tol, out):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -218,6 +218,24 @@ def partial_trace(state: TripartiteState, keep) -> DensityMatrix:
     return validate_density(_traced_out(state.mat, state.dims, keep))
 
 
+@lru_cache(maxsize=128)
+def _embed_layout(dims: tuple[int, int, int], acts_on: str):
+    # embed's normalized acts_on, the axis shape (a, b, c) of the operand,
+    # and the product of the identities on the other subsystems over the
+    # axes (a, b, c, x, y, z), read-only; None when acts_on is ABC.
+    acts_on = _normalize_keep(acts_on)
+    shape = tuple(d if s in acts_on else 1 for s, d in zip(SUBSYSTEMS, dims))
+    if acts_on == SUBSYSTEMS:
+        return acts_on, shape, None
+    ident = 1.0
+    for i, s in enumerate(SUBSYSTEMS):
+        if s not in acts_on:
+            eye_shape = [1] * 6
+            eye_shape[i] = eye_shape[i + 3] = dims[i]
+            ident = ident * np.eye(dims[i]).reshape(eye_shape)
+    return acts_on, shape, _frozen(ident)
+
+
 def embed(m, acts_on, dims) -> np.ndarray:
     """Extend an operator on a subsystem subset by identity elsewhere.
 
@@ -229,25 +247,16 @@ def embed(m, acts_on, dims) -> np.ndarray:
     The entries are products of entries of m with the 1s and 0s of the
     identities, so they equal those of numpy.kron exactly.
     """
-    acts_on = _normalize_keep(acts_on)
     dims = tuple(int(d) for d in dims)
+    acts_on, shape, ident = _embed_layout(dims, str(acts_on))
     a = as_matrices(m)
-    # Axes (a, b, c, x, y, z): m spans the axes of acts_on, and each
-    # identity the row and column axis of its own subsystem.
-    shape = [d if s in acts_on else 1 for s, d in zip(SUBSYSTEMS, dims)]
     if a.shape[-1] != math.prod(shape):
         raise DimensionMismatchError(
             f"operator of dimension {a.shape[-1]} cannot act on {acts_on} "
             f"with dims {marginal_dims(dims, acts_on)}"
         )
-    if acts_on == SUBSYSTEMS:
+    if ident is None:
         return a
-    ident = 1.0
-    for i, s in enumerate(SUBSYSTEMS):
-        if s not in acts_on:
-            eye_shape = [1] * 6
-            eye_shape[i] = eye_shape[i + 3] = dims[i]
-            ident = ident * np.eye(dims[i]).reshape(eye_shape)
     stack = a.shape[:-2]
     full = a.reshape(*stack, *shape, *shape) * ident
     d = dims[0] * dims[1] * dims[2]
@@ -353,8 +362,10 @@ def markov_state(spec: MarkovSpec) -> TripartiteState:
 
     B decomposes as the direct sum of L_k (x) R_k sectors; the index of
     |l, r> inside sector k is offset_k + l * d_right_k + r. Each block is
-    scattered into the A (x) B (x) C ordering through an explicit 0/1
-    isometry, so the constructor is transparent about the index mapping.
+    the Kronecker product rho_AL_k (x) rho_RC_k with its L and R axes
+    together, added into the B range of sector k on the (a, b, c) axes
+    of rho; every entry is a product of the factors' entries, as
+    numpy.kron forms it.
     """
     blocks = [(b.weight, b.d_left, b.d_right, b.rho_al.mat, b.rho_rc.mat) for b in spec.blocks]
     return tripartite(_markov_matrix(spec.d_a, spec.d_c, blocks), spec.dims)
@@ -364,20 +375,13 @@ def _markov_matrix(d_a: int, d_c: int, blocks) -> np.ndarray:
     # markov_state's matrix from (weight, d_left, d_right, rho_al, rho_rc)
     # blocks, unvalidated.
     d_b = sum(dl * dr for _, dl, dr, _, _ in blocks)
-    dim = d_a * d_b * d_c
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((d_a, d_b, d_c) * 2, dtype=complex)
     offset = 0
     for weight, dl, dr, rho_al, rho_rc in blocks:
-        block = np.kron(rho_al, rho_rc)
-        n = d_a * dl * dr * d_c
-        a_idx = np.arange(d_a)[:, None, None, None]
-        l_idx = np.arange(dl)[None, :, None, None]
-        r_idx = np.arange(dr)[None, None, :, None]
-        c_idx = np.arange(d_c)[None, None, None, :]
-        b_idx = offset + l_idx * dr + r_idx
-        target = ((a_idx * d_b + b_idx) * d_c + c_idx).ravel()
-        iso = np.zeros((dim, n))
-        iso[target, np.arange(n)] = 1.0
-        rho += weight * (iso @ block @ iso.T)
+        al = np.reshape(rho_al, (d_a, dl, 1, 1) * 2)
+        rc = np.reshape(rho_rc, (1, 1, dr, d_c) * 2)
+        sector = slice(offset, offset + dl * dr)
+        rho[:, sector, :, :, sector, :] += weight * (al * rc).reshape((d_a, dl * dr, d_c) * 2)
         offset += dl * dr
-    return hermitian_part(rho)
+    dim = d_a * d_b * d_c
+    return hermitian_part(rho.reshape(dim, dim))

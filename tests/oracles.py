@@ -2,10 +2,12 @@
 
 Most of this is deliberately written against scipy / closed formulas
 rather than the package under test, so the two sides of every comparison
-share no code. The conjecture oracles at the end are the exception: they
-are the per-matrix compositions the conjecture runs used before their
-spectral data was shared, built from the package's linalg primitives, so
-that the shared analysis can be held bitwise to them.
+share no code. The oracles at the end are the exception. The conjecture
+oracles are the per-matrix compositions the conjecture runs used before
+their spectral data was shared, built from the package's linalg
+primitives, so that the shared analysis can be held bitwise to them. The
+marginal-operator oracles are the full-dimension forms of the Markov
+assembly, M and the Lieb value.
 """
 
 import math
@@ -28,7 +30,8 @@ from qcmi.linalg import (
     support_projector,
     trace_norm,
 )
-from qcmi.states import validate_density
+from qcmi.states import embed, validate_density
+from qcmi.trace_inequalities import lieb_triple_rhs_in_eigenbasis
 
 
 def eig2x2(m):
@@ -178,3 +181,61 @@ def channel_sample_alone(rho, sigma, phi):
     trace_exp = float(np.trace(channel_exp_operator_alone(rho, sigma, phi)).real)
     recovered = petz_dual_alone(phi, sigma).apply(phi.apply(rho.mat))
     return lhs, rhs, trace_exp, trace_norm(rho.mat - recovered)
+
+
+# -- full-dimension marginal operators ---------------------------------------
+#
+# The forms the analysis and the Markov assembly used before they were
+# evaluated at subsystem dimension, built from the package's embed.
+
+
+def markov_matrix_isometry(d_a, d_c, blocks):
+    """The Markov assembly sum_k w_k V_k (rho_AL_k (x) rho_RC_k) V_k^T through
+    an explicit 0/1 isometry V_k per block, from (weight, d_left, d_right,
+    rho_al, rho_rc) blocks."""
+    d_b = sum(dl * dr for _, dl, dr, _, _ in blocks)
+    dim = d_a * d_b * d_c
+    rho = np.zeros((dim, dim), dtype=complex)
+    offset = 0
+    for weight, dl, dr, rho_al, rho_rc in blocks:
+        block = np.kron(rho_al, rho_rc)
+        n = d_a * dl * dr * d_c
+        a_idx = np.arange(d_a)[:, None, None, None]
+        l_idx = np.arange(dl)[None, :, None, None]
+        r_idx = np.arange(dr)[None, None, :, None]
+        c_idx = np.arange(d_c)[None, None, None, :]
+        b_idx = offset + l_idx * dr + r_idx
+        target = ((a_idx * d_b + b_idx) * d_c + c_idx).ravel()
+        iso = np.zeros((dim, n))
+        iso[target, np.arange(n)] = 1.0
+        rho += weight * (iso @ block @ iso.T)
+        offset += dl * dr
+    return hermitian_part(rho)
+
+
+def m_three_embeds(analysis):
+    """M = (sqrt(rho_AB) (x) I)(I (x) pinv_sqrt(rho_B) (x) I)(I (x) sqrt(rho_BC))
+    from three full-dimension factors, for one StateAnalysis."""
+    psd_ab, psd_bc, psd_b = analysis.marginal_psd
+    dims = analysis.stack.dims
+    left = embed(psd_ab.sqrt(), "AB", dims)
+    middle = embed(psd_b.power(-0.5), "B", dims)
+    right = embed(psd_bc.sqrt(), "BC", dims)
+    return left @ middle @ right
+
+
+def lieb_rhs_full_dimension(analysis):
+    """lieb_triple_rhs(rho_AB (x) I, I (x) rho_B (x) I, I (x) rho_BC) in the
+    eigenbasis I (x) Q_B (x) I, with both outer operands embedded at full
+    dimension and the eigenvalues of rho_B repeated over a and c, for one
+    StateAnalysis."""
+    rho_ab, rho_bc, _ = (m.mat for m in analysis.marginals)
+    _, _, psd_b = analysis.marginal_psd
+    d_a, d_b, d_c = dims = analysis.stack.dims
+    q = psd_b.eigenvectors
+    u_ab = embed(q, "B", (d_a, d_b, 1))
+    u_bc = embed(q, "B", (1, d_b, d_c))
+    rr = embed(dagger(u_ab) @ rho_ab @ u_ab, "AB", dims)
+    tt = embed(dagger(u_bc) @ rho_bc @ u_bc, "BC", dims)
+    ws = np.broadcast_to(psd_b.eigenvalues[None, :, None], dims).reshape(-1)
+    return lieb_triple_rhs_in_eigenbasis(rr, tt, ws, psd_b.cutoff)

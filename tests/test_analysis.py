@@ -6,16 +6,26 @@ import weakref
 import numpy as np
 import pytest
 
+from qcmi import analysis as analysis_module
 from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_together
 from qcmi.bounds import sigma_star
 from qcmi.channels import identity_channel
 from qcmi.errors import SingularMatrixError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
-from qcmi.linalg import dagger, hermitian_part, mat_sqrt, support_cutoff
+from qcmi.linalg import dagger, hermitian_part, hs_norm, mat_sqrt, support_cutoff
 from qcmi.recovery import m_operator
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
-from qcmi.states import TripartiteState, embed, partial_trace, validate_density
+from qcmi.states import (
+    ClassicalJoint,
+    TripartiteState,
+    classical_state,
+    embed,
+    partial_trace,
+    tripartite,
+    validate_density,
+)
 from qcmi.trace_inequalities import lieb_triple_rhs
+from oracles import lieb_rhs_full_dimension, m_three_embeds
 from test_golden import cases as golden_cases
 from test_golden import record, restricted_states, sub_cutoff_classical
 
@@ -171,9 +181,9 @@ def test_mixed_stack_matches_states_analysed_alone(states):
         assert _lieb_rhs_or_error(together) == _lieb_rhs_or_error(alone)
 
 
-def _lieb_rhs_or_error(state):
+def _lieb_rhs_or_error(state, form=lambda a: a.lieb_rhs):
     try:
-        return state.analysis.lieb_rhs
+        return form(state.analysis)
     except SingularMatrixError as exc:  # rho_B is singular
         return str(exc)
 
@@ -224,3 +234,95 @@ def test_eigenvalue_between_zero_and_the_support_cutoff_is_kernel():
     with pytest.raises(SingularMatrixError) as exc:
         ChannelAnalysis(rho.mat, m, identity_channel(3)).lhs
     assert str(exc.value) == "sigma must be full rank (support rank 2 of 3)"
+
+
+# -- marginal operators at subsystem dimension ------------------------------
+
+
+def _oracle_states():
+    # The drift set's states, analysed in their corpus stacks, the golden
+    # states one by one, and the mixed stacks of full-rank, support-restricted
+    # and sub-cutoff states.
+    groups = _drift_groups()
+    for states in groups:
+        analyse_together(states)
+    for states in _mixed_stacks():
+        stacked = [TripartiteState(rho=st.rho, dims=st.dims) for st in states]
+        analyse_together(stacked)
+        groups.append(stacked)
+    return [st for states in groups for st in states]
+
+
+def test_m_matches_the_three_embed_form():
+    for st in _oracle_states():
+        m = st.analysis.m
+        want = m_three_embeds(st.analysis)
+        assert m.shape == want.shape
+        assert np.max(np.abs(m - want)) <= 1e-14 * max(1.0, hs_norm(want)), st.dims
+
+
+def test_lieb_rhs_matches_the_full_dimension_form():
+    singular = 0
+    for st in _oracle_states():
+        got = _lieb_rhs_or_error(st)
+        want = _lieb_rhs_or_error(st, lieb_rhs_full_dimension)
+        if isinstance(want, str):
+            singular += 1
+            assert got == want
+        else:
+            assert got == pytest.approx(want, abs=1e-12), st.dims
+    assert singular  # the singular-AB classical golden state has a singular rho_B
+
+
+def _singular_rho_b_states():
+    # rho_B with an exact zero eigenvalue (classical, p_B(1) = 0) and with a
+    # roundoff-level one (a pure state on B in a random basis).
+    p = np.zeros((2, 3, 2))
+    p[:, 0, :] = [[0.1, 0.2], [0.3, 0.1]]
+    p[:, 2, :] = [[0.05, 0.05], [0.1, 0.1]]
+    rng = substream(39, 0)
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    psi /= np.linalg.norm(psi)
+    rho_a, rho_c = random_density(2, rng).mat, random_density(2, rng).mat
+    product = np.kron(np.kron(rho_a, np.outer(psi, psi.conj())), rho_c)
+    return [classical_state(ClassicalJoint(p)), tripartite(product, (2, 3, 2))]
+
+
+@pytest.mark.parametrize("state", _singular_rho_b_states(), ids=["classical", "pure-b"])
+def test_singular_rho_b_raises_as_the_full_dimension_form(state):
+    assert state.analysis.marginals[2].support_rank < 3
+    with pytest.raises(SingularMatrixError) as exc:
+        state.analysis.lieb_rhs
+    assert str(exc.value).startswith("middle operand is singular (min eigenvalue ")
+    assert str(exc.value) == _lieb_rhs_or_error(state, lieb_rhs_full_dimension)
+
+
+@pytest.fixture
+def full_dim_embeds(monkeypatch):
+    """Record the full-dimension embed calls of the analysis module."""
+    calls = []
+    original = analysis_module.embed
+
+    def recorded(m, acts_on, dims):
+        out = original(m, acts_on, dims)
+        if out.shape[-1] == int(np.prod(dims)):
+            calls.append(acts_on)
+        return out
+
+    monkeypatch.setattr(analysis_module, "embed", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("corpus", ["hs-random", "markov", "near-markov"])
+def test_a_scan_stack_embeds_only_the_logs_of_h(corpus, full_dim_embeds):
+    scan(ScanConfig(dims=(2, 2, 2), samples=4, seed=40, corpus=corpus))
+    assert sorted(full_dim_embeds) == ["AB", "B", "BC"]
+
+
+def test_m_and_the_lieb_value_embed_nothing(full_dim_embeds):
+    st = random_tripartite((2, 3, 2), substream(40, 0))
+    st.analysis.embedded_logs
+    full_dim_embeds.clear()
+    st.analysis.m
+    st.analysis.lieb_rhs
+    assert full_dim_embeds == []

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +290,23 @@ class TestErrorPaths:
         assert main(["scan", "--dims", "2,2,2", "--samples", "0", "--out", out]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--dims", "2,2,2", "--samples", "1"],
+            ["conjecture", "--which", "channel", "--dims", "2,2,2", "--samples", "1"],
+            ["channel-gap", "--dim", "2", "--kraus", "1", "--samples", "1"],
+        ],
+        ids=["scan", "conjecture", "channel-gap"],
+    )
+    def test_negative_seed_exits_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "report.out"
+        if argv[0] != "channel-gap":
+            argv = argv + ["--out", str(out)]
+        assert main(argv + ["--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_violation_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):
             raise InequalityViolationError("synthetic failure", artifact_path="x.json")
@@ -296,3 +317,27 @@ class TestErrorPaths:
         )
         assert rc == 2
         assert "violation" in capsys.readouterr().err
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("module", ["qcmi", "qcmi.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    out = tmp_path / "report.csv"
+    done = run("scan", "--dims", "2,2,2", "--samples", "2", "--seed", "3", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"wrote 2 rows to {out}\n"
+    assert out.read_text().count("\n") == 3  # header and two rows
+    failed = run("scan", "--dims", "2,2,2", "--samples", "2", "--seed", "-1", "--out", "x.csv")
+    assert failed.returncode == 1
+    assert failed.stderr == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "x.csv").exists()

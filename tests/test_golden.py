@@ -1,13 +1,19 @@
 """Golden values for small and degenerate states.
 
-golden_values.json was recorded with the code at commit 04416d3, which
-built sigma*, M and every matrix function from separate
-eigendecompositions. The shared per-state analysis must reproduce every
-recorded number within GOLDEN_ATOL. The cases are the trivial-subsystem
-dims on every corpus, plus GHZ, W, a random pure state and two classical
-states with a singular AB marginal, which take the support-restricted
-branch of sigma*, and a full-rank classical state whose sigma* has an
-eigenvalue below the support cutoff.
+The shared per-state analysis must reproduce every recorded number in
+golden_values.json within GOLDEN_ATOL. The cases were recorded in two
+groups:
+
+- Commit 04416d3, which built sigma*, M and every matrix function from
+  separate eigendecompositions: the trivial-subsystem dims (CORPUS_DIMS)
+  on every corpus, plus GHZ, W, a random pure state and two classical
+  states with a singular AB marginal, which take the support-restricted
+  branch of sigma*, and a full-rank classical state whose sigma* has an
+  eigenvalue below the support cutoff.
+- Commit 8a7687f, which still built M and the Lieb value from
+  full-dimension embeddings: dims without a trivial factor
+  (NONTRIVIAL_DIMS) on every corpus, NONTRIVIAL_SAMPLES each, which pin
+  the contractions over B.
 
 Regenerate (only when a formula changes on purpose) with
 
@@ -38,6 +44,8 @@ GOLDEN_ATOL = 1e-12
 SEED = 2026
 SAMPLES = 4  # one full cycle of the near-markov mixing weights
 CORPUS_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3))
+NONTRIVIAL_DIMS = ((2, 2, 2), (2, 3, 2), (3, 2, 3))
+NONTRIVIAL_SAMPLES = 2
 
 
 def _pure(psi, dims):
@@ -97,10 +105,12 @@ def restricted_sub_cutoff_classical():
 def cases():
     """(case id, state, corpus) for every golden case."""
     out = []
-    for dims in CORPUS_DIMS:
+    groups = [(dims, SAMPLES) for dims in CORPUS_DIMS]
+    groups += [(dims, NONTRIVIAL_SAMPLES) for dims in NONTRIVIAL_DIMS]
+    for dims, samples in groups:
         for corpus in CORPORA:
-            cfg = ScanConfig(dims=dims, samples=SAMPLES, seed=SEED, corpus=corpus)
-            for i in range(SAMPLES):
+            cfg = ScanConfig(dims=dims, samples=samples, seed=SEED, corpus=corpus)
+            for i in range(samples):
                 tag = f"{corpus}-{dims[0]}{dims[1]}{dims[2]}-{i}"
                 out.append((tag, corpus_state(cfg, i), corpus))
     for name, state in restricted_states().items():

@@ -85,6 +85,11 @@ class TestScanConfig:
         with pytest.raises(ConfigError):
             ScanConfig(dims=(2, 2, 2), samples=1, tol=0.0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            ScanConfig(dims=(2, 2, 2), samples=1, seed=-1)
+        assert ScanConfig(dims=(2, 2, 2), samples=1, seed=0).seed == 0
+
     def test_as_dict_uses_format_key(self):
         cfg = ScanConfig(dims=(2, 3, 2), samples=4, seed=7, fmt="json")
         d = cfg.as_dict()
@@ -529,6 +534,14 @@ class TestChannelGapScan:
             channel_gap_scan(dim=2, kraus=0, samples=1)
         with pytest.raises(ConfigError):
             channel_gap_scan(dim=2, kraus=1, samples=0)
+
+    def test_rejects_negative_seed_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(harness, "substream", no_draw)
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            channel_gap_scan(dim=2, kraus=1, samples=1, seed=-1)
 
 
 class TestJsonEncoding:

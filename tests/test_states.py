@@ -11,6 +11,8 @@ from qcmi.errors import (
 from qcmi.linalg import hs_norm
 from qcmi.states import (
     ClassicalJoint,
+    _embed_layout,
+    _markov_matrix,
     _traced_out,
     _validated,
     MarkovBlock,
@@ -24,8 +26,8 @@ from qcmi.states import (
     tripartite,
     validate_density,
 )
-from qcmi.sampling import random_density, random_tripartite, substream
-from oracles import classical_marginal
+from qcmi.sampling import _hs_matrix, _markov_blocks, random_density, random_tripartite, substream
+from oracles import classical_marginal, markov_matrix_isometry
 
 
 def parity_joint():
@@ -199,6 +201,18 @@ class TestEmbed:
         for k, m in enumerate(stack):
             np.testing.assert_array_equal(stacked[k], embed(m, acts_on, dims))
 
+    def test_layouts_are_cached_read_only_and_bounded(self):
+        layout = _embed_layout((2, 3, 2), "ba")
+        assert layout[:2] == ("AB", (2, 3, 1))
+        assert _embed_layout((2, 3, 2), "ba") is layout
+        with pytest.raises(ValueError):
+            layout[2][0, 0, 0, 0, 0, 0] = 2.0
+        assert _embed_layout((2, 3, 2), "ABC")[2] is None
+        assert _embed_layout.cache_info().maxsize is not None
+        # Spellings and int types of one layout embed alike.
+        m = random_density(6, substream(13, 3)).mat
+        np.testing.assert_array_equal(embed(m, "ba", [np.int64(2), 3, 2]), embed(m, "AB", (2, 3, 2)))
+
 
 class TestClassicalState:
     def test_uniform(self):
@@ -269,6 +283,34 @@ class TestMarkovState:
             for k, b in enumerate(blocks)
         )
         np.testing.assert_allclose(st.mat, expected, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3), (1, 5, 1), (2, 2, 2), (2, 3, 2),
+         (3, 4, 1), (1, 4, 3), (2, 5, 3)],
+    )
+    def test_assembly_is_bitwise_the_isometry_sandwich(self, dims):
+        # Every product is with an exact 1 or 0, so the broadcast Kronecker
+        # product added into the sector's B range gives the same bits as
+        # V (rho_AL (x) rho_RC) V^T for the 0/1 isometry V of each block.
+        d_a, d_b, d_c = dims
+        specs = [_markov_blocks(dims, substream(15, i)) for i in range(40)]
+        rng = substream(15, 99)
+        # Fixed multi-block splits of B, largest sectors first and last.
+        for shapes in ([(1, 1)] * d_b, [(d_b, 1)], [(1, d_b)], [(1, 1), (1, d_b - 1)]):
+            if all(dl * dr > 0 for dl, dr in shapes):
+                w = rng.dirichlet(np.ones(len(shapes)))
+                specs.append([
+                    (float(wk), dl, dr, _hs_matrix(d_a * dl, rng), _hs_matrix(dr * d_c, rng))
+                    for wk, (dl, dr) in zip(w, shapes)
+                ])
+        if d_b > 1:
+            assert any(len(blocks) > 1 for blocks in specs)
+        for blocks in specs:
+            got = _markov_matrix(d_a, d_c, blocks)
+            want = markov_matrix_isometry(d_a, d_c, blocks)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_weights_must_normalize(self):
         rho = validate_density(np.eye(2) / 2)
