@@ -17,15 +17,15 @@ from .harness import (
     CONJECTURES,
     CORPORA,
     ScanConfig,
-    _json_value,
-    _proven_checks,
+    _require_tol,
     channel_gap_scan,
     run_conjecture,
     scan,
 )
+from .inequalities import proven_checks
 from .recovery import classify, modular_residual, ruskai_residual, zhang_gaps
 from .states import markov_state, regularize
-from .stateio import fmt17, read_markov_spec, read_state, write_state
+from .stateio import read_markov_spec, read_state, to_json, to_text, write_state
 
 
 class _UsageError(Exception):
@@ -89,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--corpus", choices=CORPORA, default="hs-random")
     p_conj.add_argument("--tol", type=float, default=1e-8)
     p_conj.add_argument("--out", required=True, help="report file to write")
+    p_conj.set_defaults(format="json")
 
     p_markov = sub.add_parser("markov", help="assemble a Markov state from a block spec")
     p_markov.add_argument("--spec", required=True, help="Markov spec JSON file")
@@ -111,15 +112,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fmt_value(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return fmt17(x)
-    return str(x)
+def _print(record: dict, as_json: bool) -> None:
+    # One JSON object, or one "key: value" line per entry.
+    if as_json:
+        print(to_json(record))
+    else:
+        for key, value in record.items():
+            print(f"{key}: {to_text(value)}")
+
+
+def _classification(cls) -> dict:
+    return {
+        "label": cls.label,
+        "commutator_trace_norm": cls.commutator_norm,
+        "reconstruction_gap": cls.reconstruction_gap,
+    }
 
 
 def _cmd_info(args) -> int:
+    _require_tol(args.tol)
     state = read_state(args.state)
     if args.regularize:
         state = regularize(state)
@@ -132,38 +143,14 @@ def _cmd_info(args) -> int:
         modular = modular_residual(state)
     except SingularMatrixError:
         modular = None
-    fields = [
-        ("dims", f"{state.dims[0]},{state.dims[1]},{state.dims[2]}"),
-        ("cmi", rep.cmi),
-        ("s_abc", ent.s_abc),
-        ("s_ab", ent.s_ab),
-        ("s_bc", ent.s_bc),
-        ("s_b", ent.s_b),
-        ("sigma_star_trace", rep.sigma_star_trace),
-        ("log_overlap_bound", rep.log_overlap_bound),
-        ("thm1_bound", rep.thm1_bound),
-        ("corollary_bound", rep.corollary_bound),
-        ("slack_thm1", rep.slack_thm1),
-        ("slack_corollary", rep.slack_corollary),
-        ("support_restricted", rep.support_restricted),
-        ("label", cls.label),
-        ("commutator_trace_norm", cls.commutator_norm),
-        ("reconstruction_gap", cls.reconstruction_gap),
-        ("recovery_gap_M", gap_m),
-        ("recovery_gap_Mprime", gap_mp),
-        ("ruskai_residual", ruskai),
-        ("modular_residual", modular),
-    ]
-    if args.json:
-        body = ",".join(
-            f'"{k}":{_json_value(v)}' for k, v in fields if k != "dims"
-        )
-        dims = ",".join(str(d) for d in state.dims)
-        print('{"dims":[' + dims + "]," + body + "}")
-    else:
-        for k, v in fields:
-            print(f"{k}: {'n/a' if v is None else _fmt_value(v)}")
-    bad = [(name, s) for name, s in _proven_checks(state, rep, None) if not s >= -args.tol]
+    # cmi leads the entropies, with bound_report's value.
+    record = {"dims": list(state.dims), "cmi": rep.cmi, **vars(ent), **vars(rep)}
+    record.update(_classification(cls), recovery_gap_M=gap_m, recovery_gap_Mprime=gap_mp)
+    record.update(ruskai_residual=ruskai, modular_residual=modular)
+    _print(record, args.json)
+    # The proven rows of qcmi.inequalities that need no corpus, on the
+    # bound chain printed above.
+    bad = [(name, s) for name, s in proven_checks(state, rep, None) if not s >= -args.tol]
     for name, s in bad:
         print(
             f"proven inequality {name!r} violated: slack {s:.6e} below -{args.tol:.1e}",
@@ -172,8 +159,8 @@ def _cmd_info(args) -> int:
     return 2 if bad else 0
 
 
-def _cmd_scan(args) -> int:
-    cfg = ScanConfig(
+def _config(args) -> ScanConfig:
+    return ScanConfig(
         dims=args.dims,
         samples=args.samples,
         seed=args.seed,
@@ -182,25 +169,19 @@ def _cmd_scan(args) -> int:
         out=args.out,
         fmt=args.format,
     )
-    rows = scan(cfg)
+
+
+def _cmd_scan(args) -> int:
+    rows = scan(_config(args))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_conjecture(args) -> int:
-    cfg = ScanConfig(
-        dims=args.dims,
-        samples=args.samples,
-        seed=args.seed,
-        corpus=args.corpus,
-        tol=args.tol,
-        out=args.out,
-        fmt="json",
-    )
-    results = run_conjecture(cfg, args.which, unitary_samples=args.unitary_samples)
+    results = run_conjecture(_config(args), args.which, unitary_samples=args.unitary_samples)
     for r in results:
         print(
-            f"{r.conjecture_id}: samples={r.samples} min_slack={fmt17(r.min_slack)} "
+            f"{r.conjecture_id}: samples={r.samples} min_slack={to_text(r.min_slack)} "
             f"argmin_sample={r.argmin_sample} violations={r.violations}"
         )
     print(f"wrote report to {args.out}")
@@ -211,25 +192,13 @@ def _cmd_markov(args) -> int:
     spec = read_markov_spec(args.spec)
     state = markov_state(spec)
     write_state(state, args.out)
-    print(f"wrote state of dims {state.dims} to {args.out} (cmi={fmt17(cmi(state).cmi)})")
+    print(f"wrote state of dims {state.dims} to {args.out} (cmi={to_text(cmi(state).cmi)})")
     return 0
 
 
 def _cmd_classify(args) -> int:
-    state = read_state(args.state)
-    cls = classify(state, tol=args.tol)
-    if args.json:
-        print(
-            '{"label":' + _json_value(cls.label)
-            + ',"commutator_trace_norm":' + _json_value(cls.commutator_norm)
-            + ',"reconstruction_gap":' + _json_value(cls.reconstruction_gap)
-            + ',"tol":' + _json_value(cls.tol) + "}"
-        )
-    else:
-        print(f"label: {cls.label}")
-        print(f"commutator_trace_norm: {fmt17(cls.commutator_norm)}")
-        print(f"reconstruction_gap: {fmt17(cls.reconstruction_gap)}")
-        print(f"tol: {fmt17(cls.tol)}")
+    cls = classify(read_state(args.state), tol=args.tol)
+    _print({**_classification(cls), "tol": cls.tol}, args.json)
     return 0
 
 
@@ -244,7 +213,7 @@ def _cmd_channel_gap(args) -> int:
     )
     print(
         f"channel-gap: samples={summary.samples} dim={summary.dim} kraus={summary.kraus} "
-        f"min_gap_slack={fmt17(summary.min_gap_slack)} min_lhs={fmt17(summary.min_lhs)} "
+        f"min_gap_slack={to_text(summary.min_gap_slack)} min_lhs={to_text(summary.min_lhs)} "
         f"violations={summary.violations}"
     )
     return 0

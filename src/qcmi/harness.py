@@ -6,24 +6,23 @@ triple) to disk as a diagnostic artifact and raises
 InequalityViolationError, which the command line maps to exit code 2.
 Conjectured bounds are never asserted on open corpora; their slacks are
 recorded, and they are only required to hold on corpora where they are
-theorems (classical and Markov states).
+theorems (classical and Markov states). Which inequality is which, and
+where each is asserted, is the table in qcmi.inequalities.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+import numbers
+from dataclasses import asdict, dataclass, fields
 
 from .analysis import ChannelAnalysis, analyse_together
-from .bounds import BoundReport, bound_report
+from .bounds import bound_report
 from .channels import random_channel
-from .errors import ConfigError, InequalityViolationError, SingularMatrixError
-from .linalg import dagger, hermitian_part, mat_exp, trace_norm
+from .errors import ConfigError, InequalityViolationError
+from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
 from .recovery import classify
 from .sampling import (
-    _haar_unitaries,
     _hs_matrix,
     _markov_state_matrix,
     _near_markov_matrix,
@@ -31,26 +30,7 @@ from .sampling import (
     substream,
 )
 from .states import TripartiteState, _classical_matrix, _DrawnState
-from .stateio import _matrix_text, _write_text, fmt17, write_state
-
-CSV_COLUMNS = (
-    "sample_index",
-    "dA",
-    "dB",
-    "dC",
-    "cmi",
-    "sigma_star_trace",
-    "log_overlap_bound",
-    "thm1_bound",
-    "corollary_bound",
-    "slack_thm1",
-    "slack_corollary",
-    "recovery_gap_M",
-    "recovery_gap_Mprime",
-    "commutator_trace_norm",
-    "ruskai_residual",
-    "label",
-)
+from .stateio import _write_text, to_text, write_json, write_state
 
 CORPORA = ("hs-random", "classical-random", "markov", "near-markov")
 CONJECTURES = ("half-recovery", "commutator-eighth", "rotated-quarter", "channel")
@@ -71,13 +51,21 @@ STACK_BUDGET = 2**14
 # Mixing weights cycled through by the near-markov corpus.
 NEAR_MARKOV_MIXES = (1e-1, 1e-2, 1e-3, 1e-4)
 
-# Corpora on which each conjectured bound is actually a theorem and is
-# therefore asserted rather than just recorded.
-_PROVEN_CORPORA = {
-    "half-recovery": ("classical-random", "markov"),
-    "commutator-eighth": ("classical-random", "markov"),
-    "rotated-quarter": (),
-}
+
+def _require_seed(seed) -> int:
+    """The seed as a Python int; ConfigError unless it is an integer >= 0."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return int(seed)
+
+
+def _require_tol(tol) -> float:
+    """The tolerance as a float; ConfigError unless it is positive."""
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -100,14 +88,12 @@ class ScanConfig:
         if int(self.samples) < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
         object.__setattr__(self, "samples", int(self.samples))
-        if int(self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "seed", _require_seed(self.seed))
         if self.corpus not in CORPORA:
             raise ConfigError(f"unknown corpus {self.corpus!r}, expected one of {CORPORA}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
-        if not self.tol > 0.0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        object.__setattr__(self, "tol", _require_tol(self.tol))
 
     def as_dict(self) -> dict:
         return {
@@ -141,6 +127,11 @@ class ScanRow:
     ruskai_residual: float
     label: str
     support_restricted: bool
+
+
+# The CSV columns: every ScanRow field but support_restricted, which only
+# JSON rows carry.
+CSV_COLUMNS = tuple(f.name for f in fields(ScanRow))[:-1]
 
 
 @dataclass(frozen=True)
@@ -188,62 +179,19 @@ def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
     return _DrawnState(m, dims)
 
 
-def _proven_checks(
-    state: TripartiteState, row: ScanRow | BoundReport, corpus: str | None
-) -> list[tuple[str, float]]:
-    # Each entry is (name, slack); slack >= -tol must hold or the run
-    # aborts. row carries the bound chain (a ScanRow, or a BoundReport
-    # for a single state); the remaining terms come from the state's
-    # analysis. The Powers-Stormer sandwich of rho and sigma* is
-    # (corollary, thm1, ||rho - sigma*||_1).
-    checks = [
-        ("ssa-cmi-nonnegative", row.cmi),
-        ("trace-exp-at-most-one", 1.0 - row.sigma_star_trace),
-        ("thm1-below-corollary-gap", row.thm1_bound - row.corollary_bound),
-    ]
-    if math.isinf(row.log_overlap_bound):
-        checks.append(("log-overlap-below-cmi", -math.inf))
-    else:
-        checks.append(("log-overlap-below-cmi", row.cmi - row.log_overlap_bound))
-        checks.append(("thm1-below-log-overlap", row.log_overlap_bound - row.thm1_bound))
-    a = state.analysis
-    checks.append(("powers-stormer-upper", a.trace_distance - row.thm1_bound))
-    checks.append(("powers-stormer-lower", row.thm1_bound - row.corollary_bound))
-    # The Lieb value is evaluated at the dimension of B and equals Tr rho_B = 1
-    # in exact arithmetic, so this check repeats trace-exp-at-most-one; both
-    # stay asserted.
-    if state.rho.is_full_rank():
-        checks.append(("lieb-triple-vs-trace-exp", a.lieb_rhs - row.sigma_star_trace))
-    if corpus == "classical-random":
-        gap = max(row.recovery_gap_M, row.recovery_gap_Mprime)
-        checks.append(("classical-recovery-pinsker", row.cmi - 0.5 * gap * gap))
-    if corpus == "markov":
-        checks.append(("markov-cmi-zero", -row.cmi))
-    return checks
-
-
 def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
     """Compute the full per-sample record of bound and recovery diagnostics."""
     rep = bound_report(state)
     a = state.analysis
     return ScanRow(
-        sample_index=index,
-        dA=state.dims[0],
-        dB=state.dims[1],
-        dC=state.dims[2],
-        cmi=rep.cmi,
-        sigma_star_trace=rep.sigma_star_trace,
-        log_overlap_bound=rep.log_overlap_bound,
-        thm1_bound=rep.thm1_bound,
-        corollary_bound=rep.corollary_bound,
-        slack_thm1=rep.slack_thm1,
-        slack_corollary=rep.slack_corollary,
+        index,
+        *state.dims,
+        **vars(rep),
         recovery_gap_M=a.gap_m,
         recovery_gap_Mprime=a.gap_mprime,
         commutator_trace_norm=a.commutator_norm,
         ruskai_residual=a.ruskai,
         label=classify(state).label,
-        support_restricted=rep.support_restricted,
     )
 
 
@@ -252,54 +200,77 @@ def _artifact_path(out: str | None, suffix: str) -> str:
     return f"{base}.{suffix}.json"
 
 
-def _abort(state: TripartiteState, cfg: ScanConfig, name: str, index: int, slack: float):
-    path = _artifact_path(cfg.out, "violation-state")
-    write_state(state, path)
+def _write_channel(a: ChannelAnalysis, path: str) -> None:
+    triple = {"dim": a.rho.dim, "rho": a.rho.mat, "sigma": a.sigma.mat, "kraus": a.phi.kraus}
+    write_json(path, triple)
+
+
+def _abort(witness, cfg: ScanConfig, name: str, index: int, slack: float, write=write_state):
+    # Writes the witness, a state or (write=_write_channel) a channel
+    # triple's analysis, and raises. The channel message names no tolerance.
+    if write is write_state:
+        what, below = "state", f" is below -{cfg.tol:.1e}"
+    else:
+        what, below = "channel", ""
+    path = _artifact_path(cfg.out, f"violation-{what}")
+    write(witness, path)
     raise InequalityViolationError(
         f"proven inequality {name!r} violated at sample {index}: "
-        f"slack {slack:.6e} is below -{cfg.tol:.1e}; state written to {path}",
+        f"slack {slack:.6e}{below}; {what} written to {path}",
         artifact_path=path,
     )
 
 
-def _one_by_one(cfg: ScanConfig, indices: range, drawn: list[TripartiteState]):
+def _assert(witness, cfg: ScanConfig, index: int, checks, write=write_state) -> None:
+    for name, slack in checks:
+        if not slack >= -cfg.tol:
+            _abort(witness, cfg, name, index, slack, write)
+
+
+def _one_by_one(cfg: ScanConfig, indices: range, drawn: list[TripartiteState], evaluate):
     for k, i in enumerate(indices):
         if k < len(drawn):
             state = drawn[k]
             vars(state).pop("analysis", None)  # its row of the failed stack
         else:
             state = corpus_state(cfg, i)
-        yield state, evaluate_sample(state, i)
+        yield state, evaluate(state, i)
 
 
-def _evaluated(cfg: ScanConfig, indices: range):
-    # (state, row) for samples `indices`, drawn one substream each and
-    # evaluated from one stacked analysis. If that raises, the samples are
-    # evaluated again one at a time, each after the checks of the one
-    # before, so the error surfaces at the same sample as without stacking.
-    # States already drawn are reused; the draw that raised is repeated in
-    # its turn.
+def _evaluated(cfg: ScanConfig, indices: range, evaluate):
+    # (state, evaluate(state, i)) for samples `indices`, drawn one substream
+    # each and evaluated from one stacked analysis. If that raises, the
+    # samples are evaluated again one at a time, each after the checks of
+    # the one before, so the error surfaces at the same sample as without
+    # stacking. States already drawn are reused; the draw that raised is
+    # repeated in its turn.
     states = []
     try:
         for i in indices:
             states.append(corpus_state(cfg, i))
         analyse_together(states)
-        return zip(states, [evaluate_sample(state, i) for state, i in zip(states, indices)])
+        return zip(states, [evaluate(state, i) for state, i in zip(states, indices)])
     except Exception:
-        return _one_by_one(cfg, indices, states)
+        return _one_by_one(cfg, indices, states, evaluate)
 
 
-def _checked_rows(cfg: ScanConfig, indices: range) -> list[ScanRow]:
-    # The rows of one group, checked in index order. The group's states and
-    # their stacked analysis are released on return, before the next group
-    # is drawn.
-    rows = []
-    for i, (state, row) in zip(indices, _evaluated(cfg, indices)):
-        for name, slack in _proven_checks(state, row, cfg.corpus):
-            if not slack >= -cfg.tol:
-                _abort(state, cfg, name, i, slack)
-        rows.append(row)
-    return rows
+def _checked(cfg: ScanConfig, evaluate, checks) -> list:
+    # evaluate(state, i) of every sample, in index order, each after its
+    # checks(state, value) hold. Consecutive samples are analysed together
+    # in groups (see STACK_BUDGET); each value is bitwise that of its sample
+    # analysed alone.
+    n = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
+    size = max(1, STACK_BUDGET // (n * n))
+    values = []
+    for start in range(0, cfg.samples, size):
+        indices = range(start, min(start + size, cfg.samples))
+        for i, (state, value) in zip(indices, _evaluated(cfg, indices, evaluate)):
+            _assert(state, cfg, i, checks(state, value))
+            values.append(value)
+        # Release the group's states and their stacked analysis before the
+        # next group is drawn.
+        del state
+    return values
 
 
 def scan(cfg: ScanConfig) -> list[ScanRow]:
@@ -308,231 +279,88 @@ def scan(cfg: ScanConfig) -> list[ScanRow]:
     Consecutive samples are analysed together (see STACK_BUDGET); each row
     is bitwise the row of its sample analysed alone.
     """
-    n = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
-    size = max(1, STACK_BUDGET // (n * n))
-    rows = []
-    for start in range(0, cfg.samples, size):
-        rows += _checked_rows(cfg, range(start, min(start + size, cfg.samples)))
+    rows = _checked(cfg, evaluate_sample, lambda state, row: proven_checks(state, row, cfg.corpus))
     if cfg.out is not None:
         write_scan_report(cfg, rows)
     return rows
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt17(value)
-    return str(value)
-
-
 def write_scan_report(cfg: ScanConfig, rows: list[ScanRow]) -> None:
     if cfg.fmt == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(getattr(row, c)) for c in CSV_COLUMNS))
-        text = "\n".join(lines) + "\n"
+        lines = [CSV_COLUMNS, *([getattr(row, c) for c in CSV_COLUMNS] for row in rows)]
+        _write_text(cfg.out, "".join(to_text(line) + "\n" for line in lines))
     else:
-        body = []
-        for row in rows:
-            fields = [f'"{c}":{_json_value(getattr(row, c))}' for c in CSV_COLUMNS]
-            fields.append(f'"support_restricted":{_json_value(row.support_restricted)}')
-            body.append("{" + ",".join(fields) + "}")
-        text = (
-            '{"config":' + _json_config(cfg) + ',"rows":[' + ",".join(body) + "]}\n"
-        )
-    _write_text(cfg.out, text)
+        write_json(cfg.out, {"config": cfg.as_dict(), "rows": [asdict(row) for row in rows]})
 
 
-def _json_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return '"inf"' if value > 0 else '"-inf"'
-        if math.isnan(value):  # pragma: no cover - no NaN should ever be produced
-            return '"nan"'
-        return fmt17(value)
-    if value is None:
-        return "null"
-    return '"' + str(value).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _json_config(cfg: ScanConfig) -> str:
-    d = cfg.as_dict()
-    fields = [
-        f'"dims":[{",".join(str(x) for x in d["dims"])}]',
-        f'"samples":{d["samples"]}',
-        f'"seed":{d["seed"]}',
-        f'"corpus":{_json_value(d["corpus"])}',
-        f'"tol":{_json_value(float(d["tol"]))}',
-        f'"format":{_json_value(d["format"])}',
-    ]
-    return "{" + ",".join(fields) + "}"
-
-
-def half_recovery_slack(state: TripartiteState) -> float:
-    """cmi - max(||rho - M M^dag||_1, ||rho - M^dag M||_1)^2 / 2."""
-    a = state.analysis
-    worst = max(a.gap_m, a.gap_mprime)
-    return a.cmi - 0.5 * worst * worst
-
-
-def commutator_slack(state: TripartiteState) -> float:
-    """cmi - ||[M, M^dag]||_1^2 / 8."""
-    a = state.analysis
-    return a.cmi - a.commutator_norm**2 / 8.0
-
-
-def rotated_slacks(
-    state: TripartiteState, rng: np.random.Generator, unitary_samples: int
-) -> tuple[float, float]:
-    """Identity-triple slack and the minimum over sampled unitary triples.
-
-    The candidate state exp(U log rho_AB U^dag + V log rho_BC V^dag
-    - W log rho_B W^dag) is compared against rho in trace distance; the
-    slack is cmi - distance^2 / 4. The identity triple reproduces the
-    corollary bound. Needs a full-rank state so the embedded logs carry
-    the whole marginal information.
-
-    The unitary_samples >= 0 triples (U, V, W) are drawn from rng as
-    consecutive random_unitary calls would draw them, and evaluated as
-    one stack: each slack is bitwise that of its triple alone.
-    """
-    if not state.rho.is_full_rank():
-        raise SingularMatrixError("rotated-bound sampling needs a full-rank state")
-    a = state.analysis
-    value = a.cmi
-    # The identity triple's candidate is sigma* itself.
-    identity_slack = value - 0.25 * a.trace_distance**2
-    if unitary_samples == 0:
-        return identity_slack, identity_slack
-    log_ab, log_bc, log_b = a.embedded_logs
-    triples = _haar_unitaries((unitary_samples, 3), state.dim, rng)
-    u, v, w = (triples[:, j] for j in range(3))
-    exponent = u @ log_ab @ dagger(u) + v @ log_bc @ dagger(v) - w @ log_b @ dagger(w)
-    dist = trace_norm(state.mat - mat_exp(hermitian_part(exponent)))
-    slacks = value - 0.25 * dist * dist
-    return identity_slack, min([identity_slack, *slacks.tolist()])
-
-
-def _write_conjecture_report(cfg: ScanConfig, which: str, results: list[ConjectureResult]):
-    body = []
-    for r in results:
-        fields = [
-            f'"conjecture_id":{_json_value(r.conjecture_id)}',
-            f'"samples":{r.samples}',
-            f'"min_slack":{_json_value(r.min_slack)}',
-            f'"argmin_sample":{r.argmin_sample}',
-            f'"violations":{r.violations}',
-            f'"argmin_path":{_json_value(r.argmin_path)}',
-        ]
-        body.append("{" + ",".join(fields) + "}")
-    text = (
-        '{"which":' + _json_value(which) + ',"config":' + _json_config(cfg)
-        + ',"results":[' + ",".join(body) + "]}\n"
+def _result(cfg: ScanConfig, conjecture_id: str, slacks: list[float], write) -> ConjectureResult:
+    # The minimum slack and the first sample that attains it. When the
+    # minimum comes within tol of a violation, write(index, path) writes
+    # that sample as the argmin artifact.
+    index, least = 0, math.inf
+    for i, slack in enumerate(slacks):
+        if slack < least:
+            index, least = i, slack
+    argmin_path = None
+    if cfg.out is not None and least < cfg.tol:
+        argmin_path = _artifact_path(cfg.out, f"argmin-{conjecture_id}")
+        write(index, argmin_path)
+    return ConjectureResult(
+        conjecture_id=conjecture_id,
+        samples=cfg.samples,
+        min_slack=least,
+        argmin_sample=index,
+        violations=sum(slack < -cfg.tol for slack in slacks),
+        argmin_path=argmin_path,
     )
-    _write_text(cfg.out, text)
-
-
-class _Minimum:
-    # The running minimum of one conjecture's slack over the samples, with
-    # the sample that attains it (its witness) and the violation count.
-
-    def __init__(self, conjecture_id: str):
-        self.conjecture_id = conjecture_id
-        self.slack = math.inf
-        self.index = 0
-        self.violations = 0
-        self.witness = None
-
-    def add(self, index: int, slack: float, witness, tol: float) -> None:
-        if slack < self.slack:
-            self.slack, self.index, self.witness = slack, index, witness
-        if slack < -tol:
-            self.violations += 1
-
-    def result(self, cfg: ScanConfig, write) -> ConjectureResult:
-        # write(witness, path) writes the argmin artifact when the minimum
-        # comes within tol of a violation.
-        argmin_path = None
-        if cfg.out is not None and self.witness is not None and self.slack < cfg.tol:
-            argmin_path = _artifact_path(cfg.out, f"argmin-{self.conjecture_id}")
-            write(self.witness, argmin_path)
-        return ConjectureResult(
-            conjecture_id=self.conjecture_id,
-            samples=cfg.samples,
-            min_slack=self.slack,
-            argmin_sample=self.index,
-            violations=self.violations,
-            argmin_path=argmin_path,
-        )
 
 
 def _state_conjecture(cfg: ScanConfig, which: str, unitary_samples: int) -> list[ConjectureResult]:
-    asserted = cfg.corpus in _PROVEN_CORPORA[which]
-    track = _Minimum(which)
-    for i in range(cfg.samples):
-        state = corpus_state(cfg, i)
-        if which == "half-recovery":
-            slack = half_recovery_slack(state)
-        elif which == "commutator-eighth":
-            slack = commutator_slack(state)
-        else:
-            # A separate substream for the unitary triples keeps them
-            # independent of the corpus draw for the same sample index.
-            _, slack = rotated_slacks(state, substream(cfg.seed, i, 1), unitary_samples)
-        track.add(i, slack, state, cfg.tol)
-        if asserted and slack < -cfg.tol:
-            _abort(state, cfg, f"{which} (proven on {cfg.corpus})", i, slack)
-    return [track.result(cfg, write_state)]
-
-
-def _write_channel_artifact(a: ChannelAnalysis, path: str) -> None:
-    kraus = ",".join(_matrix_text(k) for k in a.phi.kraus)
-    _write_text(
-        path,
-        f'{{"dim":{a.rho.dim},"rho":{_matrix_text(a.rho.mat)},'
-        f'"sigma":{_matrix_text(a.sigma.mat)},"kraus":[{kraus}]}}\n',
+    row = INEQUALITIES[which]
+    name = f"{which} (proven on {cfg.corpus})"
+    slacks = _checked(
+        cfg,
+        lambda state, i: row.slack(state, (cfg.seed, i, unitary_samples)),
+        lambda state, slack: [(name, slack)] if row.asserted_on(cfg.corpus) else [],
     )
+    # The argmin witness is drawn again rather than kept from its group.
+    return [_result(cfg, which, slacks, lambda i, path: write_state(corpus_state(cfg, i), path))]
 
 
-def _checked_channels(dim: int, kraus: int | None, samples: int, seed: int, tol: float, out):
-    # (index, analysis) of each random channel triple, after its proven
-    # checks. Sample i draws from substream(seed, i): a Kraus count in 1-4
-    # unless kraus is given, then rho and sigma (Hilbert-Schmidt, validated
-    # by the analysis) and the channel. A failing check writes the triple
-    # to disk and raises.
-    for i in range(samples):
-        rng = substream(seed, i)
-        count = 1 + int(rng.integers(4)) if kraus is None else kraus
-        rho = _hs_matrix(dim, rng)
-        sigma = _hs_matrix(dim, rng)
-        a = ChannelAnalysis(rho, sigma, random_channel(dim, dim, count, rng))
-        for name, slack in (
-            ("channel-dpi-nonnegative", a.lhs),
-            ("channel-gap-bound", a.lhs - a.rhs),
-        ):
-            if not slack >= -tol:
-                path = _artifact_path(out, "violation-channel")
-                _write_channel_artifact(a, path)
-                raise InequalityViolationError(
-                    f"proven inequality {name!r} violated at sample {i}: "
-                    f"slack {slack:.6e}; channel written to {path}",
-                    artifact_path=path,
-                )
-        yield i, a
+def _channel(cfg: ScanConfig, kraus: int | None, index: int) -> ChannelAnalysis:
+    # Channel triple `index` of dimension prod(cfg.dims), from substream(seed,
+    # index): a Kraus count in 1-4 unless kraus is given, then rho and sigma
+    # (Hilbert-Schmidt, validated by the analysis) and the channel.
+    dim = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
+    rng = substream(cfg.seed, index)
+    count = 1 + int(rng.integers(4)) if kraus is None else kraus
+    rho = _hs_matrix(dim, rng)
+    sigma = _hs_matrix(dim, rng)
+    return ChannelAnalysis(rho, sigma, random_channel(dim, dim, count, rng))
+
+
+_CHANNEL_ROWS = [row for row in TABLE if row.applies == CHANNEL]
+
+
+def _checked_channels(cfg: ScanConfig, kraus: int | None):
+    # The analysis of each channel triple, after its proven rows hold; a
+    # failing row writes the triple to disk and raises.
+    for i in range(cfg.samples):
+        a = _channel(cfg, kraus, i)
+        checks = [(row.name, row.slack(a, None)) for row in _CHANNEL_ROWS if row.proven]
+        _assert(a, cfg, i, checks, _write_channel)
+        yield a
 
 
 def _channel_conjecture(cfg: ScanConfig) -> list[ConjectureResult]:
-    dim = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
-    tracks = traceexp, petz = _Minimum("channel-traceexp"), _Minimum("channel-petz-pinsker")
-    for i, a in _checked_channels(dim, None, cfg.samples, cfg.seed, cfg.tol, cfg.out):
-        traceexp.add(i, 1.0 - a.trace_exp, a, cfg.tol)
-        petz.add(i, a.lhs - 0.25 * a.petz_gap * a.petz_gap, a, cfg.tol)
-    return [track.result(cfg, _write_channel_artifact) for track in tracks]
+    rows = [row for row in _CHANNEL_ROWS if not row.proven]
+    per_sample = [[row.slack(a, None) for row in rows] for a in _checked_channels(cfg, None)]
+
+    def write(index, path):
+        _write_channel(_channel(cfg, None, index), path)
+
+    return [_result(cfg, row.name, slacks, write) for row, slacks in zip(rows, zip(*per_sample))]
+
 
 
 def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> list[ConjectureResult]:
@@ -546,7 +374,8 @@ def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> li
     else:
         results = _state_conjecture(cfg, which, unitary_samples)
     if cfg.out is not None:
-        _write_conjecture_report(cfg, which, results)
+        report = {"which": which, "config": cfg.as_dict(), "results": [asdict(r) for r in results]}
+        write_json(cfg.out, report)
     return results
 
 
@@ -561,20 +390,16 @@ def channel_gap_scan(
     """Check the channel gap bound on random (rho, sigma, channel) triples."""
     if dim < 1 or kraus < 1 or samples < 1:
         raise ConfigError("dim, kraus, and samples must all be >= 1")
-    if int(seed) < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    min_gap = math.inf
-    min_lhs = math.inf
-    for _, a in _checked_channels(dim, kraus, samples, seed, tol, out):
-        min_gap = min(min_gap, a.lhs - a.rhs)
-        min_lhs = min(min_lhs, a.lhs)
+    # A channel run of dimension dim is configured as dims (dim, 1, 1).
+    cfg = ScanConfig(dims=(dim, 1, 1), samples=samples, seed=seed, tol=tol, out=out)
+    gaps, lhs = zip(*((a.lhs - a.rhs, a.lhs) for a in _checked_channels(cfg, kraus)))
     # A violation raises, so a summary always reports 0 violations; the
     # field keeps the summary's and the command line's format.
     return ChannelGapSummary(
         samples=samples,
         dim=dim,
         kraus=kraus,
-        min_gap_slack=min_gap,
-        min_lhs=min_lhs,
+        min_gap_slack=min(gaps),
+        min_lhs=min(lhs),
         violations=0,
     )

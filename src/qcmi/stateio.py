@@ -9,13 +9,16 @@ Markov-spec files are JSON objects
                  "rho_AL": <matrix>, "rho_RC": <matrix>}, ...]}
 with matrices in the same pair encoding.
 
-Writers emit 17 significant digits, which round-trips IEEE doubles
-exactly, and are byte deterministic for a fixed input.
+Every JSON file and JSON line the package writes goes through to_json,
+and every number it prints as text through to_text. Both emit 17
+significant digits, which round-trips IEEE doubles exactly, and are
+byte deterministic for a fixed input.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any
 
@@ -37,12 +40,40 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _matrix_text(m: np.ndarray) -> str:
-    rows = []
-    for row in np.asarray(m, dtype=complex):
-        cells = ",".join(f"[{fmt17(v.real)},{fmt17(v.imag)}]" for v in row)
-        rows.append(f"[{cells}]")
-    return "[" + ",".join(rows) + "]"
+def to_text(value) -> str:
+    """Plain-text form of a report value: CSV cells and printed fields.
+
+    Floats have 17 significant digits, booleans are true/false, None is
+    n/a, and a list or tuple is its items' forms joined by commas.
+    """
+    if isinstance(value, float):
+        return fmt17(value)
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(to_text, value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "n/a" if value is None else str(value)
+
+
+def to_json(value) -> str:
+    """Compact JSON text of dicts, lists, tuples, numbers, None and strings.
+
+    Floats are to_text's, except that infinities are the strings "inf"
+    and "-inf". A complex matrix (numpy array) is a list of rows of
+    [re, im] pairs.
+    """
+    if isinstance(value, dict):
+        return "{" + ",".join(f"{to_json(str(k))}:{to_json(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, np.ndarray):
+        m = np.asarray(value, dtype=complex)
+        value = np.stack((m.real, m.imag), axis=-1).tolist()
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(to_json(v) for v in value) + "]"
+    if isinstance(value, str):
+        return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(value, float) and not math.isfinite(value):
+        return f'"{value}"'
+    return "null" if value is None else to_text(value)
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:
@@ -50,9 +81,13 @@ def _write_text(path: str | os.PathLike, text: str) -> None:
         fh.write(text)
 
 
+def write_json(path: str | os.PathLike, value) -> None:
+    """Write to_json(value) and a newline."""
+    _write_text(path, to_json(value) + "\n")
+
+
 def write_state(state: TripartiteState, path: str | os.PathLike) -> None:
-    dims = ",".join(str(d) for d in state.dims)
-    _write_text(path, f'{{"dims":[{dims}],"matrix":{_matrix_text(state.mat)}}}\n')
+    write_json(path, {"dims": list(state.dims), "matrix": state.mat})
 
 
 def _load_json(path: str | os.PathLike) -> Any:
@@ -115,15 +150,12 @@ def read_state(path: str | os.PathLike) -> TripartiteState:
 
 
 def write_markov_spec(spec: MarkovSpec, path: str | os.PathLike) -> None:
-    blocks = []
-    for b in spec.blocks:
-        blocks.append(
-            f'{{"p":{fmt17(b.weight)},"dL":{b.d_left},"dR":{b.d_right},'
-            f'"rho_AL":{_matrix_text(b.rho_al.mat)},'
-            f'"rho_RC":{_matrix_text(b.rho_rc.mat)}}}'
-        )
-    text = f'{{"dA":{spec.d_a},"dC":{spec.d_c},"blocks":[{",".join(blocks)}]}}\n'
-    _write_text(path, text)
+    blocks = [
+        {"p": b.weight, "dL": b.d_left, "dR": b.d_right,
+         "rho_AL": b.rho_al.mat, "rho_RC": b.rho_rc.mat}
+        for b in spec.blocks
+    ]
+    write_json(path, {"dA": spec.d_a, "dC": spec.d_c, "blocks": blocks})
 
 
 def read_markov_spec(path: str | os.PathLike) -> MarkovSpec:

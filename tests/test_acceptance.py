@@ -17,7 +17,8 @@ from qcmi.bounds import bound_report, channel_gap_bound, fidelity_lower_bound
 from qcmi.channels import depolarizing_channel, random_channel
 from qcmi.cli import main as cli_main
 from qcmi.entropy import cmi, rel_entropy
-from qcmi.harness import ScanConfig, rotated_slacks, run_conjecture, scan
+from qcmi.harness import ScanConfig, run_conjecture, scan
+from qcmi.inequalities import rotated_slacks
 from qcmi.linalg import trace_norm
 from qcmi.recovery import (
     classify,

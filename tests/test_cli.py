@@ -96,6 +96,15 @@ class TestInfo:
         assert "'log-overlap-below-cmi'" in err
         assert "ssa-cmi-nonnegative" not in err
 
+    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")])
+    def test_tol_that_is_not_positive_exits_one(self, tol, shown, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        write_state(parity_state(), path)
+        assert main(["info", str(path), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tol must be positive, got {shown}\n"
+        assert captured.out == ""
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["info", "no-such-state.json"]) == 1
         assert "error" in capsys.readouterr().err
@@ -263,6 +272,16 @@ class TestChannelGapCommand:
         out = capsys.readouterr().out
         assert "violations=0" in out
         assert "min_gap_slack=" in out
+
+
+class TestChannelGapTolerance:
+    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_tol_that_is_not_positive_exits_one(self, tol, shown, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["channel-gap", "--dim", "2", "--kraus", "1", "--samples", "1", "--tol", tol]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: tol must be positive, got {shown}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestErrorPaths:

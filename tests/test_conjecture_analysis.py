@@ -18,7 +18,8 @@ from qcmi.analysis import ChannelAnalysis
 from qcmi.bounds import channel_exp_operator, channel_gap_bound
 from qcmi.channels import KrausChannel, identity_channel, petz_dual, random_channel
 from qcmi.errors import QcmiError
-from qcmi.harness import CORPORA, ScanConfig, corpus_state, rotated_slacks, run_conjecture
+from qcmi.harness import CORPORA, ScanConfig, corpus_state, run_conjecture
+from qcmi.inequalities import rotated_slacks
 from qcmi.sampling import random_density, random_unitary, substream
 from qcmi.states import validate_density
 

@@ -34,7 +34,8 @@ import pytest
 
 from qcmi.entropy import cmi
 from qcmi.errors import SingularMatrixError
-from qcmi.harness import CORPORA, ScanConfig, _proven_checks, corpus_state, evaluate_sample
+from qcmi.harness import CORPORA, ScanConfig, corpus_state, evaluate_sample
+from qcmi.inequalities import proven_checks as _proven_checks
 from qcmi.recovery import modular_residual
 from qcmi.sampling import substream
 from qcmi.states import ClassicalJoint, classical_state, tripartite

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -22,16 +24,18 @@ from qcmi.harness import (
     ScanConfig,
     ScanRow,
     _abort,
-    _json_value,
     channel_gap_scan,
-    commutator_slack,
     corpus_state,
     evaluate_sample,
-    half_recovery_slack,
-    rotated_slacks,
     run_conjecture,
     scan,
     write_scan_report,
+)
+from qcmi.inequalities import (
+    INEQUALITIES,
+    commutator_slack,
+    half_recovery_slack,
+    rotated_slacks,
 )
 from qcmi.sampling import (
     near_markov_state,
@@ -41,7 +45,7 @@ from qcmi.sampling import (
     random_unitary,
     substream,
 )
-from qcmi.stateio import read_state
+from qcmi.stateio import read_state, to_json as _json_value
 from qcmi.states import (
     ClassicalJoint,
     DensityMatrix,
@@ -89,6 +93,24 @@ class TestScanConfig:
         with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
             ScanConfig(dims=(2, 2, 2), samples=1, seed=-1)
         assert ScanConfig(dims=(2, 2, 2), samples=1, seed=0).seed == 0
+
+    @pytest.mark.parametrize("seed", [1.5, "3", None, 2.0])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer, got "):
+            ScanConfig(dims=(2, 2, 2), samples=1, seed=seed)
+
+    def test_stores_an_integer_seed_as_int(self):
+        cfg = ScanConfig(dims=(2, 1, 2), samples=1, seed=np.int64(3), fmt="json")
+        assert type(cfg.seed) is int
+        assert _json_value(cfg.as_dict()) == (
+            '{"dims":[2,1,2],"samples":1,"seed":3,"corpus":"hs-random","tol":1e-08,'
+            '"format":"json"}'
+        )
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
+    def test_rejects_tol_that_is_not_positive(self, tol):
+        with pytest.raises(ConfigError, match=r"^tol must be positive, got "):
+            ScanConfig(dims=(2, 2, 2), samples=1, tol=tol)
 
     def test_as_dict_uses_format_key(self):
         cfg = ScanConfig(dims=(2, 3, 2), samples=4, seed=7, fmt="json")
@@ -535,6 +557,18 @@ class TestChannelGapScan:
         with pytest.raises(ConfigError):
             channel_gap_scan(dim=2, kraus=1, samples=0)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_rejects_tol_that_is_not_positive(self, tol, tmp_path):
+        out = tmp_path / "gap"
+        with pytest.raises(ConfigError, match=r"^tol must be positive, got "):
+            channel_gap_scan(dim=2, kraus=1, samples=1, tol=tol, out=str(out))
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", [1.5, "3"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must be an integer, got "):
+            channel_gap_scan(dim=2, kraus=1, samples=1, seed=seed)
+
     def test_rejects_negative_seed_before_any_draw(self, monkeypatch):
         def no_draw(*args):
             raise AssertionError("drew a sample")
@@ -542,6 +576,82 @@ class TestChannelGapScan:
         monkeypatch.setattr(harness, "substream", no_draw)
         with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
             channel_gap_scan(dim=2, kraus=1, samples=1, seed=-1)
+
+
+class TestStackedConjecture:
+    """Conjecture runs analyse samples in stacks, with the results of one by one."""
+
+    @staticmethod
+    def _run(tmp_path, monkeypatch, budget, which, corpus, samples=300):
+        # (files the run wrote, with the out path replaced) or the error
+        monkeypatch.setattr(harness, "STACK_BUDGET", budget)
+        run = Path(tempfile.mkdtemp(dir=tmp_path))
+        out = str(run / "conj")
+        cfg = ScanConfig(dims=(2, 2, 2), samples=samples, seed=41, corpus=corpus, out=out)
+        try:
+            run_conjecture(cfg, which, unitary_samples=2)
+        except (InequalityViolationError, NotPSDError) as exc:
+            return type(exc).__name__, str(exc).replace(out, "OUT")
+        return {p.name: p.read_bytes().replace(out.encode(), b"OUT") for p in run.iterdir()}
+
+    @pytest.mark.parametrize("corpus", ["hs-random", "classical-random", "markov"])
+    @pytest.mark.parametrize("which", ["half-recovery", "commutator-eighth", "rotated-quarter"])
+    def test_reports_and_artifacts_match_one_by_one(self, tmp_path, monkeypatch, which, corpus):
+        # 300 samples at 2,2,2 make two stacks (256 + 44).
+        assert harness.STACK_BUDGET // 64 == 256
+        stacked = self._run(tmp_path, monkeypatch, harness.STACK_BUDGET, which, corpus)
+        alone = self._run(tmp_path, monkeypatch, 1, which, corpus)
+        assert stacked == alone
+        assert "conj" in stacked  # the report
+
+    @pytest.fixture
+    def failing_row(self, monkeypatch):
+        # half-recovery with the slack -cmi: ~0 on the markov corpus, where
+        # it is asserted, and below -tol on an injected hs-random draw.
+        row = INEQUALITIES["half-recovery"]
+        failing = dataclasses.replace(row, slack=lambda state, c: -state.analysis.cmi)
+        monkeypatch.setitem(INEQUALITIES, "half-recovery", failing)
+
+    @pytest.mark.parametrize("index", [3, 270])
+    def test_violation_on_an_asserted_corpus_aborts_at_its_index(
+        self, tmp_path, monkeypatch, failing_row, index
+    ):
+        original = harness.corpus_state
+
+        def corpus_state(cfg, i):
+            if i == index:
+                return random_tripartite(cfg.dims, substream(cfg.seed, i))
+            return original(cfg, i)
+
+        monkeypatch.setattr(harness, "corpus_state", corpus_state)
+        stacked = self._run(tmp_path, monkeypatch, harness.STACK_BUDGET, "half-recovery", "markov")
+        alone = self._run(tmp_path, monkeypatch, 1, "half-recovery", "markov")
+        assert stacked == alone
+        assert stacked[0] == "InequalityViolationError"
+        assert f"'half-recovery (proven on markov)' violated at sample {index}:" in stacked[1]
+
+    def test_a_stack_that_raises_is_evaluated_one_by_one(self, tmp_path, monkeypatch, failing_row):
+        original = harness.corpus_state
+        bad = {5: lambda cfg, i: _negative_diagonal_state(cfg.dims),
+               2: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))}
+
+        def corpus_state(cfg, i):
+            return bad[i](cfg, i) if i in bad else original(cfg, i)
+
+        monkeypatch.setattr(harness, "corpus_state", corpus_state)
+        runs = [
+            self._run(tmp_path, monkeypatch, budget, "half-recovery", "markov", samples=8)
+            for budget in (harness.STACK_BUDGET, 1)
+        ]
+        assert runs[0] == runs[1]
+        assert "violated at sample 2" in runs[0][1]
+        del bad[2]
+        runs = [
+            self._run(tmp_path, monkeypatch, budget, "half-recovery", "markov", samples=8)
+            for budget in (harness.STACK_BUDGET, 1)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "NotPSDError"
 
 
 class TestJsonEncoding:
