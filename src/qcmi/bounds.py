@@ -45,11 +45,6 @@ def sigma_star(state: TripartiteState) -> np.ndarray:
     return state.analysis.sigma_star
 
 
-def trace_exp_check(state: TripartiteState) -> float:
-    """Trace of sigma_star; at most 1 up to roundoff."""
-    return state.analysis.sigma_star_trace
-
-
 def log_overlap_bound(state: TripartiteState) -> float:
     """-2 log Tr[sqrt(rho) sqrt(sigma_star)], the sharpest bound in the chain."""
     return _overlap_bound(state.analysis.overlap)

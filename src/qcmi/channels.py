@@ -81,14 +81,11 @@ def depolarizing_channel(dim: int) -> KrausChannel:
     return KrausChannel(kraus=tuple(ops))
 
 
-def partial_trace_channel(dims, traced: str = "A") -> KrausChannel:
-    """The channel that traces out one subsystem of A (x) B (x) C.
+def partial_trace_channel(dims) -> KrausChannel:
+    """The channel that traces out subsystem A of A (x) B (x) C.
 
-    Only tracing the leading subsystem A is supported; the Kraus operators
-    are <a| (x) I on the remaining factors.
+    The Kraus operators are <a| (x) I on the remaining factors.
     """
-    if traced != "A":
-        raise ValueError("only tracing out subsystem A is supported")
     d_a, d_b, d_c = (int(d) for d in dims)
     rest = d_b * d_c
     ops = []

@@ -197,6 +197,7 @@ def _cmd_markov(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _require_tol(args.tol)
     cls = classify(read_state(args.state), tol=args.tol)
     _print({**_classification(cls), "tol": cls.tol}, args.json)
     return 0

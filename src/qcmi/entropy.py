@@ -15,7 +15,6 @@ import numpy as np
 from .errors import DimensionMismatchError, NotDistributionError
 from .linalg import (
     HermitianEigen,
-    Spectrum,
     _eigh,
     _scalar,
     as_psd,
@@ -23,7 +22,6 @@ from .linalg import (
     hs_norm,
     mat_sqrt,
     support_cutoff,
-    trace_norm,
 )
 from .states import DensityMatrix, TripartiteState
 
@@ -115,17 +113,3 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     inner = hermitian_part(s @ sigma.mat @ s)
     w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
     return float(np.sum(np.sqrt(w)))
-
-
-def pinsker_slack(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """S(rho || sigma) - ||rho - sigma||_1^2 / 2 (infinite when S is)."""
-    rel = rel_entropy(rho, sigma)
-    if math.isinf(rel):
-        return math.inf
-    return rel - 0.5 * trace_norm(rho.mat - sigma.mat) ** 2
-
-
-def sorted_spectra(rho: DensityMatrix) -> Spectrum:
-    """Eigenvalues of rho in ascending and descending order."""
-    w = _spectrum(rho)
-    return Spectrum(ascending=w.copy(), descending=w[::-1].copy())

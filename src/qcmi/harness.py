@@ -52,13 +52,13 @@ STACK_BUDGET = 2**14
 NEAR_MARKOV_MIXES = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def _require_seed(seed) -> int:
-    """The seed as a Python int; ConfigError unless it is an integer >= 0."""
-    if not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    return int(seed)
+def _require_int(name: str, value, least: int) -> int:
+    """value as a Python int; ConfigError unless it is an integer >= least."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+    return int(value)
 
 
 def _require_tol(tol) -> float:
@@ -81,14 +81,12 @@ class ScanConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        if len(self.dims) != 3:
+            raise ConfigError(f"dims must be three positive integers, got {self.dims}")
+        dims = tuple(_require_int("dims entry", d, 1) for d in self.dims)
         object.__setattr__(self, "dims", dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ConfigError(f"dims must be three positive integers, got {dims}")
-        if int(self.samples) < 1:
-            raise ConfigError(f"samples must be >= 1, got {self.samples}")
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "seed", _require_seed(self.seed))
+        object.__setattr__(self, "samples", _require_int("samples", self.samples, 1))
+        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
         if self.corpus not in CORPORA:
             raise ConfigError(f"unknown corpus {self.corpus!r}, expected one of {CORPORA}")
         if self.fmt not in ("csv", "json"):
@@ -367,8 +365,7 @@ def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> li
     """Run one conjecture over the configured corpus and write its report."""
     if which not in CONJECTURES:
         raise ConfigError(f"unknown conjecture {which!r}, expected one of {CONJECTURES}")
-    if unitary_samples < 0:
-        raise ConfigError(f"unitary_samples must be >= 0, got {unitary_samples}")
+    unitary_samples = _require_int("unitary_samples", unitary_samples, 0)
     if which == "channel":
         results = _channel_conjecture(cfg)
     else:
@@ -388,15 +385,14 @@ def channel_gap_scan(
     out: str | None = None,
 ) -> ChannelGapSummary:
     """Check the channel gap bound on random (rho, sigma, channel) triples."""
-    if dim < 1 or kraus < 1 or samples < 1:
-        raise ConfigError("dim, kraus, and samples must all be >= 1")
+    dim, kraus = _require_int("dim", dim, 1), _require_int("kraus", kraus, 1)
     # A channel run of dimension dim is configured as dims (dim, 1, 1).
     cfg = ScanConfig(dims=(dim, 1, 1), samples=samples, seed=seed, tol=tol, out=out)
     gaps, lhs = zip(*((a.lhs - a.rhs, a.lhs) for a in _checked_channels(cfg, kraus)))
     # A violation raises, so a summary always reports 0 violations; the
     # field keeps the summary's and the command line's format.
     return ChannelGapSummary(
-        samples=samples,
+        samples=cfg.samples,
         dim=dim,
         kraus=kraus,
         min_gap_slack=min(gaps),

@@ -84,14 +84,16 @@ def _first(values, failed) -> float:
     return float(np.asarray(values)[failed][0])
 
 
-def require_hermitian(m, rtol: float = HERMITIAN_RTOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return the symmetrized copy of m, raising if it is not Hermitian.
 
-    The deviation ||m - m^dag||_2 is compared against rtol * max(1, ||m||_2).
+    The deviation ||m - m^dag||_2 is compared against
+    HERMITIAN_RTOL * max(1, ||m||_2).
     For a stack each matrix is checked on its own, and the first one that
     fails raises.
     """
     a = as_matrices(m)
+    rtol = HERMITIAN_RTOL
     dev = hs_norm(a - dagger(a))
     if a.ndim == 2:  # one matrix, without the fixed cost of the stack form
         found = dev if dev > rtol and dev > rtol * hs_norm(a) else None
@@ -121,9 +123,9 @@ def support_cutoff(eigenvalues):
 class HermitianEigen:
     """Eigendecomposition with ascending eigenvalues.
 
-    eig_hermitian fixes the eigenvector phases. Matrix functions skip
-    that step, because Q f(w) Q^dag does not depend on the phases. For a
-    stack, eigenvalues has shape (..., n) and eigenvectors (..., n, n).
+    The eigenvector phases are the ones LAPACK returns: Q f(w) Q^dag does
+    not depend on them. For a stack, eigenvalues has shape (..., n) and
+    eigenvectors (..., n, n).
     """
 
     eigenvalues: np.ndarray
@@ -175,26 +177,6 @@ class PsdEigen(HermitianEigen):
         return hermitian_part(self.apply(self.on_support.astype(float)))
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Eigenvalues of a density matrix in both sort orders."""
-
-    ascending: np.ndarray
-    descending: np.ndarray
-
-
-def _fix_phases(q: np.ndarray) -> np.ndarray:
-    # Rephase each column so its first non-negligible component is real
-    # and positive. This pins the eigenvector matrix for a fixed input.
-    big = np.abs(q) > 1e-12
-    first = np.argmax(big, axis=0)
-    cols = np.arange(q.shape[1])
-    pivot = q[first, cols]
-    found = big[first, cols]
-    scale = np.where(found, pivot.conj() / np.where(found, np.abs(pivot), 1.0), 1.0)
-    return q * scale
-
-
 def _eigh(m) -> HermitianEigen:
     # Eigendecomposition with the phases LAPACK returns, which is enough
     # for any function of the matrix.
@@ -208,17 +190,6 @@ def _eigh_symmetrized(h: np.ndarray) -> HermitianEigen:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return HermitianEigen(eigenvalues=w, eigenvectors=q)
-
-
-def eig_hermitian(m) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues are returned in ascending order. Eigenvector phases are
-    fixed deterministically so repeated calls on the same input agree
-    bitwise.
-    """
-    e = _eigh(m)
-    return HermitianEigen(eigenvalues=e.eigenvalues, eigenvectors=_fix_phases(e.eigenvectors))
 
 
 def as_psd(e: HermitianEigen, what: str) -> PsdEigen:
@@ -270,17 +241,6 @@ def mat_power(m, t: float) -> np.ndarray:
     is the pseudo-inverse square root.
     """
     return psd_eig(m, "power").power(t)
-
-
-def mat_cpower(m, t: float) -> np.ndarray:
-    """m**(it) for PSD m: unitary on the support, zero on the kernel."""
-    return psd_eig(m, "cpower").cpower(t)
-
-
-def mat_abs(m) -> np.ndarray:
-    """Operator absolute value |m| of a Hermitian matrix."""
-    e = _eigh(m)
-    return hermitian_part(e.apply(np.abs(e.eigenvalues)))
 
 
 def support_projector(m) -> np.ndarray:

@@ -67,8 +67,8 @@ def ruskai_residual(state: TripartiteState) -> float:
     return state.analysis.ruskai
 
 
-def modular_residual(state: TripartiteState, times=DEFAULT_MODULAR_TIMES) -> float:
-    """Largest deviation of the modular commutation identity over `times`.
+def modular_residual(state: TripartiteState) -> float:
+    """Largest deviation of the modular commutation identity over DEFAULT_MODULAR_TIMES.
 
     Compares rho_ABC^(it) rho_BC^(-it) with rho_AB^(it) rho_B^(-it) in the
     Frobenius norm; all zero exactly on Markov states. Requires a
@@ -83,7 +83,7 @@ def modular_residual(state: TripartiteState, times=DEFAULT_MODULAR_TIMES) -> flo
     psd_ab, psd_bc, psd_b = a.marginal_psd
     dims = state.dims
     worst = 0.0
-    for t in times:
+    for t in DEFAULT_MODULAR_TIMES:
         lhs = a.rho_psd.cpower(t) @ embed(psd_bc.cpower(-t), "BC", dims)
         rhs = embed(psd_ab.cpower(t), "AB", dims) @ embed(psd_b.cpower(-t), "B", dims)
         worst = max(worst, hs_norm(lhs - rhs))

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError, QcmiError, ValidationError
+from .errors import ConfigError, ParseError, QcmiError, ValidationError
 from .states import (
     DensityMatrix,
     MarkovBlock,
@@ -77,8 +77,11 @@ def to_json(value) -> str:
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_json(path: str | os.PathLike, value) -> None:

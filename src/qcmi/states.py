@@ -39,6 +39,8 @@ SUBSYSTEMS = "ABC"
 
 TRACE_ATOL = 1e-10
 EIG_FLOOR = -1e-10
+# Weight of the maximally mixed state that regularize mixes in.
+REGULARIZE_EPS = 1e-9
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -161,13 +163,13 @@ def tripartite(m, dims) -> TripartiteState:
     return TripartiteState(rho=validate_density(m), dims=tuple(dims))
 
 
-def regularize(state: TripartiteState, eps: float = 1e-9) -> TripartiteState:
+def regularize(state: TripartiteState) -> TripartiteState:
     """Mix with the maximally mixed state: (1 - eps) rho + eps I / dim.
 
-    Never applied implicitly; callers opt in when they need a full-rank
-    stand-in for a singular state.
+    eps is REGULARIZE_EPS. Never applied implicitly; callers opt in when
+    they need a full-rank stand-in for a singular state.
     """
-    d = state.dim
+    d, eps = state.dim, REGULARIZE_EPS
     mixed = (1.0 - eps) * state.mat + eps * np.eye(d) / d
     return tripartite(mixed, state.dims)
 
@@ -185,11 +187,6 @@ def _normalize_keep(keep) -> str:
 def marginal_dims(dims, keep) -> tuple[int, ...]:
     keep = _normalize_keep(keep)
     return tuple(dims[SUBSYSTEMS.index(s)] for s in keep)
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product in the package's row-major index convention."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def _traced_out(mat: np.ndarray, dims, keep: str) -> np.ndarray:

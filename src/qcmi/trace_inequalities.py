@@ -14,11 +14,8 @@ from .linalg import (
     _first,
     _scalar,
     dagger,
-    hs_norm,
     mat_exp,
-    mat_log,
     mat_power,
-    mat_sqrt,
     psd_eig,
     require_hermitian,
     trace_norm,
@@ -56,11 +53,6 @@ def gt_gap(a, b) -> float:
     lhs = float(np.trace(mat_exp(aa) @ mat_exp(bb)).real)
     rhs = float(np.trace(mat_exp(aa + bb)).real)
     return lhs - rhs
-
-
-def lieb_triple_lhs(r, s, t) -> float:
-    """Tr exp(log r - log s + log t) with support-restricted logs."""
-    return float(np.trace(mat_exp(mat_log(r) - mat_log(s) + mat_log(t))).real)
 
 
 def lieb_triple_rhs(r, s, t) -> float:
@@ -118,17 +110,3 @@ def audenaert_gap(m, n, t: float) -> float:
     _same_dim(mm, nn)
     overlap = 0.5 * float((np.trace(mm) + np.trace(nn)).real - trace_norm(mm - nn))
     return term - overlap
-
-
-def powers_stormer_sandwich(m, n) -> tuple[float, float, float]:
-    """Return (||m - n||_1^2 / 4, ||sqrt(m) - sqrt(n)||_2^2, ||m - n||_1).
-
-    For unit-trace PSD operands the three values are ascending, which is
-    the two-sided Powers-Stormer estimate.
-    """
-    mm = require_hermitian(m)
-    nn = require_hermitian(n)
-    _same_dim(mm, nn)
-    d1 = trace_norm(mm - nn)
-    mid = hs_norm(mat_sqrt(mm) - mat_sqrt(nn)) ** 2
-    return (0.25 * d1 * d1, mid, d1)

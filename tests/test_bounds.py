@@ -10,7 +10,6 @@ from qcmi.bounds import (
     fidelity_lower_bound,
     log_overlap_bound,
     sigma_star,
-    trace_exp_check,
 )
 from qcmi.channels import depolarizing_channel, identity_channel, random_channel
 from qcmi.errors import SingularMatrixError
@@ -66,17 +65,17 @@ class TestSigmaStar:
 
 class TestTraceExp:
     def test_product_state(self):
-        assert trace_exp_check(product_state(substream(41, 0))) == pytest.approx(1.0, abs=1e-10)
+        assert bound_report(product_state(substream(41, 0))).sigma_star_trace == pytest.approx(1.0, abs=1e-10)
 
     def test_parity_state(self):
-        assert trace_exp_check(parity_state()) == pytest.approx(1.0, abs=1e-10)
+        assert bound_report(parity_state()).sigma_star_trace == pytest.approx(1.0, abs=1e-10)
 
     def test_at_most_one_and_below_lieb_rhs(self):
         rng = substream(41, 1)
         dims = (2, 2, 2)
         for _ in range(50):
             st = random_tripartite(dims, rng)
-            value = trace_exp_check(st)
+            value = bound_report(st).sigma_star_trace
             assert 0.0 < value <= 1.0 + 1e-9
             r = embed(partial_trace(st, "AB").mat, "AB", dims)
             s = embed(partial_trace(st, "B").mat, "B", dims)

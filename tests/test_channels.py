@@ -69,12 +69,8 @@ class TestStandardChannels:
 
     def test_partial_trace_channel_matches_partial_trace(self):
         st = random_tripartite((2, 3, 2), substream(31, 2))
-        phi = partial_trace_channel((2, 3, 2), traced="A")
+        phi = partial_trace_channel((2, 3, 2))
         np.testing.assert_allclose(phi.apply(st.mat), partial_trace(st, "BC").mat, atol=1e-12)
-
-    def test_partial_trace_channel_only_supports_a(self):
-        with pytest.raises(ValueError):
-            partial_trace_channel((2, 2, 2), traced="B")
 
 
 class TestRandomChannel:
@@ -120,7 +116,7 @@ class TestPetzDual:
         rho_ab = partial_trace(st, "AB").mat
         rho_c = partial_trace(st, "C").mat
         sigma = validate_density(np.kron(rho_ab, rho_c))
-        phi = partial_trace_channel((2, 2, 2), traced="A")
+        phi = partial_trace_channel((2, 2, 2))
         recovered = petz_dual(phi, sigma).apply(phi.apply(st.mat))
         np.testing.assert_allclose(recovered, recover_via_ab(st).mat, atol=1e-8)
 

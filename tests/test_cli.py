@@ -264,6 +264,15 @@ class TestClassifyCommand:
         assert main(["classify", str(path), "--tol", "10"]) == 0
         assert "label: D1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_tol_that_is_not_positive_exits_one(self, tol, shown, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        write_state(parity_state(), path)
+        assert main(["classify", str(path), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tol must be positive, got {shown}\n"
+        assert captured.out == ""
+
 
 class TestChannelGapCommand:
     def test_prints_summary(self, capsys):
@@ -325,6 +334,28 @@ class TestErrorPaths:
         assert main(argv + ["--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["scan", "markov"])
+    def test_unwritable_out_exits_one(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.out"
+        if command == "scan":
+            argv = ["scan", "--dims", "2,2,2", "--samples", "1"]
+        else:
+            rng = substream(51, 1)
+            block = MarkovBlock(
+                weight=1.0,
+                d_left=1,
+                d_right=1,
+                rho_al=random_density(2, rng),
+                rho_rc=random_density(2, rng),
+            )
+            spec = tmp_path / "spec.json"
+            write_markov_spec(MarkovSpec(d_a=2, d_c=2, blocks=(block,)), spec)
+            argv = ["markov", "--spec", str(spec)]
+        assert main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
 
     def test_violation_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):
         def boom(cfg):

@@ -7,14 +7,11 @@ from qcmi.entropy import (
     classical_rel_entropy,
     cmi,
     fidelity,
-    pinsker_slack,
     rel_entropy,
-    sorted_spectra,
     vn_entropy,
 )
 from qcmi.errors import DimensionMismatchError, NotDistributionError
 from qcmi.linalg import trace_norm
-from qcmi.recovery import recover_via_ab
 from qcmi.sampling import random_classical, random_density, random_tripartite, substream
 from qcmi.states import ClassicalJoint, classical_state, tripartite, validate_density
 from oracles import classical_cmi
@@ -151,37 +148,3 @@ class TestFidelity:
             a = random_density(3, rng)
             b = random_density(3, rng)
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
-
-
-class TestPinskerSlack:
-    def test_equal_states(self):
-        rho = random_density(2, substream(23, 0))
-        assert pinsker_slack(rho, rho) == pytest.approx(0.0, abs=1e-10)
-
-    def test_parity_state_vs_its_recovery(self):
-        st = parity_state()
-        recovered = recover_via_ab(st)
-        got = pinsker_slack(st.rho, recovered)
-        assert got == pytest.approx(math.log(2) - 0.5, abs=1e-9)
-
-    def test_nonnegative_on_random_pairs(self):
-        rng = substream(23, 1)
-        for _ in range(30):
-            a = random_density(3, rng)
-            b = random_density(3, rng)
-            assert pinsker_slack(a, b) >= -1e-9
-
-
-class TestSortedSpectra:
-    def test_maximally_mixed(self):
-        s = sorted_spectra(validate_density(np.eye(3) / 3))
-        np.testing.assert_allclose(s.ascending, np.full(3, 1 / 3))
-        np.testing.assert_allclose(s.descending, np.full(3, 1 / 3))
-
-    def test_diagonal(self):
-        s = sorted_spectra(validate_density(np.diag([0.25, 0.75])))
-        np.testing.assert_allclose(s.descending, [0.75, 0.25])
-
-    def test_descending_reverses_ascending(self):
-        s = sorted_spectra(random_density(4, substream(24, 0)))
-        np.testing.assert_array_equal(s.descending, s.ascending[::-1])

@@ -578,6 +578,35 @@ class TestChannelGapScan:
             channel_gap_scan(dim=2, kraus=1, samples=1, seed=-1)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ScanConfig(dims=(2, 2, 2), samples=2.7), "samples must be an integer, got 2.7"),
+        (lambda: ScanConfig(dims=(2, 2, 2), samples=0), "samples must be >= 1, got 0"),
+        (lambda: ScanConfig(dims=(2.9, 2, 2), samples=1), "dims entry must be an integer, got 2.9"),
+        (lambda: ScanConfig(dims=(2, 0, 2), samples=1), "dims entry must be >= 1, got 0"),
+        (lambda: channel_gap_scan(dim=2, kraus=2, samples=1.5), "samples must be an integer, got 1.5"),
+        (lambda: channel_gap_scan(dim=2, kraus=2.5, samples=1), "kraus must be an integer, got 2.5"),
+        (lambda: channel_gap_scan(dim=2, kraus=0, samples=1), "kraus must be >= 1, got 0"),
+        (lambda: channel_gap_scan(dim=2.0, kraus=1, samples=1), "dim must be an integer, got 2.0"),
+        (lambda: channel_gap_scan(dim=0, kraus=1, samples=1), "dim must be >= 1, got 0"),
+        (
+            lambda: run_conjecture(
+                ScanConfig(dims=(2, 2, 2), samples=1), "rotated-quarter", unitary_samples=2.5
+            ),
+            "unitary_samples must be an integer, got 2.5",
+        ),
+    ],
+)
+def test_every_count_is_an_integer_at_least_its_minimum(call, message, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(harness, "substream", no_draw)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestStackedConjecture:
     """Conjecture runs analyse samples in stacks, with the results of one by one."""
 

@@ -7,10 +7,7 @@ from qcmi.linalg import (
     _eigh,
     as_psd,
     commutator,
-    eig_hermitian,
     hs_norm,
-    mat_abs,
-    mat_cpower,
     mat_exp,
     mat_log,
     mat_power,
@@ -33,19 +30,19 @@ def random_hermitian(dim, rng):
     return (g + g.conj().T) / 2.0
 
 
-class TestEigHermitian:
+class TestEigh:
     def test_identity(self):
-        e = eig_hermitian(np.eye(2))
+        e = _eigh(np.eye(2))
         np.testing.assert_allclose(e.eigenvalues, [1.0, 1.0])
 
     def test_diagonal_sorted_ascending(self):
-        e = eig_hermitian(np.diag([3.0, 1.0]))
+        e = _eigh(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(e.eigenvalues, [1.0, 3.0])
         # eigenvectors are the permuted standard basis
         np.testing.assert_allclose(np.abs(e.eigenvectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
 
     def test_pauli_x_against_closed_form(self):
-        e = eig_hermitian(PAULI_X)
+        e = _eigh(PAULI_X)
         np.testing.assert_allclose(e.eigenvalues, eig2x2(PAULI_X), atol=1e-14)
 
     def test_reconstruction_and_unitarity_residuals(self):
@@ -54,7 +51,7 @@ class TestEigHermitian:
         for i in range(500):
             dim = 2 + i % 5
             m = random_hermitian(dim, rng)
-            e = eig_hermitian(m)
+            e = _eigh(m)
             q = e.eigenvectors
             rebuilt = (q * e.eigenvalues) @ q.conj().T
             scale = max(1.0, hs_norm(m))
@@ -62,16 +59,9 @@ class TestEigHermitian:
             assert hs_norm(q.conj().T @ q - np.eye(dim)) <= 1e-10
             assert np.all(np.diff(e.eigenvalues) >= 0)
 
-    def test_deterministic_for_fixed_input(self):
-        m = random_hermitian(4, np.random.default_rng(7))
-        e1 = eig_hermitian(m)
-        e2 = eig_hermitian(m.copy())
-        np.testing.assert_array_equal(e1.eigenvalues, e2.eigenvalues)
-        np.testing.assert_array_equal(e1.eigenvectors, e2.eigenvectors)
-
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
-            eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            _eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestMatrixFunctions:
@@ -108,21 +98,18 @@ class TestMatrixFunctions:
 
     def test_cpower_unitary_on_support(self):
         rho = np.diag([0.5, 0.25, 0.25])
-        u = mat_cpower(rho, 1.0)
+        u = psd_eig(rho, "cpower").cpower(1.0)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
         expected = np.diag(np.exp(1j * np.log(np.array([0.5, 0.25, 0.25]))))
         np.testing.assert_allclose(u, expected, atol=1e-12)
 
     def test_cpower_zero_on_kernel(self):
-        u = mat_cpower(np.diag([1.0, 0.0]), 0.7)
+        u = psd_eig(np.diag([1.0, 0.0]), "cpower").cpower(0.7)
         np.testing.assert_allclose(u, np.diag([1.0, 0.0]), atol=1e-14)
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(NotPSDError):
             mat_sqrt(np.diag([1.0, -0.5]))
-
-    def test_abs(self):
-        np.testing.assert_allclose(mat_abs(np.diag([0.5, -0.5])), np.diag([0.5, 0.5]), atol=1e-14)
 
 
 class TestNorms:

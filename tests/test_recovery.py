@@ -128,10 +128,6 @@ class TestResiduals:
         st = random_tripartite((2, 2, 2), substream(52, 2))
         assert ruskai_residual(st) > 1e-3
 
-    def test_modular_zero_at_t_zero(self):
-        st = random_tripartite((2, 2, 2), substream(52, 3))
-        assert modular_residual(st, times=(0.0,)) == pytest.approx(0.0, abs=1e-12)
-
     def test_modular_zero_on_markov(self):
         st = random_markov_state((2, 2, 2), substream(52, 4))
         assert modular_residual(st) <= 1e-7

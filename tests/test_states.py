@@ -22,7 +22,6 @@ from qcmi.states import (
     markov_state,
     partial_trace,
     regularize,
-    tensor,
     tripartite,
     validate_density,
 )
@@ -86,23 +85,6 @@ class TestStackHelpers:
             validate_density(np.stack([np.eye(2) / 2] * 2))
 
 
-class TestTensor:
-    def test_identity_product(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(3)), np.eye(6), atol=1e-15)
-
-    def test_diagonal_product(self):
-        got = tensor(np.diag([1.0, 0.0]), np.diag([1.0, 0.0]))
-        np.testing.assert_allclose(got, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-15)
-
-    def test_mixed_product_rule(self):
-        rng = np.random.default_rng(1)
-        a, b = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
-        c, d = rng.standard_normal((2, 2)), rng.standard_normal((3, 3))
-        np.testing.assert_allclose(
-            tensor(a, b) @ tensor(c, d), tensor(a @ c, b @ d), atol=1e-12
-        )
-
-
 class TestPartialTrace:
     def test_product_state_marginal(self):
         st, parts = product_state(substream(10, 0))
@@ -137,7 +119,7 @@ class TestPartialTrace:
     def test_composition(self):
         st = random_tripartite((2, 3, 2), substream(12, 0))
         via_two_steps = partial_trace(
-            tripartite(tensor(np.eye(1), partial_trace(st, "BC").mat), (1, 3, 2)), "B"
+            tripartite(np.kron(np.eye(1), partial_trace(st, "BC").mat), (1, 3, 2)), "B"
         )
         direct = partial_trace(st, "B")
         np.testing.assert_allclose(via_two_steps.mat, direct.mat, atol=1e-12)

@@ -1,15 +1,22 @@
-"""The package has one JSON encoder and one number formatter: stateio's.
+"""Structural guards on the package's source.
 
+The package has one JSON encoder and one number formatter: stateio's.
 Every other module hands values to stateio.to_json / to_text. A module
 that formats with fmt17 itself, calls json.dump(s), or writes JSON
 object text such as '{"key":' by hand would be a second encoder, whose
 output could drift from the first.
+
+qcmi.__all__ names exactly the public names the package imports, so
+neither list can drift from the other.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import qcmi
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcmi"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "stateio.py")
@@ -53,3 +60,13 @@ def test_the_guard_catches_encoding_by_hand(tmp_path):
         encoding="utf-8",
     )
     assert len(_encoding_by_hand(path)) == 4
+
+
+def test_all_names_exactly_the_public_names_the_package_binds():
+    bound = {
+        name
+        for name, value in vars(qcmi).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(qcmi.__all__) == sorted(set(qcmi.__all__))
+    assert set(qcmi.__all__) == bound
