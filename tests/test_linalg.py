@@ -59,6 +59,13 @@ class TestEigh:
             assert hs_norm(q.conj().T @ q - np.eye(dim)) <= 1e-10
             assert np.all(np.diff(e.eigenvalues) >= 0)
 
+    def test_deterministic_for_fixed_input(self):
+        m = random_hermitian(4, np.random.default_rng(7))
+        e1 = _eigh(m)
+        e2 = _eigh(m.copy())
+        np.testing.assert_array_equal(e1.eigenvalues, e2.eigenvalues)
+        np.testing.assert_array_equal(e1.eigenvectors, e2.eigenvectors)
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             _eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))

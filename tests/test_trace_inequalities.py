@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from qcmi.bounds import bound_report
 from qcmi.errors import NotHermitianError, NotPSDError, SingularMatrixError
+from qcmi.inequalities import INEQUALITIES
+from qcmi.sampling import random_markov_state, random_tripartite, substream
+from qcmi.states import tripartite
 from qcmi.trace_inequalities import (
     audenaert_gap,
     gt_gap,
@@ -170,3 +175,55 @@ class TestAudenaert:
     def test_rejects_non_psd(self):
         with pytest.raises(NotPSDError):
             audenaert_gap(np.diag([1.0, -1.0]), np.eye(2), 0.5)
+
+
+def powers_stormer_slacks(state):
+    # (upper, lower) slacks of the Powers-Stormer rows, which sandwich
+    # thm1 = ||sqrt(rho) - sqrt(sigma*)||_2^2 between ||rho - sigma*||_1^2 / 4
+    # and ||rho - sigma*||_1.
+    chain = bound_report(state)
+    return tuple(
+        INEQUALITIES[f"powers-stormer-{side}"].slack(state, chain) for side in ("upper", "lower")
+    )
+
+
+class TestPowersStormer:
+    def test_equal_arguments(self):
+        # On a full-rank Markov state sigma* = rho, so both sides are tight at 0.
+        st = random_markov_state((2, 2, 2), substream(13, 0))
+        np.testing.assert_allclose(powers_stormer_slacks(st), (0.0, 0.0), atol=1e-10)
+
+    def test_ghz_against_its_dephasing(self):
+        # For GHZ, sigma* = (|000><000| + |111><111|) / 2: ||rho - sigma*||_1 = 1
+        # and Tr[sqrt(rho) sqrt(sigma*)] = 1 / sqrt(2), so thm1 = 2 - sqrt(2).
+        psi = np.zeros(8)
+        psi[[0, 7]] = 1.0 / math.sqrt(2.0)
+        st = tripartite(np.outer(psi, psi), (2, 2, 2))
+        upper, lower = powers_stormer_slacks(st)
+        assert upper == pytest.approx(math.sqrt(2.0) - 1.0, abs=1e-9)
+        assert lower == pytest.approx(1.75 - math.sqrt(2.0), abs=1e-9)
+
+    def test_sandwich_on_random_states(self):
+        for i in range(60):
+            dims = ((2, 2, 2), (2, 3, 2), (3, 2, 2))[i % 3]
+            st = random_tripartite(dims, substream(20240606, i))
+            upper, lower = powers_stormer_slacks(st)
+            assert upper >= -1e-9
+            assert lower >= -1e-9
+            # Against sigma*, thm1 and the trace distance built with scipy.
+            a, b, c = dims
+            rho = st.mat
+            r = rho.reshape(a, b, c, a, b, c)
+            rho_ab = np.einsum("ijkmnk->ijmn", r).reshape(a * b, a * b)
+            rho_bc = np.einsum("ijkilm->jklm", r).reshape(b * c, b * c)
+            rho_b = np.einsum("ijkilk->jl", r)
+            log_sum = (
+                np.kron(scipy.linalg.logm(rho_ab), np.eye(c))
+                - np.kron(np.kron(np.eye(a), scipy.linalg.logm(rho_b)), np.eye(c))
+                + np.kron(np.eye(a), scipy.linalg.logm(rho_bc))
+            )
+            sigma = scipy.linalg.expm((log_sum + log_sum.conj().T) / 2)
+            d1 = np.abs(np.linalg.eigvalsh(rho - sigma)).sum()
+            thm1 = np.linalg.norm(scipy.linalg.sqrtm(rho) - scipy.linalg.sqrtm(sigma)) ** 2
+            assert upper == pytest.approx(d1 - thm1, abs=1e-8)
+            assert lower == pytest.approx(thm1 - d1 * d1 / 4, abs=1e-8)
