@@ -65,7 +65,6 @@ from .states import (
     _validated,
     embed,
 )
-from .trace_inequalities import lieb_triple_rhs_in_eigenbasis
 
 MARGINALS = ("AB", "BC", "B")
 
@@ -312,36 +311,6 @@ class StackAnalysis:
         """||log rho - h||_2 with support-restricted logs."""
         return hs_norm(self.rho_psd.log() - self.exponent)
 
-    def lieb_rhs_of(self, rows: np.ndarray) -> np.ndarray:
-        """lieb_triple_rhs(rho_AB (x) I, I (x) rho_B (x) I, I (x) rho_BC) for
-        the states `rows` (an index or mask array) of the stack.
-
-        The middle operand has eigenvectors I (x) Q_B (x) I, where Q_B
-        diagonalizes rho_B, and eigenvalue w_b on every (a, b, c). In that
-        basis the sums over a and c factor out, so the value is the one of
-        the B operands Q_B^dag (Tr_A rho_AB) Q_B and Q_B^dag (Tr_C rho_BC) Q_B
-        with the eigenvalues w of rho_B: Tr rho_B in exact arithmetic.
-        """
-        (rho_ab, _, _), (rho_bc, _, _), _ = self.marginals
-        _, _, psd_b = self.marginal_psd
-        d_a, d_b, d_c = self.dims
-        q = psd_b.eigenvectors[rows]
-        rr = _traced_out(rho_ab[rows], (d_a, d_b, 1), "B")
-        tt = _traced_out(rho_bc[rows], (1, d_b, d_c), "B")
-        return lieb_triple_rhs_in_eigenbasis(
-            dagger(q) @ rr @ q, dagger(q) @ tt @ q, psd_b.eigenvalues[rows], psd_b.cutoff[rows]
-        )
-
-    @cached_property
-    def lieb_rhs(self) -> np.ndarray:
-        """lieb_rhs_of every state, NaN where rho_B is singular."""
-        _, _, psd_b = self.marginal_psd
-        regular = psd_b.rank == self.dims[1]
-        out = np.full(len(self), np.nan)
-        if np.any(regular):
-            out[regular] = self.lieb_rhs_of(regular)
-        return out
-
 
 def analyse_together(states: Sequence[TripartiteState]) -> None:
     """Give same-dims states one StackAnalysis, each its row as .analysis."""
@@ -426,17 +395,6 @@ class StateAnalysis:
     gap_mprime = _row("gap_mprime", float, doc="||rho - M^dag M||_1.")
     commutator_norm = _row("commutator_norm", float, doc="||[M, M^dag]||_1.")
     ruskai = _row("ruskai", float, doc="||log rho - h||_2 with support-restricted logs.")
-
-    @cached_property
-    def lieb_rhs(self) -> float:
-        """lieb_triple_rhs(rho_AB (x) I, I (x) rho_B (x) I, I (x) rho_BC).
-
-        Raises SingularMatrixError when rho_B is singular.
-        """
-        value = float(self.stack.lieb_rhs[self.index])
-        if np.isnan(value):
-            self.stack.lieb_rhs_of(np.array([self.index]))  # raises
-        return value
 
 
 def _density(m) -> tuple[DensityMatrix, HermitianEigen]:

@@ -22,7 +22,7 @@ from .harness import (
     run_conjecture,
     scan,
 )
-from .inequalities import proven_checks
+from .inequalities import DEFAULT_TOL, proven_checks
 from .recovery import classify, modular_residual, ruskai_residual, zhang_gaps
 from .states import markov_state, regularize
 from .stateio import read_markov_spec, read_state, to_json, to_text, write_state
@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("info", help="bounds, classification, and residuals of one state")
     p_info.add_argument("state", help="state JSON file")
-    p_info.add_argument("--tol", type=float, default=1e-8, help="classification tolerance")
+    p_info.add_argument("--tol", type=float, default=DEFAULT_TOL, help="classification tolerance")
     p_info.add_argument("--json", action="store_true", help="print a JSON object")
     p_info.add_argument(
         "--regularize",
@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--samples", type=int, required=True)
     p_scan.add_argument("--seed", type=int, default=0)
     p_scan.add_argument("--corpus", choices=CORPORA, default="hs-random")
-    p_scan.add_argument("--tol", type=float, default=1e-8)
+    p_scan.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_scan.add_argument("--out", required=True, help="report file to write")
     p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_conj.add_argument("--seed", type=int, default=0)
     p_conj.add_argument("--corpus", choices=CORPORA, default="hs-random")
-    p_conj.add_argument("--tol", type=float, default=1e-8)
+    p_conj.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_conj.add_argument("--out", required=True, help="report file to write")
     p_conj.set_defaults(format="json")
 
@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cls = sub.add_parser("classify", help="commutation/reconstruction class of one state")
     p_cls.add_argument("state", help="state JSON file")
-    p_cls.add_argument("--tol", type=float, default=1e-8)
+    p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_cls.add_argument("--json", action="store_true", help="print a JSON object")
 
     p_gap = sub.add_parser("channel-gap", help="check the channel gap bound on random triples")
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--kraus", type=int, required=True, help="Kraus operators per channel")
     p_gap.add_argument("--samples", type=int, required=True)
     p_gap.add_argument("--seed", type=int, default=0)
-    p_gap.add_argument("--tol", type=float, default=1e-8)
+    p_gap.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_gap.add_argument(
         "--out", default="channel-gap", help="base name for violation artifacts"
     )

@@ -20,7 +20,7 @@ from .analysis import ChannelAnalysis, analyse_together
 from .bounds import bound_report
 from .channels import random_channel
 from .errors import ConfigError, InequalityViolationError
-from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
+from .inequalities import CHANNEL, DEFAULT_TOL, INEQUALITIES, TABLE, proven_checks
 from .recovery import classify
 from .sampling import (
     _hs_matrix,
@@ -62,9 +62,14 @@ def _require_int(name: str, value, least: int) -> int:
 
 
 def _require_tol(tol) -> float:
-    """The tolerance as a float; ConfigError unless it is positive."""
+    """The tolerance as a float; ConfigError unless it is a positive,
+    finite real number. With tol = inf no slack could fail."""
+    if not isinstance(tol, numbers.Real):
+        raise ConfigError(f"tol must be a real number, got {tol!r}")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")
+    if math.isinf(tol):
+        raise ConfigError(f"tol must be finite, got {tol}")
     return float(tol)
 
 
@@ -76,7 +81,7 @@ class ScanConfig:
     samples: int
     seed: int = 0
     corpus: str = "hs-random"
-    tol: float = 1e-8
+    tol: float = DEFAULT_TOL
     out: str | None = None
     fmt: str = "csv"
 
@@ -381,7 +386,7 @@ def channel_gap_scan(
     kraus: int,
     samples: int,
     seed: int = 0,
-    tol: float = 1e-8,
+    tol: float = DEFAULT_TOL,
     out: str | None = None,
 ) -> ChannelGapSummary:
     """Check the channel gap bound on random (rho, sigma, channel) triples."""

@@ -35,6 +35,9 @@ from .states import TripartiteState
 ALWAYS = "always"
 NEVER = ()
 
+# The tolerance of every run and of classify unless one is given.
+DEFAULT_TOL = 1e-8
+
 # Applicability rules: every state, full-rank states, states whose
 # log-overlap bound is finite, or channel triples.
 STATE, FULL_RANK, FINITE_LOG_OVERLAP, CHANNEL = (
@@ -109,10 +112,6 @@ def _rotated_quarter(state: TripartiteState, sample: tuple[int, int, int]) -> fl
     return rotated_slacks(state, substream(seed, index, 1), unitary_samples)[1]
 
 
-def _gap(s, c) -> float:
-    return c.thm1_bound - c.corollary_bound
-
-
 _M_GAPS = "max(||rho - M M^dag||_1, ||rho - M^dag M||_1)"
 _X = "X = exp(log sigma + Phi^dag log Phi(rho) - Phi^dag log Phi(sigma))"
 _DPI = "S(rho||sigma) - S(Phi(rho)||Phi(sigma))"
@@ -121,11 +120,13 @@ TABLE = (
     Inequality("ssa-cmi-nonnegative", "cmi >= 0 (strong subadditivity)",
                True, ALWAYS, STATE, lambda s, c: c.cmi),
     Inequality("trace-exp-at-most-one",
-               "Tr sigma* <= 1, sigma* = exp(log rho_AB - log rho_B + log rho_BC)",
+               "Tr sigma* <= 1, sigma* = exp(log rho_AB - log rho_B + log rho_BC) "
+               "(Lieb's three-matrix inequality)",
                True, ALWAYS, STATE, lambda s, c: 1.0 - c.sigma_star_trace),
     Inequality("thm1-below-corollary-gap",
-               "thm1 = ||sqrt(rho) - sqrt(sigma*)||_2^2 >= ||rho - sigma*||_1^2 / 4",
-               True, ALWAYS, STATE, _gap),
+               "thm1 = ||sqrt(rho) - sqrt(sigma*)||_2^2 >= ||rho - sigma*||_1^2 / 4 "
+               "(Powers-Stormer)",
+               True, ALWAYS, STATE, lambda s, c: c.thm1_bound - c.corollary_bound),
     Inequality("log-overlap-below-cmi",
                "cmi >= -2 log Tr[sqrt(rho) sqrt(sigma*)] (slack -inf at zero overlap)",
                True, ALWAYS, STATE, lambda s, c: c.cmi - c.log_overlap_bound),
@@ -133,13 +134,6 @@ TABLE = (
                True, ALWAYS, FINITE_LOG_OVERLAP, lambda s, c: c.log_overlap_bound - c.thm1_bound),
     Inequality("powers-stormer-upper", "||rho - sigma*||_1 >= thm1 (Powers-Stormer)",
                True, ALWAYS, STATE, lambda s, c: s.analysis.trace_distance - c.thm1_bound),
-    Inequality("powers-stormer-lower", "thm1 >= ||rho - sigma*||_1^2 / 4 (Powers-Stormer), "
-               "the same expression as thm1-below-corollary-gap",
-               True, ALWAYS, STATE, _gap),
-    Inequality("lieb-triple-vs-trace-exp",
-               "Tr sigma* <= Lieb's three-matrix value of rho_AB, rho_B, rho_BC, which is "
-               "Tr rho_B = 1: equals trace-exp-at-most-one up to roundoff",
-               True, ALWAYS, FULL_RANK, lambda s, c: s.analysis.lieb_rhs - c.sigma_star_trace),
     Inequality("classical-recovery-pinsker", f"cmi >= {_M_GAPS}^2 / 2 on classical states",
                True, ("classical-random",), STATE, half_recovery_slack),
     Inequality("markov-cmi-zero", "cmi <= 0, so cmi = 0, on Markov states",

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
+from .inequalities import DEFAULT_TOL
 from .linalg import hs_norm
 from .states import DensityMatrix, TripartiteState, embed, validate_density
 
-DEFAULT_CLASSIFY_TOL = 1e-8
 DEFAULT_MODULAR_TIMES = (0.5, 1.0, 2.0)
 
 
@@ -96,7 +96,7 @@ def zhang_gaps(state: TripartiteState) -> tuple[float, float]:
     return a.gap_m, a.gap_mprime
 
 
-def classify(state: TripartiteState, tol: float = DEFAULT_CLASSIFY_TOL) -> ClassificationLabel:
+def classify(state: TripartiteState, tol: float = DEFAULT_TOL) -> ClassificationLabel:
     """Classify by whether M is normal and whether M M^dag reproduces rho."""
     a = state.analysis
     comm_norm = a.commutator_norm

@@ -1,8 +1,13 @@
-"""Scalar trace inequalities used by the bound chain.
+"""Scalar trace inequalities of single matrices.
+
+Peierls-Bogoliubov, Golden-Thompson and Lieb's three-matrix value, from
+which the bound chain is proven, and Audenaert's inequality. The chain's
+own slacks are rows of qcmi.inequalities; these functions check each
+inequality on its own.
 
 Each function returns a gap or bound value rather than a boolean, so the
-harness and the tests can assert nonnegativity at an explicit tolerance
-and record how tight each inequality is.
+tests can assert nonnegativity at an explicit tolerance and record how
+tight each inequality is.
 """
 
 from __future__ import annotations
@@ -10,16 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
-from .linalg import (
-    _first,
-    _scalar,
-    dagger,
-    mat_exp,
-    mat_power,
-    psd_eig,
-    require_hermitian,
-    trace_norm,
-)
+from .linalg import dagger, mat_exp, mat_power, psd_eig, require_hermitian, trace_norm
 
 
 def _same_dim(*mats: np.ndarray) -> None:
@@ -66,33 +62,18 @@ def lieb_triple_rhs(r, s, t) -> float:
     psd_eig(r, "lieb triple r")
     psd_eig(t, "lieb triple t")
     es = psd_eig(s, "lieb triple s")
-    qs = es.eigenvectors
+    ws, qs = es.eigenvalues, es.eigenvectors
+    if ws[0] <= es.cutoff:
+        raise SingularMatrixError(f"middle operand is singular (min eigenvalue {ws[0]:.3e})")
     rr = dagger(qs) @ np.asarray(r, dtype=complex) @ qs
     tt = dagger(qs) @ np.asarray(t, dtype=complex) @ qs
-    return lieb_triple_rhs_in_eigenbasis(rr, tt, es.eigenvalues, es.cutoff)
-
-
-def lieb_triple_rhs_in_eigenbasis(rr, tt, ws, cutoff):
-    """lieb_triple_rhs with r and t given in an eigenbasis of s.
-
-    ws are the eigenvalues of s in the order of that basis (any order)
-    and cutoff is its support cutoff. Callers that already know the
-    eigenbasis of s, such as the embedded I (x) rho_B (x) I, skip the
-    decomposition. Stacks (k, n, n) of rr and tt, with ws of shape (k, n)
-    and k cutoffs, give an array of k values; the first singular s raises.
-    """
-    smin = np.min(ws, axis=-1)
-    singular = smin <= cutoff
-    if np.count_nonzero(singular):
-        found = _first(smin, singular)
-        raise SingularMatrixError(f"middle operand is singular (min eigenvalue {found:.3e})")
-    si = ws[..., :, None]
-    sj = ws[..., None, :]
+    si = ws[:, None]
+    sj = ws[None, :]
     diff = si - sj
     close = np.abs(diff) <= 1e-12 * np.maximum(si, sj)
     safe = np.where(close, 1.0, diff)
     weights = np.where(close, 2.0 / (si + sj), (np.log(si) - np.log(sj)) / safe)
-    return _scalar(np.sum(rr * np.swapaxes(tt, -1, -2) * weights, axis=(-2, -1)).real)
+    return float(np.sum(rr * tt.T * weights).real)
 
 
 def audenaert_gap(m, n, t: float) -> float:

@@ -7,7 +7,7 @@ oracles are the per-matrix compositions the conjecture runs used before
 their spectral data was shared, built from the package's linalg
 primitives, so that the shared analysis can be held bitwise to them. The
 marginal-operator oracles are the full-dimension forms of the Markov
-assembly, M and the Lieb value.
+assembly and M.
 """
 
 import math
@@ -31,7 +31,6 @@ from qcmi.linalg import (
     trace_norm,
 )
 from qcmi.states import embed, validate_density
-from qcmi.trace_inequalities import lieb_triple_rhs_in_eigenbasis
 
 
 def eig2x2(m):
@@ -222,20 +221,3 @@ def m_three_embeds(analysis):
     middle = embed(psd_b.power(-0.5), "B", dims)
     right = embed(psd_bc.sqrt(), "BC", dims)
     return left @ middle @ right
-
-
-def lieb_rhs_full_dimension(analysis):
-    """lieb_triple_rhs(rho_AB (x) I, I (x) rho_B (x) I, I (x) rho_BC) in the
-    eigenbasis I (x) Q_B (x) I, with both outer operands embedded at full
-    dimension and the eigenvalues of rho_B repeated over a and c, for one
-    StateAnalysis."""
-    rho_ab, rho_bc, _ = (m.mat for m in analysis.marginals)
-    _, _, psd_b = analysis.marginal_psd
-    d_a, d_b, d_c = dims = analysis.stack.dims
-    q = psd_b.eigenvectors
-    u_ab = embed(q, "B", (d_a, d_b, 1))
-    u_bc = embed(q, "B", (1, d_b, d_c))
-    rr = embed(dagger(u_ab) @ rho_ab @ u_ab, "AB", dims)
-    tt = embed(dagger(u_bc) @ rho_bc @ u_bc, "BC", dims)
-    ws = np.broadcast_to(psd_b.eigenvalues[None, :, None], dims).reshape(-1)
-    return lieb_triple_rhs_in_eigenbasis(rr, tt, ws, psd_b.cutoff)

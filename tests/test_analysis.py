@@ -1,5 +1,5 @@
 """The shared per-state spectral analysis: reuse, decomposition counts and
-the numerical contracts of sqrt(sigma*) and the Lieb triple."""
+the numerical contracts of sqrt(sigma*) and M."""
 
 import weakref
 
@@ -15,17 +15,8 @@ from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evalua
 from qcmi.linalg import dagger, hermitian_part, hs_norm, mat_sqrt, support_cutoff
 from qcmi.recovery import m_operator
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
-from qcmi.states import (
-    ClassicalJoint,
-    TripartiteState,
-    classical_state,
-    embed,
-    partial_trace,
-    tripartite,
-    validate_density,
-)
-from qcmi.trace_inequalities import lieb_triple_rhs
-from oracles import lieb_rhs_full_dimension, m_three_embeds
+from qcmi.states import TripartiteState, partial_trace, validate_density
+from oracles import m_three_embeds
 from test_golden import cases as golden_cases
 from test_golden import record, restricted_states, sub_cutoff_classical
 
@@ -116,18 +107,6 @@ def test_sub_cutoff_eigenvalue_is_dropped():
     assert a.sqrt_sigma_star[0, 0] == 0.0
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 3), (3, 1, 2), (2, 3, 2)])
-def test_lieb_rhs_in_rho_b_eigenbasis_matches_direct_form(dims):
-    st = random_tripartite(dims, substream(34, sum(dims)))
-    rho_ab, rho_bc, rho_b = st.analysis.marginals
-    direct = lieb_triple_rhs(
-        embed(rho_ab.mat, "AB", dims), embed(rho_b.mat, "B", dims), embed(rho_bc.mat, "BC", dims)
-    )
-    assert st.analysis.lieb_rhs == pytest.approx(direct, abs=1e-12)
-    # The integral's trace collapses to Tr rho_B.
-    assert st.analysis.lieb_rhs == pytest.approx(1.0, abs=1e-12)
-
-
 def test_state_and_analysis_form_no_reference_cycle():
     # A cycle would keep each analysed state's operators alive until the
     # cyclic collector runs; scans would then grow in memory.
@@ -178,14 +157,6 @@ def test_mixed_stack_matches_states_analysed_alone(states):
             want = getattr(alone.analysis, name)
             np.testing.assert_array_equal(getattr(together.analysis, name), want)
         assert together.analysis.support_restricted == alone.analysis.support_restricted
-        assert _lieb_rhs_or_error(together) == _lieb_rhs_or_error(alone)
-
-
-def _lieb_rhs_or_error(state, form=lambda a: a.lieb_rhs):
-    try:
-        return form(state.analysis)
-    except SingularMatrixError as exc:  # rho_B is singular
-        return str(exc)
 
 
 # Dims of the drift set: every corpus, 11 consecutive samples of seed 5.
@@ -261,42 +232,6 @@ def test_m_matches_the_three_embed_form():
         assert np.max(np.abs(m - want)) <= 1e-14 * max(1.0, hs_norm(want)), st.dims
 
 
-def test_lieb_rhs_matches_the_full_dimension_form():
-    singular = 0
-    for st in _oracle_states():
-        got = _lieb_rhs_or_error(st)
-        want = _lieb_rhs_or_error(st, lieb_rhs_full_dimension)
-        if isinstance(want, str):
-            singular += 1
-            assert got == want
-        else:
-            assert got == pytest.approx(want, abs=1e-12), st.dims
-    assert singular  # the singular-AB classical golden state has a singular rho_B
-
-
-def _singular_rho_b_states():
-    # rho_B with an exact zero eigenvalue (classical, p_B(1) = 0) and with a
-    # roundoff-level one (a pure state on B in a random basis).
-    p = np.zeros((2, 3, 2))
-    p[:, 0, :] = [[0.1, 0.2], [0.3, 0.1]]
-    p[:, 2, :] = [[0.05, 0.05], [0.1, 0.1]]
-    rng = substream(39, 0)
-    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    psi /= np.linalg.norm(psi)
-    rho_a, rho_c = random_density(2, rng).mat, random_density(2, rng).mat
-    product = np.kron(np.kron(rho_a, np.outer(psi, psi.conj())), rho_c)
-    return [classical_state(ClassicalJoint(p)), tripartite(product, (2, 3, 2))]
-
-
-@pytest.mark.parametrize("state", _singular_rho_b_states(), ids=["classical", "pure-b"])
-def test_singular_rho_b_raises_as_the_full_dimension_form(state):
-    assert state.analysis.marginals[2].support_rank < 3
-    with pytest.raises(SingularMatrixError) as exc:
-        state.analysis.lieb_rhs
-    assert str(exc.value).startswith("middle operand is singular (min eigenvalue ")
-    assert str(exc.value) == _lieb_rhs_or_error(state, lieb_rhs_full_dimension)
-
-
 @pytest.fixture
 def full_dim_embeds(monkeypatch):
     """Record the full-dimension embed calls of the analysis module."""
@@ -319,10 +254,9 @@ def test_a_scan_stack_embeds_only_the_logs_of_h(corpus, full_dim_embeds):
     assert sorted(full_dim_embeds) == ["AB", "B", "BC"]
 
 
-def test_m_and_the_lieb_value_embed_nothing(full_dim_embeds):
+def test_m_embeds_nothing(full_dim_embeds):
     st = random_tripartite((2, 3, 2), substream(40, 0))
     st.analysis.embedded_logs
     full_dim_embeds.clear()
     st.analysis.m
-    st.analysis.lieb_rhs
     assert full_dim_embeds == []

@@ -96,13 +96,22 @@ class TestInfo:
         assert "'log-overlap-below-cmi'" in err
         assert "ssa-cmi-nonnegative" not in err
 
-    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1", "-1.0"), ("0", "0.0")])
-    def test_tol_that_is_not_positive_exits_one(self, tol, shown, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "tol,error",
+        [
+            ("nan", "tol must be positive, got nan"),
+            ("-1", "tol must be positive, got -1.0"),
+            ("0", "tol must be positive, got 0.0"),
+            ("inf", "tol must be finite, got inf"),
+            ("x", "argument --tol: invalid float value: 'x'"),
+        ],
+    )
+    def test_tol_that_is_not_positive_exits_one(self, tol, error, tmp_path, capsys):
         path = tmp_path / "p.json"
         write_state(parity_state(), path)
         assert main(["info", str(path), "--tol", tol]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: tol must be positive, got {shown}\n"
+        assert captured.err == f"error: {error}\n"
         assert captured.out == ""
 
     def test_missing_file_exits_one(self, capsys):

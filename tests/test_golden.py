@@ -47,6 +47,14 @@ SAMPLES = 4  # one full cycle of the near-markov mixing weights
 CORPUS_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3))
 NONTRIVIAL_DIMS = ((2, 2, 2), (2, 3, 2), (3, 2, 3))
 NONTRIVIAL_SAMPLES = 2
+# Checks recorded under a row since deleted as a repeat, and the row that
+# computes the same slack: powers-stormer-lower was the expression of
+# thm1-below-corollary-gap, and Lieb's value in lieb-triple-vs-trace-exp
+# was Tr rho_B = 1.
+RETIRED_CHECKS = {
+    "powers-stormer-lower": "thm1-below-corollary-gap",
+    "lieb-triple-vs-trace-exp": "trace-exp-at-most-one",
+}
 
 
 def _pure(psi, dims):
@@ -167,8 +175,10 @@ def test_matches_golden(tag, state, corpus):
             if not _close(got[section][key], ref):
                 problems.append(f"{section}.{key}: {got[section][key]!r} vs {ref!r}")
     # The recorded checks must all still run, with the same slacks; the
-    # check list may only have grown.
+    # check list may only have grown, apart from the retired rows, whose
+    # slacks their successors carry.
     for name, ref in want["checks"].items():
+        name = RETIRED_CHECKS.get(name, name)
         if name not in got["checks"]:
             problems.append(f"check {name} missing")
         elif not _close(got["checks"][name], ref):

@@ -107,10 +107,21 @@ class TestScanConfig:
             '"format":"json"}'
         )
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, -math.inf])
-    def test_rejects_tol_that_is_not_positive(self, tol):
-        with pytest.raises(ConfigError, match=r"^tol must be positive, got "):
+    @pytest.mark.parametrize(
+        "tol,message",
+        [
+            (math.nan, "tol must be positive, got nan"),
+            (-1.0, "tol must be positive, got -1.0"),
+            (-math.inf, "tol must be positive, got -inf"),
+            # A tolerance of inf would let every slack pass.
+            (math.inf, "tol must be finite, got inf"),
+            ("x", "tol must be a real number, got 'x'"),
+        ],
+    )
+    def test_rejects_tol_that_is_not_positive(self, tol, message):
+        with pytest.raises(ConfigError) as exc:
             ScanConfig(dims=(2, 2, 2), samples=1, tol=tol)
+        assert str(exc.value) == message
 
     def test_as_dict_uses_format_key(self):
         cfg = ScanConfig(dims=(2, 3, 2), samples=4, seed=7, fmt="json")

@@ -3,12 +3,13 @@
 Every command-line example that needs no input file (scan, conjecture,
 channel-gap) is run through the installed entry point, qcmi.cli.run, in
 a temporary directory, and its stdout is compared with the README text.
-The README's table of inequalities is the table of qcmi.inequalities;
-print it with
+The README's table of inequalities is the table of qcmi.inequalities,
+which lists each proven step once; print it with
 
     PYTHONPATH=src python tests/test_readme.py
 """
 
+import itertools
 import shlex
 import sys
 from pathlib import Path
@@ -16,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from qcmi.cli import run
-from qcmi.inequalities import ALWAYS, STATE, TABLE
+from qcmi.harness import ScanConfig, corpus_state, evaluate_sample
+from qcmi.inequalities import ALWAYS, STATE, TABLE, proven_checks
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SELF_CONTAINED = ("scan", "conjecture", "channel-gap")
@@ -80,6 +82,21 @@ def test_readme_table_is_the_inequality_table():
     text = README.read_text(encoding="utf-8")
     start = text.index("<!-- inequalities -->\n") + len("<!-- inequalities -->\n")
     assert text[start:text.index("<!-- /inequalities -->")] == inequality_table()
+
+
+def test_no_two_proven_rows_compute_the_same_slack():
+    # Two rows whose slacks agree on every sample assert one step twice.
+    cfg = ScanConfig(dims=(2, 2, 2), samples=20, seed=7)
+    samples = []
+    for i in range(cfg.samples):
+        state = corpus_state(cfg, i)
+        samples.append(dict(proven_checks(state, evaluate_sample(state, i), None)))
+    repeats = [
+        (a, b)
+        for a, b in itertools.combinations(samples[0], 2)
+        if all(abs(checks[a] - checks[b]) <= 1e-12 for checks in samples)
+    ]
+    assert repeats == []
 
 
 if __name__ == "__main__":

@@ -140,7 +140,8 @@ class TestLiebTriple:
         assert got == pytest.approx(lieb_rhs_quad(r, s, t), rel=1e-6)
 
     def test_singular_middle_rejected(self):
-        with pytest.raises(SingularMatrixError):
+        message = r"^middle operand is singular \(min eigenvalue 0\.000e\+00\)$"
+        with pytest.raises(SingularMatrixError, match=message):
             lieb_triple_rhs(np.eye(2), np.diag([1.0, 0.0]), np.eye(2))
 
 
@@ -180,10 +181,11 @@ class TestAudenaert:
 def powers_stormer_slacks(state):
     # (upper, lower) slacks of the Powers-Stormer rows, which sandwich
     # thm1 = ||sqrt(rho) - sqrt(sigma*)||_2^2 between ||rho - sigma*||_1^2 / 4
-    # and ||rho - sigma*||_1.
+    # (the corollary bound) and ||rho - sigma*||_1.
     chain = bound_report(state)
     return tuple(
-        INEQUALITIES[f"powers-stormer-{side}"].slack(state, chain) for side in ("upper", "lower")
+        INEQUALITIES[name].slack(state, chain)
+        for name in ("powers-stormer-upper", "thm1-below-corollary-gap")
     )
 
 
