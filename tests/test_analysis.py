@@ -1,5 +1,5 @@
 """The shared per-state spectral analysis: reuse, decomposition counts and
-the numerical contracts of sqrt(sigma*) and M."""
+the numerical contracts of sqrt(sigma*), M and the Lieb value of its marginals."""
 
 import weakref
 
@@ -15,7 +15,16 @@ from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evalua
 from qcmi.linalg import dagger, hermitian_part, hs_norm, mat_sqrt, support_cutoff
 from qcmi.recovery import m_operator
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
-from qcmi.states import TripartiteState, partial_trace, validate_density
+from qcmi.states import (
+    ClassicalJoint,
+    TripartiteState,
+    classical_state,
+    embed,
+    partial_trace,
+    tripartite,
+    validate_density,
+)
+from qcmi.trace_inequalities import lieb_triple_rhs
 from oracles import m_three_embeds
 from test_golden import cases as golden_cases
 from test_golden import record, restricted_states, sub_cutoff_classical
@@ -105,6 +114,28 @@ def test_sub_cutoff_eigenvalue_is_dropped():
     a = sub_cutoff_classical().analysis
     assert 0.0 < a.sigma_star[0, 0].real < 1e-17
     assert a.sqrt_sigma_star[0, 0] == 0.0
+
+
+def _lieb_operands(analysis, dims):
+    """rho_AB (x) I, I (x) rho_B (x) I and I (x) rho_BC at full dimension."""
+    rho_ab, rho_bc, rho_b = analysis.marginals
+    return tuple(embed(m.mat, on, dims) for m, on in ((rho_ab, "AB"), (rho_b, "B"), (rho_bc, "BC")))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 2, 3), (3, 1, 2), (2, 3, 2)])
+def test_lieb_rhs_in_rho_b_eigenbasis_matches_direct_form(dims):
+    st = random_tripartite(dims, substream(34, sum(dims)))
+    r, s, t = _lieb_operands(st.analysis, dims)
+    direct = lieb_triple_rhs(r, s, t)
+    # In the basis I (x) Q_B (x) I of the analysis, the middle operand is diagonal.
+    _, _, psd_b = st.analysis.marginal_psd
+    u = embed(psd_b.eigenvectors, "B", dims)
+    w = embed(np.diag(psd_b.eigenvalues), "B", dims)
+    in_eigenbasis = lieb_triple_rhs(dagger(u) @ r @ u, w, dagger(u) @ t @ u)
+    assert in_eigenbasis == pytest.approx(direct, abs=1e-12)
+    # The integral's trace collapses to Tr rho_B, so Tr sigma* <= 1 is all
+    # that Lieb's inequality asserts here (row trace-exp-at-most-one).
+    assert direct == pytest.approx(1.0, abs=1e-12)
 
 
 def test_state_and_analysis_form_no_reference_cycle():
@@ -230,6 +261,30 @@ def test_m_matches_the_three_embed_form():
         want = m_three_embeds(st.analysis)
         assert m.shape == want.shape
         assert np.max(np.abs(m - want)) <= 1e-14 * max(1.0, hs_norm(want)), st.dims
+
+
+def _singular_rho_b_states():
+    # rho_B with an exact zero eigenvalue (classical, p_B(1) = 0) and with a
+    # roundoff-level one (a pure state on B in a random basis).
+    p = np.zeros((2, 3, 2))
+    p[:, 0, :] = [[0.1, 0.2], [0.3, 0.1]]
+    p[:, 2, :] = [[0.05, 0.05], [0.1, 0.1]]
+    rng = substream(39, 0)
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    psi /= np.linalg.norm(psi)
+    rho_a, rho_c = random_density(2, rng).mat, random_density(2, rng).mat
+    product = np.kron(np.kron(rho_a, np.outer(psi, psi.conj())), rho_c)
+    return [classical_state(ClassicalJoint(p)), tripartite(product, (2, 3, 2))]
+
+
+@pytest.mark.parametrize("state", _singular_rho_b_states(), ids=["classical", "pure-b"])
+def test_singular_rho_b_raises_as_the_full_dimension_form(state):
+    # The support rank of the analysis and the Lieb value's own cutoff at
+    # full dimension agree that rho_B is singular.
+    assert state.analysis.marginals[2].support_rank < 3
+    message = r"^middle operand is singular \(min eigenvalue "
+    with pytest.raises(SingularMatrixError, match=message):
+        lieb_triple_rhs(*_lieb_operands(state.analysis, state.dims))
 
 
 @pytest.fixture

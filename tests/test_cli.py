@@ -105,6 +105,7 @@ class TestInfo:
             ("inf", "tol must be finite, got inf"),
             ("x", "argument --tol: invalid float value: 'x'"),
         ],
+        ids=["nan-nan", "-1--1.0", "0-0.0", "inf", "x"],
     )
     def test_tol_that_is_not_positive_exits_one(self, tol, error, tmp_path, capsys):
         path = tmp_path / "p.json"

@@ -117,6 +117,7 @@ class TestScanConfig:
             (math.inf, "tol must be finite, got inf"),
             ("x", "tol must be a real number, got 'x'"),
         ],
+        ids=["nan", "-1.0", "-inf", "inf", "x"],
     )
     def test_rejects_tol_that_is_not_positive(self, tol, message):
         with pytest.raises(ConfigError) as exc:
