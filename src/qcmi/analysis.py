@@ -18,14 +18,15 @@ each matrix bitwise the result of a call on that matrix alone (the
 grouping-invariance tests check this), so a state's values do not depend
 on the stack it was analysed in.
 
-The analysis checks rho and its marginals with validate_density's rules,
-read from their decompositions, before it derives anything from them, so
-states may skip validation on construction (the harness corpus draws do).
-Each piece is computed on first use and then kept, so a stack pays for
-each decomposition at most once. StateAnalysis is one state's row of a
-stack; TripartiteState.analysis holds it, and the functions in entropy,
-bounds, recovery and harness are views over it. A state analysed on its
-own is a stack of one; analyse_together gives several states one stack.
+The analysis validates rho and its marginals with states._validated, the
+one density check, from these decompositions, before it derives anything
+from them. That is where a TripartiteState is validated, and consumers
+read the decompositions it keeps. Each piece is computed on first use
+and then kept, so a stack pays for each decomposition at most once.
+StateAnalysis is one state's row of a stack; TripartiteState.analysis
+holds it, and the functions in entropy, bounds, recovery and harness are
+views over it. A state analysed on its own is a stack of one;
+analyse_together gives several states one stack.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
 of the channel bound and the Petz recovery: one decomposition per matrix.
@@ -40,14 +41,13 @@ from functools import cached_property
 import numpy as np
 
 from .channels import KrausChannel, _petz_dual
-from .entropy import EntropyReport, _rel_entropy, spectrum_entropy
+from .entropy import EntropyReport, rel_entropy, spectrum_entropy
 from .errors import DimensionMismatchError
 from .linalg import (
     HermitianEigen,
     PsdEigen,
     _eigh,
     _eigh_symmetrized,
-    as_matrix,
     as_psd,
     dagger,
     hermitian_part,
@@ -64,6 +64,7 @@ from .states import (
     _traced_out,
     _validated,
     embed,
+    validate_density,
 )
 
 MARGINALS = ("AB", "BC", "B")
@@ -136,13 +137,13 @@ class StackAnalysis:
     # -- rho and its marginals, validated ---------------------------------
 
     @cached_property
-    def _rho(self) -> tuple[HermitianEigen, np.ndarray]:
+    def _rho(self) -> tuple[PsdEigen, np.ndarray]:
         # The decomposition and support ranks of rho, validated.
         _, e, rank = _validated(self.mat)
         return e, rank
 
     @property
-    def rho_eig(self) -> HermitianEigen:
+    def rho_psd(self) -> PsdEigen:
         return self._rho[0]
 
     @property
@@ -150,32 +151,24 @@ class StackAnalysis:
         return self._rho[1]
 
     @cached_property
-    def marginals(self) -> tuple[tuple[np.ndarray, HermitianEigen, np.ndarray], ...]:
+    def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen, np.ndarray], ...]:
         """(read-only stack, decomposition, support ranks) of rho_AB, rho_BC
         and rho_B, validated after rho."""
         self._rho  # rho is validated first; every other value derives from it or these
         return tuple(_validated(_traced_out(self.mat, self.dims, keep)) for keep in MARGINALS)
 
     @property
-    def marginal_eigs(self) -> tuple[HermitianEigen, HermitianEigen, HermitianEigen]:
-        return tuple(e for _, e, _ in self.marginals)
-
-    @cached_property
     def marginal_psd(self) -> tuple[PsdEigen, PsdEigen, PsdEigen]:
-        """Marginal decompositions with their support cutoffs (raises if not PSD)."""
-        return tuple(as_psd(e, "log") for e in self.marginal_eigs)
-
-    @cached_property
-    def rho_psd(self) -> PsdEigen:
-        return as_psd(self.rho_eig, "sqrt")
+        """Marginal decompositions with their support cutoffs."""
+        return tuple(e for _, e, _ in self.marginals)
 
     # -- entropies -------------------------------------------------------
 
     @cached_property
     def entropies(self) -> EntropyReport:
         """The entropies and the cmi, each an array over the stack."""
-        s_ab, s_bc, s_b = (spectrum_entropy(e.eigenvalues) for e in self.marginal_eigs)
-        s_abc = spectrum_entropy(self.rho_eig.eigenvalues)
+        s_ab, s_bc, s_b = (spectrum_entropy(e.eigenvalues) for e in self.marginal_psd)
+        s_abc = spectrum_entropy(self.rho_psd.eigenvalues)
         return EntropyReport(
             s_abc=s_abc, s_ab=s_ab, s_bc=s_bc, s_b=s_b, cmi=s_ab + s_bc - s_abc - s_b
         )
@@ -342,22 +335,27 @@ class StateAnalysis:
         self.index = index
 
     @cached_property
+    def rho(self) -> DensityMatrix:
+        """rho, validated, with its decomposition."""
+        i = self.index
+        return DensityMatrix(mat=self.stack.mat[i], eig=_psd_row(self.stack.rho_psd, i))
+
+    @cached_property
     def marginals(self) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
-        """Validated (rho_AB, rho_BC, rho_B)."""
+        """Validated (rho_AB, rho_BC, rho_B), with their decompositions."""
         i = self.index
         return tuple(
-            DensityMatrix(mat=mat[i], support_rank=int(rank[i]))
-            for mat, _, rank in self.stack.marginals
+            DensityMatrix(mat=mat[i], eig=_psd_row(e, i)) for mat, e, _ in self.stack.marginals
         )
 
-    @cached_property
+    @property
     def marginal_psd(self) -> tuple[PsdEigen, PsdEigen, PsdEigen]:
-        """Marginal decompositions with their support cutoffs (raises if not PSD)."""
-        return tuple(_psd_row(e, self.index) for e in self.stack.marginal_psd)
+        """Marginal decompositions with their support cutoffs."""
+        return tuple(m.eig for m in self.marginals)
 
-    @cached_property
+    @property
     def rho_psd(self) -> PsdEigen:
-        return _psd_row(self.stack.rho_psd, self.index)
+        return self.rho.eig
 
     @cached_property
     def entropies(self) -> EntropyReport:
@@ -397,13 +395,6 @@ class StateAnalysis:
     ruskai = _row("ruskai", float, doc="||log rho - h||_2 with support-restricted logs.")
 
 
-def _density(m) -> tuple[DensityMatrix, HermitianEigen]:
-    # validate_density read from one eigh: the validated matrix with its
-    # support rank, and its decomposition.
-    sym, e, rank = _validated(as_matrix(m))
-    return DensityMatrix(mat=sym, support_rank=int(rank)), e
-
-
 class ChannelAnalysis:
     """Lazily computed spectral data of one channel triple (rho, sigma, phi).
 
@@ -420,12 +411,13 @@ class ChannelAnalysis:
       exponent's would give it only to the last bits);
     * one spectrum for the Petz recovery gap ||rho - P(phi(rho))||_1.
 
-    rho and sigma are matrices, validated here with validate_density's
-    rules, so they may skip validation on construction. The checks raise
-    with the errors of channel_gap_bound, channel_exp_operator and
-    petz_dual, in their order: rho and sigma are validated and must be
-    full rank, then phi(rho) and phi(sigma) are validated; X needs both
-    full rank, and the Petz map needs phi(sigma) nonsingular.
+    rho and sigma are DensityMatrix values, whose decompositions are read,
+    or matrices, which are validated here (validate_density) and so may
+    skip validation on construction. The checks raise with the errors of
+    channel_gap_bound, channel_exp_operator and petz_dual, in their order:
+    rho and sigma are validated and must be full rank, then phi(rho) and
+    phi(sigma) are validated; X needs both full rank, and the Petz map
+    needs phi(sigma) nonsingular.
     """
 
     def __init__(self, rho, sigma, phi: KrausChannel):
@@ -433,12 +425,12 @@ class ChannelAnalysis:
         self.phi = phi
 
     @cached_property
-    def _inputs(self) -> tuple[tuple[DensityMatrix, HermitianEigen], ...]:
+    def _inputs(self) -> tuple[tuple[DensityMatrix, PsdEigen], ...]:
         # rho and sigma, validated and full rank, with their decompositions.
-        pairs = tuple(_density(m) for m in self._given)
-        for (dm, _), what in zip(pairs, ("rho", "sigma")):
+        given = [m if isinstance(m, DensityMatrix) else validate_density(m) for m in self._given]
+        for dm, what in zip(given, ("rho", "sigma")):
             _require_full_rank(dm, what)
-        return pairs
+        return tuple((dm, dm.eig) for dm in given)
 
     @property
     def rho(self) -> DensityMatrix:
@@ -454,19 +446,18 @@ class ChannelAnalysis:
         return self.phi.apply(self.rho.mat)
 
     @cached_property
-    def _outputs(self) -> tuple[tuple[DensityMatrix, HermitianEigen], ...]:
+    def _outputs(self) -> tuple[tuple[DensityMatrix, PsdEigen], ...]:
         # phi(rho) and phi(sigma), validated, with their decompositions.
-        return _density(self._phi_rho), _density(self.phi.apply(self.sigma.mat))
+        out_rho = validate_density(self._phi_rho)
+        out_sigma = validate_density(self.phi.apply(self.sigma.mat))
+        return (out_rho, out_rho.eig), (out_sigma, out_sigma.eig)
 
     @cached_property
     def lhs(self) -> float:
         """S(rho || sigma) - S(phi(rho) || phi(sigma))."""
-        (rho, e_rho), (_, e_sigma) = self._inputs
-        (out_rho, e_out_rho), (_, e_out_sigma) = self._outputs
-        return float(
-            _rel_entropy(rho.mat, e_rho.eigenvalues, e_sigma)
-            - _rel_entropy(out_rho.mat, e_out_rho.eigenvalues, e_out_sigma)
-        )
+        (rho, _), (sigma, _) = self._inputs
+        (out_rho, _), (out_sigma, _) = self._outputs
+        return float(rel_entropy(rho, sigma) - rel_entropy(out_rho, out_sigma))
 
     @cached_property
     def exp_operator(self) -> np.ndarray:
@@ -475,11 +466,7 @@ class ChannelAnalysis:
         (out_rho, e_out_rho), (out_sigma, e_out_sigma) = self._outputs
         _require_full_rank(out_rho, "phi(rho)")
         _require_full_rank(out_sigma, "phi(sigma)")
-        x = (
-            as_psd(e_sigma, "log").log()
-            + self.phi.dual(as_psd(e_out_rho, "log").log())
-            - self.phi.dual(as_psd(e_out_sigma, "log").log())
-        )
+        x = e_sigma.log() + self.phi.dual(e_out_rho.log()) - self.phi.dual(e_out_sigma.log())
         e = _eigh_symmetrized(hermitian_part(x))
         return _readonly(hermitian_part(e.apply(np.exp(e.eigenvalues))))
 
@@ -493,7 +480,7 @@ class ChannelAnalysis:
         """-2 log Tr[sqrt(rho) sqrt(X)], the lower bound on lhs."""
         ex = self.exp_operator
         (_, e_rho), _ = self._inputs
-        overlap = np.trace(as_psd(e_rho, "sqrt").sqrt() @ psd_eig(ex, "sqrt").sqrt())
+        overlap = np.trace(e_rho.sqrt() @ psd_eig(ex, "sqrt").sqrt())
         return _overlap_bound(float(overlap.real))
 
     @cached_property

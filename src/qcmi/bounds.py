@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import ChannelAnalysis, _overlap_bound
 from .channels import KrausChannel
 from .entropy import classical_rel_entropy, fidelity, vn_entropy
-from .linalg import _eigh
 from .states import DensityMatrix, TripartiteState, _require_full_rank
 
 
@@ -75,7 +74,7 @@ def channel_exp_operator(rho: DensityMatrix, sigma: DensityMatrix, phi: KrausCha
 
     The returned array is read-only.
     """
-    return ChannelAnalysis(rho.mat, sigma.mat, phi).exp_operator
+    return ChannelAnalysis(rho, sigma, phi).exp_operator
 
 
 def channel_gap_bound(
@@ -88,7 +87,7 @@ def channel_gap_bound(
         rhs = -2 log Tr[sqrt(rho) sqrt(channel_exp_operator(rho, sigma, phi))]
     and lhs >= rhs - tolerance for full-rank inputs.
     """
-    a = ChannelAnalysis(rho.mat, sigma.mat, phi)
+    a = ChannelAnalysis(rho, sigma, phi)
     return a.lhs, a.rhs
 
 
@@ -102,8 +101,8 @@ def fidelity_lower_bound(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[floa
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
     f = fidelity(rho, sigma)
-    w_rho = _eigh(rho.mat).eigenvalues
-    w_sigma = _eigh(sigma.mat).eigenvalues
+    w_rho = rho.eig.eigenvalues
+    w_sigma = sigma.eig.eigenvalues
     tr_sqrt = float(np.sum(np.sqrt(np.clip(w_rho, 0.0, None))))
     entropy = vn_entropy(rho)
     divergence = classical_rel_entropy(w_rho[::-1], w_sigma)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
-from .linalg import HermitianEigen, _eigh, as_psd, dagger, hs_norm, support_cutoff
+from .linalg import PsdEigen, dagger, hs_norm, psd_eig
 from .states import DensityMatrix
 
 COMPLETENESS_TOL = 1e-9
@@ -128,16 +128,15 @@ def petz_dual(phi: KrausChannel, sigma: DensityMatrix) -> KrausChannel:
         )
     if not sigma.is_full_rank():
         raise SingularMatrixError("Petz transpose needs a full-rank reference state")
-    return _petz_dual(phi, _eigh(sigma.mat), _eigh(phi.apply(sigma.mat)))
+    return _petz_dual(phi, sigma.eig, psd_eig(phi.apply(sigma.mat), "power"))
 
 
-def _petz_dual(phi: KrausChannel, sigma: HermitianEigen, out: HermitianEigen) -> KrausChannel:
+def _petz_dual(phi: KrausChannel, sigma: PsdEigen, out: PsdEigen) -> KrausChannel:
     # petz_dual from the decompositions of a full-rank reference state
     # sigma and of its channel output phi(sigma).
-    w = out.eigenvalues
-    if w[0] <= support_cutoff(w):
+    if out.eigenvalues[0] <= out.cutoff:
         raise SingularMatrixError("channel output of the reference state is singular")
-    s_half = as_psd(sigma, "sqrt").sqrt()
-    out_inv_half = as_psd(out, "power").power(-0.5)
+    s_half = sigma.sqrt()
+    out_inv_half = out.power(-0.5)
     ops = tuple(s_half @ dagger(k) @ out_inv_half for k in phi.kraus)
     return KrausChannel(kraus=ops)

@@ -24,7 +24,7 @@ from .harness import (
 )
 from .inequalities import DEFAULT_TOL, proven_checks
 from .recovery import classify, modular_residual, ruskai_residual, zhang_gaps
-from .states import markov_state, regularize
+from .states import REGULARIZE_EPS, markov_state, regularize
 from .stateio import read_markov_spec, read_state, to_json, to_text, write_state
 
 
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info.add_argument(
         "--regularize",
         action="store_true",
-        help="mix with 1e-9 of the maximally mixed state before analysis",
+        help=f"mix with {REGULARIZE_EPS:g} of the maximally mixed state before analysis",
     )
 
     p_scan = sub.add_parser("scan", help="evaluate bounds on a random corpus")

@@ -13,16 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotDistributionError
-from .linalg import (
-    HermitianEigen,
-    _eigh,
-    _scalar,
-    as_psd,
-    hermitian_part,
-    hs_norm,
-    mat_sqrt,
-    support_cutoff,
-)
+from .linalg import _eigvalsh, _scalar, hermitian_part, hs_norm, support_cutoff
 from .states import DensityMatrix, TripartiteState
 
 REL_ENTROPY_SUPPORT_TOL = 1e-9
@@ -39,10 +30,6 @@ class EntropyReport:
     cmi: float
 
 
-def _spectrum(rho: DensityMatrix) -> np.ndarray:
-    return _eigh(rho.mat).eigenvalues
-
-
 def spectrum_entropy(w: np.ndarray):
     """-sum w log w over the eigenvalues above the support cutoff, in nats.
 
@@ -55,31 +42,25 @@ def spectrum_entropy(w: np.ndarray):
 
 def vn_entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy -Tr[rho log rho] in nats."""
-    return spectrum_entropy(_spectrum(rho))
+    return spectrum_entropy(rho.eig.eigenvalues)
 
 
 def rel_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Umegaki relative entropy S(rho || sigma).
 
     Returns math.inf when rho has weight outside the support of sigma
-    (detected as ||(I - P) rho (I - P)||_2 above 1e-9 for the support
-    projector P of sigma); otherwise Tr[rho (log rho - log sigma)] with
-    support-restricted logs.
+    (detected as ||(I - P) rho (I - P)||_2 above REL_ENTROPY_SUPPORT_TOL
+    for the support projector P of sigma); otherwise
+    Tr[rho (log rho - log sigma)] with support-restricted logs. Both are
+    read from the states' decompositions.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"states have dimensions {rho.dim} and {sigma.dim}")
-    return _rel_entropy(rho.mat, _spectrum(rho), _eigh(sigma.mat))
-
-
-def _rel_entropy(rho: np.ndarray, rho_w: np.ndarray, sigma: HermitianEigen) -> float:
-    # rel_entropy of the density matrix rho, with eigenvalues rho_w, and
-    # the density matrix whose decomposition is sigma.
-    psd = as_psd(sigma, "support projector")
-    comp = np.eye(rho.shape[0]) - psd.projector()
-    if hs_norm(comp @ rho @ comp) > REL_ENTROPY_SUPPORT_TOL:
+    comp = np.eye(rho.dim) - sigma.eig.projector()
+    if hs_norm(comp @ rho.mat @ comp) > REL_ENTROPY_SUPPORT_TOL:
         return math.inf
-    tr_rho_log_rho = -spectrum_entropy(rho_w)
-    tr_rho_log_sigma = float(np.trace(rho @ psd.log()).real)
+    tr_rho_log_rho = -spectrum_entropy(rho.eig.eigenvalues)
+    tr_rho_log_sigma = float(np.trace(rho.mat @ sigma.eig.log()).real)
     return tr_rho_log_rho - tr_rho_log_sigma
 
 
@@ -109,7 +90,7 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Uhlmann fidelity Tr sqrt(sqrt(rho) sigma sqrt(rho))."""
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"states have dimensions {rho.dim} and {sigma.dim}")
-    s = mat_sqrt(rho.mat)
+    s = rho.eig.sqrt()
     inner = hermitian_part(s @ sigma.mat @ s)
-    w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+    w = np.clip(_eigvalsh(inner), 0.0, None)
     return float(np.sum(np.sqrt(w)))

@@ -29,7 +29,7 @@ from .sampling import (
     random_classical,
     substream,
 )
-from .states import TripartiteState, _classical_matrix, _DrawnState
+from .states import TripartiteState, _classical_matrix
 from .stateio import _write_text, to_text, write_json, write_state
 
 CORPORA = ("hs-random", "classical-random", "markov", "near-markov")
@@ -179,7 +179,7 @@ def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
         m = _markov_state_matrix(dims, rng)
     else:
         m = _near_markov_matrix(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
-    return _DrawnState(m, dims)
+    return TripartiteState(m, dims)
 
 
 def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
@@ -211,17 +211,19 @@ def _write_channel(a: ChannelAnalysis, path: str) -> None:
 def _abort(witness, cfg: ScanConfig, name: str, index: int, slack: float, write=write_state):
     # Writes the witness, a state or (write=_write_channel) a channel
     # triple's analysis, and raises. The channel message names no tolerance.
+    # A witness that cannot be written is reported in the violation's
+    # message, which then has no artifact.
     if write is write_state:
         what, below = "state", f" is below -{cfg.tol:.1e}"
     else:
         what, below = "channel", ""
+    message = f"proven inequality {name!r} violated at sample {index}: slack {slack:.6e}{below}"
     path = _artifact_path(cfg.out, f"violation-{what}")
-    write(witness, path)
-    raise InequalityViolationError(
-        f"proven inequality {name!r} violated at sample {index}: "
-        f"slack {slack:.6e}{below}; {what} written to {path}",
-        artifact_path=path,
-    )
+    try:
+        write(witness, path)
+    except ConfigError as exc:
+        raise InequalityViolationError(f"{message}; {what} not written: {exc}") from exc
+    raise InequalityViolationError(f"{message}; {what} written to {path}", artifact_path=path)
 
 
 def _assert(witness, cfg: ScanConfig, index: int, checks, write=write_state) -> None:

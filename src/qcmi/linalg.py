@@ -2,7 +2,10 @@
 
 Every matrix function in the package goes through one eigendecomposition
 routine so that support handling (pseudo-inverses, logs of singular
-operators) stays consistent. Matrix 2-norms are Frobenius norms.
+operators) stays consistent, and one PSD rule (_with_cutoff) decides
+which matrices are negative. No other module calls numpy.linalg: every
+eigh, eigvalsh and qr of the package is made here. Matrix 2-norms are
+Frobenius norms.
 """
 
 from __future__ import annotations
@@ -192,21 +195,37 @@ def _eigh_symmetrized(h: np.ndarray) -> HermitianEigen:
     return HermitianEigen(eigenvalues=w, eigenvectors=q)
 
 
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    # Ascending eigenvalues of matrices that require_hermitian has already
+    # returned. numpy.linalg is read at call time, so a wrapper installed
+    # there sees every call.
+    return np.linalg.eigvalsh(h)
+
+
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # QR factors of each matrix of a stack, numpy.linalg read at call time.
+    return np.linalg.qr(a)
+
+
+def _with_cutoff(e: HermitianEigen) -> tuple[PsdEigen, np.ndarray]:
+    # The one PSD rule: e with its support cutoff, and which matrices have
+    # a least eigenvalue below minus their cutoff, that is, a genuinely
+    # negative one. Eigenvalues between -cutoff and cutoff are kernel.
+    w = e.eigenvalues
+    psd = PsdEigen(eigenvalues=w, eigenvectors=e.eigenvectors, cutoff=support_cutoff(w))
+    return psd, w[..., 0] < -np.asarray(psd.cutoff)
+
+
 def as_psd(e: HermitianEigen, what: str) -> PsdEigen:
     """Attach the support cutoff, raising if e has a genuinely negative eigenvalue.
 
     For a stack the first matrix with such an eigenvalue raises.
     """
-    w = e.eigenvalues
-    tau = support_cutoff(w)
-    if w.ndim == 1:  # one matrix, without the fixed cost of the stack form
-        found = w[0] if w[0] < -tau else None
-    else:
-        failed = w[..., 0] < -tau
-        found = _first(w[..., 0], failed) if np.count_nonzero(failed) else None
-    if found is not None:
+    psd, negative = _with_cutoff(e)
+    if np.count_nonzero(negative):
+        found = _first(e.eigenvalues[..., 0], negative)
         raise NotPSDError(f"{what} requires a PSD input, found eigenvalue {found:.3e}")
-    return PsdEigen(eigenvalues=w, eigenvectors=e.eigenvectors, cutoff=tau)
+    return psd
 
 
 def psd_eig(m, what: str) -> PsdEigen:
@@ -258,7 +277,7 @@ def trace_norm(m):
 
     A stack of matrices takes one eigvalsh call and gives an array of norms.
     """
-    w = np.abs(np.linalg.eigvalsh(require_hermitian(m)))
+    w = np.abs(_eigvalsh(require_hermitian(m)))
     if w.ndim == 1:  # one matrix, without the fixed cost of the stack form
         return float(w.sum())
     return w.sum(axis=-1)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import hermitian_part
+from .linalg import _qr, hermitian_part
 from .states import (
     ClassicalJoint,
     DensityMatrix,
@@ -72,7 +72,7 @@ def _haar_unitaries(shape: tuple[int, ...], dim: int, rng: np.random.Generator) 
     normal = rng.standard_normal(shape + (2, dim, dim))
     g = normal[..., 0, :, :] + 1j * normal[..., 1, :, :]
     del normal  # freed before the QR factors are allocated
-    q, r = np.linalg.qr(g)
+    q, r = _qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[..., None, :]
 
@@ -85,7 +85,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 def random_tripartite(dims, rng: np.random.Generator) -> TripartiteState:
     dims = tuple(int(d) for d in dims)
-    return TripartiteState(rho=random_density(dims[0] * dims[1] * dims[2], rng), dims=dims)
+    return tripartite(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)
 
 
 def random_classical(dims, rng: np.random.Generator) -> ClassicalJoint:

@@ -22,14 +22,14 @@ from .errors import (
     TraceNotOneError,
 )
 from .linalg import (
-    HermitianEigen,
+    PsdEigen,
     _eigh_symmetrized,
     _first,
+    _with_cutoff,
     as_matrices,
     as_matrix,
     hermitian_part,
     require_hermitian,
-    support_cutoff,
 )
 
 if TYPE_CHECKING:
@@ -38,7 +38,6 @@ if TYPE_CHECKING:
 SUBSYSTEMS = "ABC"
 
 TRACE_ATOL = 1e-10
-EIG_FLOOR = -1e-10
 # Weight of the maximally mixed state that regularize mixes in.
 REGULARIZE_EPS = 1e-9
 
@@ -51,14 +50,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated density matrix together with its numerical support rank."""
+    """A validated density matrix and its eigendecomposition.
+
+    eig carries the support cutoff, so every support-restricted function
+    of the matrix (log, sqrt, powers, projector) and its support rank are
+    read from it without decomposing the matrix again.
+    """
 
     mat: np.ndarray
-    support_rank: int
+    eig: PsdEigen
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def support_rank(self) -> int:
+        return self.eig.rank
 
     def is_full_rank(self) -> bool:
         return self.support_rank == self.dim
@@ -69,49 +77,50 @@ def _require_full_rank(rho: DensityMatrix, what: str) -> None:
         raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
 
 
-def _support_ranks(sym: np.ndarray, w: np.ndarray):
-    # validate_density's checks after the Hermitian one, on symmetrized
-    # matrices of shape (..., n, n) with ascending eigenvalues w: their
-    # support ranks. The first matrix that fails raises.
-    failed = w[..., 0] < EIG_FLOOR
-    if np.count_nonzero(failed):
-        found = _first(w[..., 0], failed)
-        raise NotPSDError(f"minimum eigenvalue {found:.3e} is below {EIG_FLOOR}")
+def _validated(m) -> tuple[np.ndarray, PsdEigen, np.ndarray]:
+    # The one density check, on matrices of shape (..., n, n), from one
+    # eigh: each matrix must be Hermitian, have no eigenvalue below minus
+    # its support cutoff (as_psd's rule) and have unit trace. Returns the
+    # read-only symmetrized copies, their decompositions and their support
+    # ranks. The first matrix that fails raises.
+    sym = require_hermitian(m)
+    e, negative = _with_cutoff(_eigh_symmetrized(sym))
+    if np.count_nonzero(negative):
+        found = _first(e.eigenvalues[..., 0], negative)
+        floor = -_first(e.cutoff, negative)
+        raise NotPSDError(f"minimum eigenvalue {found:.3e} is below {floor:.1e}")
     tr = sym.trace(axis1=-2, axis2=-1).real
     failed = abs(tr - 1.0) > TRACE_ATOL
     if np.count_nonzero(failed):
         raise TraceNotOneError(f"trace is {_first(tr, failed)!r}, expected 1 within {TRACE_ATOL}")
-    return np.count_nonzero(w > np.asarray(support_cutoff(w))[..., None], axis=-1)
-
-
-def _validated(m) -> tuple[np.ndarray, HermitianEigen, np.ndarray]:
-    # validate_density on matrices of shape (..., n, n), read from their
-    # eigh, for callers that need the decompositions anyway: the read-only
-    # symmetrized copies, their decompositions and support ranks.
-    sym = require_hermitian(m)
-    e = _eigh_symmetrized(sym)
-    return _frozen(sym), e, _support_ranks(sym, e.eigenvalues)
+    return _frozen(sym), e, np.count_nonzero(e.on_support, axis=-1)
 
 
 def validate_density(m) -> DensityMatrix:
-    """Check Hermiticity, positivity, and unit trace; record support rank.
+    """Check Hermiticity, positivity, and unit trace; keep the decomposition.
 
     The returned matrix is the symmetrized copy of the input and is marked
     read-only.
     """
-    sym = require_hermitian(as_matrix(m))
-    rank = _support_ranks(sym, np.linalg.eigvalsh(sym))
-    return DensityMatrix(mat=_frozen(sym), support_rank=int(rank))
+    sym, e, _ = _validated(as_matrix(m))
+    return DensityMatrix(mat=sym, eig=e)
 
 
 @dataclass(frozen=True, eq=False)
 class TripartiteState:
-    """A density matrix on A (x) B (x) C with explicit subsystem dimensions."""
+    """A matrix on A (x) B (x) C with explicit subsystem dimensions.
 
-    rho: DensityMatrix
+    The matrix is made read-only. The state's analysis validates it as a
+    density matrix, on first use: tripartite() and the samplers force that
+    on construction, while the states a run draws from its corpus leave it
+    to the analysis of their stack.
+    """
+
+    mat: np.ndarray
     dims: tuple[int, int, int]
 
     def __post_init__(self):
+        object.__setattr__(self, "mat", _frozen(as_matrix(self.mat)))
         dims = tuple(int(d) for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
@@ -123,12 +132,13 @@ class TripartiteState:
             )
 
     @property
-    def mat(self) -> np.ndarray:
-        return self.rho.mat
-
-    @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def rho(self) -> DensityMatrix:
+        """The matrix validated, with its decomposition, from the analysis."""
+        return self.analysis.rho
 
     @cached_property
     def analysis(self) -> StateAnalysis:
@@ -138,29 +148,15 @@ class TripartiteState:
         return StateAnalysis(StackAnalysis([self]), 0)
 
 
-class _DrawnState(TripartiteState):
-    # tripartite(m, dims) without the checks, for a complex matrix m that is
-    # a density matrix by construction and already symmetrized as
-    # validate_density does (the corpus draws): the state's analysis runs
-    # the checks, once, and rho with its support rank is read from there.
-
-    def __init__(self, m: np.ndarray, dims):
-        object.__setattr__(self, "_mat", _frozen(m))
-        object.__setattr__(self, "dims", dims)
-        self.__post_init__()
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self._mat
-
-    @cached_property
-    def rho(self) -> DensityMatrix:
-        return DensityMatrix(mat=self._mat, support_rank=self.analysis.rho_rank)
-
-
 def tripartite(m, dims) -> TripartiteState:
-    """Validate a raw matrix as a tripartite state."""
-    return TripartiteState(rho=validate_density(m), dims=tuple(dims))
+    """Validate a raw matrix as a tripartite state.
+
+    The state holds the symmetrized copy of m, and its analysis keeps the
+    decomposition the validation made.
+    """
+    state = TripartiteState(require_hermitian(as_matrix(m)), dims)
+    state.rho  # validated by the analysis
+    return state
 
 
 def regularize(state: TripartiteState) -> TripartiteState:

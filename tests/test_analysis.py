@@ -10,11 +10,13 @@ from qcmi import analysis as analysis_module
 from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_together
 from qcmi.bounds import sigma_star
 from qcmi.channels import identity_channel
+from qcmi.cli import main
 from qcmi.errors import SingularMatrixError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
 from qcmi.linalg import dagger, hermitian_part, hs_norm, mat_sqrt, support_cutoff
 from qcmi.recovery import m_operator
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
+from qcmi.stateio import write_state
 from qcmi.states import (
     ClassicalJoint,
     TripartiteState,
@@ -80,6 +82,25 @@ def test_scan_sample_decomposition_budget(corpus, decompositions, m_builds):
     assert full <= FULL_DIM_DECOMPOSITIONS_PER_SAMPLE * samples
     assert len(decompositions) <= DECOMPOSITIONS_PER_SAMPLE * samples
     assert len(m_builds) == samples
+
+
+def test_scan_sample_makes_exactly_the_budget(decompositions):
+    samples = 3
+    scan(ScanConfig(dims=(3, 3, 3), samples=samples, seed=31))
+    assert sum(1 for n in decompositions if n == 27) == FULL_DIM_DECOMPOSITIONS_PER_SAMPLE * samples
+    assert len(decompositions) == DECOMPOSITIONS_PER_SAMPLE * samples
+
+
+@pytest.mark.parametrize("command, full_dim", [("info", 6), ("classify", 3)])
+def test_a_public_state_decomposes_rho_once(command, full_dim, tmp_path, decompositions, capsys):
+    # Reading the state validates it from the eigh its analysis keeps. info
+    # adds the exponent and the four trace norms; classify the two trace
+    # norms it reads.
+    path = tmp_path / "state.json"
+    write_state(random_tripartite((3, 3, 3), substream(31, 7)), path)
+    decompositions.clear()
+    assert main([command, str(path)]) == 0
+    assert sum(1 for n in decompositions if n == 27) == full_dim
 
 
 def test_analysis_is_cached_on_the_state():
@@ -179,7 +200,7 @@ def _mixed_stacks():
 
 @pytest.mark.parametrize("states", _mixed_stacks(), ids=lambda states: str(states[0].dims))
 def test_mixed_stack_matches_states_analysed_alone(states):
-    stacked = [TripartiteState(rho=st.rho, dims=st.dims) for st in states]
+    stacked = [TripartiteState(st.mat, st.dims) for st in states]
     analyse_together(stacked)
     assert len({id(st.analysis.stack) for st in stacked}) == 1
     for together, alone in zip(stacked, states):
@@ -228,7 +249,7 @@ def test_eigenvalue_between_zero_and_the_support_cutoff_is_kernel():
     assert 0.0 < w[0] < support_cutoff(w)
     assert validate_density(m).support_rank == 2
     # At dims 1,3,1 rho_AB, rho_BC and rho_B are rho itself.
-    st = TripartiteState(rho=validate_density(m), dims=(1, 3, 1))
+    st = TripartiteState(validate_density(m).mat, (1, 3, 1))
     assert st.analysis.rho_rank == 2
     assert [marginal.support_rank for marginal in st.analysis.marginals] == [2, 2, 2]
     assert [partial_trace(st, keep).support_rank for keep in MARGINALS] == [2, 2, 2]
@@ -249,7 +270,7 @@ def _oracle_states():
     for states in groups:
         analyse_together(states)
     for states in _mixed_stacks():
-        stacked = [TripartiteState(rho=st.rho, dims=st.dims) for st in states]
+        stacked = [TripartiteState(st.mat, st.dims) for st in states]
         analyse_together(stacked)
         groups.append(stacked)
     return [st for states in groups for st in states]

@@ -9,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qcmi import harness
 from qcmi.bounds import bound_report
 from qcmi.cli import main
 from qcmi.errors import InequalityViolationError
-from qcmi.sampling import random_density, random_markov_state, substream
-from qcmi.states import ClassicalJoint, MarkovBlock, MarkovSpec, classical_state
+from qcmi.sampling import random_density, random_markov_state, random_tripartite, substream
+from qcmi.states import ClassicalJoint, MarkovBlock, MarkovSpec, TripartiteState, classical_state
 from qcmi.stateio import write_markov_spec, write_state
 
 LN2 = math.log(2)
@@ -113,6 +114,18 @@ class TestInfo:
         assert main(["info", str(path), "--tol", tol]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: {error}\n"
+        assert captured.out == ""
+
+    def test_eigenvalue_below_minus_the_support_cutoff_exits_one(self, tmp_path, capsys):
+        # The least eigenvalue -5e-11 is below -3e-11, minus the support
+        # cutoff of a spectrum whose largest eigenvalue is 0.3: the state is
+        # rejected when it is read, as tripartite rejects it.
+        diag = [-5e-11, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2 + 5e-11]
+        path = tmp_path / "negative.json"
+        write_state(TripartiteState(np.diag(diag).astype(complex), (2, 2, 2)), path)
+        assert main(["info", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: matrix: minimum eigenvalue -5.000e-11 is below -3.0e-11\n"
         assert captured.out == ""
 
     def test_missing_file_exits_one(self, capsys):
@@ -365,6 +378,27 @@ class TestErrorPaths:
         assert main(argv + ["--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.out == ""
+
+    def test_violation_with_unwritable_artifact_exits_two(self, tmp_path, capsys, monkeypatch):
+        # Sample 0 of the markov corpus replaced by an hs-random state, which
+        # fails markov-cmi-zero; its artifact cannot be written.
+        original = harness.corpus_state
+
+        def corpus_state(cfg, index):
+            if index == 0:
+                return random_tripartite(cfg.dims, substream(cfg.seed, index))
+            return original(cfg, index)
+
+        monkeypatch.setattr(harness, "corpus_state", corpus_state)
+        out = tmp_path / "missing" / "r.csv"
+        argv = ["scan", "--dims", "2,2,2", "--samples", "2", "--corpus", "markov"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "violation: proven inequality 'markov-cmi-zero' violated at sample 0: slack -"
+        )
+        assert f"; state not written: cannot write {out}.violation-state.json: " in captured.err
         assert captured.out == ""
 
     def test_violation_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):

@@ -48,9 +48,7 @@ from qcmi.sampling import (
 from qcmi.stateio import read_state, to_json as _json_value
 from qcmi.states import (
     ClassicalJoint,
-    DensityMatrix,
     TripartiteState,
-    _DrawnState,
     classical_state,
     validate_density,
 )
@@ -283,8 +281,7 @@ def _negative_diagonal_state(dims):
     diag = np.full(n, (1.0 + 1e-6) / (n - 2))
     diag[0] = -1e-6
     diag[1] = 0.0
-    rho = DensityMatrix(mat=np.diag(diag).astype(complex), support_rank=n - 1)
-    return TripartiteState(rho=rho, dims=dims)
+    return TripartiteState(np.diag(diag).astype(complex), dims)
 
 
 def _invalid_draw(kind, cfg, i):
@@ -302,13 +299,13 @@ def _invalid_draw(kind, cfg, i):
         w = np.full(n, (1.0 + 1e-6) / (n - 1))
         w[0] = -1e-6
         mat = (u * w) @ u.conj().T
-    return _DrawnState(mat, cfg.dims)
+    return TripartiteState(mat, cfg.dims)
 
 
 INVALID_DRAWS = {
     "non-hermitian": (NotHermitianError, "matrix deviates from Hermitian by"),
     "trace": (TraceNotOneError, r"trace is 1\.(5|4999)"),
-    "negative-eigenvalue": (NotPSDError, "minimum eigenvalue -1.000e-06 is below -1e-10"),
+    "negative-eigenvalue": (NotPSDError, "minimum eigenvalue -1.000e-06 is below -1.4e-11"),
 }
 
 
@@ -398,6 +395,21 @@ class TestStackedScan:
             alone, _ = failure(1, error, replacements)
             assert stacked == alone
         assert stacked[0] == "no state for sample 4"
+
+    def test_unwritable_artifact_still_reports_the_violation(self, tmp_path, inject):
+        # The violation at sample 1 is raised with the write error, and no
+        # artifact, when the artifact's directory does not exist.
+        inject({1: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
+        out = tmp_path / "missing" / "run.csv"
+        cfg = ScanConfig(dims=(2, 2, 2), samples=3, seed=38, corpus="markov", out=str(out))
+        with pytest.raises(InequalityViolationError) as err:
+            scan(cfg)
+        assert err.value.artifact_path is None
+        message = str(err.value)
+        assert message.startswith("proven inequality 'markov-cmi-zero' violated at sample 1: ")
+        want = f" is below -1.0e-08; state not written: cannot write {out}.violation-state.json: "
+        assert want in message
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("kind", sorted(INVALID_DRAWS))
     def test_an_invalid_draw_raises_as_validation_would(self, tmp_path, monkeypatch, inject, kind):

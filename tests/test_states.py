@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcmi.bounds import bound_report
 from qcmi.entropy import cmi
 from qcmi.errors import (
     DimensionMismatchError,
@@ -56,6 +57,21 @@ class TestValidate:
     def test_trace_not_one(self):
         with pytest.raises(TraceNotOneError):
             validate_density(np.diag([0.6, 0.5]))
+
+    def test_eigenvalue_below_minus_the_support_cutoff_is_negative(self):
+        # The one PSD rule: with largest eigenvalue 0.3 the support cutoff
+        # is 3e-11, so -5e-11 is negative (the former floor -1e-10 let it
+        # through), while -2e-11 is kernel.
+        diag = np.array([-5e-11, 0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.2 + 5e-11])
+        message = "^minimum eigenvalue -5.000e-11 is below -3.0e-11$"
+        with pytest.raises(NotPSDError, match=message):
+            tripartite(np.diag(diag), (2, 2, 2))
+        with pytest.raises(NotPSDError, match=message):
+            validate_density(np.diag(diag))
+        diag[0], diag[-1] = -2e-11, 0.2 + 2e-11
+        st = tripartite(np.diag(diag), (2, 2, 2))
+        assert st.rho.support_rank == 7
+        assert bound_report(st).cmi >= 0.0  # sqrt and log accept what validation accepts
 
 
 class TestStackHelpers:

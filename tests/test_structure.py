@@ -8,6 +8,10 @@ output could drift from the first.
 
 qcmi.__all__ names exactly the public names the package imports, so
 neither list can drift from the other.
+
+numpy.linalg is called from qcmi/linalg.py only, the package's one
+spectral chokepoint: every decomposition and factorization (eigh,
+eigvalsh, qr) goes through it, where it can be counted and timed.
 """
 
 import ast
@@ -60,6 +64,50 @@ def test_the_guard_catches_encoding_by_hand(tmp_path):
         encoding="utf-8",
     )
     assert len(_encoding_by_hand(path)) == 4
+
+
+def _numpy_linalg_uses(path: Path) -> list[str]:
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        line = getattr(node, "lineno", "?")
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "linalg"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            problems.append(f"{path.name}:{line} uses {node.value.id}.linalg")
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.startswith("numpy.linalg")]
+            problems.extend(f"{path.name}:{line} imports {name}" for name in names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.startswith("numpy.linalg") or (
+                node.module == "numpy" and any(a.name == "linalg" for a in node.names)
+            ):
+                problems.append(f"{path.name}:{line} imports from {node.module}")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+    ids=lambda p: p.name,
+)
+def test_module_leaves_numpy_linalg_to_linalg(path):
+    assert _numpy_linalg_uses(path) == []
+
+
+def test_the_guard_catches_numpy_linalg(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import numpy.linalg as la\n"
+        "from numpy import linalg\n"
+        "from numpy.linalg import qr\n"
+        "from .linalg import _eigh\n"
+        "w = np.linalg.eigvalsh(h)\n",
+        encoding="utf-8",
+    )
+    assert len(_numpy_linalg_uses(path)) == 4
 
 
 def test_all_names_exactly_the_public_names_the_package_binds():
