@@ -58,6 +58,7 @@ from .linalg import (
     trace_norm,
 )
 from .states import (
+    MARGINALS,
     DensityMatrix,
     TripartiteState,
     _require_full_rank,
@@ -66,11 +67,7 @@ from .states import (
     embed,
     validate_density,
 )
-
-MARGINALS = ("AB", "BC", "B")
-
-# Tr[sqrt(rho) sqrt(sigma)] at or below this is treated as zero overlap.
-ZERO_OVERLAP = 1e-300
+from .tolerances import INTERSECTION_TOL, ZERO_OVERLAP
 
 
 def _overlap_bound(overlap: float) -> float:
@@ -91,7 +88,7 @@ def _intersection_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # Intersection of the ranges of two orthogonal projectors: the
     # eigenvalue-2 eigenspace of p + q.
     e = _eigh(p + q)
-    cols = e.eigenvectors[:, e.eigenvalues > 2.0 - 1e-8]
+    cols = e.eigenvectors[:, e.eigenvalues > 2.0 - INTERSECTION_TOL]
     return hermitian_part(cols @ dagger(cols))
 
 

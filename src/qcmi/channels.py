@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
-from .linalg import PsdEigen, dagger, hs_norm, psd_eig
+from .linalg import PsdEigen, _require_finite, dagger, hs_norm, psd_eig
 from .states import DensityMatrix
-
-COMPLETENESS_TOL = 1e-9
+from .tolerances import COMPLETENESS_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,7 +34,9 @@ class KrausChannel:
             raise DimensionMismatchError("Kraus operators have inconsistent shapes")
         total = sum(dagger(k) @ k for k in ops)
         dev = hs_norm(total - np.eye(shape[1]))
-        if dev > COMPLETENESS_TOL * max(1.0, np.sqrt(shape[1])):
+        # A NaN or infinite entry makes dev NaN or infinite, which fails.
+        if not dev <= COMPLETENESS_TOL * max(1.0, np.sqrt(shape[1])):
+            _require_finite(np.stack(ops), "Kraus operator")
             raise ValidationError(f"channel is not trace preserving, deviation {dev:.3e}")
         object.__setattr__(self, "kraus", ops)
 

@@ -22,10 +22,11 @@ from .harness import (
     run_conjecture,
     scan,
 )
-from .inequalities import DEFAULT_TOL, proven_checks
+from .inequalities import proven_checks
 from .recovery import classify, modular_residual, ruskai_residual, zhang_gaps
-from .states import REGULARIZE_EPS, markov_state, regularize
+from .states import markov_state, regularize
 from .stateio import read_markov_spec, read_state, to_json, to_text, write_state
+from .tolerances import DEFAULT_TOL, REGULARIZE_EPS
 
 
 class _UsageError(Exception):

@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotDistributionError
+from .errors import DimensionMismatchError
 from .linalg import _eigvalsh, _scalar, hermitian_part, hs_norm, support_cutoff
-from .states import DensityMatrix, TripartiteState
-
-REL_ENTROPY_SUPPORT_TOL = 1e-9
+from .states import DensityMatrix, TripartiteState, _require_distribution
+from .tolerances import PROBABILITY_NEGATIVE_TOL, REL_ENTROPY_SUPPORT_TOL, WEIGHT_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -76,10 +75,7 @@ def classical_rel_entropy(p, q) -> float:
     if pv.size != qv.size:
         raise DimensionMismatchError(f"vector lengths {pv.size} and {qv.size} differ")
     for name, v in (("p", pv), ("q", qv)):
-        if float(v.min()) < -1e-12:
-            raise NotDistributionError(f"{name} has negative entry {v.min():.3e}")
-        if abs(float(v.sum()) - 1.0) > 1e-9:
-            raise NotDistributionError(f"{name} sums to {v.sum()!r}, expected 1")
+        _require_distribution(v, name, PROBABILITY_NEGATIVE_TOL, WEIGHT_SUM_TOL)
     on = pv > 0.0
     if np.any(qv[on] <= 0.0):
         return math.inf

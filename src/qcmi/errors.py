@@ -37,6 +37,10 @@ class ValidationError(QcmiError):
     """File contents violate the declared schema or state invariants."""
 
 
+class NotFiniteError(ValidationError):
+    """An input has a NaN or infinite entry."""
+
+
 class ParseError(QcmiError):
     """File contents could not be parsed."""
 

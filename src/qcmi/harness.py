@@ -20,7 +20,7 @@ from .analysis import ChannelAnalysis, analyse_together
 from .bounds import bound_report
 from .channels import random_channel
 from .errors import ConfigError, InequalityViolationError
-from .inequalities import CHANNEL, DEFAULT_TOL, INEQUALITIES, TABLE, proven_checks
+from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
 from .recovery import classify
 from .sampling import (
     _hs_matrix,
@@ -31,6 +31,7 @@ from .sampling import (
 )
 from .states import TripartiteState, _classical_matrix
 from .stateio import _write_text, to_text, write_json, write_state
+from .tolerances import DEFAULT_TOL
 
 CORPORA = ("hs-random", "classical-random", "markov", "near-markov")
 CONJECTURES = ("half-recovery", "commutator-eighth", "rotated-quarter", "channel")
@@ -53,8 +54,10 @@ NEAR_MARKOV_MIXES = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def _require_int(name: str, value, least: int) -> int:
-    """value as a Python int; ConfigError unless it is an integer >= least."""
-    if not isinstance(value, numbers.Integral):
+    """value as a Python int; ConfigError unless it is an integer >= least.
+
+    A bool is not an integer here: True would pass as 1."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
@@ -63,8 +66,9 @@ def _require_int(name: str, value, least: int) -> int:
 
 def _require_tol(tol) -> float:
     """The tolerance as a float; ConfigError unless it is a positive,
-    finite real number. With tol = inf no slack could fail."""
-    if not isinstance(tol, numbers.Real):
+    finite real number, not a bool. With tol = inf no slack could fail,
+    and with tol = True every slack above -1 would pass."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
         raise ConfigError(f"tol must be a real number, got {tol!r}")
     if not tol > 0.0:
         raise ConfigError(f"tol must be positive, got {tol}")

@@ -31,12 +31,10 @@ from .errors import SingularMatrixError
 from .linalg import dagger, hermitian_part, mat_exp, trace_norm
 from .sampling import _haar_unitaries, substream
 from .states import TripartiteState
+from .tolerances import DEFAULT_TOL
 
 ALWAYS = "always"
 NEVER = ()
-
-# The tolerance of every run and of classify unless one is given.
-DEFAULT_TOL = 1e-8
 
 # Applicability rules: every state, full-rank states, states whose
 # log-overlap bound is finite, or channel triples.

@@ -10,6 +10,7 @@ Frobenius norms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +18,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
+    NotFiniteError,
     NotHermitianError,
     NotPSDError,
 )
-
-# Relative Hermiticity tolerance used everywhere a Hermitian input is required.
-HERMITIAN_RTOL = 1e-8
-# Eigenvalues below support_cutoff() are treated as exact zeros.
-SUPPORT_RTOL = 1e-10
-SUPPORT_FLOOR = 1e-14
+from .tolerances import HERMITIAN_RTOL, SUPPORT_FLOOR, SUPPORT_RTOL
 
 
 def _scalar(x):
@@ -87,25 +84,37 @@ def _first(values, failed) -> float:
     return float(np.asarray(values)[failed][0])
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    # Raise NotFiniteError naming the first NaN or infinite entry of a.
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        index = tuple(int(i) for i in bad[0])
+        where = index[0] if len(index) == 1 else index
+        raise NotFiniteError(f"{what} entry {where} is {a[index].item()}")
+
+
 def require_hermitian(m) -> np.ndarray:
     """Return the symmetrized copy of m, raising if it is not Hermitian.
 
     The deviation ||m - m^dag||_2 is compared against
     HERMITIAN_RTOL * max(1, ||m||_2).
     For a stack each matrix is checked on its own, and the first one that
-    fails raises.
+    fails raises. A NaN or infinite entry makes the deviation NaN or
+    infinite, which fails the comparisons, and raises NotFiniteError.
     """
     a = as_matrices(m)
     rtol = HERMITIAN_RTOL
     dev = hs_norm(a - dagger(a))
     if a.ndim == 2:  # one matrix, without the fixed cost of the stack form
-        found = dev if dev > rtol and dev > rtol * hs_norm(a) else None
+        failed = not dev <= rtol and (not math.isfinite(dev) or dev > rtol * hs_norm(a))
+        found = dev if failed else None
     else:
-        failed = dev > rtol
+        failed = ~(dev <= rtol)
         if failed.any():  # only then are the norms of a needed
-            failed &= dev > rtol * hs_norm(a)
+            failed &= ~np.isfinite(dev) | (dev > rtol * hs_norm(a))
         found = _first(dev, failed) if failed.any() else None
     if found is not None:
+        _require_finite(a, "matrix")
         raise NotHermitianError(f"matrix deviates from Hermitian by {found:.3e}")
     return hermitian_part(a)
 

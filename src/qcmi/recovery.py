@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .inequalities import DEFAULT_TOL
 from .linalg import hs_norm
 from .states import DensityMatrix, TripartiteState, embed, validate_density
+from .tolerances import DEFAULT_TOL
 
 DEFAULT_MODULAR_TIMES = (0.5, 1.0, 2.0)
 

@@ -25,6 +25,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, ParseError, QcmiError, ValidationError
+from .linalg import _require_finite
 from .states import (
     DensityMatrix,
     MarkovBlock,
@@ -103,6 +104,16 @@ def _load_json(path: str | os.PathLike) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    # A JSON number; true and false are bools, which Python counts as ints.
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    # A JSON integer >= 1.
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 def _parse_matrix(obj: Any, where: str) -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise ValidationError(f"{where}: expected a nonempty list of rows")
@@ -115,10 +126,13 @@ def _parse_matrix(obj: Any, where: str) -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(v, (int, float)) for v in cell)
+                or not all(_is_number(v) for v in cell)
             ):
                 raise ValidationError(f"{where}: entry ({i},{j}) is not an [re,im] pair")
             out[i, j] = complex(float(cell[0]), float(cell[1]))
+    # Python's json reads NaN and Infinity. Rejected here, before the
+    # Hermiticity check subtracts an infinity from itself.
+    _require_finite(out, where)
     return out
 
 
@@ -137,7 +151,7 @@ def read_state(path: str | os.PathLike) -> TripartiteState:
     if (
         not isinstance(dims, list)
         or len(dims) != 3
-        or not all(isinstance(d, int) and d >= 1 for d in dims)
+        or not all(_is_count(d) for d in dims)
     ):
         raise ValidationError("dims: expected three positive integers")
     matrix = _parse_matrix(doc.get("matrix"), "matrix")
@@ -166,7 +180,7 @@ def read_markov_spec(path: str | os.PathLike) -> MarkovSpec:
     if not isinstance(doc, dict):
         raise ValidationError("top level: expected a JSON object")
     for key in ("dA", "dC"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
+        if not _is_count(doc.get(key)):
             raise ValidationError(f"{key}: expected a positive integer")
     raw_blocks = doc.get("blocks")
     if not isinstance(raw_blocks, list) or not raw_blocks:
@@ -176,10 +190,10 @@ def read_markov_spec(path: str | os.PathLike) -> MarkovSpec:
         where = f"blocks[{i}]"
         if not isinstance(rb, dict):
             raise ValidationError(f"{where}: expected an object")
-        if not isinstance(rb.get("p"), (int, float)):
+        if not _is_number(rb.get("p")):
             raise ValidationError(f"{where}.p: expected a number")
         for key in ("dL", "dR"):
-            if not isinstance(rb.get(key), int) or rb[key] < 1:
+            if not _is_count(rb.get(key)):
                 raise ValidationError(f"{where}.{key}: expected a positive integer")
         blocks.append(
             MarkovBlock(

@@ -25,21 +25,27 @@ from .linalg import (
     PsdEigen,
     _eigh_symmetrized,
     _first,
+    _require_finite,
     _with_cutoff,
     as_matrices,
     as_matrix,
     hermitian_part,
     require_hermitian,
 )
+from .tolerances import (
+    JOINT_SUM_TOL,
+    PROBABILITY_NEGATIVE_TOL,
+    REGULARIZE_EPS,
+    TRACE_ATOL,
+    WEIGHT_SUM_TOL,
+)
 
 if TYPE_CHECKING:
     from .analysis import StateAnalysis
 
 SUBSYSTEMS = "ABC"
-
-TRACE_ATOL = 1e-10
-# Weight of the maximally mixed state that regularize mixes in.
-REGULARIZE_EPS = 1e-9
+# The marginals a state's analysis validates and keeps.
+MARGINALS = ("AB", "BC", "B")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -82,7 +88,8 @@ def _validated(m) -> tuple[np.ndarray, PsdEigen, np.ndarray]:
     # eigh: each matrix must be Hermitian, have no eigenvalue below minus
     # its support cutoff (as_psd's rule) and have unit trace. Returns the
     # read-only symmetrized copies, their decompositions and their support
-    # ranks. The first matrix that fails raises.
+    # ranks. The first matrix that fails raises; a NaN or infinite entry
+    # raises NotFiniteError (require_hermitian's check).
     sym = require_hermitian(m)
     e, negative = _with_cutoff(_eigh_symmetrized(sym))
     if np.count_nonzero(negative):
@@ -203,11 +210,15 @@ def partial_trace(state: TripartiteState, keep) -> DensityMatrix:
     """Trace out the subsystems not named in keep.
 
     keep is a string of subsystem labels, e.g. "AB" or "B". The result is
-    validated, so marginals come back as DensityMatrix values.
+    validated, so marginals come back as DensityMatrix values. rho and the
+    marginals in MARGINALS are the ones the state's analysis keeps, so
+    they are not decomposed again.
     """
     keep = _normalize_keep(keep)
     if keep == SUBSYSTEMS:
         return state.rho
+    if keep in MARGINALS:
+        return state.analysis.marginals[MARGINALS.index(keep)]
     return validate_density(_traced_out(state.mat, state.dims, keep))
 
 
@@ -256,6 +267,20 @@ def embed(m, acts_on, dims) -> np.ndarray:
     return full.reshape(*stack, d, d)
 
 
+def _require_distribution(v: np.ndarray, what: str, negative_tol: float, sum_tol: float) -> None:
+    # The one probability check: v has finite entries, none below
+    # -negative_tol, and they sum to 1 within sum_tol. A NaN or infinite
+    # entry makes the least entry or the sum NaN or infinite, which fails
+    # the comparison and raises NotFiniteError. what names v in errors.
+    low, total = float(v.min()), float(v.sum())
+    if low >= -negative_tol and abs(total - 1.0) <= sum_tol:
+        return
+    _require_finite(v, what)
+    if low < -negative_tol:
+        raise NotDistributionError(f"{what}: negative entry {low:.3e}")
+    raise NotDistributionError(f"{what}: entries sum to {total!r}, expected 1")
+
+
 @dataclass(frozen=True, eq=False)
 class ClassicalJoint:
     """A joint distribution p(a, b, c) stored as a 3-d array."""
@@ -266,11 +291,7 @@ class ClassicalJoint:
         arr = np.asarray(self.p, dtype=float)
         if arr.ndim != 3:
             raise DimensionMismatchError(f"joint distribution must be 3-d, got {arr.ndim}-d")
-        if float(arr.min()) < -1e-12:
-            raise NotDistributionError(f"negative probability {arr.min():.3e}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise NotDistributionError(f"probabilities sum to {total!r}, expected 1")
+        _require_distribution(arr, "joint distribution", PROBABILITY_NEGATIVE_TOL, JOINT_SUM_TOL)
         object.__setattr__(self, "p", _frozen(np.clip(arr, 0.0, None)))
 
     @property
@@ -321,12 +342,8 @@ class MarkovSpec:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise NotDistributionError("a Markov spec needs at least one block")
-        weights = [b.weight for b in self.blocks]
-        if min(weights) < 0.0:
-            raise NotDistributionError(f"negative block weight {min(weights)!r}")
-        total = float(sum(weights))
-        if abs(total - 1.0) > 1e-9:
-            raise NotDistributionError(f"block weights sum to {total!r}, expected 1")
+        weights = np.array([b.weight for b in self.blocks], dtype=float)
+        _require_distribution(weights, "block weights", 0.0, WEIGHT_SUM_TOL)
         for i, b in enumerate(self.blocks):
             if b.d_left < 1 or b.d_right < 1:
                 raise DimensionMismatchError(f"block {i}: factor dimensions must be >= 1")

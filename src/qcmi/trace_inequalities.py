@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
 from .linalg import dagger, mat_exp, mat_power, psd_eig, require_hermitian, trace_norm
+from .tolerances import LOG_MEAN_RTOL
 
 
 def _same_dim(*mats: np.ndarray) -> None:
@@ -70,7 +71,7 @@ def lieb_triple_rhs(r, s, t) -> float:
     si = ws[:, None]
     sj = ws[None, :]
     diff = si - sj
-    close = np.abs(diff) <= 1e-12 * np.maximum(si, sj)
+    close = np.abs(diff) <= LOG_MEAN_RTOL * np.maximum(si, sj)
     safe = np.where(close, 1.0, diff)
     weights = np.where(close, 2.0 / (si + sj), (np.log(si) - np.log(sj)) / safe)
     return float(np.sum(rr * tt.T * weights).real)

@@ -20,6 +20,7 @@ from qcmi.stateio import write_state
 from qcmi.states import (
     ClassicalJoint,
     TripartiteState,
+    _traced_out,
     classical_state,
     embed,
     partial_trace,
@@ -101,6 +102,35 @@ def test_a_public_state_decomposes_rho_once(command, full_dim, tmp_path, decompo
     decompositions.clear()
     assert main([command, str(path)]) == 0
     assert sum(1 for n in decompositions if n == 27) == full_dim
+
+
+def test_partial_trace_reads_the_analysis_marginals(decompositions):
+    st = random_tripartite((2, 3, 2), substream(31, 8))
+    st.analysis.marginals
+    decompositions.clear()
+    assert partial_trace(st, "AB") is st.analysis.marginals[0]
+    assert decompositions == []
+    for keep, marginal in zip(MARGINALS, st.analysis.marginals):
+        assert partial_trace(st, keep) is marginal
+    assert decompositions == []
+    # A, C and AC are no marginal of the analysis and validate their own.
+    for keep in ("A", "C", "AC"):
+        partial_trace(st, keep)
+    assert decompositions == [2, 2, 4]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (1, 3, 2), (3, 1, 3), (2, 3, 2)])
+def test_partial_trace_is_bitwise_the_marginal_validated_alone(dims):
+    states = [random_tripartite(dims, substream(34, i)) for i in range(5)]
+    analyse_together(states)
+    for st in states:
+        for keep in MARGINALS:
+            got = partial_trace(st, keep)
+            alone = validate_density(_traced_out(st.mat, dims, keep))
+            assert got.mat.tobytes() == alone.mat.tobytes()
+            assert got.eig.eigenvalues.tobytes() == alone.eig.eigenvalues.tobytes()
+            assert got.eig.eigenvectors.tobytes() == alone.eig.eigenvectors.tobytes()
+            assert (got.eig.cutoff, got.support_rank) == (alone.eig.cutoff, alone.support_rank)
 
 
 def test_analysis_is_cached_on_the_state():
@@ -227,10 +257,11 @@ def _drift_groups():
 
 
 def test_support_ranks_from_eigh_agree_with_validate_density():
-    # The analysis reads the ranks of rho and its marginals from eigh, where
-    # validate_density and partial_trace use eigvalsh. The two eigenvalues
-    # of a matrix differ in the last bits, so an eigenvalue within ulps of
-    # the support cutoff could count differently; none does here.
+    # The ranks the stacked analysis reads for rho and its marginals are
+    # those of each matrix validated alone: stacking does not change a
+    # support rank. partial_trace returns the analysis' marginals, so the
+    # marginal ranks are compared with validate_density's in
+    # test_partial_trace_is_bitwise_the_marginal_validated_alone.
     for states in _drift_groups():
         analyse_together(states)
         for st in states:

@@ -9,7 +9,7 @@ from qcmi.channels import (
     petz_dual,
     random_channel,
 )
-from qcmi.errors import DimensionMismatchError, SingularMatrixError, ValidationError
+from qcmi.errors import DimensionMismatchError, NotFiniteError, SingularMatrixError, ValidationError
 from qcmi.linalg import hs_norm
 from qcmi.recovery import recover_via_ab
 from qcmi.sampling import random_density, random_tripartite, substream
@@ -20,6 +20,14 @@ class TestKrausChannel:
     def test_completeness_enforced(self):
         with pytest.raises(ValidationError):
             KrausChannel(kraus=(np.eye(2) * 0.5,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        # A NaN deviation never exceeds the tolerance; the check fails on it.
+        ops = (np.eye(2) / np.sqrt(2), np.eye(2) / np.sqrt(2))
+        ops[1][0, 1] = bad
+        with pytest.raises(NotFiniteError, match=rf"^Kraus operator entry \(1, 0, 1\) is \({bad}\+0j\)$"):
+            KrausChannel(kraus=ops)
 
     def test_needs_at_least_one_operator(self):
         with pytest.raises(ValidationError):

@@ -128,6 +128,24 @@ class TestInfo:
         assert captured.err == "error: matrix: minimum eigenvalue -5.000e-11 is below -3.0e-11\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "entry, value, shown",
+        [((0, 0), math.nan, "nan"), ((3, 3), math.inf, "inf")],
+        ids=["NaN", "Infinity"],
+    )
+    def test_non_finite_entry_exits_one(self, entry, value, shown, tmp_path, capsys):
+        # Python's json reads NaN and Infinity, and a NaN passes every check
+        # written x > tol: the file must be rejected, not analysed.
+        path = tmp_path / "bad.json"
+        write_state(parity_state(), path)
+        doc = json.loads(path.read_text())
+        doc["matrix"][entry[0]][entry[1]][0] = value
+        path.write_text(json.dumps(doc))
+        assert main(["info", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: matrix entry {entry} is ({shown}+0j)\n"
+        assert captured.out == ""
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["info", "no-such-state.json"]) == 1
         assert "error" in capsys.readouterr().err

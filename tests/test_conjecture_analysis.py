@@ -115,7 +115,9 @@ def test_channel_analysis_matches_the_composition(triple):
     np.testing.assert_array_equal(channel_exp_operator(rho, sigma, phi), ex)
     for ours, theirs in zip(petz_dual(phi, sigma).kraus, a.petz.kraus):
         np.testing.assert_array_equal(ours, theirs)
-    # The full-rank decisions from eigh are validate_density's (eigvalsh).
+    # The analysis' full-rank decisions are those of validate_density on
+    # each matrix alone: how the analysis reaches a matrix does not change
+    # its support rank.
     outputs = (phi.apply(rho.mat), phi.apply(sigma.mat))
     for (dm, _), m in zip(a._inputs + a._outputs, (rho.mat, sigma.mat) + outputs):
         assert dm.is_full_rank() == validate_density(m).is_full_rank()

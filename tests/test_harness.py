@@ -114,8 +114,10 @@ class TestScanConfig:
             # A tolerance of inf would let every slack pass.
             (math.inf, "tol must be finite, got inf"),
             ("x", "tol must be a real number, got 'x'"),
+            # At tol = True (1.0) every slack above -1 would pass.
+            (True, "tol must be a real number, got True"),
         ],
-        ids=["nan", "-1.0", "-inf", "inf", "x"],
+        ids=["nan", "-1.0", "-inf", "inf", "x", "True"],
     )
     def test_rejects_tol_that_is_not_positive(self, tol, message):
         with pytest.raises(ConfigError) as exc:
@@ -619,6 +621,17 @@ class TestChannelGapScan:
                 ScanConfig(dims=(2, 2, 2), samples=1), "rotated-quarter", unitary_samples=2.5
             ),
             "unitary_samples must be an integer, got 2.5",
+        ),
+        # A bool is no integer: True and False would pass as 1 and 0.
+        (lambda: ScanConfig(dims=(True, 2, 2), samples=1), "dims entry must be an integer, got True"),
+        (lambda: ScanConfig(dims=(2, 2, 2), samples=True), "samples must be an integer, got True"),
+        (lambda: ScanConfig(dims=(2, 2, 2), samples=1, seed=False), "seed must be an integer, got False"),
+        (lambda: channel_gap_scan(dim=True, kraus=1, samples=1), "dim must be an integer, got True"),
+        (
+            lambda: run_conjecture(
+                ScanConfig(dims=(2, 2, 2), samples=1), "rotated-quarter", unitary_samples=True
+            ),
+            "unitary_samples must be an integer, got True",
         ),
     ],
 )

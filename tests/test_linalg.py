@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qcmi.errors import DimensionMismatchError, NotHermitianError, NotPSDError
+from qcmi.errors import DimensionMismatchError, NotFiniteError, NotHermitianError, NotPSDError
 from qcmi.linalg import (
     _eigh,
     as_psd,
@@ -192,4 +192,30 @@ class TestStacks:
             as_psd(_eigh(stack), "test")
         stack = np.stack([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NotHermitianError):
+            require_hermitian(stack)
+
+
+class TestNonFinite:
+    """A NaN never exceeds a tolerance, so every check is written to fail on one."""
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.diag([np.nan, 0.5]), "matrix entry (0, 0) is (nan+0j)"),
+            ([[0.5, np.nan], [np.nan, 0.5]], "matrix entry (0, 1) is (nan+0j)"),
+            # The deviation and the norm are both inf: inf > rtol * inf is false.
+            ([[0.5, np.inf], [0.0, 0.5]], "matrix entry (0, 1) is (inf+0j)"),
+            ([[0.5, 0.0], [-np.inf, 0.5]], "matrix entry (1, 0) is (-inf+0j)"),
+            ([[0.5, complex(0.0, np.inf)], [complex(0.0, -np.inf), 0.5]], "matrix entry (0, 1) is infj"),
+        ],
+        ids=["nan-diagonal", "nan-off-diagonal", "inf", "-inf", "inf-imaginary-hermitian"],
+    )
+    def test_require_hermitian_names_the_entry(self, m, message):
+        with pytest.raises(NotFiniteError) as exc:
+            require_hermitian(m)
+        assert str(exc.value) == message
+
+    def test_stack_names_the_matrix_and_entry(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.diag([1.0, np.nan])])
+        with pytest.raises(NotFiniteError, match=r"^matrix entry \(2, 1, 1\) is \(nan\+0j\)$"):
             require_hermitian(stack)

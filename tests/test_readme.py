@@ -7,6 +7,9 @@ The README's table of inequalities is the table of qcmi.inequalities,
 which lists each proven step once; print it with
 
     PYTHONPATH=src python tests/test_readme.py
+
+The README's table of tolerances names every constant of qcmi.tolerances
+with its value, in the module's order.
 """
 
 import itertools
@@ -16,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from qcmi import tolerances
 from qcmi.cli import run
 from qcmi.harness import ScanConfig, corpus_state, evaluate_sample
 from qcmi.inequalities import ALWAYS, STATE, TABLE, proven_checks
@@ -82,6 +86,20 @@ def test_readme_table_is_the_inequality_table():
     text = README.read_text(encoding="utf-8")
     start = text.index("<!-- inequalities -->\n") + len("<!-- inequalities -->\n")
     assert text[start:text.index("<!-- /inequalities -->")] == inequality_table()
+
+
+def readme_tolerances() -> list[tuple[str, str]]:
+    """(name, value text) of each row of the README's table of tolerances."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("<!-- tolerances -->\n") + len("<!-- tolerances -->\n")
+    rows = text[start:text.index("<!-- /tolerances -->")].splitlines()[2:]
+    return [tuple(cell.strip().strip("`") for cell in row.split("|")[1:3]) for row in rows]
+
+
+def test_readme_tolerance_table_is_qcmi_tolerances():
+    defined = [(name, repr(value)) for name, value in vars(tolerances).items() if name.isupper()]
+    assert len(defined) >= 14
+    assert readme_tolerances() == defined
 
 
 def test_no_two_proven_rows_compute_the_same_slack():

@@ -1,9 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
-from qcmi.errors import ParseError, ValidationError
+from qcmi.errors import NotFiniteError, ParseError, ValidationError
 from qcmi.sampling import random_markov_spec, random_tripartite, substream
 from qcmi.states import markov_state
 from qcmi.stateio import (
@@ -55,6 +57,33 @@ class TestStateRoundTrip:
         with pytest.raises(ValidationError):
             read_state(path)
 
+    @pytest.mark.parametrize("dims", [[True, True, 2], [1, 1, False], [1.0, 1, 2]])
+    def test_rejects_dims_that_are_not_integers(self, dims, tmp_path):
+        # JSON true would otherwise be read as the integer 1.
+        path = tmp_path / "bad.json"
+        rows = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
+        path.write_text(json.dumps({"dims": dims, "matrix": rows}))
+        with pytest.raises(ValidationError, match=r"^dims: expected three positive integers$"):
+            read_state(path)
+
+    def test_rejects_bool_matrix_entries(self, tmp_path):
+        path = tmp_path / "bad.json"
+        rows = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, False]]]
+        path.write_text(json.dumps({"dims": [1, 1, 2], "matrix": rows}))
+        with pytest.raises(ValidationError, match=r"^matrix: entry \(1,1\) is not an \[re,im\] pair$"):
+            read_state(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_entries(self, value, tmp_path):
+        # Python's json reads NaN and Infinity as floats.
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"dims": [1, 1, 2], "matrix": [[[0.5, 0], [0, 0]], [[%s, 0], [0.5, 0]]]}' % value
+        )
+        with pytest.raises(NotFiniteError) as exc:
+            read_state(path)
+        assert str(exc.value) == f"matrix entry (1, 0) is ({float(value)!r}+0j)"
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dims": [2, 2')
@@ -100,6 +129,38 @@ class TestMarkovSpecRoundTrip:
         path = tmp_path / "spec.json"
         path.write_text('{"dA": 2, "blocks": []}')
         with pytest.raises(ValidationError):
+            read_markov_spec(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("dA", True, "dA: expected a positive integer"),
+            ("dC", False, "dC: expected a positive integer"),
+            ("dL", True, "blocks[0].dL: expected a positive integer"),
+            ("dR", True, "blocks[0].dR: expected a positive integer"),
+            ("p", True, "blocks[0].p: expected a number"),
+        ],
+    )
+    def test_rejects_bools(self, field, value, message, tmp_path):
+        # JSON true and false would otherwise be read as 1 and 0.
+        spec = random_markov_spec((1, 1, 1), substream(61, 3))
+        path = tmp_path / "spec.json"
+        write_markov_spec(spec, path)
+        doc = json.loads(path.read_text())
+        target = doc if field in ("dA", "dC") else doc["blocks"][0]
+        target[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read_markov_spec(path)
+
+    def test_rejects_a_non_finite_weight(self, tmp_path):
+        spec = random_markov_spec((1, 1, 1), substream(61, 3))
+        path = tmp_path / "spec.json"
+        write_markov_spec(spec, path)
+        doc = json.loads(path.read_text())
+        doc["blocks"][0]["p"] = math.nan
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"^block weights entry 0 is nan$"):
             read_markov_spec(path)
 
 

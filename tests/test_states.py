@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qcmi.bounds import bound_report
-from qcmi.entropy import cmi
+from qcmi.entropy import classical_rel_entropy, cmi
 from qcmi.errors import (
     DimensionMismatchError,
     NotDistributionError,
+    NotFiniteError,
     NotPSDError,
     TraceNotOneError,
 )
@@ -58,6 +59,16 @@ class TestValidate:
         with pytest.raises(TraceNotOneError):
             validate_density(np.diag([0.6, 0.5]))
 
+    def test_rejects_nan_and_infinity(self):
+        with pytest.raises(NotFiniteError, match=r"^matrix entry \(0, 0\) is \(nan\+0j\)$"):
+            tripartite(np.diag([np.nan, 0.5]), (1, 1, 2))
+        off = np.full((2, 2), np.nan)
+        np.fill_diagonal(off, 0.5)
+        with pytest.raises(NotFiniteError, match=r"^matrix entry \(0, 1\) is \(nan\+0j\)$"):
+            validate_density(off)
+        with pytest.raises(NotFiniteError, match=r"^matrix entry \(1, 1\) is \(inf\+0j\)$"):
+            validate_density(np.diag([0.5, np.inf]))
+
     def test_eigenvalue_below_minus_the_support_cutoff_is_negative(self):
         # The one PSD rule: with largest eigenvalue 0.3 the support cutoff
         # is 3e-11, so -5e-11 is negative (the former floor -1e-10 let it
@@ -95,6 +106,11 @@ class TestStackHelpers:
             _validated(stack)
         with pytest.raises(TraceNotOneError, match="trace is 2.0"):
             _validated(np.stack([np.eye(2) / 2, np.eye(2)]))
+
+    def test_non_finite_matrix_of_a_stack_raises(self):
+        stack = np.stack([np.eye(2) / 2, np.eye(2) / 2, np.diag([0.5, np.nan])])
+        with pytest.raises(NotFiniteError, match=r"^matrix entry \(2, 1, 1\) is \(nan\+0j\)$"):
+            _validated(stack)
 
     def test_public_forms_take_one_matrix(self):
         with pytest.raises(DimensionMismatchError):
@@ -234,6 +250,54 @@ class TestClassicalState:
     def test_rejects_unnormalized(self):
         with pytest.raises(NotDistributionError):
             ClassicalJoint(np.full((2, 2, 2), 0.2))
+
+
+def _weights(*weights):
+    one = validate_density(np.eye(1))
+    blocks = tuple(MarkovBlock(weight=w, d_left=1, d_right=1, rho_al=one, rho_rc=one) for w in weights)
+    return MarkovSpec(d_a=1, d_c=1, blocks=blocks)
+
+
+def _joint(*cells):
+    return ClassicalJoint(np.reshape(cells, (len(cells), 1, 1)))
+
+
+class TestProbabilityChecks:
+    """ClassicalJoint, MarkovSpec and classical_rel_entropy share one check,
+    each with its own tolerances: (1e-12, 1e-12), (0, 1e-9), (1e-12, 1e-9)."""
+
+    def test_joint_tolerances(self):
+        assert _joint(1.0 + 5e-13, -5e-13).p.min() == 0.0  # clipped
+        with pytest.raises(NotDistributionError, match=r"^joint distribution: negative entry -2.000e-12$"):
+            _joint(1.0 + 2e-12, -2e-12)
+        _joint(0.5, 0.5 + 5e-13)
+        with pytest.raises(NotDistributionError, match=r"^joint distribution: entries sum to 1.00000000000\d*, expected 1$"):
+            _joint(0.5, 0.5 + 2e-12)
+
+    def test_block_weight_tolerances(self):
+        with pytest.raises(NotDistributionError, match=r"^block weights: negative entry -1.000e-300$"):
+            _weights(1.0, -1e-300)
+        _weights(1.0, 0.0)
+        _weights(0.5, 0.5 + 5e-10)
+        with pytest.raises(NotDistributionError, match=r"^block weights: entries sum to 1.00000000\d*, expected 1$"):
+            _weights(0.5, 0.5 + 2e-9)
+
+    def test_kl_tolerances(self):
+        assert classical_rel_entropy([1.0 + 5e-13, -5e-13], [0.5, 0.5]) > 0.0
+        with pytest.raises(NotDistributionError, match=r"^q: negative entry -2.000e-12$"):
+            classical_rel_entropy([0.5, 0.5], [1.0 + 2e-12, -2e-12])
+        classical_rel_entropy([0.5, 0.5 + 5e-10], [0.5, 0.5])
+        with pytest.raises(NotDistributionError, match=r"^p: entries sum to 1.00000000\d*, expected 1$"):
+            classical_rel_entropy([0.5, 0.5 + 2e-9], [0.5, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_named(self, bad):
+        with pytest.raises(NotFiniteError, match=rf"^joint distribution entry \(1, 0, 0\) is {bad}$"):
+            _joint(0.5, bad)
+        with pytest.raises(NotFiniteError, match=rf"^block weights entry 1 is {bad}$"):
+            _weights(0.5, bad)
+        with pytest.raises(NotFiniteError, match=rf"^p entry 0 is {bad}$"):
+            classical_rel_entropy([bad, 1.0], [0.5, 0.5])
 
 
 class TestMarkovState:

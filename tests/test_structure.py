@@ -12,15 +12,21 @@ neither list can drift from the other.
 numpy.linalg is called from qcmi/linalg.py only, the package's one
 spectral chokepoint: every decomposition and factorization (eigh,
 eigvalsh, qr) goes through it, where it can be counted and timed.
+
+Every numeric threshold is defined once, in qcmi/tolerances.py. A small
+number literal (0 < |x| <= 1e-6) in any other module would be a second
+definition of a tolerance, which could drift from the table.
 """
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
 import pytest
 
 import qcmi
+from qcmi import tolerances
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qcmi"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "stateio.py")
@@ -108,6 +114,59 @@ def test_the_guard_catches_numpy_linalg(tmp_path):
         encoding="utf-8",
     )
     assert len(_numpy_linalg_uses(path)) == 4
+
+
+SMALL = 1e-6
+
+
+def _small_literals(path: Path) -> list[str]:
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, (float, complex))
+            and 0.0 < abs(node.value) <= SMALL
+        ):
+            problems.append(f"{path.name}:{node.lineno} has the literal {node.value!r}")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "tolerances.py"],
+    ids=lambda p: p.name,
+)
+def test_module_leaves_tolerances_to_tolerances(path):
+    assert _small_literals(path) == []
+
+
+def test_the_guard_catches_small_literals(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "if abs(total - 1.0) > 1e-9:\n"
+        "    low = -1e-12\n"
+        "tiny = 2e-7j\n"
+        "mix = (1e-1, 1e-4, 0.0, 1, 2.0 - 1e-6, 2e-6)\n",
+        encoding="utf-8",
+    )
+    assert len(_small_literals(path)) == 4
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        ("linalg", ("HERMITIAN_RTOL", "SUPPORT_RTOL", "SUPPORT_FLOOR")),
+        ("states", ("TRACE_ATOL", "REGULARIZE_EPS")),
+        ("entropy", ("REL_ENTROPY_SUPPORT_TOL",)),
+        ("analysis", ("ZERO_OVERLAP",)),
+        ("channels", ("COMPLETENESS_TOL",)),
+        ("inequalities", ("DEFAULT_TOL",)),
+    ],
+)
+def test_former_homes_of_a_tolerance_read_the_table(module, names):
+    found = importlib.import_module(f"qcmi.{module}")
+    for name in names:
+        assert getattr(found, name) is getattr(tolerances, name)
 
 
 def test_all_names_exactly_the_public_names_the_package_binds():
