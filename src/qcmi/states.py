@@ -210,15 +210,17 @@ def partial_trace(state: TripartiteState, keep) -> DensityMatrix:
     """Trace out the subsystems not named in keep.
 
     keep is a string of subsystem labels, e.g. "AB" or "B". The result is
-    validated, so marginals come back as DensityMatrix values. rho and the
-    marginals in MARGINALS are the ones the state's analysis keeps, so
-    they are not decomposed again.
+    validated, so marginals come back as DensityMatrix values. rho, and the
+    marginals in MARGINALS once the state's analysis has validated them,
+    are the ones the analysis keeps, so they are not decomposed again.
+    Before that a marginal is validated alone, without rho or the others.
     """
     keep = _normalize_keep(keep)
     if keep == SUBSYSTEMS:
         return state.rho
-    if keep in MARGINALS:
-        return state.analysis.marginals[MARGINALS.index(keep)]
+    analysis = vars(state).get("analysis")
+    if keep in MARGINALS and analysis is not None and "marginals" in vars(analysis.stack):
+        return analysis.marginals[MARGINALS.index(keep)]
     return validate_density(_traced_out(state.mat, state.dims, keep))
 
 

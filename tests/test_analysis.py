@@ -119,6 +119,20 @@ def test_partial_trace_reads_the_analysis_marginals(decompositions):
     assert decompositions == [2, 2, 4]
 
 
+def test_partial_trace_before_the_analysis_validates_the_marginal_alone(decompositions):
+    # Until the analysis holds its marginals, partial_trace validates the one
+    # it is asked for: no other marginal and not rho, which need not be a
+    # density matrix for rho_B to be one.
+    st = tripartite(random_density(12, substream(31, 9)).mat, (2, 3, 2))
+    decompositions.clear()
+    partial_trace(st, "B")
+    assert decompositions == [3]
+    assert "marginals" not in vars(st.analysis.stack)
+    not_psd = TripartiteState(np.diag([1.1, -0.1]), (2, 1, 1))
+    np.testing.assert_array_equal(partial_trace(not_psd, "B").mat, [[1.0]])
+    assert "analysis" not in vars(not_psd)
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 3, 2), (3, 1, 3), (2, 3, 2)])
 def test_partial_trace_is_bitwise_the_marginal_validated_alone(dims):
     states = [random_tripartite(dims, substream(34, i)) for i in range(5)]
@@ -261,13 +275,30 @@ def test_support_ranks_from_eigh_agree_with_validate_density():
     # those of each matrix validated alone: stacking does not change a
     # support rank. partial_trace returns the analysis' marginals, so the
     # marginal ranks are compared with validate_density's in
-    # test_partial_trace_is_bitwise_the_marginal_validated_alone.
+    # test_drift_set_marginals_are_bitwise_the_marginals_validated_alone.
     for states in _drift_groups():
         analyse_together(states)
         for st in states:
             assert st.analysis.rho_rank == validate_density(st.mat).support_rank
             for keep, marginal in zip(MARGINALS, st.analysis.marginals):
                 assert marginal.support_rank == partial_trace(st, keep).support_rank
+
+
+def test_drift_set_marginals_are_bitwise_the_marginals_validated_alone():
+    # Over every corpus, the rank-deficient markov and classical ones too,
+    # the marginals the stacked analysis keeps are those validate_density
+    # makes of each partial trace alone: the same decomposition, cutoff and
+    # support rank.
+    for states in _drift_groups():
+        analyse_together(states)
+        for st in states:
+            for keep, got in zip(MARGINALS, st.analysis.marginals):
+                alone = validate_density(_traced_out(st.mat, st.dims, keep))
+                assert got.support_rank == alone.support_rank
+                assert got.eig.cutoff == alone.eig.cutoff
+                assert got.mat.tobytes() == alone.mat.tobytes()
+                assert got.eig.eigenvalues.tobytes() == alone.eig.eigenvalues.tobytes()
+                assert got.eig.eigenvectors.tobytes() == alone.eig.eigenvectors.tobytes()
 
 
 def test_eigenvalue_between_zero_and_the_support_cutoff_is_kernel():
