@@ -408,34 +408,20 @@ class ChannelAnalysis:
       exponent's would give it only to the last bits);
     * one spectrum for the Petz recovery gap ||rho - P(phi(rho))||_1.
 
-    rho and sigma are DensityMatrix values, whose decompositions are read,
-    or matrices, which are validated here (validate_density) and so may
-    skip validation on construction. The checks raise with the errors of
-    channel_gap_bound, channel_exp_operator and petz_dual, in their order:
-    rho and sigma are validated and must be full rank, then phi(rho) and
-    phi(sigma) are validated; X needs both full rank, and the Petz map
-    needs phi(sigma) nonsingular.
+    rho and sigma are DensityMatrix values, validated with their
+    decompositions, which are read here. The checks raise with the errors
+    of channel_gap_bound, channel_exp_operator and petz_dual, in their
+    order: rho and then sigma must be full rank (on construction), then
+    phi(rho) and phi(sigma) are validated; X needs both full rank, and the
+    Petz map needs phi(sigma) nonsingular.
     """
 
-    def __init__(self, rho, sigma, phi: KrausChannel):
-        self._given = (rho, sigma)
+    def __init__(self, rho: DensityMatrix, sigma: DensityMatrix, phi: KrausChannel):
+        _require_full_rank(rho, "rho")
+        _require_full_rank(sigma, "sigma")
+        self.rho = rho
+        self.sigma = sigma
         self.phi = phi
-
-    @cached_property
-    def _inputs(self) -> tuple[tuple[DensityMatrix, PsdEigen], ...]:
-        # rho and sigma, validated and full rank, with their decompositions.
-        given = [m if isinstance(m, DensityMatrix) else validate_density(m) for m in self._given]
-        for dm, what in zip(given, ("rho", "sigma")):
-            _require_full_rank(dm, what)
-        return tuple((dm, dm.eig) for dm in given)
-
-    @property
-    def rho(self) -> DensityMatrix:
-        return self._inputs[0][0]
-
-    @property
-    def sigma(self) -> DensityMatrix:
-        return self._inputs[1][0]
 
     @cached_property
     def _phi_rho(self) -> np.ndarray:
@@ -443,27 +429,24 @@ class ChannelAnalysis:
         return self.phi.apply(self.rho.mat)
 
     @cached_property
-    def _outputs(self) -> tuple[tuple[DensityMatrix, PsdEigen], ...]:
+    def _outputs(self) -> tuple[DensityMatrix, DensityMatrix]:
         # phi(rho) and phi(sigma), validated, with their decompositions.
-        out_rho = validate_density(self._phi_rho)
-        out_sigma = validate_density(self.phi.apply(self.sigma.mat))
-        return (out_rho, out_rho.eig), (out_sigma, out_sigma.eig)
+        return validate_density(self._phi_rho), validate_density(self.phi.apply(self.sigma.mat))
 
     @cached_property
     def lhs(self) -> float:
         """S(rho || sigma) - S(phi(rho) || phi(sigma))."""
-        (rho, _), (sigma, _) = self._inputs
-        (out_rho, _), (out_sigma, _) = self._outputs
-        return float(rel_entropy(rho, sigma) - rel_entropy(out_rho, out_sigma))
+        out_rho, out_sigma = self._outputs
+        return float(rel_entropy(self.rho, self.sigma) - rel_entropy(out_rho, out_sigma))
 
     @cached_property
     def exp_operator(self) -> np.ndarray:
         """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
-        _, (_, e_sigma) = self._inputs
-        (out_rho, e_out_rho), (out_sigma, e_out_sigma) = self._outputs
+        out_rho, out_sigma = self._outputs
         _require_full_rank(out_rho, "phi(rho)")
         _require_full_rank(out_sigma, "phi(sigma)")
-        x = e_sigma.log() + self.phi.dual(e_out_rho.log()) - self.phi.dual(e_out_sigma.log())
+        phi = self.phi
+        x = self.sigma.eig.log() + phi.dual(out_rho.eig.log()) - phi.dual(out_sigma.eig.log())
         e = _eigh_symmetrized(hermitian_part(x))
         return _readonly(hermitian_part(e.apply(np.exp(e.eigenvalues))))
 
@@ -476,16 +459,13 @@ class ChannelAnalysis:
     def rhs(self) -> float:
         """-2 log Tr[sqrt(rho) sqrt(X)], the lower bound on lhs."""
         ex = self.exp_operator
-        (_, e_rho), _ = self._inputs
-        overlap = np.trace(e_rho.sqrt() @ psd_eig(ex, "sqrt").sqrt())
+        overlap = np.trace(self.rho.eig.sqrt() @ psd_eig(ex, "sqrt").sqrt())
         return _overlap_bound(float(overlap.real))
 
     @cached_property
     def petz(self) -> KrausChannel:
         """The Petz transpose of phi with respect to sigma (channels.petz_dual)."""
-        _, (_, e_sigma) = self._inputs
-        _, (_, e_out_sigma) = self._outputs
-        return _petz_dual(self.phi, e_sigma, e_out_sigma)
+        return _petz_dual(self.phi, self.sigma.eig, self._outputs[1].eig)
 
     @cached_property
     def petz_gap(self) -> float:

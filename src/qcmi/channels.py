@@ -32,9 +32,10 @@ class KrausChannel:
             raise ValidationError(f"Kraus operators must be matrices, got shape {shape}")
         if any(k.shape != shape for k in ops):
             raise DimensionMismatchError("Kraus operators have inconsistent shapes")
-        total = sum(dagger(k) @ k for k in ops)
-        dev = hs_norm(total - np.eye(shape[1]))
         # A NaN or infinite entry makes dev NaN or infinite, which fails.
+        with np.errstate(invalid="ignore"):
+            total = sum(dagger(k) @ k for k in ops)
+            dev = hs_norm(total - np.eye(shape[1]))
         if not dev <= COMPLETENESS_TOL * max(1.0, np.sqrt(shape[1])):
             _require_finite(np.stack(ops), "Kraus operator")
             raise ValidationError(f"channel is not trace preserving, deviation {dev:.3e}")

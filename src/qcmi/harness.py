@@ -23,13 +23,14 @@ from .errors import ConfigError, InequalityViolationError
 from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
 from .recovery import classify
 from .sampling import (
-    _hs_matrix,
-    _markov_state_matrix,
-    _near_markov_matrix,
-    random_classical,
+    near_markov_state,
+    random_classical_state,
+    random_density,
+    random_markov_state,
+    random_tripartite,
     substream,
 )
-from .states import TripartiteState, _classical_matrix
+from .states import TripartiteState
 from .stateio import _write_text, to_text, write_json, write_state
 from .tolerances import DEFAULT_TOL
 
@@ -166,24 +167,22 @@ class ChannelGapSummary:
 
 
 def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
-    """Deterministically build sample `index` of the configured corpus.
+    """Deterministically draw sample `index` of the configured corpus.
 
-    The matrix is bitwise the one the corpus' public sampler returns
-    (random_tripartite, random_classical_state, random_markov_state or
-    near_markov_state), which is a density matrix by construction. It is
-    validated once, by the state's analysis, rather than on construction.
+    The sample is the state the corpus' public sampler (random_tripartite,
+    random_classical_state, random_markov_state or near_markov_state)
+    draws from substream(seed, index). Its matrix is a density matrix by
+    construction and is validated once, by the state's analysis.
     """
     rng = substream(cfg.seed, index)
     dims = cfg.dims
     if cfg.corpus == "hs-random":
-        m = _hs_matrix(dims[0] * dims[1] * dims[2], rng)
-    elif cfg.corpus == "classical-random":
-        m = _classical_matrix(random_classical(dims, rng))
-    elif cfg.corpus == "markov":
-        m = _markov_state_matrix(dims, rng)
-    else:
-        m = _near_markov_matrix(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
-    return TripartiteState(m, dims)
+        return random_tripartite(dims, rng)
+    if cfg.corpus == "classical-random":
+        return random_classical_state(dims, rng)
+    if cfg.corpus == "markov":
+        return random_markov_state(dims, rng)
+    return near_markov_state(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
 
 
 def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
@@ -240,7 +239,7 @@ def _one_by_one(cfg: ScanConfig, indices: range, drawn: list[TripartiteState], e
     for k, i in enumerate(indices):
         if k < len(drawn):
             state = drawn[k]
-            vars(state).pop("analysis", None)  # its row of the failed stack
+            analyse_together([state])  # a stack of its own, not the failed one
         else:
             state = corpus_state(cfg, i)
         yield state, evaluate(state, i)
@@ -339,12 +338,12 @@ def _state_conjecture(cfg: ScanConfig, which: str, unitary_samples: int) -> list
 def _channel(cfg: ScanConfig, kraus: int | None, index: int) -> ChannelAnalysis:
     # Channel triple `index` of dimension prod(cfg.dims), from substream(seed,
     # index): a Kraus count in 1-4 unless kraus is given, then rho and sigma
-    # (Hilbert-Schmidt, validated by the analysis) and the channel.
+    # (random_density) and the channel.
     dim = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
     rng = substream(cfg.seed, index)
     count = 1 + int(rng.integers(4)) if kraus is None else kraus
-    rho = _hs_matrix(dim, rng)
-    sigma = _hs_matrix(dim, rng)
+    rho = random_density(dim, rng)
+    sigma = random_density(dim, rng)
     return ChannelAnalysis(rho, sigma, random_channel(dim, dim, count, rng))
 
 

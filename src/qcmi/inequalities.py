@@ -31,7 +31,6 @@ from .errors import SingularMatrixError
 from .linalg import dagger, hermitian_part, mat_exp, trace_norm
 from .sampling import _haar_unitaries, substream
 from .states import TripartiteState
-from .tolerances import DEFAULT_TOL  # noqa: F401  (keeps inequalities.DEFAULT_TOL resolving)
 
 ALWAYS = "always"
 NEVER = ()

@@ -104,7 +104,8 @@ def require_hermitian(m) -> np.ndarray:
     """
     a = as_matrices(m)
     rtol = HERMITIAN_RTOL
-    dev = hs_norm(a - dagger(a))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which raises below
+        dev = hs_norm(a - dagger(a))
     if a.ndim == 2:  # one matrix, without the fixed cost of the stack form
         failed = not dev <= rtol and (not math.isfinite(dev) or dev > rtol * hs_norm(a))
         found = dev if failed else None

@@ -6,6 +6,10 @@ is numpy's SeedSequence(entropy=s, spawn_key=(i,)). Substreams are
 statistically independent, reproduce bitwise for a fixed seed, and do not
 depend on evaluation order, so scans can be resumed or parallelized
 without changing their output.
+
+The tripartite samplers return unvalidated TripartiteState values: their
+matrices are density matrices by construction, and each state's analysis
+validates it when a value is first read.
 """
 
 from __future__ import annotations
@@ -19,9 +23,8 @@ from .states import (
     MarkovBlock,
     MarkovSpec,
     TripartiteState,
+    _classical_matrix,
     _markov_matrix,
-    classical_state,
-    tripartite,
     validate_density,
 )
 
@@ -85,7 +88,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 def random_tripartite(dims, rng: np.random.Generator) -> TripartiteState:
     dims = tuple(int(d) for d in dims)
-    return tripartite(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)
+    return TripartiteState(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)
 
 
 def random_classical(dims, rng: np.random.Generator) -> ClassicalJoint:
@@ -107,8 +110,8 @@ def random_markov_spec(dims, rng: np.random.Generator) -> MarkovSpec:
 
 
 def _markov_blocks(dims, rng: np.random.Generator) -> list:
-    # random_markov_spec's (weight, d_left, d_right, rho_al, rho_rc)
-    # blocks, unvalidated.
+    # The (weight, d_left, d_right, rho_al, rho_rc) blocks of
+    # random_markov_spec and random_markov_state, unvalidated.
     d_a, d_b, d_c = (int(d) for d in dims)
     shapes: list[tuple[int, int]] = []
     remaining = d_b
@@ -127,24 +130,18 @@ def _markov_blocks(dims, rng: np.random.Generator) -> list:
     ]
 
 
-def _markov_state_matrix(dims, rng: np.random.Generator) -> np.ndarray:
-    return _markov_matrix(int(dims[0]), int(dims[2]), _markov_blocks(dims, rng))
-
-
 def random_markov_state(dims, rng: np.random.Generator) -> TripartiteState:
-    return tripartite(_markov_state_matrix(dims, rng), dims)
+    d_a, d_c = int(dims[0]), int(dims[2])
+    return TripartiteState(_markov_matrix(d_a, d_c, _markov_blocks(dims, rng)), dims)
 
 
 def random_classical_state(dims, rng: np.random.Generator) -> TripartiteState:
-    return classical_state(random_classical(dims, rng))
-
-
-def _near_markov_matrix(dims, rng: np.random.Generator, mix: float) -> np.ndarray:
-    base = _markov_state_matrix(dims, rng)
-    noise = _hs_matrix(base.shape[0], rng)
-    return hermitian_part((1.0 - mix) * base + mix * noise)
+    joint = random_classical(dims, rng)
+    return TripartiteState(_classical_matrix(joint), joint.dims)
 
 
 def near_markov_state(dims, rng: np.random.Generator, mix: float) -> TripartiteState:
     """Convex mixture (1 - mix) * markov + mix * random, for small mix."""
-    return tripartite(_near_markov_matrix(dims, rng, mix), dims)
+    base = random_markov_state(dims, rng)
+    noise = _hs_matrix(base.dim, rng)
+    return TripartiteState(hermitian_part((1.0 - mix) * base.mat + mix * noise), dims)

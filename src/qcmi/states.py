@@ -8,6 +8,7 @@ numpy.kron applied as kron(A_part, kron(B_part, C_part)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
@@ -78,6 +79,15 @@ class DensityMatrix:
         return self.support_rank == self.dim
 
 
+def _dimension(value, what: str) -> int:
+    # value as a Python int; DimensionMismatchError unless it is an
+    # integer, numpy integers included. A bool is not one here: True would
+    # pass as 1, and 2.9 would truncate to 2.
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DimensionMismatchError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _require_full_rank(rho: DensityMatrix, what: str) -> None:
     if not rho.is_full_rank():
         raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
@@ -118,9 +128,11 @@ class TripartiteState:
     """A matrix on A (x) B (x) C with explicit subsystem dimensions.
 
     The matrix is made read-only. The state's analysis validates it as a
-    density matrix, on first use: tripartite() and the samplers force that
-    on construction, while the states a run draws from its corpus leave it
-    to the analysis of their stack.
+    density matrix the first time a value is read. The samplers, and so
+    the states a run draws from its corpus, build density matrices by
+    construction and leave that to the analysis. The constructors of
+    outside input, tripartite, read_state, regularize, markov_state and
+    classical_state, validate on construction.
     """
 
     mat: np.ndarray
@@ -128,7 +140,7 @@ class TripartiteState:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _frozen(as_matrix(self.mat)))
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(_dimension(d, "dims entry") for d in self.dims)
         object.__setattr__(self, "dims", dims)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise DimensionMismatchError(f"dims must be three positive ints, got {dims}")
@@ -326,6 +338,8 @@ class MarkovBlock:
     rho_rc: DensityMatrix
 
     def __post_init__(self):
+        for name in ("d_left", "d_right"):
+            object.__setattr__(self, name, _dimension(getattr(self, name), name))
         for name in ("rho_al", "rho_rc"):
             value = getattr(self, name)
             if not isinstance(value, DensityMatrix):
@@ -341,6 +355,8 @@ class MarkovSpec:
     blocks: tuple[MarkovBlock, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
+        for name in ("d_a", "d_c"):
+            object.__setattr__(self, name, _dimension(getattr(self, name), name))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise NotDistributionError("a Markov spec needs at least one block")

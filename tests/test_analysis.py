@@ -317,7 +317,7 @@ def test_eigenvalue_between_zero_and_the_support_cutoff_is_kernel():
     assert [partial_trace(st, keep).support_rank for keep in MARGINALS] == [2, 2, 2]
     rho = random_density(3, substream(38, 1))
     with pytest.raises(SingularMatrixError) as exc:
-        ChannelAnalysis(rho.mat, m, identity_channel(3)).lhs
+        ChannelAnalysis(rho, validate_density(m), identity_channel(3)).lhs
     assert str(exc.value) == "sigma must be full rank (support rank 2 of 3)"
 
 

@@ -103,7 +103,7 @@ def _triples():
 @pytest.mark.parametrize("triple", list(_triples()), ids=lambda t: f"d{t[0].dim}-k{len(t[2].kraus)}")
 def test_channel_analysis_matches_the_composition(triple):
     rho, sigma, phi = triple
-    a = ChannelAnalysis(rho.mat, sigma.mat, phi)
+    a = ChannelAnalysis(rho, sigma, phi)
     got = (a.lhs, a.rhs, a.trace_exp, a.petz_gap)
     assert repr(got) == repr(channel_sample_alone(rho, sigma, phi))
     ex = channel_exp_operator_alone(rho, sigma, phi)
@@ -119,7 +119,7 @@ def test_channel_analysis_matches_the_composition(triple):
     # each matrix alone: how the analysis reaches a matrix does not change
     # its support rank.
     outputs = (phi.apply(rho.mat), phi.apply(sigma.mat))
-    for (dm, _), m in zip(a._inputs + a._outputs, (rho.mat, sigma.mat) + outputs):
+    for dm, m in zip((a.rho, a.sigma) + a._outputs, (rho.mat, sigma.mat) + outputs):
         assert dm.is_full_rank() == validate_density(m).is_full_rank()
 
 

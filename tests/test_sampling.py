@@ -124,7 +124,7 @@ CONSTRUCTION_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 
 
 
 def _public_sample(cfg, i):
-    # Sample i of the corpus from its public sampler, validated on construction.
+    # Sample i of the corpus from its public sampler, called directly.
     rng = substream(cfg.seed, i)
     if cfg.corpus == "hs-random":
         return random_tripartite(cfg.dims, rng)
@@ -146,6 +146,9 @@ class TestCorpusDraws:
             drawn, public = corpus_state(cfg, i), _public_sample(cfg, i)
             assert drawn.dims == public.dims
             assert drawn.mat.tobytes() == public.mat.tobytes()
+            # The analysis computes from the matrix as drawn, so it must be
+            # bitwise the symmetrized copy that validation makes.
+            assert drawn.mat.tobytes() == validate_density(drawn.mat).mat.tobytes()
             assert not drawn.mat.flags.writeable
             assert drawn.rho.support_rank == public.rho.support_rank
 
@@ -161,5 +164,7 @@ class TestCorpusDraws:
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, lambda *args, **kwargs: calls.append(args))
         for corpus in CORPORA:
-            corpus_state(ScanConfig(dims=(2, 2, 2), samples=4, seed=73, corpus=corpus), 1)
+            cfg = ScanConfig(dims=(2, 2, 2), samples=4, seed=73, corpus=corpus)
+            corpus_state(cfg, 1)
+            _public_sample(cfg, 1)
         assert calls == []

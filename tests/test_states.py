@@ -19,6 +19,7 @@ from qcmi.states import (
     _validated,
     MarkovBlock,
     MarkovSpec,
+    TripartiteState,
     classical_state,
     embed,
     markov_state,
@@ -390,6 +391,45 @@ class TestMarkovState:
                 d_a=2, d_c=2,
                 blocks=(MarkovBlock(weight=1.0, d_left=1, d_right=1, rho_al=rho3, rho_rc=rho2),),
             )
+
+
+class TestIntegerDims:
+    """Dimensions are integers: a bool or a float raises instead of
+    truncating (2.9 to 2) or passing as 1 (True)."""
+
+    BAD = (2.9, 2.0, True, False, "2")
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_tripartite_state_rejects(self, bad):
+        with pytest.raises(DimensionMismatchError, match="dims entry must be an integer"):
+            TripartiteState(np.eye(8) / 8, (bad, 2, 2))
+
+    @pytest.mark.parametrize("name", ["d_left", "d_right"])
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_markov_block_rejects(self, name, bad):
+        rho = validate_density(np.eye(2) / 2)
+        kwargs = {"weight": 1.0, "d_left": 1, "d_right": 1, "rho_al": rho, "rho_rc": rho, name: bad}
+        with pytest.raises(DimensionMismatchError, match=f"{name} must be an integer"):
+            MarkovBlock(**kwargs)
+
+    @pytest.mark.parametrize("name", ["d_a", "d_c"])
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_markov_spec_rejects(self, name, bad):
+        rho = validate_density(np.eye(2) / 2)
+        block = MarkovBlock(weight=1.0, d_left=1, d_right=1, rho_al=rho, rho_rc=rho)
+        kwargs = {"d_a": 2, "d_c": 2, "blocks": (block,), name: bad}
+        with pytest.raises(DimensionMismatchError, match=f"{name} must be an integer"):
+            MarkovSpec(**kwargs)
+
+    def test_numpy_integers_are_python_ints(self):
+        st = TripartiteState(np.eye(8) / 8, (np.int64(2), np.int32(2), np.uint8(2)))
+        assert st.dims == (2, 2, 2) and all(type(d) is int for d in st.dims)
+        rho = validate_density(np.eye(2) / 2)
+        block = MarkovBlock(1.0, np.int64(1), np.int16(1), rho, rho)
+        assert (block.d_left, block.d_right) == (1, 1)
+        assert type(block.d_left) is int and type(block.d_right) is int
+        spec = MarkovSpec(d_a=np.int64(2), d_c=np.int64(2), blocks=(block,))
+        assert spec.dims == (2, 1, 2) and all(type(d) is int for d in spec.dims)
 
 
 class TestRegularize:

@@ -160,7 +160,6 @@ def test_the_guard_catches_small_literals(tmp_path):
         ("entropy", ("REL_ENTROPY_SUPPORT_TOL",)),
         ("analysis", ("ZERO_OVERLAP",)),
         ("channels", ("COMPLETENESS_TOL",)),
-        ("inequalities", ("DEFAULT_TOL",)),
     ],
 )
 def test_former_homes_of_a_tolerance_read_the_table(module, names):
