@@ -21,9 +21,20 @@ on the stack it was analysed in.
 The analysis validates rho and its marginals with states._validated, the
 one density check, from these decompositions, before it derives anything
 from them. That is where a TripartiteState is validated, and consumers
-read the decompositions it keeps. Each piece is computed on first use
-and then kept, so a stack pays for each decomposition at most once.
-StateAnalysis is one state's row of a stack; TripartiteState.analysis
+read the decompositions it keeps.
+
+A row of a report is scalars, so the analysis keeps decompositions and
+scalars and not the operators between them. It keeps rho's, the
+marginals' and exp(h)'s decompositions, h itself (for ruskai and the
+support-restricted sigma*), M M^dag and M^dag M (two of the three trace
+norms that read them are all classify needs), and each scalar. Each group
+of scalars is computed from one build of its operators, which is freed
+before the next group: Tr sigma* and ||rho - sigma*||_1 from sigma*, the
+overlap and thm1 from sqrt(rho) and sqrt(sigma*), the M products from M.
+The embedded logs, sigma*, sqrt(sigma*), sqrt(rho) and M are built on
+demand, for the rows asked for, read-only and not kept. Each piece is
+computed on first use, so a stack pays for each decomposition at most
+once. StateAnalysis is one state's row of a stack; TripartiteState.analysis
 holds it, and the functions in entropy, bounds, recovery and harness are
 views over it. A state analysed on its own is a stack of one;
 analyse_together gives several states one stack.
@@ -53,7 +64,6 @@ from .linalg import (
     hermitian_part,
     hs_norm,
     mat_exp,
-    mat_sqrt,
     psd_eig,
     trace_norm,
 )
@@ -92,19 +102,29 @@ def _intersection_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return hermitian_part(cols @ dagger(cols))
 
 
-def _exp_and_sqrt(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # exp(h) and its square root from one decomposition of h. The sqrt
+def _exp_eigen(h: np.ndarray) -> PsdEigen:
+    # exp(h) as a decomposition, from one decomposition of h. Its sqrt
     # keeps mat_sqrt's rule: eigenvalues e^w at or below the support
     # cutoff of the spectrum e^w count as zero.
     e = _eigh(h)
-    ex = as_psd(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors), "sqrt")
-    return hermitian_part(ex.apply(ex.eigenvalues)), ex.sqrt()
+    return as_psd(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors), "sqrt")
 
 
 def _psd_row(e: PsdEigen, i: int) -> PsdEigen:
     return PsdEigen(
         eigenvalues=e.eigenvalues[i], eigenvectors=e.eigenvectors[i], cutoff=float(e.cutoff[i])
     )
+
+
+def _psd_rows(e: PsdEigen, rows: slice) -> PsdEigen:
+    # The decompositions `rows` of a stack, as a stack of views.
+    return PsdEigen(
+        eigenvalues=e.eigenvalues[rows], eigenvectors=e.eigenvectors[rows], cutoff=e.cutoff[rows]
+    )
+
+
+# Every state of a stack, as the rows of a stack's on-demand operators.
+ALL = slice(None)
 
 
 class StackAnalysis:
@@ -172,38 +192,52 @@ class StackAnalysis:
 
     # -- sigma* and the bound chain ---------------------------------------
 
-    @cached_property
-    def embedded_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """log rho_AB (x) I, I (x) log rho_BC and I (x) log rho_B (x) I."""
+    def embedded_logs(self, rows: slice = ALL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """log rho_AB (x) I, I (x) log rho_BC and I (x) log rho_B (x) I of
+        the states `rows`, built on each call."""
         return tuple(
-            _readonly(embed(e.log(), keep, self.dims))
+            _readonly(embed(_psd_rows(e, rows).log(), keep, self.dims))
             for e, keep in zip(self.marginal_psd, MARGINALS)
         )
 
     @cached_property
     def exponent(self) -> np.ndarray:
-        """h = log rho_AB + log rho_BC - log rho_B, all embedded."""
-        log_ab, log_bc, log_b = self.embedded_logs
-        return log_ab + log_bc - log_b
+        """h = log rho_AB + log rho_BC - log rho_B, all embedded.
+
+        Kept for ruskai and the support-restricted sigma*. It is summed in
+        place one embedded log at a time, with the additions of the formula
+        in its order.
+        """
+        psd_ab, psd_bc, psd_b = self.marginal_psd
+        h = embed(psd_ab.log(), "AB", self.dims)
+        h += embed(psd_bc.log(), "BC", self.dims)
+        h -= embed(psd_b.log(), "B", self.dims)
+        return _readonly(h)
 
     @cached_property
-    def _sigma(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (sigma*, sqrt(sigma*), support_restricted)
+    def _sigma(self) -> tuple[PsdEigen, dict[int, np.ndarray], np.ndarray]:
+        # (decomposition of sigma*, sigma* of the support-restricted rows,
+        # support_restricted). A full-rank row's decomposition is exp(h)'s,
+        # from which sigma* is rebuilt; a restricted row keeps its sigma*,
+        # and its decomposition is the one mat_sqrt makes of it.
         h = self.exponent
         (ab, _, rank_ab), (bc, _, rank_bc), _ = self.marginals
         full = (rank_ab == ab.shape[-1]) & (rank_bc == bc.shape[-1])
         if full.all():  # the common case, without copies into a mixed stack
-            sigma, root = _exp_and_sqrt(h)
-        else:
-            sigma = np.empty_like(h)
-            root = np.empty_like(h)
-            if full.any():
-                sigma[full], root[full] = _exp_and_sqrt(h[full])
-            for i in np.flatnonzero(~full):
-                sigma[i], root[i] = self._restricted_sigma(i)
-        return _readonly(sigma), _readonly(root), ~full
+            return _exp_eigen(h), {}, ~full
+        w, v, cutoff = np.empty(h.shape[:-1]), np.empty_like(h), np.empty(len(self))
+        if full.any():
+            e = _exp_eigen(h[full])
+            w[full], v[full], cutoff[full] = e.eigenvalues, e.eigenvectors, e.cutoff
+        restricted = {}
+        for i in np.flatnonzero(~full):
+            sig = self._restricted_sigma(i)
+            e = psd_eig(sig, "sqrt")
+            w[i], v[i], cutoff[i] = e.eigenvalues, e.eigenvectors, e.cutoff
+            restricted[int(i)] = _readonly(sig)
+        return PsdEigen(eigenvalues=w, eigenvectors=v, cutoff=cutoff), restricted, ~full
 
-    def _restricted_sigma(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+    def _restricted_sigma(self, i: int) -> np.ndarray:
         # Singular rho_AB or rho_BC: exponentiate on the intersection P of
         # the embedded supports, sigma* = P exp(P h P) P. The kernel of P
         # carries eigenvalue 1 in exp(P h P), so sqrt(sigma*) takes its own
@@ -215,53 +249,71 @@ class StackAnalysis:
             embed(_psd_row(psd_bc, i).projector(), "BC", dims),
         )
         compressed = hermitian_part(proj @ self.exponent[i] @ proj)
-        sig = hermitian_part(proj @ mat_exp(compressed) @ proj)
-        return sig, mat_sqrt(sig)
+        return hermitian_part(proj @ mat_exp(compressed) @ proj)
 
-    @property
-    def sigma_star(self) -> np.ndarray:
-        return self._sigma[0]
+    def _new_sigma_star(self, rows: slice) -> np.ndarray:
+        # sigma* of the states `rows` in a new, writable array.
+        ex, restricted, _ = self._sigma
+        e = _psd_rows(ex, rows)
+        sigma = hermitian_part(e.apply(e.eigenvalues))
+        if restricted:
+            for j, i in enumerate(range(len(self))[rows]):
+                if i in restricted:
+                    sigma[j] = restricted[i]
+        return sigma
 
-    @property
-    def sqrt_sigma_star(self) -> np.ndarray:
-        return self._sigma[1]
+    def sigma_star(self, rows: slice = ALL) -> np.ndarray:
+        """sigma* = exp(h) of the states `rows`, built on each call."""
+        return _readonly(self._new_sigma_star(rows))
 
-    @property
-    def support_restricted(self) -> np.ndarray:
-        return self._sigma[2]
+    def sqrt_sigma_star(self, rows: slice = ALL) -> np.ndarray:
+        """sqrt(sigma*) of the states `rows`, built on each call."""
+        return _readonly(_psd_rows(self._sigma[0], rows).sqrt())
 
-    @cached_property
-    def sigma_star_trace(self) -> np.ndarray:
-        return np.trace(self.sigma_star, axis1=-2, axis2=-1).real
-
-    @cached_property
-    def sqrt_rho(self) -> np.ndarray:
-        return self.rho_psd.sqrt()
-
-    @cached_property
-    def overlap(self) -> np.ndarray:
-        """Tr[sqrt(rho) sqrt(sigma*)]."""
-        return np.trace(self.sqrt_rho @ self.sqrt_sigma_star, axis1=-2, axis2=-1).real
+    support_restricted = property(lambda self: self._sigma[2])
 
     @cached_property
-    def thm1(self) -> np.ndarray:
-        """||sqrt(rho) - sqrt(sigma*)||_2^2."""
-        return hs_norm(self.sqrt_rho - self.sqrt_sigma_star) ** 2
+    def _sigma_values(self) -> tuple[np.ndarray, np.ndarray]:
+        # Tr sigma* and ||rho - sigma*||_1 from one build of sigma*, whose
+        # array then takes rho - sigma*.
+        sigma = self._new_sigma_star(ALL)
+        trace = np.trace(sigma, axis1=-2, axis2=-1).real
+        return trace, trace_norm(np.subtract(self.mat, sigma, out=sigma))
+
+    sigma_star_trace = property(lambda self: self._sigma_values[0])
+    trace_distance = property(lambda self: self._sigma_values[1], doc="||rho - sigma*||_1.")
+
+    def sqrt_rho(self, rows: slice = ALL) -> np.ndarray:
+        """sqrt(rho) of the states `rows`, built on each call."""
+        return _readonly(_psd_rows(self.rho_psd, rows).sqrt())
+
+    @cached_property
+    def _overlap_values(self) -> tuple[np.ndarray, np.ndarray]:
+        # Tr[sqrt(rho) sqrt(sigma*)] and ||sqrt(rho) - sqrt(sigma*)||_2^2
+        # from one build of both square roots; sqrt(rho)'s array then takes
+        # the difference.
+        root_rho = self.rho_psd.sqrt()
+        root_sigma = self._sigma[0].sqrt()
+        overlap = np.trace(root_rho @ root_sigma, axis1=-2, axis2=-1).real
+        return overlap, hs_norm(np.subtract(root_rho, root_sigma, out=root_rho)) ** 2
+
+    overlap = property(lambda self: self._overlap_values[0], doc="Tr[sqrt(rho) sqrt(sigma*)].")
+    thm1 = property(lambda self: self._overlap_values[1], doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
 
     # -- recovery operator and Markov residuals ---------------------------
 
-    @cached_property
-    def m(self) -> np.ndarray:
-        """M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded.
+    def m(self, rows: slice = ALL) -> np.ndarray:
+        """M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded, of the
+        states `rows`, built on each call.
 
         Evaluated at subsystem dimension: P = sqrt(rho_AB) (I_A (x)
         pinv_sqrt(rho_B)) on AB, then (P (x) I_C)(I_A (x) sqrt(rho_BC)) as
         one contraction over B, with entry ((a, b, c), (a', b', c')) the
         sum over b'' of P[(a, b), (a', b'')] sqrt(rho_BC)[(b'', c), (b', c')].
         """
-        psd_ab, psd_bc, psd_b = self.marginal_psd
+        psd_ab, psd_bc, psd_b = (_psd_rows(e, rows) for e in self.marginal_psd)
         d_a, d_b, d_c = self.dims
-        k = len(self)
+        k = len(psd_ab.eigenvalues)
         p = psd_ab.sqrt().reshape(k, d_a * d_b * d_a, d_b) @ psd_b.power(-0.5)
         m = p @ psd_bc.sqrt().reshape(k, d_b, d_c * d_b * d_c)
         m = m.reshape(k, d_a, d_b, d_a, d_c, d_b, d_c).transpose(0, 1, 2, 4, 3, 5, 6)
@@ -269,17 +321,14 @@ class StackAnalysis:
         return _readonly(m.reshape(k, n, n))
 
     @cached_property
-    def m_mdag(self) -> np.ndarray:
-        return _readonly(self.m @ dagger(self.m))
+    def _m_products(self) -> tuple[np.ndarray, np.ndarray]:
+        # M M^dag and M^dag M from one build of M. They are kept: each is
+        # read by two trace norms, and classify reads only two of the three.
+        m = self.m()
+        return _readonly(m @ dagger(m)), _readonly(dagger(m) @ m)
 
-    @cached_property
-    def mdag_m(self) -> np.ndarray:
-        return _readonly(dagger(self.m) @ self.m)
-
-    @cached_property
-    def trace_distance(self) -> np.ndarray:
-        """||rho - sigma*||_1."""
-        return trace_norm(self.mat - self.sigma_star)
+    m_mdag = property(lambda self: self._m_products[0])
+    mdag_m = property(lambda self: self._m_products[1])
 
     @cached_property
     def gap_m(self) -> np.ndarray:
@@ -299,7 +348,8 @@ class StackAnalysis:
     @cached_property
     def ruskai(self) -> np.ndarray:
         """||log rho - h||_2 with support-restricted logs."""
-        return hs_norm(self.rho_psd.log() - self.exponent)
+        log = self.rho_psd.log()
+        return hs_norm(np.subtract(log, self.exponent, out=log))
 
 
 def analyse_together(states: Sequence[TripartiteState]) -> None:
@@ -320,11 +370,22 @@ def _row(name: str, kind=None, doc: str | None = None) -> cached_property:
     return cached_property(get)
 
 
+def _built(name: str, doc: str | None = None) -> property:
+    # The stack's operator `name` built for this state alone on each read,
+    # a read-only (n, n) array that nothing keeps.
+    def get(self):
+        return getattr(self.stack, name)(self._rows)[0]
+
+    get.__doc__ = doc
+    return property(get)
+
+
 class StateAnalysis:
     """The spectral data of one state: row `index` of a StackAnalysis.
 
-    Scalars come back as Python floats and operators as read-only
-    (n, n) views of the stack's arrays.
+    Scalars come back as Python floats and operators as read-only (n, n)
+    arrays: M M^dag and M^dag M are views of the stack's, and the others
+    are built for this state alone on each read.
     """
 
     def __init__(self, stack: StackAnalysis, index: int):
@@ -370,20 +431,26 @@ class StateAnalysis:
     def cmi(self) -> float:
         return self.entropies.cmi
 
-    @cached_property
+    @property
+    def _rows(self) -> slice:
+        # This state as the rows of the stack's on-demand operators.
+        return slice(self.index, self.index + 1)
+
+    @property
     def embedded_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log rho_AB (x) I, I (x) log rho_BC and I (x) log rho_B (x) I."""
-        return tuple(log[self.index] for log in self.stack.embedded_logs)
+        return tuple(log[0] for log in self.stack.embedded_logs(self._rows))
 
     rho_rank = _row("rho_rank", int, doc="Support rank of rho.")
-    sigma_star = _row("sigma_star")
-    sqrt_sigma_star = _row("sqrt_sigma_star")
+    sigma_star = _built("sigma_star")
+    sqrt_sigma_star = _built("sqrt_sigma_star")
+    sqrt_rho = _built("sqrt_rho")
     support_restricted = _row("support_restricted", bool)
     sigma_star_trace = _row("sigma_star_trace", float)
     overlap = _row("overlap", float, doc="Tr[sqrt(rho) sqrt(sigma*)].")
     thm1 = _row("thm1", float, doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
     trace_distance = _row("trace_distance", float, doc="||rho - sigma*||_1.")
-    m = _row("m", doc="M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded.")
+    m = _built("m", doc="M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded.")
     m_mdag = _row("m_mdag")
     mdag_m = _row("mdag_m")
     gap_m = _row("gap_m", float, doc="||rho - M M^dag||_1.")

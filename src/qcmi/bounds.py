@@ -45,7 +45,7 @@ def sigma_star(state: TripartiteState) -> np.ndarray:
 
 
 def log_overlap_bound(state: TripartiteState) -> float:
-    """-2 log Tr[sqrt(rho) sqrt(sigma_star)], the sharpest bound in the chain."""
+    """-2 log Tr[sqrt(rho) sqrt(sigma_star)], the first link of the chain below cmi."""
     return _overlap_bound(state.analysis.overlap)
 
 

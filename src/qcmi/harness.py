@@ -42,12 +42,14 @@ CONJECTURES = ("half-recovery", "commutator-eighth", "rotated-quarter", "channel
 # holds at most this many complex entries (256 KiB), or one matrix if that
 # is larger. 2,2,2 stacks 256 samples, 3,3,3 stacks 22 and 4,4,4 stacks 4;
 # from n = 91 on, 5,5,5 among them, each sample is a stack of its own.
-# A stack holds about a dozen such operands, so the budget also bounds the
-# memory a scan adds. On an Intel Xeon with one BLAS thread, scans of 200
-# samples at 2,2,2, 44 at 3,3,3 and 16 at 4,4,4 peaked 4.2-4.6 MiB higher
-# than with one sample at a time, and ran 3.2-6.9x, 1.8-2.2x and 1.0-1.3x
-# as fast. Half the budget halved that memory, but ran 3,3,3 about 9%
-# slower and 4,4,5 (n = 80) one sample at a time, which was 4% slower.
+# A stack keeps six such operands and peaks at about nine while its rows
+# are computed (traced at 5,5,5), so the budget also bounds the memory a
+# scan adds. Measured when a stack kept about a dozen, on an Intel Xeon with
+# one BLAS thread: scans of 200 samples at 2,2,2, 44 at 3,3,3 and 16 at
+# 4,4,4 peaked 4.2-4.6 MiB higher than with one sample at a time, and ran
+# 3.2-6.9x, 1.8-2.2x and 1.0-1.3x as fast. Half the budget halved that
+# memory, but ran 3,3,3 about 9% slower and 4,4,5 (n = 80) one sample at a
+# time, which was 4% slower.
 STACK_BUDGET = 2**14
 
 # Mixing weights cycled through by the near-markov corpus.
@@ -189,6 +191,9 @@ def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
     """Compute the full per-sample record of bound and recovery diagnostics."""
     rep = bound_report(state)
     a = state.analysis
+    # The residual's log of rho is built and freed before the analysis
+    # builds and keeps M M^dag and M^dag M, so that no sample holds all three.
+    ruskai = a.ruskai
     return ScanRow(
         index,
         *state.dims,
@@ -196,7 +201,7 @@ def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
         recovery_gap_M=a.gap_m,
         recovery_gap_Mprime=a.gap_mprime,
         commutator_trace_norm=a.commutator_norm,
-        ruskai_residual=a.ruskai,
+        ruskai_residual=ruskai,
         label=classify(state).label,
     )
 

@@ -75,8 +75,25 @@ def hs_norm(m):
     return np.sqrt(sq.reshape(stack))
 
 
+def _conj_transposed(m: np.ndarray) -> np.ndarray:
+    # m^dag of each matrix of a stack as a new C-ordered array, to be
+    # worked on in place: elementwise operations between it and m then
+    # need no buffer of their own.
+    out = m.swapaxes(-1, -2).copy()
+    return np.conjugate(out, out=out)
+
+
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + dagger(m)) / 2.0
+    """(m + m^dag) / 2, of each matrix of a stack.
+
+    Computed in one new array, with the operations of that expression and
+    so bitwise its value.
+    """
+    m = np.asarray(m)
+    h = _conj_transposed(m)
+    np.add(m, h, out=h)
+    h /= 2.0
+    return h
 
 
 def _first(values, failed) -> float:
@@ -105,7 +122,9 @@ def require_hermitian(m) -> np.ndarray:
     a = as_matrices(m)
     rtol = HERMITIAN_RTOL
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which raises below
-        dev = hs_norm(a - dagger(a))
+        d = _conj_transposed(a)
+        dev = hs_norm(np.subtract(a, d, out=d))
+    del d  # before the symmetrized copy is made
     if a.ndim == 2:  # one matrix, without the fixed cost of the stack form
         failed = not dev <= rtol and (not math.isfinite(dev) or dev > rtol * hs_norm(a))
         found = dev if failed else None

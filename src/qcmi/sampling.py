@@ -9,7 +9,9 @@ without changing their output.
 
 The tripartite samplers return unvalidated TripartiteState values: their
 matrices are density matrices by construction, and each state's analysis
-validates it when a value is first read.
+validates it when a value is first read. Every sampler of dims checks them
+before it draws, so bad dims raise DimensionMismatchError and leave the
+generator where it was.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .states import (
     TripartiteState,
     _classical_matrix,
     _markov_matrix,
+    _tripartite_dims,
     validate_density,
 )
 
@@ -87,13 +90,13 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 
 def random_tripartite(dims, rng: np.random.Generator) -> TripartiteState:
-    dims = tuple(int(d) for d in dims)
+    dims = _tripartite_dims(dims)
     return TripartiteState(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)
 
 
 def random_classical(dims, rng: np.random.Generator) -> ClassicalJoint:
     """Joint distribution drawn uniformly from the probability simplex."""
-    dims = tuple(int(d) for d in dims)
+    dims = _tripartite_dims(dims)
     cells = dims[0] * dims[1] * dims[2]
     return ClassicalJoint(p=rng.dirichlet(np.ones(cells)).reshape(dims))
 
@@ -105,14 +108,16 @@ def random_markov_spec(dims, rng: np.random.Generator) -> MarkovSpec:
     (d_left, d_right) pair uniformly among those that still fit. Block
     weights are flat Dirichlet.
     """
+    dims = _tripartite_dims(dims)
     blocks = [MarkovBlock(*block) for block in _markov_blocks(dims, rng)]
-    return MarkovSpec(d_a=int(dims[0]), d_c=int(dims[2]), blocks=tuple(blocks))
+    return MarkovSpec(d_a=dims[0], d_c=dims[2], blocks=tuple(blocks))
 
 
 def _markov_blocks(dims, rng: np.random.Generator) -> list:
     # The (weight, d_left, d_right, rho_al, rho_rc) blocks of
-    # random_markov_spec and random_markov_state, unvalidated.
-    d_a, d_b, d_c = (int(d) for d in dims)
+    # random_markov_spec and random_markov_state, unvalidated, for dims
+    # they have checked.
+    d_a, d_b, d_c = dims
     shapes: list[tuple[int, int]] = []
     remaining = d_b
     while remaining > 0:
@@ -131,8 +136,8 @@ def _markov_blocks(dims, rng: np.random.Generator) -> list:
 
 
 def random_markov_state(dims, rng: np.random.Generator) -> TripartiteState:
-    d_a, d_c = int(dims[0]), int(dims[2])
-    return TripartiteState(_markov_matrix(d_a, d_c, _markov_blocks(dims, rng)), dims)
+    dims = _tripartite_dims(dims)
+    return TripartiteState(_markov_matrix(dims[0], dims[2], _markov_blocks(dims, rng)), dims)
 
 
 def random_classical_state(dims, rng: np.random.Generator) -> TripartiteState:

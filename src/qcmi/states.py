@@ -88,6 +88,14 @@ def _dimension(value, what: str) -> int:
     return int(value)
 
 
+def _tripartite_dims(dims) -> tuple[int, int, int]:
+    # dims as three positive Python ints; DimensionMismatchError otherwise.
+    out = tuple(_dimension(d, "dims entry") for d in dims)
+    if len(out) != 3 or any(d < 1 for d in out):
+        raise DimensionMismatchError(f"dims must be three positive ints, got {out}")
+    return out
+
+
 def _require_full_rank(rho: DensityMatrix, what: str) -> None:
     if not rho.is_full_rank():
         raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
@@ -140,10 +148,8 @@ class TripartiteState:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _frozen(as_matrix(self.mat)))
-        dims = tuple(_dimension(d, "dims entry") for d in self.dims)
+        dims = _tripartite_dims(self.dims)
         object.__setattr__(self, "dims", dims)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise DimensionMismatchError(f"dims must be three positive ints, got {dims}")
         if dims[0] * dims[1] * dims[2] != self.dim:
             raise DimensionMismatchError(
                 f"dims {dims} imply dimension {dims[0] * dims[1] * dims[2]}, "

@@ -1,6 +1,8 @@
 """The shared per-state spectral analysis: reuse, decomposition counts and
 the numerical contracts of sqrt(sigma*), M and the Lieb value of its marginals."""
 
+import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -11,10 +13,11 @@ from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_tog
 from qcmi.bounds import sigma_star
 from qcmi.channels import identity_channel
 from qcmi.cli import main
-from qcmi.errors import SingularMatrixError
+from qcmi.errors import SingularMatrixError, ValidationError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
-from qcmi.linalg import dagger, hermitian_part, hs_norm, mat_sqrt, support_cutoff
-from qcmi.recovery import m_operator
+from qcmi.inequalities import proven_checks, rotated_slacks
+from qcmi.linalg import dagger, hermitian_part, hs_norm, mat_exp, mat_sqrt, support_cutoff
+from qcmi.recovery import m_operator, recover_via_ab, recover_via_bc
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.stateio import write_state
 from qcmi.states import (
@@ -27,6 +30,7 @@ from qcmi.states import (
     tripartite,
     validate_density,
 )
+from qcmi.tolerances import INTERSECTION_TOL
 from qcmi.trace_inequalities import lieb_triple_rhs
 from oracles import m_three_embeds
 from test_golden import cases as golden_cases
@@ -62,16 +66,16 @@ def decompositions(monkeypatch):
 
 @pytest.fixture
 def m_builds(monkeypatch):
-    """Count the M operators the body that forms M builds, one per stacked state."""
+    """Count the M operators StackAnalysis.m builds, one per state built."""
     calls = []
-    prop = StackAnalysis.__dict__["m"]
-    original = prop.func
+    original = StackAnalysis.m
 
-    def counted(self):
-        calls.extend([self] * len(self))
-        return original(self)
+    def counted(self, *args, **kwargs):
+        m = original(self, *args, **kwargs)
+        calls.extend([self] * len(m))
+        return m
 
-    monkeypatch.setattr(prop, "func", counted)
+    monkeypatch.setattr(StackAnalysis, "m", counted)
     return calls
 
 
@@ -148,10 +152,12 @@ def test_partial_trace_is_bitwise_the_marginal_validated_alone(dims):
 
 
 def test_analysis_is_cached_on_the_state():
+    # The analysis is kept; the operators it builds on demand are not.
     st = random_tripartite((2, 2, 2), substream(32, 0))
     assert st.analysis is st.analysis
-    assert m_operator(st) is m_operator(st)
-    assert sigma_star(st) is sigma_star(st)
+    assert m_operator(st) is not m_operator(st)
+    assert sigma_star(st) is not sigma_star(st)
+    assert sigma_star(st).tobytes() == sigma_star(st).tobytes()
 
 
 def test_cached_operators_are_read_only():
@@ -398,3 +404,144 @@ def test_m_embeds_nothing(full_dim_embeds):
     full_dim_embeds.clear()
     st.analysis.m
     assert full_dim_embeds == []
+
+
+# -- operators on demand and the working set --------------------------------
+
+
+def _operators(st):
+    # Every operator the analysis builds on demand, and the recoveries that
+    # validate its kept M M^dag and M^dag M (None where that raises).
+    a = st.analysis
+    ops = {
+        "sigma_star": sigma_star(st),
+        "sqrt_sigma_star": a.sqrt_sigma_star,
+        "m": m_operator(st),
+        "sqrt_rho": a.sqrt_rho,
+        "m_mdag": a.m_mdag,
+        "mdag_m": a.mdag_m,
+    }
+    ops.update({f"log_{keep}": log for keep, log in zip(MARGINALS, a.embedded_logs)})
+    for name, recover in (("via_ab", recover_via_ab), ("via_bc", recover_via_bc)):
+        try:
+            ops[name] = recover(st).mat
+        except ValidationError:
+            ops[name] = None
+    return ops
+
+
+def test_on_demand_operators_are_read_only_and_do_not_depend_on_the_stack():
+    # On the drift set in its corpus stacks, the golden states, and the
+    # mixed stacks of support-restricted and sub-cutoff states: two reads
+    # give the same bits, and so does the state analysed alone.
+    for st in _oracle_states():
+        first, second = _operators(st), _operators(st)
+        alone = _operators(TripartiteState(st.mat, st.dims))
+        for name, op in first.items():
+            if op is None:
+                assert second[name] is None and alone[name] is None, name
+                continue
+            assert not op.flags.writeable, name
+            assert op.tobytes() == second[name].tobytes() == alone[name].tobytes(), name
+
+
+def test_support_restricted_sigma_star_is_p_exp_php_p():
+    # A restricted row's sigma* is bitwise P exp(P h P) P, for P the
+    # intersection of the embedded supports, alone and in a mixed stack;
+    # not a rebuild from the decomposition that its sqrt reads.
+    alone = list(restricted_states().values())
+    stacked = []
+    for states in _mixed_stacks():
+        stacked.append([TripartiteState(st.mat, st.dims) for st in states])
+        analyse_together(stacked[-1])
+    restricted = [st for st in alone + sum(stacked, []) if st.analysis.support_restricted]
+    assert len(restricted) == 2 * len(alone)
+    for st in restricted:
+        a = st.analysis
+        psd_ab, psd_bc, _ = a.marginal_psd
+        both = embed(psd_ab.projector(), "AB", st.dims) + embed(psd_bc.projector(), "BC", st.dims)
+        w, v = np.linalg.eigh(hermitian_part(both))
+        cols = v[:, w > 2.0 - INTERSECTION_TOL]
+        proj = hermitian_part(cols @ dagger(cols))
+        log_ab, log_bc, log_b = a.embedded_logs
+        compressed = hermitian_part(proj @ (log_ab + log_bc - log_b) @ proj)
+        want = hermitian_part(proj @ mat_exp(compressed) @ proj)
+        assert a.sigma_star.tobytes() == want.tobytes()
+
+
+def test_the_rotated_bound_pays_for_no_overlap_and_no_m():
+    # rotated-quarter reads cmi, the embedded logs and ||rho - sigma*||_1.
+    st = random_tripartite((3, 3, 3), substream(44, 0))
+    rotated_slacks(st, substream(44, 0, 1), 3)
+    assert "_sigma_values" in vars(st.analysis.stack)
+    assert {"_overlap_values", "_m_products", "ruskai"}.isdisjoint(vars(st.analysis.stack))
+
+
+def test_sqrt_rho_is_the_square_root_of_rho():
+    st = random_tripartite((2, 3, 2), substream(42, 0))
+    np.testing.assert_array_equal(st.analysis.sqrt_rho, mat_sqrt(st.mat))
+
+
+def _full_dim_arrays(value, shape):
+    # The arrays of shape `shape` that a cached value holds, looking into
+    # tuples, dicts and the decomposition and report dataclasses.
+    if isinstance(value, np.ndarray):
+        return [value] if value.shape == shape else []
+    if isinstance(value, (tuple, list)):
+        items = value
+    elif isinstance(value, dict):
+        items = value.values()
+    elif dataclasses.is_dataclass(value):
+        items = vars(value).values()
+    else:
+        return []
+    return [a for item in items for a in _full_dim_arrays(item, shape)]
+
+
+# What a stack keeps at full dimension: rho, rho's decomposition, h (for
+# ruskai and the support-restricted sigma*), exp(h)'s decomposition (for
+# sigma* and sqrt(sigma*)), and M M^dag and M^dag M (for the trace norms
+# classify reads). Every other full-dimension operator is built on demand.
+KEPT_FULL_DIM = {"mat", "_rho", "exponent", "_sigma", "_m_products"}
+
+
+def test_a_stack_keeps_only_its_decompositions_and_m_products():
+    cfg = ScanConfig(dims=(3, 3, 3), samples=4, seed=43)
+    states = [corpus_state(cfg, i) for i in range(cfg.samples)]
+    analyse_together(states)
+    for i, st in enumerate(states):
+        proven_checks(st, evaluate_sample(st, i), cfg.corpus)
+        _operators(st)
+    stack = states[0].analysis.stack
+    held = {name for name, value in vars(stack).items() if _full_dim_arrays(value, (4, 27, 27))}
+    assert held == KEPT_FULL_DIM
+
+
+# Traced with tracemalloc (numpy 2.4, one BLAS thread), one 5,5,5 scan
+# sample peaked 8.24 full-dimension operands (125 x 125 complex, 250 KB
+# each) above the memory before its draw, and held 6.23 after
+# evaluate_sample: rho and the five operands of KEPT_FULL_DIM, plus the
+# marginals' small data. When the analysis kept every operator it built,
+# these were 15.8 and 12.2.
+SCAN_SAMPLE_PEAK_OPERANDS = 9
+SCAN_SAMPLE_HELD_OPERANDS = 6.5
+
+
+def test_a_5_5_5_scan_sample_working_set():
+    cfg = ScanConfig(dims=(5, 5, 5), samples=1, seed=3)
+    evaluate_sample(corpus_state(cfg, 0), 0)  # numpy's first-call allocations
+    operand = 125 * 125 * np.dtype(np.complex128).itemsize
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        state = corpus_state(cfg, 0)
+        evaluate_sample(state, 0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert 6 <= (held - before) / operand <= SCAN_SAMPLE_HELD_OPERANDS
+    assert (peak - before) / operand <= SCAN_SAMPLE_PEAK_OPERANDS

@@ -7,6 +7,8 @@ from qcmi.linalg import (
     _eigh,
     as_psd,
     commutator,
+    dagger,
+    hermitian_part,
     hs_norm,
     mat_exp,
     mat_log,
@@ -193,6 +195,32 @@ class TestStacks:
         stack = np.stack([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NotHermitianError):
             require_hermitian(stack)
+
+
+class TestHermitianPart:
+    """hermitian_part works in one new array, bitwise (m + m^dag) / 2."""
+
+    def _cases(self):
+        rng = np.random.default_rng(45)
+        g = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+        signed_zeros = np.array([[0.0, -0.0j], [-0.0 + 0.0j, -0.0 - 0.0j]])
+        return [
+            g,  # a stack
+            g[1],
+            g[1].T,  # not C-ordered
+            g.real,
+            signed_zeros,
+            np.array([[1.0, np.inf], [np.nan, 2.0 + 1j]]),
+        ]
+
+    def test_bitwise_the_expression(self):
+        for m in self._cases():
+            with np.errstate(invalid="ignore"):
+                want = (m + dagger(m)) / 2.0
+                got = hermitian_part(m)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not np.shares_memory(got, m)
 
 
 class TestNonFinite:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qcmi.entropy import cmi
+from qcmi.errors import DimensionMismatchError
 from qcmi.harness import CORPORA, NEAR_MARKOV_MIXES, ScanConfig, corpus_state
 from qcmi.linalg import hs_norm
 from qcmi.sampling import (
@@ -168,3 +169,37 @@ class TestCorpusDraws:
             corpus_state(cfg, 1)
             _public_sample(cfg, 1)
         assert calls == []
+
+
+# Every sampler of dims, called as a run would call it.
+DIMS_SAMPLERS = {
+    "random_tripartite": random_tripartite,
+    "random_classical": random_classical,
+    "random_classical_state": random_classical_state,
+    "random_markov_spec": random_markov_spec,
+    "random_markov_state": random_markov_state,
+    "near_markov_state": lambda dims, rng: near_markov_state(dims, rng, 1e-2),
+}
+
+
+class TestSamplerDims:
+    """Bad dims raise before any draw, so the generator is left where it was."""
+
+    @pytest.mark.parametrize("dims", [(2.9, 2, 2), (True, 2, 2), (2, 2, 2.0), (2, 0, 2), (2, 2)])
+    @pytest.mark.parametrize("name", sorted(DIMS_SAMPLERS))
+    def test_bad_dims_raise_without_drawing(self, name, dims):
+        rng = substream(74, 0)
+        with pytest.raises(DimensionMismatchError):
+            DIMS_SAMPLERS[name](dims, rng)
+        assert rng.random() == substream(74, 0).random()
+
+    @pytest.mark.parametrize("name", sorted(DIMS_SAMPLERS))
+    def test_numpy_integer_dims_draw_as_ints(self, name):
+        given = DIMS_SAMPLERS[name]((np.int64(2), 2, np.int32(1)), substream(75, 0))
+        want = DIMS_SAMPLERS[name]((2, 2, 1), substream(75, 0))
+        if hasattr(want, "mat"):
+            assert given.dims == want.dims == (2, 2, 1)
+            assert all(type(d) is int for d in given.dims)
+            assert given.mat.tobytes() == want.mat.tobytes()
+        else:
+            assert repr(given) == repr(want)
