@@ -4,9 +4,9 @@ Every per-state diagnostic reads the same decompositions:
 
 * one eigendecomposition of each marginal rho_AB, rho_BC and rho_B, which
   serves its validation, entropy, log, sqrt and pseudo-inverse sqrt;
-* one of rho, which serves its validation, S(ABC), sqrt(rho) and log(rho);
+* one of rho, which serves its validation and S(ABC);
 * one of the exponent h = log rho_AB - log rho_B + log rho_BC, which gives
-  sigma* = exp(h) and sqrt(sigma*);
+  sigma* = exp(h);
 * one spectrum per trace norm: rho - sigma*, rho - M M^dag, rho - M^dag M
   and [M, M^dag].
 
@@ -25,14 +25,15 @@ read the decompositions it keeps.
 
 A row of a report is scalars, so the analysis keeps decompositions and
 scalars and not the operators between them. It keeps rho's, the
-marginals' and exp(h)'s decompositions, h itself (for ruskai and the
+marginals' and exp(h)'s decompositions, h itself (for the
 support-restricted sigma*), M M^dag and M^dag M (two of the three trace
 norms that read them are all classify needs), and each scalar. Each group
 of scalars is computed from one build of its operators, which is freed
 before the next group: Tr sigma* and ||rho - sigma*||_1 from sigma*, the
-overlap and thm1 from sqrt(rho) and sqrt(sigma*), the M products from M.
-The embedded logs, sigma*, sqrt(sigma*), sqrt(rho) and M are built on
-demand, for the rows asked for, read-only and not kept. Each piece is
+M products from M, and the overlap, thm1 and ruskai as sums over W =
+|Q^dag V|^2, for Q rho's and V sigma*'s eigenvectors, which is not kept.
+The embedded logs, sigma* and M are built on demand, for the rows asked
+for, read-only and not kept. Each piece is
 computed on first use, so a stack pays for each decomposition at most
 once. StateAnalysis is one state's row of a stack; TripartiteState.analysis
 holds it, and the functions in entropy, bounds, recovery and harness are
@@ -116,8 +117,8 @@ def _psd_row(e: PsdEigen, i: int) -> PsdEigen:
     )
 
 
-def _psd_rows(e: PsdEigen, rows: slice) -> PsdEigen:
-    # The decompositions `rows` of a stack, as a stack of views.
+def _psd_rows(e: PsdEigen, rows: slice | list[int]) -> PsdEigen:
+    # The decompositions `rows` of a stack, views for a slice.
     return PsdEigen(
         eigenvalues=e.eigenvalues[rows], eigenvectors=e.eigenvectors[rows], cutoff=e.cutoff[rows]
     )
@@ -204,7 +205,7 @@ class StackAnalysis:
     def exponent(self) -> np.ndarray:
         """h = log rho_AB + log rho_BC - log rho_B, all embedded.
 
-        Kept for ruskai and the support-restricted sigma*. It is summed in
+        Kept for the support-restricted sigma* and its ruskai. It is summed in
         place one embedded log at a time, with the additions of the formula
         in its order.
         """
@@ -240,8 +241,8 @@ class StackAnalysis:
     def _restricted_sigma(self, i: int) -> np.ndarray:
         # Singular rho_AB or rho_BC: exponentiate on the intersection P of
         # the embedded supports, sigma* = P exp(P h P) P. The kernel of P
-        # carries eigenvalue 1 in exp(P h P), so sqrt(sigma*) takes its own
-        # decomposition of sigma* rather than one of P h P.
+        # carries eigenvalue 1 in exp(P h P), so the overlap and thm1 take
+        # their own decomposition of sigma* rather than one of P h P.
         psd_ab, psd_bc, _ = self.marginal_psd
         dims = self.dims
         proj = _intersection_projector(
@@ -252,23 +253,21 @@ class StackAnalysis:
         return hermitian_part(proj @ mat_exp(compressed) @ proj)
 
     def _new_sigma_star(self, rows: slice) -> np.ndarray:
-        # sigma* of the states `rows` in a new, writable array.
+        # sigma* of the states `rows` in a new, writable array: rebuilt from
+        # exp(h)'s decomposition for the full-rank rows, copied for the others.
         ex, restricted, _ = self._sigma
-        e = _psd_rows(ex, rows)
+        index = range(len(self))[rows]
+        full = [i for i in index if i not in restricted]
+        e = _psd_rows(ex, rows if len(full) == len(index) else full)
         sigma = hermitian_part(e.apply(e.eigenvalues))
-        if restricted:
-            for j, i in enumerate(range(len(self))[rows]):
-                if i in restricted:
-                    sigma[j] = restricted[i]
-        return sigma
+        if len(full) == len(index):
+            return sigma
+        rebuilt = iter(sigma)
+        return np.stack([restricted[i] if i in restricted else next(rebuilt) for i in index])
 
     def sigma_star(self, rows: slice = ALL) -> np.ndarray:
         """sigma* = exp(h) of the states `rows`, built on each call."""
         return _readonly(self._new_sigma_star(rows))
-
-    def sqrt_sigma_star(self, rows: slice = ALL) -> np.ndarray:
-        """sqrt(sigma*) of the states `rows`, built on each call."""
-        return _readonly(_psd_rows(self._sigma[0], rows).sqrt())
 
     support_restricted = property(lambda self: self._sigma[2])
 
@@ -283,22 +282,33 @@ class StackAnalysis:
     sigma_star_trace = property(lambda self: self._sigma_values[0])
     trace_distance = property(lambda self: self._sigma_values[1], doc="||rho - sigma*||_1.")
 
-    def sqrt_rho(self, rows: slice = ALL) -> np.ndarray:
-        """sqrt(rho) of the states `rows`, built on each call."""
-        return _readonly(_psd_rows(self.rho_psd, rows).sqrt())
-
     @cached_property
-    def _overlap_values(self) -> tuple[np.ndarray, np.ndarray]:
-        # Tr[sqrt(rho) sqrt(sigma*)] and ||sqrt(rho) - sqrt(sigma*)||_2^2
-        # from one build of both square roots; sqrt(rho)'s array then takes
-        # the difference.
-        root_rho = self.rho_psd.sqrt()
-        root_sigma = self._sigma[0].sqrt()
-        overlap = np.trace(root_rho @ root_sigma, axis1=-2, axis2=-1).real
-        return overlap, hs_norm(np.subtract(root_rho, root_sigma, out=root_rho)) ** 2
+    def _chain_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # The overlap, thm1 and ruskai as sums over W = |Q^dag V|^2 (Q rho's,
+        # V sigma*'s eigenvectors): the Bhattacharyya coefficient and squared
+        # Hellinger distance of the Nussbaum-Szkola pair (lambda_i W_ij, mu_j W_ij).
+        rho, (sig, _, restricted) = self.rho_psd, self._sigma
+        t = dagger(rho.eigenvectors) @ sig.eigenvectors
+        w = t.real**2 + t.imag**2
+        a, b = rho._on_support(np.sqrt), sig._on_support(np.sqrt)
+        overlap = np.einsum("kij,ki,kj->k", w, a, b)
+        d = a[:, :, None] - b[:, None, :]
+        thm1 = np.einsum("kij,kij,kij->k", d, d, w)
+        # Full-rank rows: sigma* = exp(h), whose log mu_j are h's eigenvalues.
+        # Terms reach ~100; einsum's two-operand reduction keeps ruskai within
+        # 4.3e-14 of ||log rho - h||_2 at 5,5,5 (an in-order sum: 9.9e-14).
+        log_mu = np.log(np.where(restricted[:, None], 1.0, sig.eigenvalues))
+        d = rho._on_support(np.log)[:, :, None] - log_mu[:, None, :]
+        ruskai = np.sqrt(np.einsum("kij,kij->k", w, d**2))
+        for i in np.flatnonzero(restricted):
+            # Here sigma* is not exp(h): ||log rho - h||_2 from h itself.
+            log = _psd_rows(rho, slice(i, i + 1)).log()
+            ruskai[i] = hs_norm(np.subtract(log, self.exponent[i], out=log))[0]
+        return overlap, thm1, ruskai
 
-    overlap = property(lambda self: self._overlap_values[0], doc="Tr[sqrt(rho) sqrt(sigma*)].")
-    thm1 = property(lambda self: self._overlap_values[1], doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
+    overlap = property(lambda self: self._chain_values[0], doc="Tr[sqrt(rho) sqrt(sigma*)].")
+    thm1 = property(lambda self: self._chain_values[1], doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
+    ruskai = property(lambda self: self._chain_values[2], doc="||log rho - h||_2 on supports.")
 
     # -- recovery operator and Markov residuals ---------------------------
 
@@ -344,12 +354,6 @@ class StackAnalysis:
     def commutator_norm(self) -> np.ndarray:
         """||[M, M^dag]||_1."""
         return trace_norm(self.m_mdag - self.mdag_m)
-
-    @cached_property
-    def ruskai(self) -> np.ndarray:
-        """||log rho - h||_2 with support-restricted logs."""
-        log = self.rho_psd.log()
-        return hs_norm(np.subtract(log, self.exponent, out=log))
 
 
 def analyse_together(states: Sequence[TripartiteState]) -> None:
@@ -443,8 +447,6 @@ class StateAnalysis:
 
     rho_rank = _row("rho_rank", int, doc="Support rank of rho.")
     sigma_star = _built("sigma_star")
-    sqrt_sigma_star = _built("sqrt_sigma_star")
-    sqrt_rho = _built("sqrt_rho")
     support_restricted = _row("support_restricted", bool)
     sigma_star_trace = _row("sigma_star_trace", float)
     overlap = _row("overlap", float, doc="Tr[sqrt(rho) sqrt(sigma*)].")

@@ -191,9 +191,6 @@ def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
     """Compute the full per-sample record of bound and recovery diagnostics."""
     rep = bound_report(state)
     a = state.analysis
-    # The residual's log of rho is built and freed before the analysis
-    # builds and keeps M M^dag and M^dag M, so that no sample holds all three.
-    ruskai = a.ruskai
     return ScanRow(
         index,
         *state.dims,
@@ -201,7 +198,7 @@ def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
         recovery_gap_M=a.gap_m,
         recovery_gap_Mprime=a.gap_mprime,
         commutator_trace_norm=a.commutator_norm,
-        ruskai_residual=ruskai,
+        ruskai_residual=a.ruskai,
         label=classify(state).label,
     )
 

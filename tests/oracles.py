@@ -88,6 +88,24 @@ def trace_exp_triple(r, s, t):
     return np.trace(scipy.linalg.expm((h + h.conj().T) / 2.0)).real
 
 
+def nussbaum_szkola(rho, sigma):
+    """The Nussbaum-Szkola distributions P_ij = lambda_i W_ij and
+    Q_ij = mu_j W_ij of two states, for W_ij = |<q_i|v_j>|^2, q_i the
+    eigenvectors of rho (eigenvalues lambda_i) and v_j those of sigma (mu_j)."""
+    lam, q = scipy.linalg.eigh(rho)
+    mu, v = scipy.linalg.eigh(sigma)
+    w = np.abs(q.conj().T @ v) ** 2
+    return lam[:, None] * w, mu[None, :] * w
+
+
+def sqrtm_chain(rho, sigma):
+    """-2 log Tr[sqrt(rho) sqrt(sigma)] and ||sqrt(rho) - sqrt(sigma)||_2^2
+    from scipy's sqrtm."""
+    root_rho, root_sigma = scipy.linalg.sqrtm(rho), scipy.linalg.sqrtm(sigma)
+    overlap = np.trace(root_rho @ root_sigma).real
+    return -2.0 * math.log(overlap), np.linalg.norm(root_rho - root_sigma) ** 2
+
+
 # -- conjecture oracles ----------------------------------------------------
 
 

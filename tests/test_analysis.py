@@ -1,5 +1,6 @@
 """The shared per-state spectral analysis: reuse, decomposition counts and
-the numerical contracts of sqrt(sigma*), M and the Lieb value of its marginals."""
+the numerical contracts of the overlap, thm1, M and the Lieb value of its
+marginals."""
 
 import dataclasses
 import tracemalloc
@@ -16,7 +17,15 @@ from qcmi.cli import main
 from qcmi.errors import SingularMatrixError, ValidationError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
 from qcmi.inequalities import proven_checks, rotated_slacks
-from qcmi.linalg import dagger, hermitian_part, hs_norm, mat_exp, mat_sqrt, support_cutoff
+from qcmi.linalg import (
+    HermitianEigen,
+    dagger,
+    hermitian_part,
+    hs_norm,
+    mat_exp,
+    mat_sqrt,
+    support_cutoff,
+)
 from qcmi.recovery import m_operator, recover_via_ab, recover_via_bc
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.stateio import write_state
@@ -32,7 +41,7 @@ from qcmi.states import (
 )
 from qcmi.tolerances import INTERSECTION_TOL
 from qcmi.trace_inequalities import lieb_triple_rhs
-from oracles import m_three_embeds
+from oracles import m_three_embeds, nussbaum_szkola, sqrtm_chain
 from test_golden import cases as golden_cases
 from test_golden import record, restricted_states, sub_cutoff_classical
 
@@ -62,6 +71,22 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return sizes
+
+
+@pytest.fixture
+def applies(monkeypatch):
+    """Record (stack length, size) of each HermitianEigen.apply call: the
+    matrix functions built from a decomposition."""
+    calls = []
+    original = HermitianEigen.apply
+
+    def recorded(self, f):
+        q = self.eigenvectors
+        calls.append((int(np.prod(q.shape[:-2])), q.shape[-1]))
+        return original(self, f)
+
+    monkeypatch.setattr(HermitianEigen, "apply", recorded)
+    return calls
 
 
 @pytest.fixture
@@ -172,19 +197,61 @@ def _states():
     return out + list(restricted_states().values()) + [sub_cutoff_classical()]
 
 
+def _root_forms(state):
+    # Tr[sqrt(rho) sqrt(sigma*)] and ||sqrt(rho) - sqrt(sigma*)||_2^2 from
+    # mat_sqrt of rho and of sigma*, each with its own support cutoff.
+    root_rho, root_sigma = mat_sqrt(state.mat), mat_sqrt(state.analysis.sigma_star)
+    return np.trace(root_rho @ root_sigma).real, hs_norm(root_rho - root_sigma) ** 2
+
+
 @pytest.mark.parametrize("state", _states())
-def test_sqrt_sigma_star_keeps_the_support_cutoff(state):
-    # sqrt(sigma*) must equal mat_sqrt(sigma*): eigenvalues of sigma* at
-    # or below the support cutoff count as zero, also when they come
+def test_overlap_and_thm1_keep_the_support_cutoff(state):
+    # The sums over W must equal the mat_sqrt forms: eigenvalues of sigma*
+    # at or below the support cutoff count as zero, also when they come
     # from exp(h) rather than from a decomposition of sigma* itself.
-    a = state.analysis
-    np.testing.assert_allclose(a.sqrt_sigma_star, mat_sqrt(a.sigma_star), rtol=0, atol=1e-13)
+    overlap, thm1 = _root_forms(state)
+    assert state.analysis.overlap == pytest.approx(overlap, rel=0, abs=1e-13)
+    assert state.analysis.thm1 == pytest.approx(thm1, rel=0, abs=1e-13)
 
 
 def test_sub_cutoff_eigenvalue_is_dropped():
-    a = sub_cutoff_classical().analysis
+    # sigma*[000] ~ 3e-18 is below sigma*'s support cutoff. Its square root,
+    # ~2e-9 against sqrt(rho[000]) ~ 2e-5, would move the overlap by 4e-14
+    # and thm1 by 8e-14; the classical state's W is a permutation, so both
+    # match the mat_sqrt forms to roundoff.
+    st = sub_cutoff_classical()
+    a = st.analysis
     assert 0.0 < a.sigma_star[0, 0].real < 1e-17
-    assert a.sqrt_sigma_star[0, 0] == 0.0
+    overlap, thm1 = _root_forms(st)
+    assert abs(a.overlap - overlap) <= 1e-16
+    assert abs(a.thm1 - thm1) <= 1e-16
+    kept = np.sqrt(np.diag(a.sigma_star).real)
+    root_rho = np.sqrt(np.diag(st.mat).real)
+    assert abs(a.overlap - root_rho @ kept) > 3e-14
+    assert abs(a.thm1 - np.sum((root_rho - kept) ** 2)) > 6e-14
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (4, 4, 4)])
+@pytest.mark.parametrize("corpus", ["hs-random", "classical-random", "near-markov"])
+def test_the_chain_is_the_nussbaum_szkola_pair(corpus, dims):
+    # For full-rank rho and sigma* = exp(h), P_ij = lambda_i W_ij and
+    # Q_ij = mu_j W_ij: cmi = D(P||Q), the overlap is their Bhattacharyya
+    # coefficient and thm1 their squared Hellinger distance. Measured on
+    # these states: 2.8e-15, 2.3e-15 and 5.0e-16; against scipy's sqrtm,
+    # log_overlap 1.5e-14 and thm1 1.0e-15.
+    cfg = ScanConfig(dims=dims, samples=3, seed=5, corpus=corpus)
+    for i in range(cfg.samples):
+        st = corpus_state(cfg, i)
+        a = st.analysis
+        assert a.rho_rank == st.dim and not a.support_restricted
+        p, q = nussbaum_szkola(st.mat, a.sigma_star)
+        on = p > 0.0  # a classical state's W is a permutation
+        assert abs(np.sum(p[on] * np.log(p[on] / q[on])) - a.cmi) <= 1e-13
+        assert abs(np.sum(np.sqrt(p * q)) - a.overlap) <= 1e-13
+        assert abs(np.sum((np.sqrt(p) - np.sqrt(q)) ** 2) - a.thm1) <= 1e-13
+        log_overlap, thm1 = sqrtm_chain(st.mat, a.sigma_star)
+        assert abs(log_overlap + 2.0 * np.log(a.overlap)) <= 1e-13
+        assert abs(thm1 - a.thm1) <= 1e-13
 
 
 def _lieb_operands(analysis, dims):
@@ -249,13 +316,21 @@ def _mixed_stacks():
 
 
 @pytest.mark.parametrize("states", _mixed_stacks(), ids=lambda states: str(states[0].dims))
-def test_mixed_stack_matches_states_analysed_alone(states):
+def test_mixed_stack_matches_states_analysed_alone(states, applies):
     stacked = [TripartiteState(st.mat, st.dims) for st in states]
     analyse_together(stacked)
     assert len({id(st.analysis.stack) for st in stacked}) == 1
+    # sigma* is rebuilt from exp(h)'s decomposition for the full-rank rows
+    # only; the restricted rows copy the sigma* they keep.
+    stack = stacked[0].analysis.stack
+    full = int(np.count_nonzero(~stack.support_restricted))
+    assert 0 < full < len(stack)
+    applies.clear()
+    stack.sigma_star()
+    assert applies == [(full, stack.mat.shape[-1])]
     for together, alone in zip(stacked, states):
         assert record(together, "hs-random") == record(alone, "hs-random")
-        for name in ("sigma_star", "sqrt_sigma_star", "m", "m_mdag", "mdag_m"):
+        for name in ("sigma_star", "m", "m_mdag", "mdag_m"):
             want = getattr(alone.analysis, name)
             np.testing.assert_array_equal(getattr(together.analysis, name), want)
         assert together.analysis.support_restricted == alone.analysis.support_restricted
@@ -415,9 +490,7 @@ def _operators(st):
     a = st.analysis
     ops = {
         "sigma_star": sigma_star(st),
-        "sqrt_sigma_star": a.sqrt_sigma_star,
         "m": m_operator(st),
-        "sqrt_rho": a.sqrt_rho,
         "m_mdag": a.m_mdag,
         "mdag_m": a.mdag_m,
     }
@@ -474,12 +547,7 @@ def test_the_rotated_bound_pays_for_no_overlap_and_no_m():
     st = random_tripartite((3, 3, 3), substream(44, 0))
     rotated_slacks(st, substream(44, 0, 1), 3)
     assert "_sigma_values" in vars(st.analysis.stack)
-    assert {"_overlap_values", "_m_products", "ruskai"}.isdisjoint(vars(st.analysis.stack))
-
-
-def test_sqrt_rho_is_the_square_root_of_rho():
-    st = random_tripartite((2, 3, 2), substream(42, 0))
-    np.testing.assert_array_equal(st.analysis.sqrt_rho, mat_sqrt(st.mat))
+    assert {"_chain_values", "_m_products"}.isdisjoint(vars(st.analysis.stack))
 
 
 def _full_dim_arrays(value, shape):
@@ -499,9 +567,10 @@ def _full_dim_arrays(value, shape):
 
 
 # What a stack keeps at full dimension: rho, rho's decomposition, h (for
-# ruskai and the support-restricted sigma*), exp(h)'s decomposition (for
-# sigma* and sqrt(sigma*)), and M M^dag and M^dag M (for the trace norms
-# classify reads). Every other full-dimension operator is built on demand.
+# the support-restricted sigma* and ruskai), exp(h)'s decomposition (for
+# sigma* and, with rho's, the overlap, thm1 and ruskai), and M M^dag and
+# M^dag M (for the trace norms classify reads). Every other full-dimension
+# operator is built on demand.
 KEPT_FULL_DIM = {"mat", "_rho", "exponent", "_sigma", "_m_products"}
 
 
@@ -525,6 +594,16 @@ def test_a_stack_keeps_only_its_decompositions_and_m_products():
 # these were 15.8 and 12.2.
 SCAN_SAMPLE_PEAK_OPERANDS = 9
 SCAN_SAMPLE_HELD_OPERANDS = 6.5
+
+
+def test_a_5_5_5_scan_sample_builds_one_full_dimension_matrix_function(applies):
+    # The sigma* rebuild for Tr sigma* and ||rho - sigma*||_1. The overlap,
+    # thm1 and ruskai are sums over W = |Q^dag V|^2 and build none.
+    cfg = ScanConfig(dims=(5, 5, 5), samples=1, seed=3)
+    state = corpus_state(cfg, 0)
+    applies.clear()
+    evaluate_sample(state, 0)
+    assert [call for call in applies if call[1] == 125] == [(1, 125)]
 
 
 def test_a_5_5_5_scan_sample_working_set():

@@ -4,7 +4,8 @@ Each case below runs one command or writer and compares what it produces,
 file by file, with tests/pins/<case>.<name>. The pins were recorded from
 the writers of commit 5b4e976, before the report and artifact writers
 were merged into one JSON encoder (stateio.to_json); they change only
-when a format changes on purpose.
+when a format or a value changes on purpose, and CHANGES.md records each
+value's drift.
 """
 
 from pathlib import Path
