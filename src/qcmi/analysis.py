@@ -25,23 +25,24 @@ read the decompositions it keeps.
 
 A row of a report is scalars, so the analysis keeps decompositions and
 scalars and not the operators between them. It keeps rho's, the
-marginals' and exp(h)'s decompositions, h itself (for the
-support-restricted sigma*), M M^dag and M^dag M (two of the three trace
-norms that read them are all classify needs), and each scalar. Each group
-of scalars is computed from one build of its operators, which is freed
-before the next group: Tr sigma* and ||rho - sigma*||_1 from sigma*, the
-M products from M, and the overlap, thm1 and ruskai as sums over W =
-|Q^dag V|^2, for Q rho's and V sigma*'s eigenvectors, which is not kept.
-The embedded logs, sigma* and M are built on demand, for the rows asked
-for, read-only and not kept. Each piece is
-computed on first use, so a stack pays for each decomposition at most
-once. StateAnalysis is one state's row of a stack; TripartiteState.analysis
-holds it, and the functions in entropy, bounds, recovery and harness are
-views over it. A state analysed on its own is a stack of one;
-analyse_together gives several states one stack.
+marginals' and exp(h)'s decompositions, M M^dag and M^dag M (two of the
+three trace norms that read them are all classify needs), and each
+scalar. Each group of scalars is computed from one build of its
+operators, which is freed before the next group: Tr sigma* and
+||rho - sigma*||_1 from sigma*, the M products from M, and the overlap,
+thm1 and ruskai as sums over the transfer matrix W = |Q^dag V|^2, for Q
+rho's and V sigma*'s eigenvectors, which is not kept. h, the embedded
+logs, sigma* and M are built on demand, for the rows asked for,
+read-only and not kept. Each piece is computed on first use, so a stack
+pays for each decomposition at most once. StateAnalysis is one state's
+row of a stack; TripartiteState.analysis holds it, and the functions in
+entropy, bounds, recovery and harness are views over it. A state
+analysed on its own is a stack of one; analyse_together gives several
+states one stack.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
-of the channel bound and the Petz recovery: one decomposition per matrix.
+of the channel bound and the Petz recovery: one decomposition per matrix,
+and the bound's overlap as a sum over the same transfer matrix.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .linalg import (
     HermitianEigen,
     PsdEigen,
     _eigh,
-    _eigh_symmetrized,
     as_psd,
     dagger,
     hermitian_part,
@@ -111,14 +111,15 @@ def _exp_eigen(h: np.ndarray) -> PsdEigen:
     return as_psd(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors), "sqrt")
 
 
-def _psd_row(e: PsdEigen, i: int) -> PsdEigen:
-    return PsdEigen(
-        eigenvalues=e.eigenvalues[i], eigenvectors=e.eigenvectors[i], cutoff=float(e.cutoff[i])
-    )
+def _transfer(p: HermitianEigen, q: HermitianEigen) -> np.ndarray:
+    # W = |P^dag Q|^2 elementwise for eigenvectors P and Q, doubly stochastic:
+    # Tr[f(A) g(B)] = sum_ij W_ij f(a_i) g(b_j) (Nussbaum-Szkola).
+    t = dagger(p.eigenvectors) @ q.eigenvectors
+    return t.real**2 + t.imag**2
 
 
-def _psd_rows(e: PsdEigen, rows: slice | list[int]) -> PsdEigen:
-    # The decompositions `rows` of a stack, views for a slice.
+def _psd_rows(e: PsdEigen, rows: int | slice | list[int]) -> PsdEigen:
+    # The decompositions `rows` of a stack, views for an index or a slice.
     return PsdEigen(
         eigenvalues=e.eigenvalues[rows], eigenvectors=e.eigenvectors[rows], cutoff=e.cutoff[rows]
     )
@@ -155,24 +156,15 @@ class StackAnalysis:
     # -- rho and its marginals, validated ---------------------------------
 
     @cached_property
-    def _rho(self) -> tuple[PsdEigen, np.ndarray]:
-        # The decomposition and support ranks of rho, validated.
-        _, e, rank = _validated(self.mat)
-        return e, rank
-
-    @property
     def rho_psd(self) -> PsdEigen:
-        return self._rho[0]
-
-    @property
-    def rho_rank(self) -> np.ndarray:
-        return self._rho[1]
+        """The decomposition of rho, validated."""
+        return _validated(self.mat)[1]
 
     @cached_property
     def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen, np.ndarray], ...]:
         """(read-only stack, decomposition, support ranks) of rho_AB, rho_BC
         and rho_B, validated after rho."""
-        self._rho  # rho is validated first; every other value derives from it or these
+        self.rho_psd  # rho is validated first; every other value derives from it or these
         return tuple(_validated(_traced_out(self.mat, self.dims, keep)) for keep in MARGINALS)
 
     @property
@@ -201,15 +193,14 @@ class StackAnalysis:
             for e, keep in zip(self.marginal_psd, MARGINALS)
         )
 
-    @cached_property
-    def exponent(self) -> np.ndarray:
-        """h = log rho_AB + log rho_BC - log rho_B, all embedded.
+    def exponent(self, rows: slice = ALL) -> np.ndarray:
+        """h = log rho_AB + log rho_BC - log rho_B, all embedded, of the
+        states `rows`, built on each call.
 
-        Kept for the support-restricted sigma* and its ruskai. It is summed in
-        place one embedded log at a time, with the additions of the formula
-        in its order.
+        It is summed in place one embedded log at a time, with the additions
+        of the formula in its order.
         """
-        psd_ab, psd_bc, psd_b = self.marginal_psd
+        psd_ab, psd_bc, psd_b = (_psd_rows(e, rows) for e in self.marginal_psd)
         h = embed(psd_ab.log(), "AB", self.dims)
         h += embed(psd_bc.log(), "BC", self.dims)
         h -= embed(psd_b.log(), "B", self.dims)
@@ -220,8 +211,9 @@ class StackAnalysis:
         # (decomposition of sigma*, sigma* of the support-restricted rows,
         # support_restricted). A full-rank row's decomposition is exp(h)'s,
         # from which sigma* is rebuilt; a restricted row keeps its sigma*,
-        # and its decomposition is the one mat_sqrt makes of it.
-        h = self.exponent
+        # and its decomposition is the one mat_sqrt makes of it. h is built
+        # for this and not kept.
+        h = self.exponent()
         (ab, _, rank_ab), (bc, _, rank_bc), _ = self.marginals
         full = (rank_ab == ab.shape[-1]) & (rank_bc == bc.shape[-1])
         if full.all():  # the common case, without copies into a mixed stack
@@ -232,24 +224,25 @@ class StackAnalysis:
             w[full], v[full], cutoff[full] = e.eigenvalues, e.eigenvectors, e.cutoff
         restricted = {}
         for i in np.flatnonzero(~full):
-            sig = self._restricted_sigma(i)
+            sig = self._restricted_sigma(i, h[i])
             e = psd_eig(sig, "sqrt")
             w[i], v[i], cutoff[i] = e.eigenvalues, e.eigenvectors, e.cutoff
             restricted[int(i)] = _readonly(sig)
         return PsdEigen(eigenvalues=w, eigenvectors=v, cutoff=cutoff), restricted, ~full
 
-    def _restricted_sigma(self, i: int) -> np.ndarray:
+    def _restricted_sigma(self, i: int, h: np.ndarray) -> np.ndarray:
         # Singular rho_AB or rho_BC: exponentiate on the intersection P of
-        # the embedded supports, sigma* = P exp(P h P) P. The kernel of P
-        # carries eigenvalue 1 in exp(P h P), so the overlap and thm1 take
-        # their own decomposition of sigma* rather than one of P h P.
+        # the embedded supports, sigma* = P exp(P h P) P, for h row i's
+        # exponent. The kernel of P carries eigenvalue 1 in exp(P h P), so
+        # the overlap and thm1 take their own decomposition of sigma* rather
+        # than one of P h P.
         psd_ab, psd_bc, _ = self.marginal_psd
         dims = self.dims
         proj = _intersection_projector(
-            embed(_psd_row(psd_ab, i).projector(), "AB", dims),
-            embed(_psd_row(psd_bc, i).projector(), "BC", dims),
+            embed(_psd_rows(psd_ab, i).projector(), "AB", dims),
+            embed(_psd_rows(psd_bc, i).projector(), "BC", dims),
         )
-        compressed = hermitian_part(proj @ self.exponent[i] @ proj)
+        compressed = hermitian_part(proj @ h @ proj)
         return hermitian_part(proj @ mat_exp(compressed) @ proj)
 
     def _new_sigma_star(self, rows: slice) -> np.ndarray:
@@ -288,8 +281,7 @@ class StackAnalysis:
         # V sigma*'s eigenvectors): the Bhattacharyya coefficient and squared
         # Hellinger distance of the Nussbaum-Szkola pair (lambda_i W_ij, mu_j W_ij).
         rho, (sig, _, restricted) = self.rho_psd, self._sigma
-        t = dagger(rho.eigenvectors) @ sig.eigenvectors
-        w = t.real**2 + t.imag**2
+        w = _transfer(rho, sig)
         a, b = rho._on_support(np.sqrt), sig._on_support(np.sqrt)
         overlap = np.einsum("kij,ki,kj->k", w, a, b)
         d = a[:, :, None] - b[:, None, :]
@@ -302,8 +294,9 @@ class StackAnalysis:
         ruskai = np.sqrt(np.einsum("kij,kij->k", w, d**2))
         for i in np.flatnonzero(restricted):
             # Here sigma* is not exp(h): ||log rho - h||_2 from h itself.
-            log = _psd_rows(rho, slice(i, i + 1)).log()
-            ruskai[i] = hs_norm(np.subtract(log, self.exponent[i], out=log))[0]
+            row = slice(i, i + 1)
+            log = _psd_rows(rho, row).log()
+            ruskai[i] = hs_norm(np.subtract(log, self.exponent(row), out=log))[0]
         return overlap, thm1, ruskai
 
     overlap = property(lambda self: self._chain_values[0], doc="Tr[sqrt(rho) sqrt(sigma*)].")
@@ -335,7 +328,8 @@ class StackAnalysis:
         # M M^dag and M^dag M from one build of M. They are kept: each is
         # read by two trace norms, and classify reads only two of the three.
         m = self.m()
-        return _readonly(m @ dagger(m)), _readonly(dagger(m) @ m)
+        m_dag = dagger(m)
+        return _readonly(m @ m_dag), _readonly(m_dag @ m)
 
     m_mdag = property(lambda self: self._m_products[0])
     mdag_m = property(lambda self: self._m_products[1])
@@ -400,14 +394,14 @@ class StateAnalysis:
     def rho(self) -> DensityMatrix:
         """rho, validated, with its decomposition."""
         i = self.index
-        return DensityMatrix(mat=self.stack.mat[i], eig=_psd_row(self.stack.rho_psd, i))
+        return DensityMatrix(mat=self.stack.mat[i], eig=_psd_rows(self.stack.rho_psd, i))
 
     @cached_property
     def marginals(self) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
         """Validated (rho_AB, rho_BC, rho_B), with their decompositions."""
         i = self.index
         return tuple(
-            DensityMatrix(mat=mat[i], eig=_psd_row(e, i)) for mat, e, _ in self.stack.marginals
+            DensityMatrix(mat=mat[i], eig=_psd_rows(e, i)) for mat, e, _ in self.stack.marginals
         )
 
     @property
@@ -445,7 +439,6 @@ class StateAnalysis:
         """log rho_AB (x) I, I (x) log rho_BC and I (x) log rho_B (x) I."""
         return tuple(log[0] for log in self.stack.embedded_logs(self._rows))
 
-    rho_rank = _row("rho_rank", int, doc="Support rank of rho.")
     sigma_star = _built("sigma_star")
     support_restricted = _row("support_restricted", bool)
     sigma_star_trace = _row("sigma_star_trace", float)
@@ -472,9 +465,9 @@ class ChannelAnalysis:
 
     * one of each of rho, sigma, phi(rho) and phi(sigma), which serves its
       validation, entropy, log, sqrt and inverse sqrt;
-    * one of the exponent, which gives X;
-    * one of X, which gives sqrt(X) bitwise as mat_sqrt(X) does (the
-      exponent's would give it only to the last bits);
+    * one of the exponent, which gives X and its square root; the overlap
+      Tr[sqrt(rho) sqrt(X)] is a sum over the transfer matrix of rho's and
+      the exponent's eigenvectors, so no operator but X is built;
     * one spectrum for the Petz recovery gap ||rho - P(phi(rho))||_1.
 
     rho and sigma are DensityMatrix values, validated with their
@@ -509,15 +502,21 @@ class ChannelAnalysis:
         return float(rel_entropy(self.rho, self.sigma) - rel_entropy(out_rho, out_sigma))
 
     @cached_property
-    def exp_operator(self) -> np.ndarray:
-        """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
+    def _x(self) -> PsdEigen:
+        # X = exp(x) as a decomposition, from one of its exponent x, with
+        # mat_sqrt's support cutoff.
         out_rho, out_sigma = self._outputs
         _require_full_rank(out_rho, "phi(rho)")
         _require_full_rank(out_sigma, "phi(sigma)")
         phi = self.phi
         x = self.sigma.eig.log() + phi.dual(out_rho.eig.log()) - phi.dual(out_sigma.eig.log())
-        e = _eigh_symmetrized(hermitian_part(x))
-        return _readonly(hermitian_part(e.apply(np.exp(e.eigenvalues))))
+        return _exp_eigen(x)
+
+    @cached_property
+    def exp_operator(self) -> np.ndarray:
+        """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
+        e = self._x
+        return _readonly(hermitian_part(e.apply(e.eigenvalues)))
 
     @cached_property
     def trace_exp(self) -> float:
@@ -527,9 +526,9 @@ class ChannelAnalysis:
     @cached_property
     def rhs(self) -> float:
         """-2 log Tr[sqrt(rho) sqrt(X)], the lower bound on lhs."""
-        ex = self.exp_operator
-        overlap = np.trace(self.rho.eig.sqrt() @ psd_eig(ex, "sqrt").sqrt())
-        return _overlap_bound(float(overlap.real))
+        rho, x = self.rho.eig, self._x
+        a, b = rho._on_support(np.sqrt), x._on_support(np.sqrt)
+        return _overlap_bound(float(np.einsum("ij,i,j->", _transfer(rho, x), a, b)))
 
     @cached_property
     def petz(self) -> KrausChannel:

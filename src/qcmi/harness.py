@@ -42,7 +42,7 @@ CONJECTURES = ("half-recovery", "commutator-eighth", "rotated-quarter", "channel
 # holds at most this many complex entries (256 KiB), or one matrix if that
 # is larger. 2,2,2 stacks 256 samples, 3,3,3 stacks 22 and 4,4,4 stacks 4;
 # from n = 91 on, 5,5,5 among them, each sample is a stack of its own.
-# A stack keeps six such operands and peaks at about nine while its rows
+# A stack keeps five such operands and peaks at about eight while its rows
 # are computed (traced at 5,5,5), so the budget also bounds the memory a
 # scan adds. Measured when a stack kept about a dozen, on an Intel Xeon with
 # one BLAS thread: scans of 200 samples at 2,2,2, 44 at 3,3,3 and 16 at

@@ -12,6 +12,7 @@ assembly and M.
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.integrate
 import scipy.linalg
@@ -106,6 +107,20 @@ def sqrtm_chain(rho, sigma):
     return -2.0 * math.log(overlap), np.linalg.norm(root_rho - root_sigma) ** 2
 
 
+def channel_rhs_mpmath(rho, x, dps=40):
+    """-2 log Tr[sqrt(rho) exp(x/2)] for full-rank rho and Hermitian x,
+    from mpmath's Hermitian eigensolver at dps digits."""
+    with mpmath.workdps(dps):
+
+        def function(m, f):
+            w, q = mpmath.eighe(mpmath.matrix(m.tolist()))
+            return q * mpmath.diag([f(v) for v in w]) * q.transpose_conj()
+
+        p = function(rho, mpmath.sqrt) * function(x, lambda v: mpmath.exp(v / 2))
+        overlap = mpmath.re(sum(p[i, i] for i in range(p.rows)))
+        return float(-2 * mpmath.log(overlap))
+
+
 # -- conjecture oracles ----------------------------------------------------
 
 
@@ -150,8 +165,8 @@ def _rel_entropy(rho, sigma):
     return -entropy - float(np.trace(rho.mat @ mat_log(sigma.mat)).real)
 
 
-def channel_exp_operator_alone(rho, sigma, phi):
-    """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
+def channel_exponent_alone(rho, sigma, phi):
+    """log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)), symmetrized."""
     _require_full_rank(rho, "rho")
     _require_full_rank(sigma, "sigma")
     phi_rho = validate_density(phi.apply(rho.mat))
@@ -159,7 +174,12 @@ def channel_exp_operator_alone(rho, sigma, phi):
     _require_full_rank(phi_rho, "phi(rho)")
     _require_full_rank(phi_sigma, "phi(sigma)")
     x = mat_log(sigma.mat) + phi.dual(mat_log(phi_rho.mat)) - phi.dual(mat_log(phi_sigma.mat))
-    return mat_exp(hermitian_part(x))
+    return hermitian_part(x)
+
+
+def channel_exp_operator_alone(rho, sigma, phi):
+    """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
+    return mat_exp(channel_exponent_alone(rho, sigma, phi))
 
 
 def channel_gap_bound_alone(rho, sigma, phi):
