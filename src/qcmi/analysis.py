@@ -54,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .channels import KrausChannel, _petz_dual
-from .entropy import EntropyReport, rel_entropy, spectrum_entropy
+from .entropy import EntropyReport, _outside_support, _rel_entropy, spectrum_entropy
 from .errors import DimensionMismatchError
 from .linalg import (
     HermitianEigen,
@@ -470,6 +470,10 @@ class ChannelAnalysis:
       the exponent's eigenvectors, so no operator but X is built;
     * one spectrum for the Petz recovery gap ||rho - P(phi(rho))||_1.
 
+    From these it builds six matrix functions: log sigma, log phi(rho) and
+    log phi(sigma), each once for lhs and the exponent, X for its trace,
+    and sqrt(sigma) and phi(sigma)^(-1/2) for the Petz map.
+
     rho and sigma are DensityMatrix values, validated with their
     decompositions, which are read here. The checks raise with the errors
     of channel_gap_bound, channel_exp_operator and petz_dual, in their
@@ -496,10 +500,22 @@ class ChannelAnalysis:
         return validate_density(self._phi_rho), validate_density(self.phi.apply(self.sigma.mat))
 
     @cached_property
+    def _logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # log sigma, log phi(rho) and log phi(sigma), support-restricted,
+        # each built once for lhs and X's exponent.
+        out_rho, out_sigma = self._outputs
+        return self.sigma.eig.log(), out_rho.eig.log(), out_sigma.eig.log()
+
+    @cached_property
     def lhs(self) -> float:
         """S(rho || sigma) - S(phi(rho) || phi(sigma))."""
         out_rho, out_sigma = self._outputs
-        return float(rel_entropy(self.rho, self.sigma) - rel_entropy(out_rho, out_sigma))
+        log_sigma, _, log_out_sigma = self._logs
+        # sigma is full rank (checked on construction): rho is within its support.
+        s_in = _rel_entropy(self.rho, log_sigma)
+        if _outside_support(out_rho, out_sigma):
+            return float(s_in - math.inf)
+        return float(s_in - _rel_entropy(out_rho, log_out_sigma))
 
     @cached_property
     def _x(self) -> PsdEigen:
@@ -508,9 +524,8 @@ class ChannelAnalysis:
         out_rho, out_sigma = self._outputs
         _require_full_rank(out_rho, "phi(rho)")
         _require_full_rank(out_sigma, "phi(sigma)")
-        phi = self.phi
-        x = self.sigma.eig.log() + phi.dual(out_rho.eig.log()) - phi.dual(out_sigma.eig.log())
-        return _exp_eigen(x)
+        log_sigma, log_out_rho, log_out_sigma = self._logs
+        return _exp_eigen(log_sigma + self.phi.dual(log_out_rho) - self.phi.dual(log_out_sigma))
 
     @cached_property
     def exp_operator(self) -> np.ndarray:

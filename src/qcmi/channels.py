@@ -8,7 +8,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
 from .linalg import PsdEigen, _require_finite, dagger, hs_norm, psd_eig
-from .states import DensityMatrix
+from .sampling import _haar_unitaries
+from .states import DensityMatrix, _positive_dimension
 from .tolerances import COMPLETENESS_TOL
 
 
@@ -101,18 +102,21 @@ def partial_trace_channel(dims) -> KrausChannel:
 def random_channel(d_in: int, d_out: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:
     """Random channel via a Haar isometry into output (x) environment.
 
-    The first d_in columns of a Haar unitary on a d_out * n_kraus space
-    form an isometry; its d_out-row blocks are the Kraus operators.
-    Requires d_out * n_kraus >= d_in.
+    The isometry is the first d_in columns of a Haar unitary on a
+    d_out * n_kraus space, and its d_out-row blocks are the Kraus
+    operators. The draw takes the unitary's whole Ginibre matrix but
+    QR-factors only the d_in columns it keeps. The dimensions must be
+    positive integers with d_out * n_kraus >= d_in; otherwise
+    DimensionMismatchError is raised before anything is drawn.
     """
-    from .sampling import random_unitary
-
+    d_in = _positive_dimension(d_in, "d_in")
+    d_out = _positive_dimension(d_out, "d_out")
+    n_kraus = _positive_dimension(n_kraus, "n_kraus")
     if d_out * n_kraus < d_in:
-        raise ValueError(
+        raise DimensionMismatchError(
             f"cannot build an isometry: d_out * n_kraus = {d_out * n_kraus} < d_in = {d_in}"
         )
-    u = random_unitary(d_out * n_kraus, rng)
-    iso = u[:, :d_in]
+    iso = _haar_unitaries((), d_out * n_kraus, rng, cols=d_in)
     ops = tuple(iso[mu * d_out : (mu + 1) * d_out, :] for mu in range(n_kraus))
     return KrausChannel(kraus=ops)
 

@@ -49,17 +49,33 @@ def rel_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
 
     Returns math.inf when rho has weight outside the support of sigma
     (detected as ||(I - P) rho (I - P)||_2 above REL_ENTROPY_SUPPORT_TOL
-    for the support projector P of sigma); otherwise
+    for the support projector P of sigma, a test made only for a singular
+    sigma: a full-rank sigma's support is the whole space); otherwise
     Tr[rho (log rho - log sigma)] with support-restricted logs. Both are
     read from the states' decompositions.
     """
     if rho.dim != sigma.dim:
         raise DimensionMismatchError(f"states have dimensions {rho.dim} and {sigma.dim}")
-    comp = np.eye(rho.dim) - sigma.eig.projector()
-    if hs_norm(comp @ rho.mat @ comp) > REL_ENTROPY_SUPPORT_TOL:
+    if _outside_support(rho, sigma):
         return math.inf
+    return _rel_entropy(rho, sigma.eig.log())
+
+
+def _outside_support(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
+    # Whether rel_entropy(rho, sigma) is infinite. For a full-rank sigma,
+    # I - P is zero up to rounding and the test cannot fail, so P is not
+    # built.
+    if sigma.is_full_rank():
+        return False
+    comp = np.eye(rho.dim) - sigma.eig.projector()
+    return hs_norm(comp @ rho.mat @ comp) > REL_ENTROPY_SUPPORT_TOL
+
+
+def _rel_entropy(rho: DensityMatrix, log_sigma: np.ndarray) -> float:
+    # Tr[rho (log rho - log sigma)] for rho within the support of sigma,
+    # given sigma's support-restricted log.
     tr_rho_log_rho = -spectrum_entropy(rho.eig.eigenvalues)
-    tr_rho_log_sigma = float(np.trace(rho.mat @ sigma.eig.log()).real)
+    tr_rho_log_sigma = float(np.trace(rho.mat @ log_sigma).real)
     return tr_rho_log_rho - tr_rho_log_sigma
 
 

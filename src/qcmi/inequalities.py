@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularMatrixError
-from .linalg import dagger, hermitian_part, mat_exp, trace_norm
+from .linalg import dagger, mat_exp, trace_norm
 from .sampling import _haar_unitaries, substream
 from .states import TripartiteState
 
@@ -97,7 +97,7 @@ def rotated_slacks(
     triples = _haar_unitaries((unitary_samples, 3), state.dim, rng)
     u, v, w = (triples[:, j] for j in range(3))
     exponent = u @ log_ab @ dagger(u) + v @ log_bc @ dagger(v) - w @ log_b @ dagger(w)
-    dist = trace_norm(state.mat - mat_exp(hermitian_part(exponent)))
+    dist = trace_norm(state.mat - mat_exp(exponent))
     slacks = value - 0.25 * dist * dist
     return identity_slack, min([identity_slack, *slacks.tolist()])
 

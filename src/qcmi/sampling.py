@@ -9,9 +9,9 @@ without changing their output.
 
 The tripartite samplers return unvalidated TripartiteState values: their
 matrices are density matrices by construction, and each state's analysis
-validates it when a value is first read. Every sampler of dims checks them
-before it draws, so bad dims raise DimensionMismatchError and leave the
-generator where it was.
+validates it when a value is first read. Every sampler checks its
+dimensions before it draws, so a dimension that is not a positive integer
+raises DimensionMismatchError and leaves the generator where it was.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .states import (
     TripartiteState,
     _classical_matrix,
     _markov_matrix,
+    _positive_dimension,
     _tripartite_dims,
     validate_density,
 )
@@ -57,7 +58,7 @@ def _hs_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt distributed density matrix: G G^dag normalized."""
-    return validate_density(_hs_matrix(dim, rng))
+    return validate_density(_hs_matrix(_positive_dimension(dim, "dim"), rng))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -67,16 +68,22 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     triangular factor has a positive real diagonal (which makes the
     distribution exactly Haar rather than QR-convention dependent).
     """
-    return _haar_unitaries((), dim, rng)
+    return _haar_unitaries((), _positive_dimension(dim, "dim"), rng)
 
 
-def _haar_unitaries(shape: tuple[int, ...], dim: int, rng: np.random.Generator) -> np.ndarray:
+def _haar_unitaries(
+    shape: tuple[int, ...], dim: int, rng: np.random.Generator, cols: int | None = None
+) -> np.ndarray:
     # Haar unitaries of shape shape + (dim, dim), bitwise the ones that
     # consecutive random_unitary calls draw: one standard_normal call
     # yields their Ginibre matrices, real and imaginary parts in turn, and
-    # one stacked QR factors them.
+    # one stacked QR factors them. Given cols, only the first cols columns
+    # are factored, which gives the first cols columns of those unitaries,
+    # a Haar isometry (Mezzadri 2007): the Householder reflectors of the
+    # first columns do not read the later ones. The whole matrices are
+    # still drawn, so the generator advances as for the unitaries.
     normal = rng.standard_normal(shape + (2, dim, dim))
-    g = normal[..., 0, :, :] + 1j * normal[..., 1, :, :]
+    g = normal[..., 0, :, :cols] + 1j * normal[..., 1, :, :cols]
     del normal  # freed before the QR factors are allocated
     q, r = _qr(g)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -85,7 +92,7 @@ def _haar_unitaries(shape: tuple[int, ...], dim: int, rng: np.random.Generator) 
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Gaussian Hermitian matrix (g + g^dag) * scale / 2."""
-    g = _ginibre(dim, rng)
+    g = _ginibre(_positive_dimension(dim, "dim"), rng)
     return scale * (g + g.conj().T) / 2.0
 
 

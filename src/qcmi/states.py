@@ -88,6 +88,14 @@ def _dimension(value, what: str) -> int:
     return int(value)
 
 
+def _positive_dimension(value, what: str) -> int:
+    # value as a positive Python int; DimensionMismatchError otherwise.
+    d = _dimension(value, what)
+    if d < 1:
+        raise DimensionMismatchError(f"{what} must be positive, got {d}")
+    return d
+
+
 def _tripartite_dims(dims) -> tuple[int, int, int]:
     # dims as three positive Python ints; DimensionMismatchError otherwise.
     out = tuple(_dimension(d, "dims entry") for d in dims)

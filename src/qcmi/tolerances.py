@@ -29,7 +29,8 @@ TRACE_ATOL = 1e-10
 REGULARIZE_EPS = 1e-9
 
 # rel_entropy is infinite when ||(I - P) rho (I - P)||_2 exceeds this, for
-# the support projector P of sigma.
+# the support projector P of sigma. The test runs only for a singular
+# sigma: a full-rank sigma's I - P is zero up to rounding.
 REL_ENTROPY_SUPPORT_TOL = 1e-9
 
 # Tr[sqrt(rho) sqrt(sigma)] at or below this is treated as zero overlap.

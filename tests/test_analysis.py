@@ -18,7 +18,6 @@ from qcmi.errors import SingularMatrixError, ValidationError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
 from qcmi.inequalities import proven_checks, rotated_slacks
 from qcmi.linalg import (
-    HermitianEigen,
     dagger,
     hermitian_part,
     hs_norm,
@@ -71,22 +70,6 @@ def decompositions(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return sizes
-
-
-@pytest.fixture
-def applies(monkeypatch):
-    """Record (stack length, size) of each HermitianEigen.apply call: the
-    matrix functions built from a decomposition."""
-    calls = []
-    original = HermitianEigen.apply
-
-    def recorded(self, f):
-        q = self.eigenvectors
-        calls.append((int(np.prod(q.shape[:-2])), q.shape[-1]))
-        return original(self, f)
-
-    monkeypatch.setattr(HermitianEigen, "apply", recorded)
-    return calls
 
 
 @pytest.fixture

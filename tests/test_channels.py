@@ -12,8 +12,15 @@ from qcmi.channels import (
 from qcmi.errors import DimensionMismatchError, NotFiniteError, SingularMatrixError, ValidationError
 from qcmi.linalg import hs_norm
 from qcmi.recovery import recover_via_ab
-from qcmi.sampling import random_density, random_tripartite, substream
+from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.states import partial_trace, validate_density
+
+
+# At N = 108 the thin and the full factorization differed by at most
+# 3.3e-16 per entry over these seeds (4.2e-16 over 200 others);
+# ISOMETRY_ATOL leaves a margin of 3x.
+ISOMETRY_SEEDS = 200
+ISOMETRY_ATOL = 1e-15
 
 
 class TestKrausChannel:
@@ -90,8 +97,40 @@ class TestRandomChannel:
             assert hs_norm(total - np.eye(d_in)) <= 1e-10
 
     def test_isometry_requirement(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             random_channel(4, 1, 2, substream(32, 1))
+
+    # (d_in, d_out, n_kraus) with N = d_out * n_kraus up to 81, where the
+    # thin QR of the kept columns rounds as the full one does.
+    @pytest.mark.parametrize(
+        "shape", [(27, 27, 1), (27, 27, 2), (27, 27, 3), (3, 2, 3), (8, 3, 5), (1, 1, 1), (2, 81, 1)]
+    )
+    def test_isometry_is_the_haar_unitary_columns(self, shape):
+        d_in, d_out, n_kraus = shape
+        for i in range(5):
+            rng, unitary_rng = substream(34, i), substream(34, i)
+            got = _isometry(random_channel(d_in, d_out, n_kraus, rng))
+            want = random_unitary(d_out * n_kraus, unitary_rng)[:, :d_in]
+            assert got.tobytes() == want.tobytes()
+            # The whole Ginibre matrix is drawn, so the stream goes on alike.
+            assert rng.random() == unitary_rng.random()
+
+    def test_isometry_at_108_is_within_rounding_of_the_unitary_columns(self):
+        # At N = 108 LAPACK's blocked QR rounds the thin and the full
+        # factorization differently.
+        worst = 0.0
+        for i in range(ISOMETRY_SEEDS):
+            rng, unitary_rng = substream(35, i), substream(35, i)
+            got = _isometry(random_channel(27, 27, 4, rng))
+            want = random_unitary(108, unitary_rng)[:, :27]
+            worst = max(worst, float(np.abs(got - want).max()))
+            assert rng.random() == unitary_rng.random()
+        assert worst <= ISOMETRY_ATOL
+
+
+def _isometry(phi):
+    # The isometry whose row blocks are phi's Kraus operators.
+    return np.vstack(phi.kraus)
 
 
 class TestPetzDual:

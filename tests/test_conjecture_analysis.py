@@ -24,6 +24,7 @@ from qcmi.channels import KrausChannel, identity_channel, petz_dual, random_chan
 from qcmi.errors import QcmiError
 from qcmi.harness import CORPORA, ScanConfig, corpus_state, run_conjecture
 from qcmi.inequalities import rotated_slacks
+from qcmi.linalg import PsdEigen
 from qcmi.sampling import random_density, random_unitary, substream
 from qcmi.states import validate_density
 
@@ -32,6 +33,11 @@ from qcmi.states import validate_density
 # operator (which serves the operator and its square root), and takes one
 # spectrum for the Petz recovery gap.
 DECOMPOSITIONS_PER_CHANNEL_SAMPLE = 6
+# Its matrix functions: log sigma, log phi(rho) and log phi(sigma), each
+# built once for lhs and the exponent; the exp operator, for Tr X; and
+# sqrt(sigma) and phi(sigma)^(-1/2) for the Petz map. sigma and phi(sigma)
+# are full rank, so rel_entropy builds no support projector.
+BUILDS_PER_CHANNEL_SAMPLE = 6
 
 # The analysis takes rhs's overlap as a sum over the transfer matrix of
 # rho's and the exponent's eigenvectors; the composition multiplies
@@ -221,3 +227,27 @@ def test_channel_sample_decomposition_budget(linalg_calls):
     run_conjecture(ScanConfig(dims=(3, 3, 3), samples=samples, seed=56), "channel")
     decompositions = linalg_calls["eigh"][1] + linalg_calls["eigvalsh"][1]
     assert decompositions <= DECOMPOSITIONS_PER_CHANNEL_SAMPLE * samples
+
+
+def test_channel_sample_build_budget(applies, monkeypatch):
+    shapes, projectors = [], []
+    qr, projector = np.linalg.qr, PsdEigen.projector
+
+    def recorded_qr(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def recorded_projector(self):
+        projectors.append(self)
+        return projector(self)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded_qr)
+    monkeypatch.setattr(PsdEigen, "projector", recorded_projector)
+    samples = 8
+    run_conjecture(ScanConfig(dims=(3, 3, 3), samples=samples, seed=57), "channel")
+    assert applies == [(1, 27)] * (BUILDS_PER_CHANNEL_SAMPLE * samples)
+    assert projectors == []
+    # One QR per sample, of the d_in = 27 columns the channel keeps, over
+    # samples with each of the Kraus counts 1-4.
+    assert sorted(set(shapes)) == [(27 * k, 27) for k in (1, 2, 3, 4)]
+    assert len(shapes) == samples

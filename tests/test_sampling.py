@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcmi.channels import random_channel
 from qcmi.entropy import cmi
 from qcmi.errors import DimensionMismatchError
 from qcmi.harness import CORPORA, NEAR_MARKOV_MIXES, ScanConfig, corpus_state
@@ -203,3 +204,46 @@ class TestSamplerDims:
             assert given.mat.tobytes() == want.mat.tobytes()
         else:
             assert repr(given) == repr(want)
+
+
+# Every sampler of one dimension, the bad value in each of random_channel's
+# three places.
+DIMENSION_SAMPLERS = {
+    "random_density": random_density,
+    "random_unitary": random_unitary,
+    "random_hermitian": random_hermitian,
+    "random_channel d_in": lambda d, rng: random_channel(d, 4, 1, rng),
+    "random_channel d_out": lambda d, rng: random_channel(4, d, 4, rng),
+    "random_channel n_kraus": lambda d, rng: random_channel(4, 4, d, rng),
+}
+
+
+class TestSamplerDimensions:
+    """A dimension that is not a positive integer raises before any draw."""
+
+    @pytest.mark.parametrize("dim", [4.0, 2.9, True, 0, -1])
+    @pytest.mark.parametrize("name", sorted(DIMENSION_SAMPLERS))
+    def test_bad_dimension_raises_without_drawing(self, name, dim):
+        rng = substream(76, 0)
+        with pytest.raises(DimensionMismatchError):
+            DIMENSION_SAMPLERS[name](dim, rng)
+        assert rng.random() == substream(76, 0).random()
+
+    def test_channel_without_an_isometry_raises_without_drawing(self):
+        rng = substream(76, 1)
+        with pytest.raises(DimensionMismatchError, match="cannot build an isometry"):
+            random_channel(5, 2, 2, rng)
+        assert rng.random() == substream(76, 1).random()
+
+    @pytest.mark.parametrize("name", sorted(DIMENSION_SAMPLERS))
+    def test_numpy_integer_dimensions_draw_as_ints(self, name):
+        given = DIMENSION_SAMPLERS[name](np.int64(3), substream(77, 0))
+        want = DIMENSION_SAMPLERS[name](3, substream(77, 0))
+        assert _drawn_bytes(given) == _drawn_bytes(want)
+
+
+def _drawn_bytes(value) -> bytes:
+    # What a sampler drew: a channel's Kraus operators, a state's matrix or an array.
+    if hasattr(value, "kraus"):
+        return b"".join(k.tobytes() for k in value.kraus)
+    return getattr(value, "mat", value).tobytes()
