@@ -35,14 +35,18 @@ rho's and V sigma*'s eigenvectors, which is not kept. h, the embedded
 logs, sigma* and M are built on demand, for the rows asked for,
 read-only and not kept. Each piece is computed on first use, so a stack
 pays for each decomposition at most once. StateAnalysis is one state's
-row of a stack; TripartiteState.analysis holds it, and the functions in
-entropy, bounds, recovery and harness are views over it. A state
-analysed on its own is a stack of one; analyse_together gives several
-states one stack.
+row of a stack, and TripartiteState.analysis holds it. It is the one
+read path of every value above: callers read state.analysis.cmi,
+.sigma_star, .m, .ruskai, .gap_m and the rest, and bound_report,
+classify, evaluate_sample and the checks of qcmi.inequalities read the
+same attributes. A state analysed on its own is a stack of one;
+analyse_together gives several states one stack.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
 of the channel bound and the Petz recovery: one decomposition per matrix,
-and the bound's overlap as a sum over the same transfer matrix.
+and the bound's overlap as a sum over the same transfer matrix. It is the
+read path of the channel bound (lhs, rhs, exp_operator) and is exported
+as qcmi.ChannelAnalysis.
 """
 
 from __future__ import annotations
@@ -404,15 +408,6 @@ class StateAnalysis:
             DensityMatrix(mat=mat[i], eig=_psd_rows(e, i)) for mat, e, _ in self.stack.marginals
         )
 
-    @property
-    def marginal_psd(self) -> tuple[PsdEigen, PsdEigen, PsdEigen]:
-        """Marginal decompositions with their support cutoffs."""
-        return tuple(m.eig for m in self.marginals)
-
-    @property
-    def rho_psd(self) -> PsdEigen:
-        return self.rho.eig
-
     @cached_property
     def entropies(self) -> EntropyReport:
         e = self.stack.entropies
@@ -475,11 +470,11 @@ class ChannelAnalysis:
     and sqrt(sigma) and phi(sigma)^(-1/2) for the Petz map.
 
     rho and sigma are DensityMatrix values, validated with their
-    decompositions, which are read here. The checks raise with the errors
-    of channel_gap_bound, channel_exp_operator and petz_dual, in their
-    order: rho and then sigma must be full rank (on construction), then
-    phi(rho) and phi(sigma) are validated; X needs both full rank, and the
-    Petz map needs phi(sigma) nonsingular.
+    decompositions, which are read here. The checks raise in this order:
+    rho and then sigma must be full rank (SingularMatrixError, on
+    construction), then phi(rho) and phi(sigma) are validated; X needs
+    both full rank, and the Petz map needs phi(sigma) nonsingular, with
+    the errors of channels.petz_dual.
     """
 
     def __init__(self, rho: DensityMatrix, sigma: DensityMatrix, phi: KrausChannel):

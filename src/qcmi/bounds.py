@@ -1,12 +1,16 @@
-"""Lower bounds on conditional mutual information and channel analogues.
+"""The lower-bound chain below conditional mutual information, and a
+spectral lower bound on fidelity.
 
 The central object is the candidate state
 
-    exp(log rho_AB - log rho_B + log rho_BC)
+    sigma* = exp(log rho_AB - log rho_B + log rho_BC)
 
 built from embedded marginal logarithms. For states with singular
 marginals the exponential is taken on the intersection of the embedded
-marginal supports, and reports flag that restriction.
+marginal supports, and reports flag that restriction. bound_report reads
+the chain from the state's analysis (state.analysis), which is also where
+sigma* itself is read; the channel analogue of the bound is read from
+qcmi.ChannelAnalysis.
 """
 
 from __future__ import annotations
@@ -16,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import ChannelAnalysis, _overlap_bound
-from .channels import KrausChannel
+from .analysis import _overlap_bound
 from .entropy import classical_rel_entropy, fidelity, vn_entropy
 from .states import DensityMatrix, TripartiteState, _require_full_rank
 
@@ -34,19 +37,6 @@ class BoundReport:
     slack_thm1: float
     slack_corollary: float
     support_restricted: bool
-
-
-def sigma_star(state: TripartiteState) -> np.ndarray:
-    """The exponentiated-marginal-logs candidate state (PSD, trace <= 1).
-
-    The returned array is the state's cached operator and is read-only.
-    """
-    return state.analysis.sigma_star
-
-
-def log_overlap_bound(state: TripartiteState) -> float:
-    """-2 log Tr[sqrt(rho) sqrt(sigma_star)], the first link of the chain below cmi."""
-    return _overlap_bound(state.analysis.overlap)
 
 
 def bound_report(state: TripartiteState) -> BoundReport:
@@ -67,28 +57,6 @@ def bound_report(state: TripartiteState) -> BoundReport:
         slack_corollary=a.cmi - corollary,
         support_restricted=a.support_restricted,
     )
-
-
-def channel_exp_operator(rho: DensityMatrix, sigma: DensityMatrix, phi: KrausChannel) -> np.ndarray:
-    """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma))).
-
-    The returned array is read-only.
-    """
-    return ChannelAnalysis(rho, sigma, phi).exp_operator
-
-
-def channel_gap_bound(
-    rho: DensityMatrix, sigma: DensityMatrix, phi: KrausChannel
-) -> tuple[float, float]:
-    """Data-processing gap of relative entropy under phi and its lower bound.
-
-    Returns (lhs, rhs) with
-        lhs = S(rho || sigma) - S(phi rho || phi sigma)
-        rhs = -2 log Tr[sqrt(rho) sqrt(channel_exp_operator(rho, sigma, phi))]
-    and lhs >= rhs - tolerance for full-rank inputs.
-    """
-    a = ChannelAnalysis(rho, sigma, phi)
-    return a.lhs, a.rhs
 
 
 def fidelity_lower_bound(rho: DensityMatrix, sigma: DensityMatrix) -> tuple[float, float]:

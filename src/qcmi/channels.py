@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
 from .linalg import PsdEigen, _require_finite, dagger, hs_norm, psd_eig
 from .sampling import _haar_unitaries
-from .states import DensityMatrix, _positive_dimension
+from .states import DensityMatrix, _positive_dimension, _tripartite_dims
 from .tolerances import COMPLETENESS_TOL
 
 
@@ -70,11 +70,14 @@ class KrausChannel:
 
 
 def identity_channel(dim: int) -> KrausChannel:
+    """The identity channel on a dim-dimensional space, dim a positive integer."""
+    dim = _positive_dimension(dim, "dim")
     return KrausChannel(kraus=(np.eye(dim, dtype=complex),))
 
 
 def depolarizing_channel(dim: int) -> KrausChannel:
-    """The fully depolarizing channel m -> Tr[m] I / dim."""
+    """The fully depolarizing channel m -> Tr[m] I / dim, dim a positive integer."""
+    dim = _positive_dimension(dim, "dim")
     ops = []
     for i in range(dim):
         for j in range(dim):
@@ -87,9 +90,10 @@ def depolarizing_channel(dim: int) -> KrausChannel:
 def partial_trace_channel(dims) -> KrausChannel:
     """The channel that traces out subsystem A of A (x) B (x) C.
 
-    The Kraus operators are <a| (x) I on the remaining factors.
+    The Kraus operators are <a| (x) I on the remaining factors. dims must
+    be three positive integers; otherwise DimensionMismatchError is raised.
     """
-    d_a, d_b, d_c = (int(d) for d in dims)
+    d_a, d_b, d_c = _tripartite_dims(dims)
     rest = d_b * d_c
     ops = []
     for a in range(d_a):

@@ -11,22 +11,20 @@ import argparse
 import sys
 
 from .bounds import bound_report
-from .entropy import cmi
 from .errors import InequalityViolationError, QcmiError, SingularMatrixError
 from .harness import (
     CONJECTURES,
     CORPORA,
     ScanConfig,
-    _require_tol,
     channel_gap_scan,
     run_conjecture,
     scan,
 )
 from .inequalities import proven_checks
-from .recovery import classify, modular_residual, ruskai_residual, zhang_gaps
+from .recovery import classify, modular_residual
 from .states import markov_state, regularize
 from .stateio import read_markov_spec, read_state, to_json, to_text, write_state
-from .tolerances import DEFAULT_TOL, REGULARIZE_EPS
+from .tolerances import DEFAULT_TOL, REGULARIZE_EPS, _require_tol
 
 
 class _UsageError(Exception):
@@ -136,18 +134,16 @@ def _cmd_info(args) -> int:
     if args.regularize:
         state = regularize(state)
     rep = bound_report(state)
-    ent = cmi(state)
     cls = classify(state, tol=args.tol)
-    gap_m, gap_mp = zhang_gaps(state)
-    ruskai = ruskai_residual(state)
+    a = state.analysis
     try:
         modular = modular_residual(state)
     except SingularMatrixError:
         modular = None
     # cmi leads the entropies, with bound_report's value.
-    record = {"dims": list(state.dims), "cmi": rep.cmi, **vars(ent), **vars(rep)}
-    record.update(_classification(cls), recovery_gap_M=gap_m, recovery_gap_Mprime=gap_mp)
-    record.update(ruskai_residual=ruskai, modular_residual=modular)
+    record = {"dims": list(state.dims), "cmi": rep.cmi, **vars(a.entropies), **vars(rep)}
+    record.update(_classification(cls), recovery_gap_M=a.gap_m, recovery_gap_Mprime=a.gap_mprime)
+    record.update(ruskai_residual=a.ruskai, modular_residual=modular)
     _print(record, args.json)
     # The proven rows of qcmi.inequalities that need no corpus, on the
     # bound chain printed above.
@@ -193,7 +189,7 @@ def _cmd_markov(args) -> int:
     spec = read_markov_spec(args.spec)
     state = markov_state(spec)
     write_state(state, args.out)
-    print(f"wrote state of dims {state.dims} to {args.out} (cmi={to_text(cmi(state).cmi)})")
+    print(f"wrote state of dims {state.dims} to {args.out} (cmi={to_text(state.analysis.cmi)})")
     return 0
 
 

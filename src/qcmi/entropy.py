@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import _eigvalsh, _scalar, hermitian_part, hs_norm, support_cutoff
-from .states import DensityMatrix, TripartiteState, _require_distribution
+from .states import DensityMatrix, _require_distribution
 from .tolerances import PROBABILITY_NEGATIVE_TOL, REL_ENTROPY_SUPPORT_TOL, WEIGHT_SUM_TOL
 
 
@@ -77,11 +77,6 @@ def _rel_entropy(rho: DensityMatrix, log_sigma: np.ndarray) -> float:
     tr_rho_log_rho = -spectrum_entropy(rho.eig.eigenvalues)
     tr_rho_log_sigma = float(np.trace(rho.mat @ log_sigma).real)
     return tr_rho_log_rho - tr_rho_log_sigma
-
-
-def cmi(state: TripartiteState) -> EntropyReport:
-    """Conditional mutual information I(A:C|B) = S_AB + S_BC - S_ABC - S_B."""
-    return state.analysis.entropies
 
 
 def classical_rel_entropy(p, q) -> float:

@@ -32,7 +32,7 @@ from .sampling import (
 )
 from .states import TripartiteState
 from .stateio import _write_text, to_text, write_json, write_state
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, _require_tol
 
 CORPORA = ("hs-random", "classical-random", "markov", "near-markov")
 CONJECTURES = ("half-recovery", "commutator-eighth", "rotated-quarter", "channel")
@@ -65,19 +65,6 @@ def _require_int(name: str, value, least: int) -> int:
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
     return int(value)
-
-
-def _require_tol(tol) -> float:
-    """The tolerance as a float; ConfigError unless it is a positive,
-    finite real number, not a bool. With tol = inf no slack could fail,
-    and with tol = True every slack above -1 would pass."""
-    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
-        raise ConfigError(f"tol must be a real number, got {tol!r}")
-    if not tol > 0.0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    if math.isinf(tol):
-        raise ConfigError(f"tol must be finite, got {tol}")
-    return float(tol)
 
 
 @dataclass(frozen=True)

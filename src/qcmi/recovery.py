@@ -8,18 +8,23 @@ The workhorse is the operator
 state obtained by sandwiching rho_BC with sqrt(rho_AB) pinv_sqrt(rho_B),
 and M^dag M is the mirror recovery through the BC side. A state has zero
 conditional mutual information exactly when these recoveries reproduce it.
+
+M, the trace distances gap_m = ||rho - M M^dag||_1 and
+gap_mprime = ||rho - M^dag M||_1, and the Ruskai residual
+||log rho_ABC + log rho_B - log rho_AB - log rho_BC||_2 are read from the
+state's analysis (state.analysis.m, .gap_m, .gap_mprime, .ruskai). This
+module validates the recovered states, computes the modular residual, and
+classifies states from the same analysis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import SingularMatrixError
 from .linalg import hs_norm
 from .states import DensityMatrix, TripartiteState, embed, validate_density
-from .tolerances import DEFAULT_TOL
+from .tolerances import DEFAULT_TOL, _require_tol
 
 DEFAULT_MODULAR_TIMES = (0.5, 1.0, 2.0)
 
@@ -39,14 +44,6 @@ class ClassificationLabel:
     tol: float
 
 
-def m_operator(state: TripartiteState) -> np.ndarray:
-    """sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded in A (x) B (x) C.
-
-    The returned array is the state's cached operator and is read-only.
-    """
-    return state.analysis.m
-
-
 def recover_via_ab(state: TripartiteState) -> DensityMatrix:
     """Recovered state M M^dag: rho_BC sandwiched through the AB marginal."""
     return validate_density(state.analysis.m_mdag)
@@ -55,16 +52,6 @@ def recover_via_ab(state: TripartiteState) -> DensityMatrix:
 def recover_via_bc(state: TripartiteState) -> DensityMatrix:
     """Mirror recovery M^dag M: rho_AB sandwiched through the BC marginal."""
     return validate_density(state.analysis.mdag_m)
-
-
-def ruskai_residual(state: TripartiteState) -> float:
-    """||log rho_ABC + log rho_B - log rho_AB - log rho_BC||_2.
-
-    Zero exactly on Markov states. Logs are support restricted, so the
-    residual is defined for singular states as well; reports flag that
-    case separately.
-    """
-    return state.analysis.ruskai
 
 
 def modular_residual(state: TripartiteState) -> float:
@@ -80,24 +67,22 @@ def modular_residual(state: TripartiteState) -> float:
             f"(support rank {state.rho.support_rank} of {state.dim})"
         )
     a = state.analysis
-    psd_ab, psd_bc, psd_b = a.marginal_psd
+    psd_ab, psd_bc, psd_b = (m.eig for m in a.marginals)
     dims = state.dims
     worst = 0.0
     for t in DEFAULT_MODULAR_TIMES:
-        lhs = a.rho_psd.cpower(t) @ embed(psd_bc.cpower(-t), "BC", dims)
+        lhs = a.rho.eig.cpower(t) @ embed(psd_bc.cpower(-t), "BC", dims)
         rhs = embed(psd_ab.cpower(t), "AB", dims) @ embed(psd_b.cpower(-t), "B", dims)
         worst = max(worst, hs_norm(lhs - rhs))
     return worst
 
 
-def zhang_gaps(state: TripartiteState) -> tuple[float, float]:
-    """Trace distances of rho to both factorizations M M^dag and M^dag M."""
-    a = state.analysis
-    return a.gap_m, a.gap_mprime
-
-
 def classify(state: TripartiteState, tol: float = DEFAULT_TOL) -> ClassificationLabel:
-    """Classify by whether M is normal and whether M M^dag reproduces rho."""
+    """Classify by whether M is normal and whether M M^dag reproduces rho.
+
+    ConfigError unless tol is a positive, finite real number.
+    """
+    tol = _require_tol(tol)
     a = state.analysis
     comm_norm = a.commutator_norm
     gap = a.gap_m

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from typing import Any
 
@@ -78,6 +79,10 @@ def to_json(value) -> str:
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:
+    # open() takes an integer, bools and numpy integers included, as a file
+    # descriptor, which it would write to and then close.
+    if isinstance(path, numbers.Integral):
+        raise ConfigError(f"cannot write {path!r}: a path must be a string or a path object")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -95,6 +100,8 @@ def write_state(state: TripartiteState, path: str | os.PathLike) -> None:
 
 
 def _load_json(path: str | os.PathLike) -> Any:
+    if isinstance(path, numbers.Integral):  # a file descriptor to open(), as in _write_text
+        raise ParseError(f"cannot read {path!r}: a path must be a string or a path object")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -7,12 +7,31 @@ same name read through any module is the same value
 (qcmi.linalg.SUPPORT_RTOL is this SUPPORT_RTOL). The README's table of
 tolerances lists each one; tests/test_readme.py keeps the two equal, and
 tests/test_structure.py fails on a small float literal anywhere else in
-the package.
+the package. _require_tol checks a tolerance given in its place.
 """
+
+import math
+import numbers
+
+from .errors import ConfigError
 
 # The tolerance of every run and of classify unless one is given: an
 # asserted slack below -tol is a violation.
 DEFAULT_TOL = 1e-8
+
+
+def _require_tol(tol) -> float:
+    """The tolerance as a float; ConfigError unless it is a positive,
+    finite real number, not a bool. With tol = inf no slack could fail,
+    and with tol = True every slack above -1 would pass."""
+    if not isinstance(tol, numbers.Real) or isinstance(tol, bool):
+        raise ConfigError(f"tol must be a real number, got {tol!r}")
+    if not tol > 0.0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if math.isinf(tol):
+        raise ConfigError(f"tol must be finite, got {tol}")
+    return float(tol)
+
 
 # Relative Hermiticity tolerance used everywhere a Hermitian input is required.
 HERMITIAN_RTOL = 1e-8

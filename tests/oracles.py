@@ -253,7 +253,7 @@ def markov_matrix_isometry(d_a, d_c, blocks):
 def m_three_embeds(analysis):
     """M = (sqrt(rho_AB) (x) I)(I (x) pinv_sqrt(rho_B) (x) I)(I (x) sqrt(rho_BC))
     from three full-dimension factors, for one StateAnalysis."""
-    psd_ab, psd_bc, psd_b = analysis.marginal_psd
+    psd_ab, psd_bc, psd_b = (m.eig for m in analysis.marginals)
     dims = analysis.stack.dims
     left = embed(psd_ab.sqrt(), "AB", dims)
     middle = embed(psd_b.power(-0.5), "B", dims)

@@ -13,21 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from qcmi.bounds import bound_report, channel_gap_bound, fidelity_lower_bound
+from qcmi.analysis import ChannelAnalysis
+from qcmi.bounds import bound_report, fidelity_lower_bound
 from qcmi.channels import depolarizing_channel, random_channel
 from qcmi.cli import main as cli_main
-from qcmi.entropy import cmi, rel_entropy
+from qcmi.entropy import rel_entropy
 from qcmi.harness import ScanConfig, run_conjecture, scan
 from qcmi.inequalities import rotated_slacks
 from qcmi.linalg import trace_norm
-from qcmi.recovery import (
-    classify,
-    modular_residual,
-    recover_via_ab,
-    recover_via_bc,
-    ruskai_residual,
-    zhang_gaps,
-)
+from qcmi.recovery import classify, modular_residual, recover_via_ab, recover_via_bc
 from qcmi.sampling import (
     random_classical,
     random_density,
@@ -120,12 +114,11 @@ def test_criterion_3_trace_exp_fact(corpus):
 def test_criterion_4_parity_state_values():
     st = parity_state()
     rep = bound_report(st)
-    gap_m, _ = zhang_gaps(st)
     ok = abs(rep.cmi - LN2) <= 1e-9
     ok = ok and abs(rep.thm1_bound - (2.0 - math.sqrt(2.0))) <= 1e-9
     ok = ok and abs(rep.corollary_bound - 0.25) <= 1e-9
     ok = ok and abs(rep.log_overlap_bound - LN2) <= 1e-9
-    ok = ok and abs(gap_m - 1.0) <= 1e-9
+    ok = ok and abs(st.analysis.gap_m - 1.0) <= 1e-9
     ok = ok and classify(st).label == "D2"
     report(4, "parity-state-exact-values", ok)
 
@@ -136,11 +129,11 @@ def test_criterion_5_markov_equality_manifold():
         dims = (2, 2, 2) if i % 2 == 0 else (2, 3, 2)
         st = random_markov_state(dims, substream(902, i))
         rep = bound_report(st)
-        gm, gmp = zhang_gaps(st)
+        a = st.analysis
         ok = ok and abs(rep.cmi) <= 1e-7
         ok = ok and abs(rep.thm1_bound) <= 1e-7
-        ok = ok and ruskai_residual(st) <= 1e-7
-        ok = ok and gm <= 1e-7 and gmp <= 1e-7
+        ok = ok and a.ruskai <= 1e-7
+        ok = ok and a.gap_m <= 1e-7 and a.gap_mprime <= 1e-7
         ok = ok and modular_residual(st) <= 1e-7
         ok = ok and classify(st).label == "D1"
         ok = ok and trace_norm(st.mat - recover_via_ab(st).mat) <= 1e-8
@@ -157,14 +150,14 @@ def test_criterion_6_channel_gap_bound():
         rho = random_density(d, rng)
         sigma = random_density(d, rng)
         phi = random_channel(d, d, k, rng)
-        lhs, rhs = channel_gap_bound(rho, sigma, phi)
-        ok = ok and lhs >= rhs - 1e-8
-        ok = ok and lhs >= -1e-9
+        a = ChannelAnalysis(rho, sigma, phi)
+        ok = ok and a.lhs >= a.rhs - 1e-8
+        ok = ok and a.lhs >= -1e-9
     rho = validate_density(np.diag([0.75, 0.25]).astype(complex))
     sigma = validate_density(np.diag([0.25, 0.75]).astype(complex))
-    lhs, rhs = channel_gap_bound(rho, sigma, depolarizing_channel(2))
-    ok = ok and abs(lhs - 0.5 * math.log(3.0)) <= 1e-9
-    ok = ok and abs(rhs - math.log(4.0 / 3.0)) <= 1e-9
+    a = ChannelAnalysis(rho, sigma, depolarizing_channel(2))
+    ok = ok and abs(a.lhs - 0.5 * math.log(3.0)) <= 1e-9
+    ok = ok and abs(a.rhs - math.log(4.0 / 3.0)) <= 1e-9
     report(6, "channel-data-processing-gap", ok)
 
 
@@ -209,7 +202,7 @@ def test_criterion_9_classical_pinsker():
     for i in range(100):
         st = classical_state(random_classical((2, 2, 2), substream(906, i)))
         recovered = recover_via_ab(st)
-        value = cmi(st).cmi
+        value = st.analysis.cmi
         gap = trace_norm(st.mat - recovered.mat)
         ok = ok and abs(value - rel_entropy(st.rho, recovered)) <= 1e-9
         ok = ok and value >= 0.5 * gap * gap - 1e-9

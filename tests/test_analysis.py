@@ -11,7 +11,6 @@ import pytest
 
 from qcmi import analysis as analysis_module
 from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_together
-from qcmi.bounds import sigma_star
 from qcmi.channels import identity_channel
 from qcmi.cli import main
 from qcmi.errors import SingularMatrixError, ValidationError
@@ -25,7 +24,7 @@ from qcmi.linalg import (
     mat_sqrt,
     support_cutoff,
 )
-from qcmi.recovery import m_operator, recover_via_ab, recover_via_bc
+from qcmi.recovery import recover_via_ab, recover_via_bc
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.stateio import write_state
 from qcmi.states import (
@@ -162,15 +161,16 @@ def test_partial_trace_is_bitwise_the_marginal_validated_alone(dims):
 def test_analysis_is_cached_on_the_state():
     # The analysis is kept; the operators it builds on demand are not.
     st = random_tripartite((2, 2, 2), substream(32, 0))
-    assert st.analysis is st.analysis
-    assert m_operator(st) is not m_operator(st)
-    assert sigma_star(st) is not sigma_star(st)
-    assert sigma_star(st).tobytes() == sigma_star(st).tobytes()
+    a = st.analysis
+    assert a is st.analysis
+    assert a.m is not a.m
+    assert a.sigma_star is not a.sigma_star
+    assert a.sigma_star.tobytes() == a.sigma_star.tobytes()
 
 
 def test_cached_operators_are_read_only():
     st = random_tripartite((2, 2, 2), substream(32, 1))
-    for op in (m_operator(st), sigma_star(st)):
+    for op in (st.analysis.m, st.analysis.sigma_star):
         with pytest.raises(ValueError):
             op[0, 0] = 0.0
 
@@ -249,7 +249,7 @@ def test_lieb_rhs_in_rho_b_eigenbasis_matches_direct_form(dims):
     r, s, t = _lieb_operands(st.analysis, dims)
     direct = lieb_triple_rhs(r, s, t)
     # In the basis I (x) Q_B (x) I of the analysis, the middle operand is diagonal.
-    _, _, psd_b = st.analysis.marginal_psd
+    _, _, psd_b = (m.eig for m in st.analysis.marginals)
     u = embed(psd_b.eigenvectors, "B", dims)
     w = embed(np.diag(psd_b.eigenvalues), "B", dims)
     in_eigenbasis = lieb_triple_rhs(dagger(u) @ r @ u, w, dagger(u) @ t @ u)
@@ -263,8 +263,8 @@ def test_state_and_analysis_form_no_reference_cycle():
     # A cycle would keep each analysed state's operators alive until the
     # cyclic collector runs; scans would then grow in memory.
     st = random_tripartite((2, 2, 2), substream(35, 0))
-    sigma_star(st)
-    m_operator(st)
+    st.analysis.sigma_star
+    st.analysis.m
     ref = weakref.ref(st)
     del st
     assert ref() is None
@@ -472,8 +472,8 @@ def _operators(st):
     # validate its kept M M^dag and M^dag M (None where that raises).
     a = st.analysis
     ops = {
-        "sigma_star": sigma_star(st),
-        "m": m_operator(st),
+        "sigma_star": a.sigma_star,
+        "m": a.m,
         "m_mdag": a.m_mdag,
         "mdag_m": a.mdag_m,
     }
@@ -514,7 +514,7 @@ def test_support_restricted_sigma_star_is_p_exp_php_p():
     assert len(restricted) == 2 * len(alone)
     for st in restricted:
         a = st.analysis
-        psd_ab, psd_bc, _ = a.marginal_psd
+        psd_ab, psd_bc, _ = (m.eig for m in a.marginals)
         both = embed(psd_ab.projector(), "AB", st.dims) + embed(psd_bc.projector(), "BC", st.dims)
         w, v = np.linalg.eigh(hermitian_part(both))
         cols = v[:, w > 2.0 - INTERSECTION_TOL]

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qcmi.bounds import (
-    bound_report,
-    channel_exp_operator,
-    channel_gap_bound,
-    fidelity_lower_bound,
-    log_overlap_bound,
-    sigma_star,
-)
+from qcmi.analysis import ChannelAnalysis
+from qcmi.bounds import bound_report, fidelity_lower_bound
 from qcmi.channels import depolarizing_channel, identity_channel, random_channel
 from qcmi.errors import SingularMatrixError
 from qcmi.linalg import hs_norm, mat_log, trace_norm
@@ -42,15 +36,15 @@ def product_state(rng):
 class TestSigmaStar:
     def test_product_state_reproduces_itself(self):
         st = product_state(substream(40, 0))
-        np.testing.assert_allclose(sigma_star(st), st.mat, atol=1e-10)
+        np.testing.assert_allclose(st.analysis.sigma_star, st.mat, atol=1e-10)
 
     def test_parity_state_is_maximally_mixed(self):
-        np.testing.assert_allclose(sigma_star(parity_state()), np.eye(8) / 8, atol=1e-12)
+        np.testing.assert_allclose(parity_state().analysis.sigma_star, np.eye(8) / 8, atol=1e-12)
 
     def test_markov_state_reproduces_itself(self):
         for i in range(5):
             st = random_markov_state((2, 3, 2), substream(40, 1, i))
-            assert hs_norm(sigma_star(st) - st.mat) <= 1e-8
+            assert hs_norm(st.analysis.sigma_star - st.mat) <= 1e-8
 
     def test_support_restriction_flagged(self):
         # a state whose AB marginal is singular takes the projected branch
@@ -86,13 +80,13 @@ class TestTraceExp:
 class TestLogOverlapBound:
     def test_markov_state(self):
         st = random_markov_state((2, 2, 2), substream(42, 0))
-        assert abs(log_overlap_bound(st)) <= 1e-7
+        assert abs(bound_report(st).log_overlap_bound) <= 1e-7
 
     def test_product_state(self):
-        assert abs(log_overlap_bound(product_state(substream(42, 1)))) <= 1e-9
+        assert abs(bound_report(product_state(substream(42, 1))).log_overlap_bound) <= 1e-9
 
     def test_parity_state_frozen_value(self):
-        assert log_overlap_bound(parity_state()) == pytest.approx(LN2, abs=1e-9)
+        assert bound_report(parity_state()).log_overlap_bound == pytest.approx(LN2, abs=1e-9)
 
 
 class TestBoundReport:
@@ -135,21 +129,21 @@ class TestChannelGapBound:
         rng = substream(44, 0)
         rho = random_density(2, rng)
         sigma = random_density(2, rng)
-        lhs, rhs = channel_gap_bound(rho, sigma, identity_channel(2))
-        assert lhs == pytest.approx(0.0, abs=1e-9)
-        assert rhs == pytest.approx(0.0, abs=1e-9)
+        a = ChannelAnalysis(rho, sigma, identity_channel(2))
+        assert a.lhs == pytest.approx(0.0, abs=1e-9)
+        assert a.rhs == pytest.approx(0.0, abs=1e-9)
 
     def test_depolarizing_frozen_values(self):
         rho = validate_density(np.diag([0.75, 0.25]))
         sigma = validate_density(np.diag([0.25, 0.75]))
-        lhs, rhs = channel_gap_bound(rho, sigma, depolarizing_channel(2))
-        assert lhs == pytest.approx(0.5 * math.log(3), abs=1e-9)
-        assert rhs == pytest.approx(math.log(4.0 / 3.0), abs=1e-9)
+        a = ChannelAnalysis(rho, sigma, depolarizing_channel(2))
+        assert a.lhs == pytest.approx(0.5 * math.log(3), abs=1e-9)
+        assert a.rhs == pytest.approx(math.log(4.0 / 3.0), abs=1e-9)
 
     def test_depolarizing_exponent_collapses_to_log_sigma(self):
         rho = validate_density(np.diag([0.75, 0.25]))
         sigma = validate_density(np.diag([0.25, 0.75]))
-        ex = channel_exp_operator(rho, sigma, depolarizing_channel(2))
+        ex = ChannelAnalysis(rho, sigma, depolarizing_channel(2)).exp_operator
         np.testing.assert_allclose(mat_log(ex), mat_log(sigma.mat), atol=1e-10)
 
     def test_monotonicity_and_bound_on_random_triples(self):
@@ -159,15 +153,15 @@ class TestChannelGapBound:
             rho = random_density(dim, rng)
             sigma = random_density(dim, rng)
             phi = random_channel(dim, dim, 1 + i % 4, rng)
-            lhs, rhs = channel_gap_bound(rho, sigma, phi)
-            assert lhs >= -1e-9
-            assert lhs >= rhs - 1e-8
+            a = ChannelAnalysis(rho, sigma, phi)
+            assert a.lhs >= -1e-9
+            assert a.lhs >= a.rhs - 1e-8
 
     def test_singular_input_rejected(self):
         rho = validate_density(np.diag([1.0, 0.0]))
         sigma = random_density(2, substream(44, 2))
         with pytest.raises(SingularMatrixError):
-            channel_gap_bound(rho, sigma, identity_channel(2))
+            ChannelAnalysis(rho, sigma, identity_channel(2))
 
 
 class TestFidelityLowerBound:

@@ -88,6 +88,40 @@ class TestStandardChannels:
         np.testing.assert_allclose(phi.apply(st.mat), partial_trace(st, "BC").mat, atol=1e-12)
 
 
+# Each constructor with one dimension d; partial_trace_channel takes d in
+# each place of its dims.
+DIMENSION_CHANNELS = {
+    "identity_channel": identity_channel,
+    "depolarizing_channel": depolarizing_channel,
+    "partial_trace_channel d_A": lambda d: partial_trace_channel((d, 2, 2)),
+    "partial_trace_channel d_B": lambda d: partial_trace_channel((2, d, 2)),
+    "partial_trace_channel d_C": lambda d: partial_trace_channel((2, 2, d)),
+}
+
+
+class TestChannelDimensions:
+    """A dimension that is not a positive integer raises, as in the samplers."""
+
+    @pytest.mark.parametrize("dim", [4.0, 2.9, 2.5, True, 0, -1])
+    @pytest.mark.parametrize("name", sorted(DIMENSION_CHANNELS))
+    def test_bad_dimension_raises(self, name, dim):
+        with pytest.raises(DimensionMismatchError):
+            DIMENSION_CHANNELS[name](dim)
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2, 2)])
+    def test_partial_trace_channel_needs_three_dims(self, dims):
+        with pytest.raises(DimensionMismatchError):
+            partial_trace_channel(dims)
+
+    @pytest.mark.parametrize("name", sorted(DIMENSION_CHANNELS))
+    def test_numpy_integer_dimensions_build_as_ints(self, name):
+        given = DIMENSION_CHANNELS[name](np.int64(3))
+        want = DIMENSION_CHANNELS[name](3)
+        assert len(given.kraus) == len(want.kraus)
+        for ours, theirs in zip(given.kraus, want.kraus):
+            assert ours.tobytes() == theirs.tobytes()
+
+
 class TestRandomChannel:
     def test_completeness_across_shapes(self):
         rng = substream(32, 0)

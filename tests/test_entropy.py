@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcmi.entropy import (
-    classical_rel_entropy,
-    cmi,
-    fidelity,
-    rel_entropy,
-    vn_entropy,
-)
+from qcmi.entropy import classical_rel_entropy, fidelity, rel_entropy, vn_entropy
 from qcmi.errors import DimensionMismatchError, NotDistributionError
 from qcmi.linalg import trace_norm
 from qcmi.sampling import random_classical, random_density, random_tripartite, substream
@@ -79,7 +73,7 @@ class TestCmi:
         rng = substream(21, 0)
         mats = [random_density(2, rng).mat for _ in range(3)]
         st = tripartite(np.kron(np.kron(mats[0], mats[1]), mats[2]), (2, 2, 2))
-        assert cmi(st).cmi == pytest.approx(0.0, abs=1e-10)
+        assert st.analysis.cmi == pytest.approx(0.0, abs=1e-10)
 
     def test_classical_markov_distribution(self):
         # p_ijk = p_ij p_jk / p_j has vanishing conditional mutual information
@@ -88,23 +82,23 @@ class TestCmi:
         cond_k = rng.dirichlet(np.ones(2), size=2)
         p = np.einsum("ij,jk->ijk", p_ij, cond_k)
         st = classical_state(ClassicalJoint(p))
-        assert cmi(st).cmi == pytest.approx(0.0, abs=1e-10)
+        assert st.analysis.cmi == pytest.approx(0.0, abs=1e-10)
 
     def test_parity_state_frozen_value(self):
-        report = cmi(parity_state())
+        report = parity_state().analysis.entropies
         assert report.cmi == pytest.approx(math.log(2), abs=1e-12)
         assert report.s_b == pytest.approx(math.log(2), abs=1e-12)
 
     def test_matches_classical_summation_oracle(self):
         for i in range(100):
             joint = random_classical((2, 2, 2), substream(21, 2, i))
-            got = cmi(classical_state(joint)).cmi
+            got = classical_state(joint).analysis.cmi
             assert got == pytest.approx(classical_cmi(joint.p), abs=1e-10)
 
     def test_ssa_on_random_corpus(self):
         rng = substream(21, 3)
         for _ in range(100):
-            assert cmi(random_tripartite((2, 2, 2), rng)).cmi >= -1e-9
+            assert random_tripartite((2, 2, 2), rng).analysis.cmi >= -1e-9
 
 
 class TestClassicalRelEntropy:

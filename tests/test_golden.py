@@ -32,7 +32,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcmi.entropy import cmi
 from qcmi.errors import SingularMatrixError
 from qcmi.harness import CORPORA, ScanConfig, corpus_state, evaluate_sample
 from qcmi.inequalities import proven_checks as _proven_checks
@@ -131,7 +130,7 @@ def cases():
 def record(state, corpus: str) -> dict:
     """Every number a scan, info or classify call derives from one state."""
     row = evaluate_sample(state, 0)
-    ent = cmi(state)
+    ent = state.analysis.entropies
     try:
         modular = modular_residual(state)
     except SingularMatrixError:

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from qcmi.bounds import bound_report
-from qcmi.entropy import cmi
 from qcmi import harness
 from qcmi.errors import (
     ConfigError,
@@ -473,7 +472,7 @@ class TestConjectureSlacks:
         # diagonal M commutes with its adjoint, so the penalty term vanishes
         for i in range(5):
             st = random_classical_state((2, 2, 2), substream(22, i))
-            assert commutator_slack(st) == pytest.approx(cmi(st).cmi, abs=1e-10)
+            assert commutator_slack(st) == pytest.approx(st.analysis.cmi, abs=1e-10)
 
     def test_rotated_identity_triple_matches_corollary(self):
         st = corpus_state(ScanConfig(dims=(2, 2, 2), samples=1, seed=23), 0)

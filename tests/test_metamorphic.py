@@ -85,7 +85,7 @@ def _row(state) -> dict:
 def _condition(state) -> float:
     # The largest lambda_max / lambda_min of rho and its marginals.
     a = state.analysis
-    spectra = [a.rho_psd.eigenvalues] + [m.eig.eigenvalues for m in a.marginals]
+    spectra = [m.eig.eigenvalues for m in (a.rho, *a.marginals)]
     return max(w[-1] / w[0] if w[0] > 0.0 else math.inf for w in spectra)
 
 

@@ -3,6 +3,8 @@
 Every command-line example that needs no input file (scan, conjecture,
 channel-gap) is run through the installed entry point, qcmi.cli.run, in
 a temporary directory, and its stdout is compared with the README text.
+Every fenced python block runs, with warnings as errors, in a temporary
+directory.
 The README's table of inequalities is the table of qcmi.inequalities,
 which lists each proven step once; print it with
 
@@ -13,8 +15,10 @@ with its value, in the module's order.
 """
 
 import itertools
+import re
 import shlex
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -61,6 +65,27 @@ def test_readme_example_prints_what_the_readme_shows(argv, printed, tmp_path, mo
         run()
     assert exc.value.code == 0
     assert capsys.readouterr().out == printed
+
+
+def python_blocks() -> list[str]:
+    """The source of each fenced python block of the README, in order."""
+    text = README.read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```$", text, flags=re.MULTILINE | re.DOTALL)
+
+
+def test_the_readme_has_python_examples():
+    # Quick start and the Markov recovery example.
+    assert len(python_blocks()) >= 2
+
+
+@pytest.mark.parametrize("index", range(len(python_blocks())))
+def test_readme_python_block_runs(index, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = compile(python_blocks()[index], f"README.md python block {index}", "exec")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(code, {"__name__": "__readme__"})
+    assert capsys.readouterr().out
 
 
 def _where(row) -> str:

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from qcmi.entropy import cmi, rel_entropy
-from qcmi.errors import SingularMatrixError
+from qcmi.entropy import rel_entropy
+from qcmi.errors import ConfigError, SingularMatrixError
 from qcmi.linalg import hs_norm, trace_norm
-from qcmi.recovery import (
-    classify,
-    m_operator,
-    modular_residual,
-    recover_via_ab,
-    recover_via_bc,
-    ruskai_residual,
-    zhang_gaps,
-)
+from qcmi.recovery import classify, modular_residual, recover_via_ab, recover_via_bc
 from qcmi.sampling import (
     random_classical,
     random_density,
@@ -56,20 +48,20 @@ def classical_recovery_table(p):
 class TestMOperator:
     def test_product_state_reconstructs(self):
         st = product_state(substream(50, 0))
-        m = m_operator(st)
+        m = st.analysis.m
         np.testing.assert_allclose(m @ m.conj().T, st.mat, atol=1e-10)
 
     def test_diagonal_entries_on_classical_state(self):
         joint = random_classical((2, 2, 2), substream(50, 1))
         st = classical_state(joint)
-        m = m_operator(st)
+        m = st.analysis.m
         expected = np.sqrt(classical_recovery_table(joint.p)).ravel()
         np.testing.assert_allclose(np.diag(m).real, expected, atol=1e-10)
         assert hs_norm(m - np.diag(np.diag(m))) <= 1e-10
 
     def test_markov_state_reconstructs(self):
         st = random_markov_state((2, 3, 2), substream(50, 2))
-        m = m_operator(st)
+        m = st.analysis.m
         assert trace_norm(st.mat - m @ m.conj().T) <= 1e-8
 
 
@@ -100,7 +92,7 @@ class TestRecoveryMaps:
             joint = random_classical((2, 2, 2), substream(51, 2, i))
             st = classical_state(joint)
             expected = np.diag(classical_recovery_table(joint.p).ravel())
-            m = m_operator(st)
+            m = st.analysis.m
             np.testing.assert_allclose(m @ m.conj().T, expected, atol=1e-10)
             np.testing.assert_allclose(m.conj().T @ m, expected, atol=1e-10)
             np.testing.assert_allclose(recover_via_ab(st).mat, expected, atol=1e-10)
@@ -111,7 +103,7 @@ class TestRecoveryMaps:
             joint = random_classical((2, 2, 2), substream(51, 3, i))
             st = classical_state(joint)
             recovered = recover_via_ab(st)
-            value = cmi(st).cmi
+            value = st.analysis.cmi
             assert value == pytest.approx(rel_entropy(st.rho, recovered), abs=1e-9)
             assert value >= 0.5 * trace_norm(st.mat - recovered.mat) ** 2 - 1e-9
 
@@ -119,14 +111,14 @@ class TestRecoveryMaps:
 class TestResiduals:
     def test_ruskai_zero_on_markov(self):
         st = random_markov_state((2, 3, 2), substream(52, 0))
-        assert ruskai_residual(st) <= 1e-7
+        assert st.analysis.ruskai <= 1e-7
 
     def test_ruskai_zero_on_product(self):
-        assert ruskai_residual(product_state(substream(52, 1))) <= 1e-9
+        assert product_state(substream(52, 1)).analysis.ruskai <= 1e-9
 
     def test_ruskai_large_on_generic_state(self):
         st = random_tripartite((2, 2, 2), substream(52, 2))
-        assert ruskai_residual(st) > 1e-3
+        assert st.analysis.ruskai > 1e-3
 
     def test_modular_zero_on_markov(self):
         st = random_markov_state((2, 2, 2), substream(52, 4))
@@ -141,11 +133,11 @@ class TestResiduals:
 
     def test_zhang_gaps(self):
         markov = random_markov_state((2, 2, 2), substream(52, 6))
-        gm, gmp = zhang_gaps(markov)
-        assert gm <= 1e-8 and gmp <= 1e-8
-        gm, gmp = zhang_gaps(parity_state())
-        assert gm == pytest.approx(1.0, abs=1e-9)
-        assert gmp == pytest.approx(1.0, abs=1e-9)
+        a = markov.analysis
+        assert a.gap_m <= 1e-8 and a.gap_mprime <= 1e-8
+        a = parity_state().analysis
+        assert a.gap_m == pytest.approx(1.0, abs=1e-9)
+        assert a.gap_mprime == pytest.approx(1.0, abs=1e-9)
 
 
 class TestClassify:
@@ -172,3 +164,26 @@ class TestClassify:
         st = random_tripartite((2, 2, 2), substream(53, 3))
         # a huge tolerance collapses everything into D1
         assert classify(st, tol=10.0).label == "D1"
+
+    @pytest.mark.parametrize(
+        "tol,message",
+        [
+            # Unchecked, -1 and nan would label a generic state D3 and D2.
+            (-1, "tol must be positive, got -1"),
+            (math.nan, "tol must be positive, got nan"),
+            (0.0, "tol must be positive, got 0.0"),
+            (math.inf, "tol must be finite, got inf"),
+            (True, "tol must be a real number, got True"),
+            ("1e-8", "tol must be a real number, got '1e-8'"),
+        ],
+        ids=["-1", "nan", "0.0", "inf", "True", "str"],
+    )
+    def test_rejects_tol_that_is_not_positive(self, tol, message):
+        st = random_tripartite((2, 2, 2), substream(53, 2))
+        with pytest.raises(ConfigError) as exc:
+            classify(st, tol=tol)
+        assert str(exc.value) == message
+
+    def test_tol_is_kept_as_a_float(self):
+        label = classify(product_state(substream(53, 1)), tol=np.float32(1e-8))
+        assert type(label.tol) is float

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qcmi.channels import random_channel
-from qcmi.entropy import cmi
 from qcmi.errors import DimensionMismatchError
 from qcmi.harness import CORPORA, NEAR_MARKOV_MIXES, ScanConfig, corpus_state
 from qcmi.linalg import hs_norm
@@ -109,13 +108,13 @@ class TestCorpusSamplers:
         for i in range(5):
             st = random_markov_state((2, 3, 2), substream(4, i))
             assert st.dims == (2, 3, 2)
-            assert abs(cmi(st).cmi) <= 1e-9
+            assert abs(st.analysis.cmi) <= 1e-9
 
     def test_near_markov_interpolates(self):
         st = near_markov_state((2, 2, 2), substream(5, 0), mix=0.0)
-        assert abs(cmi(st).cmi) <= 1e-9
+        assert abs(st.analysis.cmi) <= 1e-9
         perturbed = near_markov_state((2, 2, 2), substream(5, 0), mix=0.2)
-        assert cmi(perturbed).cmi > 1e-6
+        assert perturbed.analysis.cmi > 1e-6
 
     def test_random_hermitian_is_hermitian(self):
         h = random_hermitian(4, substream(6, 0))

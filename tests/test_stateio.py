@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from qcmi.errors import NotFiniteError, ParseError, ValidationError
+from qcmi import stateio
+from qcmi.errors import ConfigError, NotFiniteError, ParseError, ValidationError
+from qcmi.harness import ScanConfig, scan
 from qcmi.sampling import random_markov_spec, random_tripartite, substream
 from qcmi.states import markov_state
 from qcmi.stateio import (
@@ -162,6 +165,69 @@ class TestMarkovSpecRoundTrip:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=r"^block weights entry 0 is nan$"):
             read_markov_spec(path)
+
+
+class TestIntegerPaths:
+    """open() takes an integer as a file descriptor, which it would use and
+    then close. A path that is an integer is rejected before any open."""
+
+    @pytest.fixture
+    def fd(self, tmp_path):
+        # A live descriptor of a file that already holds a state, opened
+        # for reading and writing at offset 0.
+        path = tmp_path / "held.json"
+        write_state(random_tripartite((1, 1, 2), substream(62, 0)), path)
+        fd = os.open(path, os.O_RDWR)
+        yield fd, path, path.read_bytes()
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+
+    @staticmethod
+    def _untouched(fd, path, held):
+        os.fstat(fd)  # still open: raises OSError once closed
+        assert os.lseek(fd, 0, os.SEEK_CUR) == 0
+        assert path.read_bytes() == held
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_write_state_rejects_a_descriptor(self, fd, kind):
+        st = random_tripartite((1, 1, 2), substream(62, 1))
+        with pytest.raises(ConfigError, match="^cannot write "):
+            write_state(st, kind(fd[0]))
+        self._untouched(*fd)
+
+    @pytest.mark.parametrize("kind", [int, np.int64])
+    def test_read_state_rejects_a_descriptor(self, fd, kind):
+        with pytest.raises(ParseError, match="^cannot read "):
+            read_state(kind(fd[0]))
+        self._untouched(*fd)
+
+    def test_read_markov_spec_rejects_a_descriptor(self, fd):
+        with pytest.raises(ParseError, match="^cannot read "):
+            read_markov_spec(fd[0])
+        self._untouched(*fd)
+
+    def test_scan_report_rejects_a_descriptor(self, fd):
+        with pytest.raises(ConfigError, match="^cannot write "):
+            scan(ScanConfig(dims=(1, 1, 2), samples=1, out=fd[0]))
+        self._untouched(*fd)
+
+    @pytest.mark.parametrize("path", [False, True])
+    def test_bools_are_not_stdin_or_stdout(self, path, monkeypatch):
+        # False and True are descriptors 0 and 1; a stand-in for open()
+        # records any attempt to use them.
+        opened = []
+        monkeypatch.setattr(stateio, "open", lambda *a, **k: opened.append(a), raising=False)
+        st = random_tripartite((1, 1, 2), substream(62, 2))
+        with pytest.raises(ConfigError, match="^cannot write "):
+            write_state(st, path)
+        with pytest.raises(ConfigError, match="^cannot write "):
+            scan(ScanConfig(dims=(1, 1, 2), samples=1, out=path))
+        with pytest.raises(ParseError, match="^cannot read "):
+            read_state(path)
+        assert opened == []
+        os.fstat(int(path))
 
 
 class TestFmt17:

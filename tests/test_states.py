@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qcmi.bounds import bound_report
-from qcmi.entropy import classical_rel_entropy, cmi
+from qcmi.entropy import classical_rel_entropy
 from qcmi.errors import (
     DimensionMismatchError,
     NotDistributionError,
@@ -313,7 +313,7 @@ class TestMarkovState:
         st = markov_state(spec)
         assert st.dims == (2, 1, 2)
         np.testing.assert_allclose(st.mat, np.kron(rho_a.mat, rho_c.mat), atol=1e-12)
-        assert cmi(st).cmi == pytest.approx(0.0, abs=1e-9)
+        assert st.analysis.cmi == pytest.approx(0.0, abs=1e-9)
 
     def test_single_block_full_left(self):
         rng = substream(14, 1)
@@ -326,7 +326,7 @@ class TestMarkovState:
         st = markov_state(spec)
         assert st.dims == (2, 2, 3)
         np.testing.assert_allclose(st.mat, np.kron(rho_ab.mat, rho_c.mat), atol=1e-12)
-        assert cmi(st).cmi == pytest.approx(0.0, abs=1e-9)
+        assert st.analysis.cmi == pytest.approx(0.0, abs=1e-9)
 
     def test_two_block_classical_mixture(self):
         rng = substream(14, 2)
@@ -339,7 +339,7 @@ class TestMarkovState:
         )
         st = markov_state(MarkovSpec(d_a=2, d_c=2, blocks=blocks))
         assert st.dims == (2, 2, 2)
-        assert cmi(st).cmi == pytest.approx(0.0, abs=1e-9)
+        assert st.analysis.cmi == pytest.approx(0.0, abs=1e-9)
         # block k occupies B-basis state |k>
         expected = sum(
             b.weight * np.kron(np.kron(b.rho_al.mat, np.diag(np.eye(2)[k])), b.rho_rc.mat)
