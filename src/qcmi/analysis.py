@@ -76,6 +76,7 @@ from .states import (
     MARGINALS,
     DensityMatrix,
     TripartiteState,
+    _frozen,
     _require_full_rank,
     _traced_out,
     _validated,
@@ -90,13 +91,6 @@ def _overlap_bound(overlap: float) -> float:
     if overlap <= ZERO_OVERLAP:
         return math.inf
     return -2.0 * math.log(overlap)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    # Cached operators are handed out by reference; keep callers from
-    # editing the cache in place.
-    a.flags.writeable = False
-    return a
 
 
 def _intersection_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -151,7 +145,7 @@ class StackAnalysis:
         # collector happens to run.
         mats = [s.mat for s in states]
         # A single (read-only) matrix is viewed as a stack of one, not copied.
-        self.mat = mats[0][np.newaxis] if len(mats) == 1 else _readonly(np.stack(mats))
+        self.mat = mats[0][np.newaxis] if len(mats) == 1 else _frozen(np.stack(mats))
         self.dims = dims
 
     def __len__(self) -> int:
@@ -165,16 +159,16 @@ class StackAnalysis:
         return _validated(self.mat)[1]
 
     @cached_property
-    def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen, np.ndarray], ...]:
-        """(read-only stack, decomposition, support ranks) of rho_AB, rho_BC
-        and rho_B, validated after rho."""
+    def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen], ...]:
+        """(read-only stack, decomposition) of rho_AB, rho_BC and rho_B,
+        validated after rho."""
         self.rho_psd  # rho is validated first; every other value derives from it or these
         return tuple(_validated(_traced_out(self.mat, self.dims, keep)) for keep in MARGINALS)
 
     @property
     def marginal_psd(self) -> tuple[PsdEigen, PsdEigen, PsdEigen]:
         """Marginal decompositions with their support cutoffs."""
-        return tuple(e for _, e, _ in self.marginals)
+        return tuple(e for _, e in self.marginals)
 
     # -- entropies -------------------------------------------------------
 
@@ -193,7 +187,7 @@ class StackAnalysis:
         """log rho_AB (x) I, I (x) log rho_BC and I (x) log rho_B (x) I of
         the states `rows`, built on each call."""
         return tuple(
-            _readonly(embed(_psd_rows(e, rows).log(), keep, self.dims))
+            _frozen(embed(_psd_rows(e, rows).log(), keep, self.dims))
             for e, keep in zip(self.marginal_psd, MARGINALS)
         )
 
@@ -208,7 +202,7 @@ class StackAnalysis:
         h = embed(psd_ab.log(), "AB", self.dims)
         h += embed(psd_bc.log(), "BC", self.dims)
         h -= embed(psd_b.log(), "B", self.dims)
-        return _readonly(h)
+        return _frozen(h)
 
     @cached_property
     def _sigma(self) -> tuple[PsdEigen, dict[int, np.ndarray], np.ndarray]:
@@ -218,8 +212,8 @@ class StackAnalysis:
         # and its decomposition is the one mat_sqrt makes of it. h is built
         # for this and not kept.
         h = self.exponent()
-        (ab, _, rank_ab), (bc, _, rank_bc), _ = self.marginals
-        full = (rank_ab == ab.shape[-1]) & (rank_bc == bc.shape[-1])
+        (ab, psd_ab), (bc, psd_bc), _ = self.marginals
+        full = (psd_ab.rank == ab.shape[-1]) & (psd_bc.rank == bc.shape[-1])
         if full.all():  # the common case, without copies into a mixed stack
             return _exp_eigen(h), {}, ~full
         w, v, cutoff = np.empty(h.shape[:-1]), np.empty_like(h), np.empty(len(self))
@@ -231,7 +225,7 @@ class StackAnalysis:
             sig = self._restricted_sigma(i, h[i])
             e = psd_eig(sig, "sqrt")
             w[i], v[i], cutoff[i] = e.eigenvalues, e.eigenvectors, e.cutoff
-            restricted[int(i)] = _readonly(sig)
+            restricted[int(i)] = _frozen(sig)
         return PsdEigen(eigenvalues=w, eigenvectors=v, cutoff=cutoff), restricted, ~full
 
     def _restricted_sigma(self, i: int, h: np.ndarray) -> np.ndarray:
@@ -264,7 +258,7 @@ class StackAnalysis:
 
     def sigma_star(self, rows: slice = ALL) -> np.ndarray:
         """sigma* = exp(h) of the states `rows`, built on each call."""
-        return _readonly(self._new_sigma_star(rows))
+        return _frozen(self._new_sigma_star(rows))
 
     support_restricted = property(lambda self: self._sigma[2])
 
@@ -325,7 +319,7 @@ class StackAnalysis:
         m = p @ psd_bc.sqrt().reshape(k, d_b, d_c * d_b * d_c)
         m = m.reshape(k, d_a, d_b, d_a, d_c, d_b, d_c).transpose(0, 1, 2, 4, 3, 5, 6)
         n = d_a * d_b * d_c
-        return _readonly(m.reshape(k, n, n))
+        return _frozen(m.reshape(k, n, n))
 
     @cached_property
     def _m_products(self) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +327,7 @@ class StackAnalysis:
         # read by two trace norms, and classify reads only two of the three.
         m = self.m()
         m_dag = dagger(m)
-        return _readonly(m @ m_dag), _readonly(m_dag @ m)
+        return _frozen(m @ m_dag), _frozen(m_dag @ m)
 
     m_mdag = property(lambda self: self._m_products[0])
     mdag_m = property(lambda self: self._m_products[1])
@@ -405,7 +399,7 @@ class StateAnalysis:
         """Validated (rho_AB, rho_BC, rho_B), with their decompositions."""
         i = self.index
         return tuple(
-            DensityMatrix(mat=mat[i], eig=_psd_rows(e, i)) for mat, e, _ in self.stack.marginals
+            DensityMatrix(mat=mat[i], eig=_psd_rows(e, i)) for mat, e in self.stack.marginals
         )
 
     @cached_property
@@ -526,7 +520,7 @@ class ChannelAnalysis:
     def exp_operator(self) -> np.ndarray:
         """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
         e = self._x
-        return _readonly(hermitian_part(e.apply(e.eigenvalues)))
+        return _frozen(hermitian_part(e.apply(e.eigenvalues)))
 
     @cached_property
     def trace_exp(self) -> float:

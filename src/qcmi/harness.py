@@ -174,8 +174,8 @@ def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
     return near_markov_state(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
 
 
-def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
-    """Compute the full per-sample record of bound and recovery diagnostics."""
+def evaluate_sample(state: TripartiteState, index: int, tol: float = DEFAULT_TOL) -> ScanRow:
+    """The per-sample record of bound and recovery diagnostics, labelled at tol."""
     rep = bound_report(state)
     a = state.analysis
     return ScanRow(
@@ -186,7 +186,7 @@ def evaluate_sample(state: TripartiteState, index: int) -> ScanRow:
         recovery_gap_Mprime=a.gap_mprime,
         commutator_trace_norm=a.commutator_norm,
         ruskai_residual=a.ruskai,
-        label=classify(state).label,
+        label=classify(state, tol).label,
     )
 
 
@@ -274,9 +274,14 @@ def scan(cfg: ScanConfig) -> list[ScanRow]:
     """Evaluate the corpus, assert proven inequalities, write the report.
 
     Consecutive samples are analysed together (see STACK_BUDGET); each row
-    is bitwise the row of its sample analysed alone.
+    is bitwise the row of its sample analysed alone. Rows are labelled at
+    the run's tol.
     """
-    rows = _checked(cfg, evaluate_sample, lambda state, row: proven_checks(state, row, cfg.corpus))
+    rows = _checked(
+        cfg,
+        lambda state, i: evaluate_sample(state, i, cfg.tol),
+        lambda state, row: proven_checks(state, row, cfg.corpus),
+    )
     if cfg.out is not None:
         write_scan_report(cfg, rows)
     return rows
@@ -340,18 +345,19 @@ _CHANNEL_ROWS = [row for row in TABLE if row.applies == CHANNEL]
 
 
 def _checked_channels(cfg: ScanConfig, kraus: int | None):
-    # The analysis of each channel triple, after its proven rows hold; a
-    # failing row writes the triple to disk and raises.
+    # The analysis of each channel triple and its proven rows' slacks by
+    # name, after they hold; a failing row writes the triple to disk and
+    # raises.
     for i in range(cfg.samples):
         a = _channel(cfg, kraus, i)
         checks = [(row.name, row.slack(a, None)) for row in _CHANNEL_ROWS if row.proven]
         _assert(a, cfg, i, checks, _write_channel)
-        yield a
+        yield a, dict(checks)
 
 
 def _channel_conjecture(cfg: ScanConfig) -> list[ConjectureResult]:
     rows = [row for row in _CHANNEL_ROWS if not row.proven]
-    per_sample = [[row.slack(a, None) for row in rows] for a in _checked_channels(cfg, None)]
+    per_sample = [[row.slack(a, None) for row in rows] for a, _ in _checked_channels(cfg, None)]
 
     def write(index, path):
         _write_channel(_channel(cfg, None, index), path)
@@ -359,11 +365,12 @@ def _channel_conjecture(cfg: ScanConfig) -> list[ConjectureResult]:
     return [_result(cfg, row.name, slacks, write) for row, slacks in zip(rows, zip(*per_sample))]
 
 
-
 def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> list[ConjectureResult]:
     """Run one conjecture over the configured corpus and write its report."""
     if which not in CONJECTURES:
         raise ConfigError(f"unknown conjecture {which!r}, expected one of {CONJECTURES}")
+    if which == "channel" and cfg.corpus != "hs-random":  # _channel draws with random_density
+        raise ConfigError(f"channel runs take only corpus 'hs-random', got {cfg.corpus!r}")
     unitary_samples = _require_int("unitary_samples", unitary_samples, 0)
     if which == "channel":
         results = _channel_conjecture(cfg)
@@ -387,14 +394,14 @@ def channel_gap_scan(
     dim, kraus = _require_int("dim", dim, 1), _require_int("kraus", kraus, 1)
     # A channel run of dimension dim is configured as dims (dim, 1, 1).
     cfg = ScanConfig(dims=(dim, 1, 1), samples=samples, seed=seed, tol=tol, out=out)
-    gaps, lhs = zip(*((a.lhs - a.rhs, a.lhs) for a in _checked_channels(cfg, kraus)))
+    slacks = [s for _, s in _checked_channels(cfg, kraus)]
     # A violation raises, so a summary always reports 0 violations; the
     # field keeps the summary's and the command line's format.
     return ChannelGapSummary(
         samples=cfg.samples,
         dim=dim,
         kraus=kraus,
-        min_gap_slack=min(gaps),
-        min_lhs=min(lhs),
+        min_gap_slack=min(s["channel-gap-bound"] for s in slacks),
+        min_lhs=min(s["channel-dpi-nonnegative"] for s in slacks),
         violations=0,
     )

@@ -10,7 +10,6 @@ Frobenius norms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +54,14 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hs_norm(m):
-    """Hilbert-Schmidt (Frobenius) norm; an array of norms for a stack."""
+    """Hilbert-Schmidt (Frobenius) norm; a float, or an array of norms for a stack."""
     a = np.asarray(m)
-    if a.ndim == 2:
-        return float(np.linalg.norm(a))
     # numpy.linalg.norm's reduction for each matrix of the stack: the dot
     # of the entries with themselves, for complex input the dot of the real
     # parts plus the dot of the imaginary parts. matmul makes that same BLAS
-    # dot call per matrix, so every norm is bitwise its matrix's norm alone.
+    # dot call per matrix, so every norm is bitwise numpy.linalg.norm of
+    # its matrix alone. Real input keeps its own dot: as complex, its norm
+    # would differ in the last bits.
     stack = a.shape[:-2]
     if np.iscomplexobj(a):
         v = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
@@ -72,7 +71,7 @@ def hs_norm(m):
     else:
         v = np.ascontiguousarray(a, dtype=np.float64).reshape(stack + (1, -1))
         sq = v @ v.swapaxes(-1, -2)
-    return np.sqrt(sq.reshape(stack))
+    return _scalar(np.sqrt(sq.reshape(stack)))
 
 
 def _conj_transposed(m: np.ndarray) -> np.ndarray:
@@ -123,19 +122,15 @@ def require_hermitian(m) -> np.ndarray:
     rtol = HERMITIAN_RTOL
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which raises below
         d = _conj_transposed(a)
-        dev = hs_norm(np.subtract(a, d, out=d))
+        # An array, 0-d for one matrix: ~ on a Python bool would be -1 or -2.
+        dev = np.asarray(hs_norm(np.subtract(a, d, out=d)))
     del d  # before the symmetrized copy is made
-    if a.ndim == 2:  # one matrix, without the fixed cost of the stack form
-        failed = not dev <= rtol and (not math.isfinite(dev) or dev > rtol * hs_norm(a))
-        found = dev if failed else None
-    else:
-        failed = ~(dev <= rtol)
-        if failed.any():  # only then are the norms of a needed
-            failed &= ~np.isfinite(dev) | (dev > rtol * hs_norm(a))
-        found = _first(dev, failed) if failed.any() else None
-    if found is not None:
-        _require_finite(a, "matrix")
-        raise NotHermitianError(f"matrix deviates from Hermitian by {found:.3e}")
+    failed = ~(dev <= rtol)
+    if failed.any():  # only then are the norms of a needed
+        failed &= ~np.isfinite(dev) | (dev > rtol * hs_norm(a))
+        if failed.any():
+            _require_finite(a, "matrix")
+            raise NotHermitianError(f"matrix deviates from Hermitian by {_first(dev, failed):.3e}")
     return hermitian_part(a)
 
 
@@ -144,11 +139,8 @@ def support_cutoff(eigenvalues):
 
     eigenvalues has shape (..., n); a stack gets one threshold per matrix.
     """
-    w = np.asarray(eigenvalues)
-    lam_max = w.max(axis=-1, initial=0.0)
-    if w.ndim == 1:  # one matrix, without the fixed cost of the stack form
-        return max(SUPPORT_RTOL * float(lam_max), SUPPORT_FLOOR)
-    return np.maximum(SUPPORT_RTOL * lam_max, SUPPORT_FLOOR)
+    lam_max = np.asarray(eigenvalues).max(axis=-1, initial=0.0)
+    return _scalar(np.maximum(SUPPORT_RTOL * lam_max, SUPPORT_FLOOR))
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,10 +298,7 @@ def trace_norm(m):
 
     A stack of matrices takes one eigvalsh call and gives an array of norms.
     """
-    w = np.abs(_eigvalsh(require_hermitian(m)))
-    if w.ndim == 1:  # one matrix, without the fixed cost of the stack form
-        return float(w.sum())
-    return w.sum(axis=-1)
+    return _scalar(np.abs(_eigvalsh(require_hermitian(m))).sum(axis=-1))
 
 
 def commutator(a, b) -> np.ndarray:

@@ -50,6 +50,8 @@ MARGINALS = ("AB", "BC", "B")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
+    # a made read-only, in place when it is C-ordered (else a C-ordered
+    # copy): arrays handed out by reference cannot be edited by callers.
     out = np.ascontiguousarray(a)
     out.flags.writeable = False
     return out
@@ -109,13 +111,13 @@ def _require_full_rank(rho: DensityMatrix, what: str) -> None:
         raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
 
 
-def _validated(m) -> tuple[np.ndarray, PsdEigen, np.ndarray]:
+def _validated(m) -> tuple[np.ndarray, PsdEigen]:
     # The one density check, on matrices of shape (..., n, n), from one
     # eigh: each matrix must be Hermitian, have no eigenvalue below minus
     # its support cutoff (as_psd's rule) and have unit trace. Returns the
-    # read-only symmetrized copies, their decompositions and their support
-    # ranks. The first matrix that fails raises; a NaN or infinite entry
-    # raises NotFiniteError (require_hermitian's check).
+    # read-only symmetrized copies and their decompositions, which hold
+    # the support ranks. The first matrix that fails raises; a NaN or
+    # infinite entry raises NotFiniteError (require_hermitian's check).
     sym = require_hermitian(m)
     e, negative = _with_cutoff(_eigh_symmetrized(sym))
     if np.count_nonzero(negative):
@@ -126,7 +128,7 @@ def _validated(m) -> tuple[np.ndarray, PsdEigen, np.ndarray]:
     failed = abs(tr - 1.0) > TRACE_ATOL
     if np.count_nonzero(failed):
         raise TraceNotOneError(f"trace is {_first(tr, failed)!r}, expected 1 within {TRACE_ATOL}")
-    return _frozen(sym), e, np.count_nonzero(e.on_support, axis=-1)
+    return _frozen(sym), e
 
 
 def validate_density(m) -> DensityMatrix:
@@ -135,7 +137,7 @@ def validate_density(m) -> DensityMatrix:
     The returned matrix is the symmetrized copy of the input and is marked
     read-only.
     """
-    sym, e, _ = _validated(as_matrix(m))
+    sym, e = _validated(as_matrix(m))
     return DensityMatrix(mat=sym, eig=e)
 
 

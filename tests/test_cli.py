@@ -248,6 +248,24 @@ class TestConjectureCommand:
         assert "unitary_samples must be >= 0, got -2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_channel_with_another_corpus_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "chan.json"
+        rc = main(
+            [
+                "conjecture",
+                "--which", "channel",
+                "--dims", "2,1,1",
+                "--samples", "4",
+                "--corpus", "markov",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: channel runs take only corpus 'hs-random', got 'markov'\n"
+        )
+        assert not out.exists()
+
 
 class TestMarkovCommand:
     def test_assemble_then_info_round_trip(self, tmp_path, capsys):

@@ -36,6 +36,7 @@ from qcmi.inequalities import (
     half_recovery_slack,
     rotated_slacks,
 )
+from qcmi.recovery import classify
 from qcmi.sampling import (
     near_markov_state,
     random_classical_state,
@@ -162,6 +163,18 @@ class TestEvaluateSample:
         assert row.sigma_star_trace == rep.sigma_star_trace
         assert (row.dA, row.dB, row.dC) == (2, 3, 2)
         assert row.label in ("D1", "D2", "D3")
+
+    def test_rows_are_labelled_at_the_runs_tol(self):
+        # At tol 1e-3, sample 2 (commutator norm 1.5e-4, gap 9.4e-4) is D1,
+        # where the default tol makes it D3; 12 of the 20 labels differ.
+        cfg = ScanConfig(dims=(2, 2, 2), samples=20, seed=3, corpus="near-markov", tol=1e-3)
+        rows = scan(cfg)
+        want = [classify(corpus_state(cfg, i), tol=cfg.tol).label for i in range(cfg.samples)]
+        assert [row.label for row in rows] == want
+        assert rows[2].label == "D1"
+        state = corpus_state(cfg, 2)
+        assert evaluate_sample(state, 2, cfg.tol).label == "D1"
+        assert evaluate_sample(state, 2).label == classify(state).label == "D3"
 
 
 class TestScan:
@@ -496,6 +509,20 @@ class TestRunConjecture:
         cfg = ScanConfig(dims=(2, 2, 2), samples=1)
         with pytest.raises(ConfigError):
             run_conjecture(cfg, "perpetual-motion")
+
+    @pytest.mark.parametrize("corpus", ["classical-random", "markov", "near-markov"])
+    def test_channel_run_refuses_a_corpus_it_does_not_draw_from(self, corpus, tmp_path, monkeypatch):
+        # The triples are drawn with random_density whatever the corpus, so
+        # any corpus but hs-random would be misreported; nothing is drawn.
+        def draw(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(harness, "random_density", draw)
+        out = tmp_path / "chan"
+        cfg = ScanConfig(dims=(2, 1, 1), samples=4, seed=5, corpus=corpus, out=str(out))
+        with pytest.raises(ConfigError, match=f"only corpus 'hs-random', got '{corpus}'"):
+            run_conjecture(cfg, "channel")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("which", ["rotated-quarter", "half-recovery"])
     def test_negative_unitary_samples_rejected(self, which):

@@ -16,6 +16,7 @@ from qcmi.linalg import (
     mat_sqrt,
     psd_eig,
     require_hermitian,
+    support_cutoff,
     support_projector,
     support_rank,
     trace_norm,
@@ -187,6 +188,20 @@ class TestStacks:
         for operands, stacked, single in cases:
             for k, m in enumerate(operands):
                 np.testing.assert_array_equal(stacked[k], single(m))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 27, 64, 125])
+    def test_one_matrix_takes_the_stack_path_to_a_python_float(self, n):
+        # One code path serves one matrix and a stack; the norm of one
+        # matrix is bitwise numpy.linalg.norm's, for complex and real input.
+        rng = np.random.default_rng(50 + n)
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        for m in (g, g.real):
+            norm = hs_norm(m)
+            assert type(norm) is float and norm == float(np.linalg.norm(m))
+        herm = hermitian_part(g)
+        w = np.linalg.eigvalsh(herm)
+        for value in (trace_norm(herm), support_cutoff(w), support_cutoff(np.zeros(n))):
+            assert type(value) is float
 
     def test_first_failing_matrix_raises(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([1.0, -0.25])])

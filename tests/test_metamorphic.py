@@ -20,6 +20,19 @@ condition number, so ruskai takes an absolute bound: it moved by at most
 most 2.3e-14 on restricted rows, so LOW_RANK_RUSKAI_ATOL = 4e-12 leaves a
 margin of 4x. Tensor products with a low-rank factor moved the sums by at
 most 7.3e-15 and the products by at most 3.0e-15.
+
+The scan chain is also the channel bound of one family: for phi = Tr_A
+and sigma = rho_AB (x) tau_C with tau_C full rank, the tau_C terms cancel
+in exact arithmetic, so ChannelAnalysis gives lhs = cmi, rhs =
+log_overlap_bound, trace_exp = Tr sigma* and petz_gap = gap_m, whatever
+tau_C is. In floating point they cancel only to the rounding of the logs,
+which grows with the condition number of the channel's inputs and
+outputs: over 120 full-rank hs-random states at each of the cross-oracle
+dims (seeds 5-7), with tau_C maximally mixed or drawn, lhs, rhs and
+trace_exp moved by at most 0.28 eps times the largest condition number of
+rho, sigma, phi(rho) and phi(sigma) (at most 2.5e-13 absolute), and
+petz_gap by at most 0.044 eps times it. So CROSS_ULPS leaves a margin of
+7x and more.
 """
 
 import math
@@ -27,10 +40,12 @@ import math
 import numpy as np
 import pytest
 
+from qcmi.analysis import ChannelAnalysis, analyse_together
+from qcmi.channels import partial_trace_channel
 from qcmi.harness import CORPORA, ScanConfig, corpus_state, evaluate_sample
 from qcmi.linalg import dagger, hermitian_part
-from qcmi.sampling import random_unitary, substream
-from qcmi.states import TripartiteState
+from qcmi.sampling import random_density, random_unitary, substream
+from qcmi.states import TripartiteState, validate_density
 
 ATOL = 1e-13
 RUSKAI_ULPS = 16
@@ -40,6 +55,15 @@ SAMPLES = 2
 LOW_RANK_DIMS = ((2, 2, 2), (2, 3, 2), (3, 3, 3))
 LOW_RANKS = (1, 2, 3)
 LOW_RANK_SAMPLES = 4
+# ChannelAnalysis value: (the scan row's field it equals, bound in eps x condition number).
+CROSS_ULPS = {
+    "lhs": ("cmi", 2.0),
+    "rhs": ("log_overlap_bound", 2.0),
+    "trace_exp": ("sigma_star_trace", 2.0),
+    "petz_gap": ("recovery_gap_M", 0.5),
+}
+CROSS_DIMS = ((2, 2, 2), (2, 3, 2), (3, 3, 3), (2, 3, 4), (4, 4, 4))
+CROSS_SAMPLES = 8
 
 
 def _cases(dims_list=DIMS, samples=SAMPLES):
@@ -197,3 +221,31 @@ def test_tensor_products_with_a_low_rank_factor(k):
     cfg = ScanConfig(dims=(2, 2, 2), samples=LOW_RANK_SAMPLES, seed=5)
     for i in range(cfg.samples):
         _assert_tensor_relations(_low_rank(cfg.dims, k, i), corpus_state(cfg, i))
+
+
+def _condition_number(*densities) -> float:
+    # The largest lambda_max / lambda_min of full-rank density matrices.
+    return max(m.eig.eigenvalues[-1] / m.eig.eigenvalues[0] for m in densities)
+
+
+@pytest.mark.parametrize("dims", CROSS_DIMS, ids=lambda d: ",".join(map(str, d)))
+def test_channel_analysis_of_the_partial_trace_is_the_scan_chain(dims):
+    # The state side is analysed as one stack, the channel side one matrix
+    # at a time.
+    cfg = ScanConfig(dims=dims, samples=CROSS_SAMPLES, seed=5)
+    states = [corpus_state(cfg, i) for i in range(cfg.samples)]
+    analyse_together(states)
+    phi = partial_trace_channel(dims)
+    d_c = dims[2]
+    for i, state in enumerate(states):
+        assert state.rho.is_full_rank()
+        row = vars(evaluate_sample(state, i))
+        rho_ab = state.analysis.marginals[0].mat
+        for tau in (np.eye(d_c) / d_c, random_density(d_c, substream(5, *dims, i)).mat):
+            sigma = validate_density(np.kron(rho_ab, tau))
+            a = ChannelAnalysis(state.rho, sigma, phi)
+            outputs = (validate_density(phi.apply(m.mat)) for m in (state.rho, sigma))
+            eps_cond = np.finfo(float).eps * _condition_number(state.rho, sigma, *outputs)
+            for name, (field, ulps) in CROSS_ULPS.items():
+                got, want = getattr(a, name), row[field]
+                assert abs(got - want) <= ulps * eps_cond, (name, i, got, want)

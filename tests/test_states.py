@@ -94,12 +94,12 @@ class TestStackHelpers:
         states = [random_tripartite(dims, substream(41, i)) for i in range(3)]
         stack = np.stack([st.mat for st in states])
         for keep in ("AB", "BC", "B", "AC"):
-            mats, _, ranks = _validated(_traced_out(stack, dims, keep))
+            mats, e = _validated(_traced_out(stack, dims, keep))
             assert not mats.flags.writeable
             for k, st in enumerate(states):
                 alone = partial_trace(st, keep)
                 np.testing.assert_array_equal(mats[k], alone.mat)
-                assert ranks[k] == alone.support_rank
+                assert e.rank[k] == alone.support_rank
 
     def test_first_failing_matrix_raises(self):
         stack = np.stack([np.eye(2) / 2, np.diag([1.5, -0.5]), np.diag([2.0, -1.0])])

@@ -16,6 +16,10 @@ eigvalsh, qr) goes through it, where it can be counted and timed.
 Every numeric threshold is defined once, in qcmi/tolerances.py. A small
 number literal (0 < |x| <= 1e-6) in any other module would be a second
 definition of a tolerance, which could drift from the table.
+
+The benchmark's tracer (bench/tracing.py) imports every module its LAYERS
+tuple names; each entry must name a module of the package, so that
+deleting or renaming one fails here rather than in a traced benchmark run.
 """
 
 import ast
@@ -28,7 +32,8 @@ import pytest
 import qcmi
 from qcmi import tolerances
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qcmi"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qcmi"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "stateio.py")
 
 
@@ -176,3 +181,24 @@ def test_all_names_exactly_the_public_names_the_package_binds():
     }
     assert sorted(qcmi.__all__) == sorted(set(qcmi.__all__))
     assert set(qcmi.__all__) == bound
+
+
+def _layers_without_a_module(path: Path) -> list[str]:
+    # The entries of a tracer's LAYERS tuple, read from its source without
+    # importing it, that name no module of the package.
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets
+        ):
+            return [name for name in ast.literal_eval(node.value) if not (SRC / f"{name}.py").is_file()]
+    raise AssertionError(f"{path} assigns no LAYERS")
+
+
+def test_every_traced_layer_names_a_module_of_the_package():
+    assert _layers_without_a_module(ROOT / "bench" / "tracing.py") == []
+
+
+def test_the_layer_guard_catches_a_missing_module(tmp_path):
+    path = tmp_path / "tracing.py"
+    path.write_text('LAYERS = (\n    "harness",\n    "no_such_module",\n)\n', encoding="utf-8")
+    assert _layers_without_a_module(path) == ["no_such_module"]
