@@ -9,7 +9,7 @@ import numpy as np
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
 from .linalg import PsdEigen, _require_finite, dagger, hs_norm, psd_eig
 from .sampling import _haar_unitaries
-from .states import DensityMatrix, _positive_dimension, _tripartite_dims
+from .states import DensityMatrix, _frozen, _integer, _tripartite_dims
 from .tolerances import COMPLETENESS_TOL
 
 
@@ -17,15 +17,20 @@ from .tolerances import COMPLETENESS_TOL
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators.
 
-    Every operator maps the input space to the output space (shape
-    d_out x d_in); trace preservation sum_k K^dag K = I is checked on
-    construction.
+    kraus is one read-only complex array of shape (k, d_out, d_in), copied
+    once from the given operators (a sequence of d_out x d_in matrices or
+    a 3-D array); trace preservation sum_k K^dag K = I is checked on
+    construction. Iterating over it and len() read it as the sequence of
+    operators, and to_json() writes it as the list of them, so a channel
+    triple's JSON is that of the operators. apply, dual and the check each
+    sum one stacked product over the operators, in operator order except
+    that numpy sums four or more 1x1 terms pairwise.
     """
 
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.ascontiguousarray(k, dtype=complex) for k in self.kraus)
+        ops = [np.asarray(k) for k in self.kraus]
         if not ops:
             raise ValidationError("a channel needs at least one Kraus operator")
         shape = ops[0].shape
@@ -33,22 +38,22 @@ class KrausChannel:
             raise ValidationError(f"Kraus operators must be matrices, got shape {shape}")
         if any(k.shape != shape for k in ops):
             raise DimensionMismatchError("Kraus operators have inconsistent shapes")
+        kraus = np.array(ops, dtype=complex)
         # A NaN or infinite entry makes dev NaN or infinite, which fails.
         with np.errstate(invalid="ignore"):
-            total = sum(dagger(k) @ k for k in ops)
-            dev = hs_norm(total - np.eye(shape[1]))
+            dev = hs_norm((dagger(kraus) @ kraus).sum(axis=0) - np.eye(shape[1]))
         if not dev <= COMPLETENESS_TOL * max(1.0, np.sqrt(shape[1])):
-            _require_finite(np.stack(ops), "Kraus operator")
+            _require_finite(kraus, "Kraus operator")
             raise ValidationError(f"channel is not trace preserving, deviation {dev:.3e}")
-        object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "kraus", _frozen(kraus))
 
     @property
     def in_dim(self) -> int:
-        return self.kraus[0].shape[1]
+        return self.kraus.shape[2]
 
     @property
     def out_dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[1]
 
     def apply(self, m: np.ndarray) -> np.ndarray:
         """Channel action sum_k K m K^dag."""
@@ -57,7 +62,7 @@ class KrausChannel:
             raise DimensionMismatchError(
                 f"channel input must be {self.in_dim} dimensional, got shape {m.shape}"
             )
-        return sum(k @ m @ dagger(k) for k in self.kraus)
+        return (self.kraus @ m @ dagger(self.kraus)).sum(axis=0)
 
     def dual(self, m: np.ndarray) -> np.ndarray:
         """Adjoint (Heisenberg) action sum_k K^dag m K."""
@@ -66,25 +71,20 @@ class KrausChannel:
             raise DimensionMismatchError(
                 f"adjoint input must be {self.out_dim} dimensional, got shape {m.shape}"
             )
-        return sum(dagger(k) @ m @ k for k in self.kraus)
+        return (dagger(self.kraus) @ m @ self.kraus).sum(axis=0)
 
 
 def identity_channel(dim: int) -> KrausChannel:
     """The identity channel on a dim-dimensional space, dim a positive integer."""
-    dim = _positive_dimension(dim, "dim")
-    return KrausChannel(kraus=(np.eye(dim, dtype=complex),))
+    dim = _integer(dim, "dim", 1)
+    return KrausChannel(kraus=np.eye(dim)[np.newaxis])
 
 
 def depolarizing_channel(dim: int) -> KrausChannel:
     """The fully depolarizing channel m -> Tr[m] I / dim, dim a positive integer."""
-    dim = _positive_dimension(dim, "dim")
-    ops = []
-    for i in range(dim):
-        for j in range(dim):
-            k = np.zeros((dim, dim), dtype=complex)
-            k[i, j] = 1.0 / np.sqrt(dim)
-            ops.append(k)
-    return KrausChannel(kraus=tuple(ops))
+    dim = _integer(dim, "dim", 1)
+    # The operators |i><j| / sqrt(dim), i slowest.
+    return KrausChannel(kraus=np.eye(dim * dim).reshape(dim * dim, dim, dim) / np.sqrt(dim))
 
 
 def partial_trace_channel(dims) -> KrausChannel:
@@ -94,13 +94,9 @@ def partial_trace_channel(dims) -> KrausChannel:
     be three positive integers; otherwise DimensionMismatchError is raised.
     """
     d_a, d_b, d_c = _tripartite_dims(dims)
-    rest = d_b * d_c
-    ops = []
-    for a in range(d_a):
-        bra = np.zeros((1, d_a), dtype=complex)
-        bra[0, a] = 1.0
-        ops.append(np.kron(bra, np.eye(rest, dtype=complex)))
-    return KrausChannel(kraus=tuple(ops))
+    n = d_a * d_b * d_c
+    # <a| (x) I is row block a of the identity on A (x) B (x) C.
+    return KrausChannel(kraus=np.eye(n).reshape(d_a, d_b * d_c, n))
 
 
 def random_channel(d_in: int, d_out: int, n_kraus: int, rng: np.random.Generator) -> KrausChannel:
@@ -113,16 +109,15 @@ def random_channel(d_in: int, d_out: int, n_kraus: int, rng: np.random.Generator
     positive integers with d_out * n_kraus >= d_in; otherwise
     DimensionMismatchError is raised before anything is drawn.
     """
-    d_in = _positive_dimension(d_in, "d_in")
-    d_out = _positive_dimension(d_out, "d_out")
-    n_kraus = _positive_dimension(n_kraus, "n_kraus")
+    d_in = _integer(d_in, "d_in", 1)
+    d_out = _integer(d_out, "d_out", 1)
+    n_kraus = _integer(n_kraus, "n_kraus", 1)
     if d_out * n_kraus < d_in:
         raise DimensionMismatchError(
             f"cannot build an isometry: d_out * n_kraus = {d_out * n_kraus} < d_in = {d_in}"
         )
     iso = _haar_unitaries((), d_out * n_kraus, rng, cols=d_in)
-    ops = tuple(iso[mu * d_out : (mu + 1) * d_out, :] for mu in range(n_kraus))
-    return KrausChannel(kraus=ops)
+    return KrausChannel(kraus=iso.reshape(n_kraus, d_out, d_in))
 
 
 def petz_dual(phi: KrausChannel, sigma: DensityMatrix) -> KrausChannel:
@@ -146,7 +141,4 @@ def _petz_dual(phi: KrausChannel, sigma: PsdEigen, out: PsdEigen) -> KrausChanne
     # sigma and of its channel output phi(sigma).
     if out.eigenvalues[0] <= out.cutoff:
         raise SingularMatrixError("channel output of the reference state is singular")
-    s_half = sigma.sqrt()
-    out_inv_half = out.power(-0.5)
-    ops = tuple(s_half @ dagger(k) @ out_inv_half for k in phi.kraus)
-    return KrausChannel(kraus=ops)
+    return KrausChannel(kraus=sigma.sqrt() @ dagger(phi.kraus) @ out.power(-0.5))

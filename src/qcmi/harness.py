@@ -13,7 +13,6 @@ where each is asserted, is the table in qcmi.inequalities.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, fields
 
 from .analysis import ChannelAnalysis, analyse_together
@@ -30,7 +29,7 @@ from .sampling import (
     random_tripartite,
     substream,
 )
-from .states import TripartiteState
+from .states import TripartiteState, _integer, _tripartite_dims
 from .stateio import _write_text, to_text, write_json, write_state
 from .tolerances import DEFAULT_TOL, _require_tol
 
@@ -56,17 +55,6 @@ STACK_BUDGET = 2**14
 NEAR_MARKOV_MIXES = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
-def _require_int(name: str, value, least: int) -> int:
-    """value as a Python int; ConfigError unless it is an integer >= least.
-
-    A bool is not an integer here: True would pass as 1."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ConfigError(f"{name} must be >= {least}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class ScanConfig:
     """Shared configuration for scans and conjecture runs."""
@@ -80,12 +68,9 @@ class ScanConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if len(self.dims) != 3:
-            raise ConfigError(f"dims must be three positive integers, got {self.dims}")
-        dims = tuple(_require_int("dims entry", d, 1) for d in self.dims)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "samples", _require_int("samples", self.samples, 1))
-        object.__setattr__(self, "seed", _require_int("seed", self.seed, 0))
+        object.__setattr__(self, "dims", _tripartite_dims(self.dims, ConfigError))
+        object.__setattr__(self, "samples", _integer(self.samples, "samples", 1, ConfigError))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, ConfigError))
         if self.corpus not in CORPORA:
             raise ConfigError(f"unknown corpus {self.corpus!r}, expected one of {CORPORA}")
         if self.fmt not in ("csv", "json"):
@@ -371,7 +356,7 @@ def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> li
         raise ConfigError(f"unknown conjecture {which!r}, expected one of {CONJECTURES}")
     if which == "channel" and cfg.corpus != "hs-random":  # _channel draws with random_density
         raise ConfigError(f"channel runs take only corpus 'hs-random', got {cfg.corpus!r}")
-    unitary_samples = _require_int("unitary_samples", unitary_samples, 0)
+    unitary_samples = _integer(unitary_samples, "unitary_samples", 0, ConfigError)
     if which == "channel":
         results = _channel_conjecture(cfg)
     else:
@@ -391,7 +376,7 @@ def channel_gap_scan(
     out: str | None = None,
 ) -> ChannelGapSummary:
     """Check the channel gap bound on random (rho, sigma, channel) triples."""
-    dim, kraus = _require_int("dim", dim, 1), _require_int("kraus", kraus, 1)
+    dim, kraus = _integer(dim, "dim", 1, ConfigError), _integer(kraus, "kraus", 1, ConfigError)
     # A channel run of dimension dim is configured as dims (dim, 1, 1).
     cfg = ScanConfig(dims=(dim, 1, 1), samples=samples, seed=seed, tol=tol, out=out)
     slacks = [s for _, s in _checked_channels(cfg, kraus)]

@@ -36,7 +36,8 @@ ALWAYS = "always"
 NEVER = ()
 
 # Applicability rules: every state, full-rank states, states whose
-# log-overlap bound is finite, or channel triples.
+# log-overlap bound is finite, or channel triples. Only a conjecture is
+# FULL_RANK, and its slack raises SingularMatrixError on a singular state.
 STATE, FULL_RANK, FINITE_LOG_OVERLAP, CHANNEL = (
     "state", "full rank", "finite log-overlap", "channel",
 )
@@ -162,9 +163,7 @@ def _proven_state_rows(corpus: str | None) -> tuple[Inequality, ...]:
     )
 
 
-def _applies(row: Inequality, state: TripartiteState, chain) -> bool:
-    if row.applies == FULL_RANK:
-        return state.rho.is_full_rank()
+def _applies(row: Inequality, chain) -> bool:
     return row.applies != FINITE_LOG_OVERLAP or not math.isinf(chain.log_overlap_bound)
 
 
@@ -175,5 +174,5 @@ def proven_checks(state: TripartiteState, chain, corpus: str | None) -> list[tup
     return [
         (row.name, row.slack(state, chain))
         for row in _proven_state_rows(corpus)
-        if _applies(row, state, chain)
+        if _applies(row, chain)
     ]

@@ -27,7 +27,7 @@ from .states import (
     TripartiteState,
     _classical_matrix,
     _markov_matrix,
-    _positive_dimension,
+    _integer,
     _tripartite_dims,
     validate_density,
 )
@@ -58,7 +58,7 @@ def _hs_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt distributed density matrix: G G^dag normalized."""
-    return validate_density(_hs_matrix(_positive_dimension(dim, "dim"), rng))
+    return validate_density(_hs_matrix(_integer(dim, "dim", 1), rng))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -68,7 +68,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     triangular factor has a positive real diagonal (which makes the
     distribution exactly Haar rather than QR-convention dependent).
     """
-    return _haar_unitaries((), _positive_dimension(dim, "dim"), rng)
+    return _haar_unitaries((), _integer(dim, "dim", 1), rng)
 
 
 def _haar_unitaries(
@@ -92,7 +92,7 @@ def _haar_unitaries(
 
 def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Gaussian Hermitian matrix (g + g^dag) * scale / 2."""
-    g = _ginibre(_positive_dimension(dim, "dim"), rng)
+    g = _ginibre(_integer(dim, "dim", 1), rng)
     return scale * (g + g.conj().T) / 2.0
 
 

@@ -81,29 +81,23 @@ class DensityMatrix:
         return self.support_rank == self.dim
 
 
-def _dimension(value, what: str) -> int:
-    # value as a Python int; DimensionMismatchError unless it is an
-    # integer, numpy integers included. A bool is not one here: True would
-    # pass as 1, and 2.9 would truncate to 2.
+def _integer(value, what: str, least: int | None = None, error=DimensionMismatchError) -> int:
+    # value as a Python int; error unless it is an integer, numpy integers
+    # included, and at least `least` when that is given. A bool is not an
+    # integer here: True would pass as 1, and 2.9 would truncate to 2.
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-        raise DimensionMismatchError(f"{what} must be an integer, got {value!r}")
+        raise error(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
     return int(value)
 
 
-def _positive_dimension(value, what: str) -> int:
-    # value as a positive Python int; DimensionMismatchError otherwise.
-    d = _dimension(value, what)
-    if d < 1:
-        raise DimensionMismatchError(f"{what} must be positive, got {d}")
-    return d
-
-
-def _tripartite_dims(dims) -> tuple[int, int, int]:
-    # dims as three positive Python ints; DimensionMismatchError otherwise.
-    out = tuple(_dimension(d, "dims entry") for d in dims)
-    if len(out) != 3 or any(d < 1 for d in out):
-        raise DimensionMismatchError(f"dims must be three positive ints, got {out}")
-    return out
+def _tripartite_dims(dims, error=DimensionMismatchError) -> tuple[int, int, int]:
+    # dims as three positive Python ints; error otherwise.
+    dims = tuple(dims)
+    if len(dims) != 3:
+        raise error(f"dims must be three positive integers, got {dims}")
+    return tuple(_integer(d, "dims entry", 1, error) for d in dims)
 
 
 def _require_full_rank(rho: DensityMatrix, what: str) -> None:
@@ -355,7 +349,7 @@ class MarkovBlock:
 
     def __post_init__(self):
         for name in ("d_left", "d_right"):
-            object.__setattr__(self, name, _dimension(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("rho_al", "rho_rc"):
             value = getattr(self, name)
             if not isinstance(value, DensityMatrix):
@@ -372,7 +366,7 @@ class MarkovSpec:
 
     def __post_init__(self):
         for name in ("d_a", "d_c"):
-            object.__setattr__(self, name, _dimension(getattr(self, name), name))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise NotDistributionError("a Markov spec needs at least one block")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qcmi import channels
 from qcmi.channels import (
     KrausChannel,
     depolarizing_channel,
@@ -10,7 +11,7 @@ from qcmi.channels import (
     random_channel,
 )
 from qcmi.errors import DimensionMismatchError, NotFiniteError, SingularMatrixError, ValidationError
-from qcmi.linalg import hs_norm
+from qcmi.linalg import dagger, hs_norm, psd_eig
 from qcmi.recovery import recover_via_ab
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.states import partial_trace, validate_density
@@ -210,3 +211,81 @@ class TestPetzDual:
         sigma = random_density(2, substream(33, 5))
         with pytest.raises(DimensionMismatchError):
             petz_dual(identity_channel(3), sigma)
+
+
+# Channels whose stacked products are checked against per-operator sums:
+# 1-4 Kraus operators, d_out != d_in both ways, the partial trace and the
+# depolarizing channel.
+STACKED_CHANNELS = {
+    **{f"random 3->3 k={k}": (lambda rng, k=k: random_channel(3, 3, k, rng)) for k in (1, 2, 3, 4)},
+    **{f"random 8->8 k={k}": (lambda rng, k=k: random_channel(8, 8, k, rng)) for k in (1, 2, 3, 4)},
+    "random 4->2 k=3": lambda rng: random_channel(4, 2, 3, rng),
+    "random 2->3 k=2": lambda rng: random_channel(2, 3, 2, rng),
+    "random 27->27 k=4": lambda rng: random_channel(27, 27, 4, rng),
+    "partial trace 2,3,2": lambda rng: partial_trace_channel((2, 3, 2)),
+    "partial trace 4,2,3": lambda rng: partial_trace_channel((4, 2, 3)),
+    "depolarizing 2": lambda rng: depolarizing_channel(2),
+    "depolarizing 3": lambda rng: depolarizing_channel(3),
+    "identity 4": lambda rng: identity_channel(4),
+}
+
+
+def _complex_matrix(d, rng):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+class TestStackedProducts:
+    """The stacked Kraus products are bitwise the per-operator sums in
+    operator order, as sum() adds them."""
+
+    @pytest.mark.parametrize("name", sorted(STACKED_CHANNELS))
+    def test_apply_and_dual_are_the_per_operator_sums(self, name):
+        rng = substream(36, 0)
+        phi = STACKED_CHANNELS[name](rng)
+        for _ in range(3):
+            m_in, m_out = _complex_matrix(phi.in_dim, rng), _complex_matrix(phi.out_dim, rng)
+            rho = random_density(phi.in_dim, rng).mat
+            for m in (m_in, rho):
+                want = sum(k @ m @ dagger(k) for k in phi.kraus)
+                assert phi.apply(m).tobytes() == want.tobytes()
+            want = sum(dagger(k) @ m_out @ k for k in phi.kraus)
+            assert phi.dual(m_out).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STACKED_CHANNELS))
+    def test_completeness_sum_is_the_per_operator_sum(self, name, monkeypatch):
+        phi = STACKED_CHANNELS[name](substream(36, 1))
+        seen = []
+
+        def recording_norm(m):
+            seen.append(np.array(m))
+            return hs_norm(m)
+
+        monkeypatch.setattr(channels, "hs_norm", recording_norm)
+        KrausChannel(kraus=tuple(phi.kraus))
+        want = sum(dagger(k) @ k for k in phi.kraus) - np.eye(phi.in_dim)
+        assert len(seen) == 1 and seen[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(STACKED_CHANNELS))
+    def test_petz_kraus_array_is_the_per_operator_products(self, name):
+        rng = substream(36, 2)
+        phi = STACKED_CHANNELS[name](rng)
+        sigma = random_density(phi.in_dim, rng)
+        s_half = sigma.eig.sqrt()
+        out_inv_half = psd_eig(phi.apply(sigma.mat), "power").power(-0.5)
+        got = petz_dual(phi, sigma).kraus
+        assert got.shape == (len(phi.kraus), phi.in_dim, phi.out_dim)
+        for ours, k in zip(got, phi.kraus):
+            assert ours.tobytes() == (s_half @ dagger(k) @ out_inv_half).tobytes()
+
+    @pytest.mark.parametrize("n_kraus", [1, 2, 3, 4, 5, 8])
+    def test_one_dimensional_sums_are_the_per_operator_sums_to_rounding(self, n_kraus):
+        # numpy sums a stack of 1x1 matrices pairwise from four terms on,
+        # and in operator order below that, so there the result can differ
+        # from sum() in the last bit.
+        rng = substream(36, 3)
+        phi = random_channel(1, 1, n_kraus, rng)
+        m = _complex_matrix(1, rng)
+        want = sum(k @ m @ dagger(k) for k in phi.kraus)
+        if n_kraus < 4:
+            assert phi.apply(m).tobytes() == want.tobytes()
+        np.testing.assert_allclose(phi.apply(m), want, rtol=4 * np.finfo(float).eps, atol=0)

@@ -20,7 +20,7 @@ from oracles import (
 )
 from qcmi.analysis import ChannelAnalysis
 from qcmi.channels import KrausChannel, identity_channel, petz_dual, random_channel
-from qcmi.errors import QcmiError
+from qcmi.errors import QcmiError, ValidationError
 from qcmi.harness import CORPORA, ScanConfig, corpus_state, run_conjecture
 from qcmi.inequalities import rotated_slacks
 from qcmi.linalg import PsdEigen
@@ -257,3 +257,13 @@ def test_channel_sample_build_budget(applies, monkeypatch):
     # samples with each of the Kraus counts 1-4.
     assert sorted(set(shapes)) == [(27 * k, 27) for k in (1, 2, 3, 4)]
     assert len(shapes) == samples
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ValidationError,
+    reason="ROADMAP 2(c): the Petz map of this valid triple fails its completeness check "
+    "(deviation 1.153e-08; sigma's smallest eigenvalue is 5.0e-10)",
+)
+def test_the_petz_map_of_an_ill_conditioned_triple_is_a_channel():
+    run_conjecture(ScanConfig(dims=(3, 3, 3), samples=1, seed=486743973), "channel")

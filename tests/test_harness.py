@@ -637,6 +637,7 @@ class TestChannelGapScan:
         (lambda: ScanConfig(dims=(2, 2, 2), samples=0), "samples must be >= 1, got 0"),
         (lambda: ScanConfig(dims=(2.9, 2, 2), samples=1), "dims entry must be an integer, got 2.9"),
         (lambda: ScanConfig(dims=(2, 0, 2), samples=1), "dims entry must be >= 1, got 0"),
+        (lambda: ScanConfig(dims=(2, 2), samples=1), "dims must be three positive integers, got (2, 2)"),
         (lambda: channel_gap_scan(dim=2, kraus=2, samples=1.5), "samples must be an integer, got 1.5"),
         (lambda: channel_gap_scan(dim=2, kraus=2.5, samples=1), "kraus must be an integer, got 2.5"),
         (lambda: channel_gap_scan(dim=2, kraus=0, samples=1), "kraus must be >= 1, got 0"),

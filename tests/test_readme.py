@@ -26,7 +26,7 @@ import pytest
 from qcmi import tolerances
 from qcmi.cli import run
 from qcmi.harness import ScanConfig, corpus_state, evaluate_sample
-from qcmi.inequalities import ALWAYS, STATE, TABLE, proven_checks
+from qcmi.inequalities import ALWAYS, CHANNEL, FINITE_LOG_OVERLAP, STATE, TABLE, proven_checks
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 SELF_CONTAINED = ("scan", "conjecture", "channel-gap")
@@ -140,6 +140,14 @@ def test_no_two_proven_rows_compute_the_same_slack():
         if all(abs(checks[a] - checks[b]) <= 1e-12 for checks in samples)
     ]
     assert repeats == []
+
+
+def test_every_proven_state_row_applies_to_every_state_or_a_finite_log_overlap():
+    # proven_checks decides only these two rules; a proven full-rank row
+    # would be evaluated on singular states too.
+    rows = [row for row in TABLE if row.proven and row.applies != CHANNEL]
+    assert rows
+    assert {row.name: row.applies for row in rows if row.applies not in (STATE, FINITE_LOG_OVERLAP)} == {}
 
 
 if __name__ == "__main__":

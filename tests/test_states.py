@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from qcmi.bounds import bound_report
+from qcmi.channels import random_channel
 from qcmi.entropy import classical_rel_entropy
 from qcmi.errors import (
     DimensionMismatchError,
@@ -420,6 +423,19 @@ class TestIntegerDims:
         kwargs = {"d_a": 2, "d_c": 2, "blocks": (block,), name: bad}
         with pytest.raises(DimensionMismatchError, match=f"{name} must be an integer"):
             MarkovSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: TripartiteState(np.eye(8) / 8, (2, 0, 4)), "dims entry must be >= 1, got 0"),
+            (lambda: TripartiteState(np.eye(8) / 8, (2, 4)), "dims must be three positive integers, got (2, 4)"),
+            (lambda: random_density(0, substream(39, 0)), "dim must be >= 1, got 0"),
+            (lambda: random_channel(2, 2, -1, substream(39, 0)), "n_kraus must be >= 1, got -1"),
+        ],
+    )
+    def test_a_dimension_below_one_names_the_bound(self, call, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_numpy_integers_are_python_ints(self):
         st = TripartiteState(np.eye(8) / 8, (np.int64(2), np.int32(2), np.uint8(2)))

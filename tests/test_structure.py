@@ -20,6 +20,10 @@ definition of a tolerance, which could drift from the table.
 The benchmark's tracer (bench/tracing.py) imports every module its LAYERS
 tuple names; each entry must name a module of the package, so that
 deleting or renaming one fails here rather than in a traced benchmark run.
+
+The public value objects own read-only arrays: a caller can neither edit
+an array a state, a channel or an analysis hands out, nor change a
+channel by editing the operators it was built from.
 """
 
 import ast
@@ -27,10 +31,20 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qcmi
 from qcmi import tolerances
+from qcmi.analysis import ChannelAnalysis
+from qcmi.channels import (
+    KrausChannel,
+    depolarizing_channel,
+    partial_trace_channel,
+    petz_dual,
+    random_channel,
+)
+from qcmi.sampling import random_classical, random_density, random_tripartite, substream
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcmi"
@@ -202,3 +216,49 @@ def test_the_layer_guard_catches_a_missing_module(tmp_path):
     path = tmp_path / "tracing.py"
     path.write_text('LAYERS = (\n    "harness",\n    "no_such_module",\n)\n', encoding="utf-8")
     assert _layers_without_a_module(path) == ["no_such_module"]
+
+
+def _triple(i):
+    rng = substream(38, i)
+    return random_density(3, rng), random_density(3, rng), random_channel(3, 3, 2, rng)
+
+
+def _petz_kraus(i):
+    _, sigma, phi = _triple(i)
+    return petz_dual(phi, sigma).kraus
+
+
+# Each public array a value object holds, from a fresh object.
+HELD_ARRAYS = {
+    "DensityMatrix.mat": lambda: random_density(3, substream(38, 0)).mat,
+    "TripartiteState.mat": lambda: random_tripartite((2, 2, 2), substream(38, 1)).mat,
+    "ClassicalJoint.p": lambda: random_classical((2, 2, 2), substream(38, 2)).p,
+    "KrausChannel.kraus from a tuple": lambda: KrausChannel(kraus=(np.eye(2, dtype=complex),)).kraus,
+    "random_channel": lambda: _triple(3)[2].kraus,
+    "partial_trace_channel": lambda: partial_trace_channel((2, 2, 2)).kraus,
+    "depolarizing_channel": lambda: depolarizing_channel(2).kraus,
+    "petz_dual": lambda: _petz_kraus(4),
+    "ChannelAnalysis.exp_operator": lambda: ChannelAnalysis(*_triple(5)).exp_operator,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_ARRAYS))
+def test_value_objects_hold_read_only_arrays(name):
+    held = HELD_ARRAYS[name]()
+    assert isinstance(held, np.ndarray)
+    assert not held.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        held[(0,) * held.ndim] = 0
+
+
+def test_editing_a_channels_input_leaves_the_channel_unchanged():
+    rho, x = np.eye(2) / 2, np.diag([1.0, 2.0])
+    given = {"tuple": (np.eye(2, dtype=complex),), "array": np.eye(2, dtype=complex)[np.newaxis]}
+    channels = {name: KrausChannel(kraus=ops) for name, ops in given.items()}
+    before = {name: (phi.apply(rho), phi.dual(x)) for name, phi in channels.items()}
+    given["tuple"][0][0, 0] = 3.0
+    given["array"][0, 0, 0] = 3.0
+    for name, phi in channels.items():
+        assert phi.apply(rho).tobytes() == before[name][0].tobytes()
+        assert phi.dual(x).tobytes() == before[name][1].tobytes()
+        assert np.trace(phi.apply(rho)).real == 1.0
