@@ -37,8 +37,9 @@ read-only and not kept. Each piece is computed on first use, so a stack
 pays for each decomposition at most once. StateAnalysis is one state's
 row of a stack, and TripartiteState.analysis holds it. It is the one
 read path of every value above: callers read state.analysis.cmi,
-.sigma_star, .m, .ruskai, .gap_m and the rest, and bound_report,
-classify, evaluate_sample and the checks of qcmi.inequalities read the
+.sigma_star, .m, .ruskai, .gap_m and the rest, with the bound chain
+.log_overlap_bound, .thm1 and .corollary_bound, and bound_report,
+classify, evaluate_sample and the slacks of qcmi.inequalities read the
 same attributes. A state analysed on its own is a stack of one;
 analyse_together gives several states one stack.
 
@@ -441,6 +442,16 @@ class StateAnalysis:
     gap_mprime = _row("gap_mprime", float, doc="||rho - M^dag M||_1.")
     commutator_norm = _row("commutator_norm", float, doc="||[M, M^dag]||_1.")
     ruskai = _row("ruskai", float, doc="||log rho - h||_2 with support-restricted logs.")
+
+    @cached_property
+    def log_overlap_bound(self) -> float:
+        """-2 log Tr[sqrt(rho) sqrt(sigma*)], infinite at zero overlap."""
+        return _overlap_bound(self.overlap)
+
+    @cached_property
+    def corollary_bound(self) -> float:
+        """||rho - sigma*||_1^2 / 4."""
+        return 0.25 * self.trace_distance**2
 
 
 class ChannelAnalysis:

@@ -8,9 +8,9 @@ The central object is the candidate state
 built from embedded marginal logarithms. For states with singular
 marginals the exponential is taken on the intersection of the embedded
 marginal supports, and reports flag that restriction. bound_report reads
-the chain from the state's analysis (state.analysis), which is also where
-sigma* itself is read; the channel analogue of the bound is read from
-qcmi.ChannelAnalysis.
+the chain from the state's analysis (state.analysis: .log_overlap_bound,
+.thm1, .corollary_bound), which is also where sigma* itself is read; the
+channel analogue of the bound is read from qcmi.ChannelAnalysis.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _overlap_bound
 from .entropy import classical_rel_entropy, fidelity, vn_entropy
 from .states import DensityMatrix, TripartiteState, _require_full_rank
 
@@ -46,15 +45,14 @@ def bound_report(state: TripartiteState) -> BoundReport:
     each up to the documented tolerances.
     """
     a = state.analysis
-    corollary = 0.25 * a.trace_distance**2
     return BoundReport(
         cmi=a.cmi,
         sigma_star_trace=a.sigma_star_trace,
-        log_overlap_bound=_overlap_bound(a.overlap),
+        log_overlap_bound=a.log_overlap_bound,
         thm1_bound=a.thm1,
-        corollary_bound=corollary,
+        corollary_bound=a.corollary_bound,
         slack_thm1=a.cmi - a.thm1,
-        slack_corollary=a.cmi - corollary,
+        slack_corollary=a.cmi - a.corollary_bound,
         support_restricted=a.support_restricted,
     )
 

@@ -146,8 +146,8 @@ def _cmd_info(args) -> int:
     record.update(ruskai_residual=a.ruskai, modular_residual=modular)
     _print(record, args.json)
     # The proven rows of qcmi.inequalities that need no corpus, on the
-    # bound chain printed above.
-    bad = [(name, s) for name, s in proven_checks(state, rep, None) if not s >= -args.tol]
+    # analysis whose bound chain is printed above.
+    bad = [(name, s) for name, s in proven_checks(a, None) if not s >= -args.tol]
     for name, s in bad:
         print(
             f"proven inequality {name!r} violated: slack {s:.6e} below -{args.tol:.1e}",

@@ -265,7 +265,7 @@ def scan(cfg: ScanConfig) -> list[ScanRow]:
     rows = _checked(
         cfg,
         lambda state, i: evaluate_sample(state, i, cfg.tol),
-        lambda state, row: proven_checks(state, row, cfg.corpus),
+        lambda state, _: proven_checks(state.analysis, cfg.corpus),
     )
     if cfg.out is not None:
         write_scan_report(cfg, rows)
@@ -307,7 +307,7 @@ def _state_conjecture(cfg: ScanConfig, which: str, unitary_samples: int) -> list
     name = f"{which} (proven on {cfg.corpus})"
     slacks = _checked(
         cfg,
-        lambda state, i: row.slack(state, (cfg.seed, i, unitary_samples)),
+        lambda state, i: row.slack(state.analysis, (cfg.seed, i, unitary_samples)),
         lambda state, slack: [(name, slack)] if row.asserted_on(cfg.corpus) else [],
     )
     # The argmin witness is drawn again rather than kept from its group.
@@ -326,22 +326,19 @@ def _channel(cfg: ScanConfig, kraus: int | None, index: int) -> ChannelAnalysis:
     return ChannelAnalysis(rho, sigma, random_channel(dim, dim, count, rng))
 
 
-_CHANNEL_ROWS = [row for row in TABLE if row.applies == CHANNEL]
-
-
 def _checked_channels(cfg: ScanConfig, kraus: int | None):
     # The analysis of each channel triple and its proven rows' slacks by
     # name, after they hold; a failing row writes the triple to disk and
     # raises.
     for i in range(cfg.samples):
         a = _channel(cfg, kraus, i)
-        checks = [(row.name, row.slack(a, None)) for row in _CHANNEL_ROWS if row.proven]
+        checks = proven_checks(a, cfg.corpus, CHANNEL)
         _assert(a, cfg, i, checks, _write_channel)
         yield a, dict(checks)
 
 
 def _channel_conjecture(cfg: ScanConfig) -> list[ConjectureResult]:
-    rows = [row for row in _CHANNEL_ROWS if not row.proven]
+    rows = [row for row in TABLE if row.applies == CHANNEL and not row.proven]
     per_sample = [[row.slack(a, None) for row in rows] for a, _ in _checked_channels(cfg, None)]
 
     def write(index, path):

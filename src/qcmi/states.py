@@ -139,19 +139,21 @@ def validate_density(m) -> DensityMatrix:
 class TripartiteState:
     """A matrix on A (x) B (x) C with explicit subsystem dimensions.
 
-    The matrix is made read-only. The state's analysis validates it as a
-    density matrix the first time a value is read. The samplers, and so
-    the states a run draws from its corpus, build density matrices by
-    construction and leave that to the analysis. The constructors of
-    outside input, tripartite, read_state, regularize, markov_state and
-    classical_state, validate on construction.
+    The state holds a read-only copy of the matrix, so editing the
+    caller's array, or the base of a view, leaves it unchanged. The
+    state's analysis validates it as a density matrix the first time a
+    value is read. The samplers, and so the states a run draws from its
+    corpus, build density matrices by construction and leave that to the
+    analysis. The constructors of outside input, tripartite, read_state,
+    regularize, markov_state and classical_state, validate on
+    construction.
     """
 
     mat: np.ndarray
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(as_matrix(self.mat)))
+        object.__setattr__(self, "mat", _frozen(as_matrix(self.mat).copy()))
         dims = _tripartite_dims(self.dims)
         object.__setattr__(self, "dims", dims)
         if dims[0] * dims[1] * dims[2] != self.dim:

@@ -232,7 +232,7 @@ def test_criterion_10_conjecture_harness(tmp_path):
         ok = ok and math.isfinite(results[0].min_slack)
         ok = ok and isinstance(rep["results"][0]["min_slack"], float)
     st = random_tripartite((2, 2, 2), substream(908, 0))
-    identity_slack, _ = rotated_slacks(st, substream(908, 1), 0)
+    identity_slack, _ = rotated_slacks(st.analysis, substream(908, 1), 0)
     ok = ok and abs(identity_slack - bound_report(st).slack_corollary) <= 1e-9
     report(10, "conjecture-harness-contract", ok)
 

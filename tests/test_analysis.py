@@ -528,7 +528,7 @@ def test_support_restricted_sigma_star_is_p_exp_php_p():
 def test_the_rotated_bound_pays_for_no_overlap_and_no_m():
     # rotated-quarter reads cmi, the embedded logs and ||rho - sigma*||_1.
     st = random_tripartite((3, 3, 3), substream(44, 0))
-    rotated_slacks(st, substream(44, 0, 1), 3)
+    rotated_slacks(st.analysis, substream(44, 0, 1), 3)
     assert "_sigma_values" in vars(st.analysis.stack)
     assert {"_chain_values", "_m_products"}.isdisjoint(vars(st.analysis.stack))
 
@@ -561,7 +561,8 @@ def test_a_stack_keeps_only_its_decompositions_and_m_products():
     states = [corpus_state(cfg, i) for i in range(cfg.samples)]
     analyse_together(states)
     for i, st in enumerate(states):
-        proven_checks(st, evaluate_sample(st, i), cfg.corpus)
+        evaluate_sample(st, i)
+        proven_checks(st.analysis, cfg.corpus)
         _operators(st)
     stack = states[0].analysis.stack
     held = {name for name, value in vars(stack).items() if _full_dim_arrays(value, (4, 27, 27))}

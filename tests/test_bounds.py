@@ -7,6 +7,7 @@ from qcmi.analysis import ChannelAnalysis
 from qcmi.bounds import bound_report, fidelity_lower_bound
 from qcmi.channels import depolarizing_channel, identity_channel, random_channel
 from qcmi.errors import SingularMatrixError
+from qcmi.inequalities import proven_checks
 from qcmi.linalg import hs_norm, mat_log, trace_norm
 from qcmi.sampling import (
     random_density,
@@ -192,3 +193,21 @@ class TestFidelityLowerBound:
         rho = validate_density(np.diag([1.0, 0.0]))
         with pytest.raises(SingularMatrixError):
             fidelity_lower_bound(rho, rho)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 2(a): each marginal drops its eigenvalues below the support cutoff "
+    "independently of rho, so this near-pure state reads log-overlap-below-cmi "
+    "-3.85e-10, a false violation at tol 1e-10",
+)
+def test_a_near_pure_state_holds_the_log_overlap_bound_at_a_fine_tol():
+    # A rank-1 3,3,3 state plus Hilbert-Schmidt noise of weight 1e-10.
+    rng = substream(11, 177)
+    g = rng.standard_normal(27) + 1j * rng.standard_normal(27)
+    psi = g / np.linalg.norm(g)
+    eps = 1e-10
+    mat = (1 - eps) * np.outer(psi, psi.conj()) + eps * random_density(27, rng).mat
+    checks = dict(proven_checks(tripartite(mat, (3, 3, 3)).analysis, None))
+    assert checks["log-overlap-below-cmi"] >= -1e-10

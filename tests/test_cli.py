@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 from qcmi import harness
-from qcmi.bounds import bound_report
+from qcmi.analysis import StateAnalysis
 from qcmi.cli import main
 from qcmi.errors import InequalityViolationError
 from qcmi.sampling import random_density, random_markov_state, random_tripartite, substream
@@ -70,16 +69,14 @@ class TestInfo:
     def test_negative_slack_exits_two(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "p.json"
         write_state(parity_state(), path)
-        broken = dataclasses.replace(bound_report(parity_state()), cmi=-1.0)
-        monkeypatch.setattr("qcmi.cli.bound_report", lambda st: broken)
+        monkeypatch.setattr(StateAnalysis, "cmi", property(lambda a: -1.0))
         assert main(["info", str(path)]) == 2
         assert "ssa-cmi-nonnegative" in capsys.readouterr().err
 
     def test_reports_every_failing_check(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "p.json"
         write_state(parity_state(), path)
-        broken = dataclasses.replace(bound_report(parity_state()), cmi=-1.0)
-        monkeypatch.setattr("qcmi.cli.bound_report", lambda st: broken)
+        monkeypatch.setattr(StateAnalysis, "cmi", property(lambda a: -1.0))
         assert main(["info", str(path)]) == 2
         err = capsys.readouterr().err
         for name in ("ssa-cmi-nonnegative", "log-overlap-below-cmi"):
@@ -89,9 +86,7 @@ class TestInfo:
         # log_overlap above cmi violates only a chain link that scan checks.
         path = tmp_path / "p.json"
         write_state(parity_state(), path)
-        rep = bound_report(parity_state())
-        broken = dataclasses.replace(rep, log_overlap_bound=rep.cmi + 1e-3)
-        monkeypatch.setattr("qcmi.cli.bound_report", lambda st: broken)
+        monkeypatch.setattr(StateAnalysis, "log_overlap_bound", property(lambda a: a.cmi + 1e-3))
         assert main(["info", str(path)]) == 2
         err = capsys.readouterr().err
         assert "'log-overlap-below-cmi'" in err

@@ -96,17 +96,17 @@ def test_rotated_slacks_match_the_loop(corpus, dims):
     for i in range(cfg.samples):
         state = corpus_state(cfg, i)
         for k in UNITARY_SAMPLES:
-            got = _outcome(rotated_slacks, state, substream(cfg.seed, i, 1), k)
+            got = _outcome(rotated_slacks, state.analysis, substream(cfg.seed, i, 1), k)
             want = _outcome(rotated_slacks_loop, state, substream(cfg.seed, i, 1), k)
             assert got == want
 
 
 def test_rotated_slacks_make_one_call_of_each_kind(linalg_calls):
     state = corpus_state(ScanConfig(dims=(3, 3, 3), samples=1, seed=52), 0)
-    rotated_slacks(state, substream(52, 0, 1), 1)  # the state's own analysis
+    rotated_slacks(state.analysis, substream(52, 0, 1), 1)  # the state's own analysis
     for count in linalg_calls.values():
         count[:] = [0, 0]
-    rotated_slacks(state, substream(52, 0, 1), 10)
+    rotated_slacks(state.analysis, substream(52, 0, 1), 10)
     # One stacked QR of the 30 unitaries; one exponential and one trace norm
     # for each of the 10 triples.
     assert linalg_calls == {"eigh": [1, 10], "eigvalsh": [1, 10], "qr": [1, 30]}

@@ -137,7 +137,7 @@ def record(state, corpus: str) -> dict:
         modular = None
     return {
         "row": dataclasses.asdict(row),
-        "checks": dict(_proven_checks(state, row, corpus)),
+        "checks": dict(_proven_checks(state.analysis, corpus)),
         "entropies": dataclasses.asdict(ent),
         "modular_residual": modular,
     }

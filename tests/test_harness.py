@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from qcmi.errors import (
     TraceNotOneError,
 )
 from qcmi.harness import (
+    CORPORA,
     CSV_COLUMNS,
     ScanConfig,
     ScanRow,
@@ -31,9 +33,11 @@ from qcmi.harness import (
     write_scan_report,
 )
 from qcmi.inequalities import (
+    CHANNEL,
     INEQUALITIES,
     commutator_slack,
     half_recovery_slack,
+    proven_checks,
     rotated_slacks,
 )
 from qcmi.recovery import classify
@@ -475,33 +479,79 @@ class TestViolationHandling:
 
 class TestConjectureSlacks:
     def test_half_recovery_parity_value(self):
-        assert half_recovery_slack(parity_state()) == pytest.approx(LN2 - 0.5, abs=1e-9)
+        assert half_recovery_slack(parity_state().analysis) == pytest.approx(LN2 - 0.5, abs=1e-9)
 
     def test_half_recovery_markov_near_zero(self):
         st = random_markov_state((2, 2, 3), substream(21, 0))
-        assert abs(half_recovery_slack(st)) <= 1e-7
+        assert abs(half_recovery_slack(st.analysis)) <= 1e-7
 
     def test_commutator_slack_equals_cmi_on_classical_states(self):
         # diagonal M commutes with its adjoint, so the penalty term vanishes
         for i in range(5):
             st = random_classical_state((2, 2, 2), substream(22, i))
-            assert commutator_slack(st) == pytest.approx(st.analysis.cmi, abs=1e-10)
+            assert commutator_slack(st.analysis) == pytest.approx(st.analysis.cmi, abs=1e-10)
 
     def test_rotated_identity_triple_matches_corollary(self):
         st = corpus_state(ScanConfig(dims=(2, 2, 2), samples=1, seed=23), 0)
-        identity_slack, best = rotated_slacks(st, substream(23, 0, 1), 4)
+        identity_slack, best = rotated_slacks(st.analysis, substream(23, 0, 1), 4)
         rep = bound_report(st)
         assert identity_slack == pytest.approx(rep.slack_corollary, abs=1e-10)
         assert best <= identity_slack + 1e-12
 
     def test_rotated_zero_unitary_samples_returns_identity_slack(self):
         st = corpus_state(ScanConfig(dims=(2, 2, 2), samples=1, seed=24), 0)
-        a, b = rotated_slacks(st, substream(24, 0, 1), 0)
+        a, b = rotated_slacks(st.analysis, substream(24, 0, 1), 0)
         assert a == b
 
     def test_rotated_needs_full_rank(self):
         with pytest.raises(SingularMatrixError):
-            rotated_slacks(parity_state(), substream(23, 1), 1)
+            rotated_slacks(parity_state().analysis, substream(23, 1), 1)
+
+
+class TestProvenChecks:
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_state_checks_are_the_slacks_of_the_scan_row(self, corpus):
+        # Each proven state row's slack, bitwise, from the sample's ScanRow
+        # (and ||rho - sigma*||_1, which no row field holds).
+        cfg = ScanConfig(dims=(2, 2, 2), samples=8, seed=31, corpus=corpus)
+        for i in range(cfg.samples):
+            state = corpus_state(cfg, i)
+            row = evaluate_sample(state, i)
+            worst = max(row.recovery_gap_M, row.recovery_gap_Mprime)
+            want = {
+                "ssa-cmi-nonnegative": row.cmi,
+                "trace-exp-at-most-one": 1.0 - row.sigma_star_trace,
+                "thm1-below-corollary-gap": row.thm1_bound - row.corollary_bound,
+                "log-overlap-below-cmi": row.cmi - row.log_overlap_bound,
+                "thm1-below-log-overlap": row.log_overlap_bound - row.thm1_bound,
+                "powers-stormer-upper": state.analysis.trace_distance - row.thm1_bound,
+            }
+            if corpus == "classical-random":
+                want["classical-recovery-pinsker"] = row.cmi - 0.5 * worst * worst
+            if corpus == "markov":
+                want["markov-cmi-zero"] = -row.cmi
+            got = dict(proven_checks(state.analysis, corpus))
+            assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+    def test_at_zero_overlap_the_log_overlap_row_fails_first(self):
+        # An infinite log-overlap bound fails log-overlap-below-cmi and
+        # passes thm1-below-log-overlap (thm1 is at most 2), so no rule
+        # is needed to leave the second row out.
+        a = types.SimpleNamespace(
+            cmi=0.5, sigma_star_trace=1.0, log_overlap_bound=math.inf, thm1=2.0,
+            corollary_bound=0.25, trace_distance=2.0,
+        )
+        checks = dict(proven_checks(a, None))
+        assert checks["log-overlap-below-cmi"] == -math.inf
+        assert checks["thm1-below-log-overlap"] == math.inf
+        assert [name for name, s in checks.items() if s < 0] == ["log-overlap-below-cmi"]
+
+    def test_channel_checks_are_the_two_proven_channel_rows(self):
+        a = harness._channel(ScanConfig(dims=(3, 1, 1), samples=1, seed=32), None, 0)
+        assert proven_checks(a, None, CHANNEL) == [
+            ("channel-dpi-nonnegative", a.lhs),
+            ("channel-gap-bound", a.lhs - a.rhs),
+        ]
 
 
 class TestRunConjecture:
@@ -563,7 +613,7 @@ class TestRunConjecture:
         expected_violations = 0
         for i in range(5):
             st = corpus_state(cfg, i)
-            _, slack = rotated_slacks(st, substream(27, i, 1), 5)
+            _, slack = rotated_slacks(st.analysis, substream(27, i, 1), 5)
             expected_min = min(expected_min, slack)
             if slack < -cfg.tol:
                 expected_violations += 1
@@ -702,7 +752,7 @@ class TestStackedConjecture:
         # half-recovery with the slack -cmi: ~0 on the markov corpus, where
         # it is asserted, and below -tol on an injected hs-random draw.
         row = INEQUALITIES["half-recovery"]
-        failing = dataclasses.replace(row, slack=lambda state, c: -state.analysis.cmi)
+        failing = dataclasses.replace(row, slack=lambda a, _: -a.cmi)
         monkeypatch.setitem(INEQUALITIES, "half-recovery", failing)
 
     @pytest.mark.parametrize("index", [3, 270])

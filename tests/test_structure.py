@@ -45,6 +45,7 @@ from qcmi.channels import (
     random_channel,
 )
 from qcmi.sampling import random_classical, random_density, random_tripartite, substream
+from qcmi.states import TripartiteState
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcmi"
@@ -262,3 +263,18 @@ def test_editing_a_channels_input_leaves_the_channel_unchanged():
         assert phi.apply(rho).tobytes() == before[name][0].tobytes()
         assert phi.dual(x).tobytes() == before[name][1].tobytes()
         assert np.trace(phi.apply(rho)).real == 1.0
+
+
+@pytest.mark.parametrize("given", ["array", "view"])
+def test_editing_a_states_input_leaves_the_state_unchanged(given):
+    # The state copies its matrix: the caller's array, and the base of a
+    # view, stay writable and their edits do not reach the state.
+    base = np.eye(8, dtype=complex) / 8
+    m = base if given == "array" else base[:]
+    st = TripartiteState(m, (2, 2, 2))
+    assert m.flags.writeable and base.flags.writeable
+    m[1, 1] = 5
+    base[0, 0] = 5
+    untouched = TripartiteState(np.eye(8, dtype=complex) / 8, (2, 2, 2))
+    assert st.mat.tobytes() == untouched.mat.tobytes()
+    assert st.analysis.cmi == untouched.analysis.cmi

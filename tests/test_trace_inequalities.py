@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qcmi.bounds import bound_report
 from qcmi.errors import NotHermitianError, NotPSDError, SingularMatrixError
 from qcmi.inequalities import INEQUALITIES
 from qcmi.sampling import random_markov_state, random_tripartite, substream
@@ -182,9 +181,8 @@ def powers_stormer_slacks(state):
     # (upper, lower) slacks of the Powers-Stormer rows, which sandwich
     # thm1 = ||sqrt(rho) - sqrt(sigma*)||_2^2 between ||rho - sigma*||_1^2 / 4
     # (the corollary bound) and ||rho - sigma*||_1.
-    chain = bound_report(state)
     return tuple(
-        INEQUALITIES[name].slack(state, chain)
+        INEQUALITIES[name].slack(state.analysis, None)
         for name in ("powers-stormer-upper", "thm1-below-corollary-gap")
     )
 
