@@ -54,12 +54,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from functools import cached_property
 
 import numpy as np
 
 from .channels import KrausChannel, _petz_dual
-from .entropy import EntropyReport, _outside_support, _rel_entropy, spectrum_entropy
+from .entropy import EntropyReport, _entropy, _outside_support, _rel_entropy
 from .errors import DimensionMismatchError
 from .linalg import (
     HermitianEigen,
@@ -85,6 +84,29 @@ from .states import (
     validate_density,
 )
 from .tolerances import INTERSECTION_TOL, ZERO_OVERLAP
+
+
+class _cached:
+    """functools.cached_property without its lock.
+
+    The value is computed on the first read and kept in the instance's
+    __dict__, where later reads find it without calling the descriptor.
+    On Python 3.11 cached_property takes an RLock on every first read; a
+    stack has dozens of them.
+    """
+
+    def __init__(self, get):
+        self.get = get
+        self.__doc__ = get.__doc__
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.get(obj)
+        return value
 
 
 def _overlap_bound(overlap: float) -> float:
@@ -117,15 +139,18 @@ def _transfer(p: HermitianEigen, q: HermitianEigen) -> np.ndarray:
     return t.real**2 + t.imag**2
 
 
+# Every state of a stack, as the rows of a stack's on-demand operators.
+ALL = slice(None)
+
+
 def _psd_rows(e: PsdEigen, rows: int | slice | list[int]) -> PsdEigen:
-    # The decompositions `rows` of a stack, views for an index or a slice.
+    # The decompositions `rows` of a stack, views for an index or a slice,
+    # and e itself for ALL.
+    if rows is ALL:
+        return e
     return PsdEigen(
         eigenvalues=e.eigenvalues[rows], eigenvectors=e.eigenvectors[rows], cutoff=e.cutoff[rows]
     )
-
-
-# Every state of a stack, as the rows of a stack's on-demand operators.
-ALL = slice(None)
 
 
 class StackAnalysis:
@@ -146,7 +171,7 @@ class StackAnalysis:
         # collector happens to run.
         mats = [s.mat for s in states]
         # A single (read-only) matrix is viewed as a stack of one, not copied.
-        self.mat = mats[0][np.newaxis] if len(mats) == 1 else _frozen(np.stack(mats))
+        self.mat = mats[0][np.newaxis] if len(mats) == 1 else _frozen(np.array(mats))
         self.dims = dims
 
     def __len__(self) -> int:
@@ -154,12 +179,12 @@ class StackAnalysis:
 
     # -- rho and its marginals, validated ---------------------------------
 
-    @cached_property
+    @_cached
     def rho_psd(self) -> PsdEigen:
         """The decomposition of rho, validated."""
         return _validated(self.mat)[1]
 
-    @cached_property
+    @_cached
     def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen], ...]:
         """(read-only stack, decomposition) of rho_AB, rho_BC and rho_B,
         validated after rho."""
@@ -173,11 +198,11 @@ class StackAnalysis:
 
     # -- entropies -------------------------------------------------------
 
-    @cached_property
+    @_cached
     def entropies(self) -> EntropyReport:
         """The entropies and the cmi, each an array over the stack."""
-        s_ab, s_bc, s_b = (spectrum_entropy(e.eigenvalues) for e in self.marginal_psd)
-        s_abc = spectrum_entropy(self.rho_psd.eigenvalues)
+        s_ab, s_bc, s_b = (_entropy(e) for e in self.marginal_psd)
+        s_abc = _entropy(self.rho_psd)
         return EntropyReport(
             s_abc=s_abc, s_ab=s_ab, s_bc=s_bc, s_b=s_b, cmi=s_ab + s_bc - s_abc - s_b
         )
@@ -205,7 +230,7 @@ class StackAnalysis:
         h -= embed(psd_b.log(), "B", self.dims)
         return _frozen(h)
 
-    @cached_property
+    @_cached
     def _sigma(self) -> tuple[PsdEigen, dict[int, np.ndarray], np.ndarray]:
         # (decomposition of sigma*, sigma* of the support-restricted rows,
         # support_restricted). A full-rank row's decomposition is exp(h)'s,
@@ -263,7 +288,7 @@ class StackAnalysis:
 
     support_restricted = property(lambda self: self._sigma[2])
 
-    @cached_property
+    @_cached
     def _sigma_values(self) -> tuple[np.ndarray, np.ndarray]:
         # Tr sigma* and ||rho - sigma*||_1 from one build of sigma*, whose
         # array then takes rho - sigma*.
@@ -274,7 +299,7 @@ class StackAnalysis:
     sigma_star_trace = property(lambda self: self._sigma_values[0])
     trace_distance = property(lambda self: self._sigma_values[1], doc="||rho - sigma*||_1.")
 
-    @cached_property
+    @_cached
     def _chain_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The overlap, thm1 and ruskai as sums over W = |Q^dag V|^2 (Q rho's,
         # V sigma*'s eigenvectors): the Bhattacharyya coefficient and squared
@@ -322,7 +347,7 @@ class StackAnalysis:
         n = d_a * d_b * d_c
         return _frozen(m.reshape(k, n, n))
 
-    @cached_property
+    @_cached
     def _m_products(self) -> tuple[np.ndarray, np.ndarray]:
         # M M^dag and M^dag M from one build of M. They are kept: each is
         # read by two trace norms, and classify reads only two of the three.
@@ -333,17 +358,17 @@ class StackAnalysis:
     m_mdag = property(lambda self: self._m_products[0])
     mdag_m = property(lambda self: self._m_products[1])
 
-    @cached_property
+    @_cached
     def gap_m(self) -> np.ndarray:
         """||rho - M M^dag||_1."""
         return trace_norm(self.mat - self.m_mdag)
 
-    @cached_property
+    @_cached
     def gap_mprime(self) -> np.ndarray:
         """||rho - M^dag M||_1."""
         return trace_norm(self.mat - self.mdag_m)
 
-    @cached_property
+    @_cached
     def commutator_norm(self) -> np.ndarray:
         """||[M, M^dag]||_1."""
         return trace_norm(self.m_mdag - self.mdag_m)
@@ -353,18 +378,18 @@ def analyse_together(states: Sequence[TripartiteState]) -> None:
     """Give same-dims states one StackAnalysis, each its row as .analysis."""
     stack = StackAnalysis(states)
     for i, state in enumerate(states):
-        # The slot functools.cached_property fills on first access.
+        # The slot TripartiteState.analysis fills on first access.
         vars(state)["analysis"] = StateAnalysis(stack, i)
 
 
-def _row(name: str, kind=None, doc: str | None = None) -> cached_property:
+def _row(name: str, kind=None, doc: str | None = None) -> _cached:
     # Row `index` of the stack's value `name`, optionally as a Python scalar.
     def get(self):
         value = getattr(self.stack, name)[self.index]
         return value if kind is None else kind(value)
 
     get.__doc__ = doc
-    return cached_property(get)
+    return _cached(get)
 
 
 def _built(name: str, doc: str | None = None) -> property:
@@ -389,13 +414,13 @@ class StateAnalysis:
         self.stack = stack
         self.index = index
 
-    @cached_property
+    @_cached
     def rho(self) -> DensityMatrix:
         """rho, validated, with its decomposition."""
         i = self.index
         return DensityMatrix(mat=self.stack.mat[i], eig=_psd_rows(self.stack.rho_psd, i))
 
-    @cached_property
+    @_cached
     def marginals(self) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
         """Validated (rho_AB, rho_BC, rho_B), with their decompositions."""
         i = self.index
@@ -403,7 +428,7 @@ class StateAnalysis:
             DensityMatrix(mat=mat[i], eig=_psd_rows(e, i)) for mat, e in self.stack.marginals
         )
 
-    @cached_property
+    @_cached
     def entropies(self) -> EntropyReport:
         e = self.stack.entropies
         i = self.index
@@ -443,12 +468,12 @@ class StateAnalysis:
     commutator_norm = _row("commutator_norm", float, doc="||[M, M^dag]||_1.")
     ruskai = _row("ruskai", float, doc="||log rho - h||_2 with support-restricted logs.")
 
-    @cached_property
+    @_cached
     def log_overlap_bound(self) -> float:
         """-2 log Tr[sqrt(rho) sqrt(sigma*)], infinite at zero overlap."""
         return _overlap_bound(self.overlap)
 
-    @cached_property
+    @_cached
     def corollary_bound(self) -> float:
         """||rho - sigma*||_1^2 / 4."""
         return 0.25 * self.trace_distance**2
@@ -489,24 +514,24 @@ class ChannelAnalysis:
         self.sigma = sigma
         self.phi = phi
 
-    @cached_property
+    @_cached
     def _phi_rho(self) -> np.ndarray:
         # phi(rho) as the channel returns it, which the Petz map recovers.
         return self.phi.apply(self.rho.mat)
 
-    @cached_property
+    @_cached
     def _outputs(self) -> tuple[DensityMatrix, DensityMatrix]:
         # phi(rho) and phi(sigma), validated, with their decompositions.
         return validate_density(self._phi_rho), validate_density(self.phi.apply(self.sigma.mat))
 
-    @cached_property
+    @_cached
     def _logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # log sigma, log phi(rho) and log phi(sigma), support-restricted,
         # each built once for lhs and X's exponent.
         out_rho, out_sigma = self._outputs
         return self.sigma.eig.log(), out_rho.eig.log(), out_sigma.eig.log()
 
-    @cached_property
+    @_cached
     def lhs(self) -> float:
         """S(rho || sigma) - S(phi(rho) || phi(sigma))."""
         out_rho, out_sigma = self._outputs
@@ -517,7 +542,7 @@ class ChannelAnalysis:
             return float(s_in - math.inf)
         return float(s_in - _rel_entropy(out_rho, log_out_sigma))
 
-    @cached_property
+    @_cached
     def _x(self) -> PsdEigen:
         # X = exp(x) as a decomposition, from one of its exponent x, with
         # mat_sqrt's support cutoff.
@@ -527,30 +552,30 @@ class ChannelAnalysis:
         log_sigma, log_out_rho, log_out_sigma = self._logs
         return _exp_eigen(log_sigma + self.phi.dual(log_out_rho) - self.phi.dual(log_out_sigma))
 
-    @cached_property
+    @_cached
     def exp_operator(self) -> np.ndarray:
         """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
         e = self._x
         return _frozen(hermitian_part(e.apply(e.eigenvalues)))
 
-    @cached_property
+    @_cached
     def trace_exp(self) -> float:
         """Tr X, at most 1 if the conjectured trace bound holds."""
         return float(np.trace(self.exp_operator).real)
 
-    @cached_property
+    @_cached
     def rhs(self) -> float:
         """-2 log Tr[sqrt(rho) sqrt(X)], the lower bound on lhs."""
         rho, x = self.rho.eig, self._x
         a, b = rho._on_support(np.sqrt), x._on_support(np.sqrt)
         return _overlap_bound(float(np.einsum("ij,i,j->", _transfer(rho, x), a, b)))
 
-    @cached_property
+    @_cached
     def petz(self) -> KrausChannel:
         """The Petz transpose of phi with respect to sigma (channels.petz_dual)."""
         return _petz_dual(self.phi, self.sigma.eig, self._outputs[1].eig)
 
-    @cached_property
+    @_cached
     def petz_gap(self) -> float:
         """||rho - P(phi(rho))||_1 for the Petz map P."""
         return trace_norm(self.rho.mat - self.petz.apply(self._phi_rho))

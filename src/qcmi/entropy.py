@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import _eigvalsh, _scalar, hermitian_part, hs_norm, support_cutoff
+from .linalg import PsdEigen, _eigvalsh, _scalar, hermitian_part, hs_norm
 from .states import DensityMatrix, _require_distribution
 from .tolerances import PROBABILITY_NEGATIVE_TOL, REL_ENTROPY_SUPPORT_TOL, WEIGHT_SUM_TOL
 
@@ -29,19 +29,17 @@ class EntropyReport:
     cmi: float
 
 
-def spectrum_entropy(w: np.ndarray):
-    """-sum w log w over the eigenvalues above the support cutoff, in nats.
-
-    w has shape (..., n); a stack of spectra gives an array of entropies.
-    """
-    on = w > np.asarray(support_cutoff(w))[..., None]
+def _entropy(e: PsdEigen):
+    # -sum w log w over the support eigenvalues w of a decomposition, in
+    # nats, from the support mask it keeps; an array for a stack.
+    w, on = e.eigenvalues, e.on_support
     terms = np.where(on, w * np.log(np.where(on, w, 1.0)), 0.0)
     return _scalar(-np.sum(terms, axis=-1))
 
 
 def vn_entropy(rho: DensityMatrix) -> float:
     """von Neumann entropy -Tr[rho log rho] in nats."""
-    return spectrum_entropy(rho.eig.eigenvalues)
+    return _entropy(rho.eig)
 
 
 def rel_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -74,7 +72,7 @@ def _outside_support(rho: DensityMatrix, sigma: DensityMatrix) -> bool:
 def _rel_entropy(rho: DensityMatrix, log_sigma: np.ndarray) -> float:
     # Tr[rho (log rho - log sigma)] for rho within the support of sigma,
     # given sigma's support-restricted log.
-    tr_rho_log_rho = -spectrum_entropy(rho.eig.eigenvalues)
+    tr_rho_log_rho = -vn_entropy(rho)
     tr_rho_log_sigma = float(np.trace(rho.mat @ log_sigma).real)
     return tr_rho_log_rho - tr_rho_log_sigma
 

@@ -10,7 +10,8 @@ Frobenius norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,21 +118,51 @@ def require_hermitian(m) -> np.ndarray:
     For a stack each matrix is checked on its own, and the first one that
     fails raises. A NaN or infinite entry makes the deviation NaN or
     infinite, which fails the comparisons, and raises NotFiniteError.
+
+    The difference d = m - m^dag is made in the array m^dag is copied
+    into. When every bit of d is clear, m equals m^dag entry by entry and
+    is finite (a NaN or infinite entry leaves a NaN or infinite one in d),
+    so no deviation is computed; m + m^dag is then bitwise m + m, signed
+    zeros included, and d's array takes the symmetrized copy. Otherwise
+    the deviation's norm is computed only when a bound on it from the
+    largest entry of d does not settle the check, and m^dag is made again
+    for the symmetrized copy. Either way the result is bitwise
+    hermitian_part(m).
     """
     a = as_matrices(m)
-    rtol = HERMITIAN_RTOL
+    d = _conj_transposed(a)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which raises below
-        d = _conj_transposed(a)
-        # An array, 0-d for one matrix: ~ on a Python bool would be -1 or -2.
-        dev = np.asarray(hs_norm(np.subtract(a, d, out=d)))
+        np.subtract(a, d, out=d)
+    if not d.view(np.uint64).max(initial=0):
+        np.add(a, a, out=d)
+        d /= 2.0
+        return d
+    _require_small_deviation(a, d)
     del d  # before the symmetrized copy is made
+    return hermitian_part(a)
+
+
+def _require_small_deviation(a: np.ndarray, d: np.ndarray) -> None:
+    # require_hermitian's check of a from d = a - a^dag, whose entries are
+    # made nonnegative in place: that leaves the norm of d bitwise as it
+    # was. A matrix's norm is at most sqrt(entries) times its largest
+    # entry, and the computed norm exceeds the exact one by far less than
+    # a factor 2; so when that bound is within rtol / 2 for every matrix,
+    # each passes without its norm.
+    rtol = HERMITIAN_RTOL
+    f = d.view(np.float64)
+    np.abs(f, out=f)
+    bound = f.max(axis=(-2, -1)) * math.sqrt(f.shape[-2] * f.shape[-1])
+    if (bound <= rtol / 2).all():
+        return
+    # An array, 0-d for one matrix: ~ on a Python bool would be -1 or -2.
+    dev = np.asarray(hs_norm(d))
     failed = ~(dev <= rtol)
     if failed.any():  # only then are the norms of a needed
         failed &= ~np.isfinite(dev) | (dev > rtol * hs_norm(a))
         if failed.any():
             _require_finite(a, "matrix")
             raise NotHermitianError(f"matrix deviates from Hermitian by {_first(dev, failed):.3e}")
-    return hermitian_part(a)
 
 
 def support_cutoff(eigenvalues):
@@ -167,18 +198,21 @@ class PsdEigen(HermitianEigen):
 
     One decomposition serves every support-restricted function of the
     matrix: eigenvalues at or below the cutoff count as kernel. A stack
-    has one cutoff per matrix.
+    has one cutoff per matrix. The support mask on_support, the
+    eigenvalues above the cutoff, is computed once, on construction, and
+    rank, projector and every support-restricted function read it.
     """
 
     cutoff: float | np.ndarray
+    on_support: np.ndarray = field(init=False, repr=False)
 
-    @property
-    def on_support(self) -> np.ndarray:
-        return self.eigenvalues > np.asarray(self.cutoff)[..., None]
+    def __post_init__(self):
+        on = self.eigenvalues > np.asarray(self.cutoff)[..., None]
+        object.__setattr__(self, "on_support", on)
 
     @property
     def rank(self):
-        return _scalar(np.count_nonzero(self.on_support, axis=-1))
+        return _scalar(self.on_support.sum(axis=-1))
 
     def _on_support(self, f) -> np.ndarray:
         # f applied to the support eigenvalues, 0 on the kernel.

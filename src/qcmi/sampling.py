@@ -28,6 +28,7 @@ from .states import (
     _classical_matrix,
     _markov_matrix,
     _integer,
+    _state,
     _tripartite_dims,
     validate_density,
 )
@@ -40,12 +41,16 @@ def substream(seed: int, index: int, *subkey: int) -> np.random.Generator:
     streams tied to the same sample (for example one for the state draw
     and one for auxiliary unitary draws).
     """
-    key = (int(index),) + tuple(int(k) for k in subkey)
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    key = (int(index),) + tuple([int(k) for k in subkey])
+    # What numpy.random.default_rng makes of a SeedSequence, without its dispatch.
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # One standard_normal call draws the real and then the imaginary parts,
+    # the values two consecutive calls draw.
+    normal = rng.standard_normal((2, dim, dim))
+    return normal[0] + 1j * normal[1]
 
 
 def _hs_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -53,7 +58,8 @@ def _hs_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
     # construction, and symmetrized as validate_density does.
     g = _ginibre(dim, rng)
     m = g @ g.conj().T
-    return hermitian_part(m / np.trace(m).real)
+    m /= m.trace().real
+    return hermitian_part(m)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -98,7 +104,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 def random_tripartite(dims, rng: np.random.Generator) -> TripartiteState:
     dims = _tripartite_dims(dims)
-    return TripartiteState(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)
+    return _state(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)
 
 
 def random_classical(dims, rng: np.random.Generator) -> ClassicalJoint:
@@ -142,18 +148,27 @@ def _markov_blocks(dims, rng: np.random.Generator) -> list:
     ]
 
 
+def _random_markov_matrix(dims: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    # random_markov_state's matrix, for dims it has checked.
+    return _markov_matrix(dims[0], dims[2], _markov_blocks(dims, rng))
+
+
 def random_markov_state(dims, rng: np.random.Generator) -> TripartiteState:
     dims = _tripartite_dims(dims)
-    return TripartiteState(_markov_matrix(dims[0], dims[2], _markov_blocks(dims, rng)), dims)
+    return _state(_random_markov_matrix(dims, rng), dims)
 
 
 def random_classical_state(dims, rng: np.random.Generator) -> TripartiteState:
     joint = random_classical(dims, rng)
-    return TripartiteState(_classical_matrix(joint), joint.dims)
+    return _state(_classical_matrix(joint), joint.dims)
 
 
 def near_markov_state(dims, rng: np.random.Generator, mix: float) -> TripartiteState:
-    """Convex mixture (1 - mix) * markov + mix * random, for small mix."""
-    base = random_markov_state(dims, rng)
-    noise = _hs_matrix(base.dim, rng)
-    return TripartiteState(hermitian_part((1.0 - mix) * base.mat + mix * noise), dims)
+    """Convex mixture (1 - mix) * markov + mix * random, for small mix.
+
+    The Markov state is random_markov_state's, drawn from rng first.
+    """
+    dims = _tripartite_dims(dims)
+    base = _random_markov_matrix(dims, rng)
+    noise = _hs_matrix(base.shape[0], rng)
+    return _state(hermitian_part((1.0 - mix) * base + mix * noise), dims)

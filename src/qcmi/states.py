@@ -85,7 +85,8 @@ def _integer(value, what: str, least: int | None = None, error=DimensionMismatch
     # value as a Python int; error unless it is an integer, numpy integers
     # included, and at least `least` when that is given. A bool is not an
     # integer here: True would pass as 1, and 2.9 would truncate to 2.
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    # A plain int passes at once, without the ABC check; a bool is not one.
+    if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
         raise error(f"{what} must be an integer, got {value!r}")
     if least is not None and value < least:
         raise error(f"{what} must be >= {least}, got {value}")
@@ -97,7 +98,7 @@ def _tripartite_dims(dims, error=DimensionMismatchError) -> tuple[int, int, int]
     dims = tuple(dims)
     if len(dims) != 3:
         raise error(f"dims must be three positive integers, got {dims}")
-    return tuple(_integer(d, "dims entry", 1, error) for d in dims)
+    return tuple([_integer(d, "dims entry", 1, error) for d in dims])
 
 
 def _require_full_rank(rho: DensityMatrix, what: str) -> None:
@@ -154,13 +155,7 @@ class TripartiteState:
 
     def __post_init__(self):
         object.__setattr__(self, "mat", _frozen(as_matrix(self.mat).copy()))
-        dims = _tripartite_dims(self.dims)
-        object.__setattr__(self, "dims", dims)
-        if dims[0] * dims[1] * dims[2] != self.dim:
-            raise DimensionMismatchError(
-                f"dims {dims} imply dimension {dims[0] * dims[1] * dims[2]}, "
-                f"matrix has dimension {self.dim}"
-            )
+        object.__setattr__(self, "dims", _state_dims(self.dims, self.dim))
 
     @property
     def dim(self) -> int:
@@ -179,13 +174,36 @@ class TripartiteState:
         return StateAnalysis(StackAnalysis([self]), 0)
 
 
+def _state_dims(dims, dim: int) -> tuple[int, int, int]:
+    # dims as three positive Python ints whose product is dim.
+    dims = _tripartite_dims(dims)
+    if dims[0] * dims[1] * dims[2] != dim:
+        raise DimensionMismatchError(
+            f"dims {dims} imply dimension {dims[0] * dims[1] * dims[2]}, "
+            f"matrix has dimension {dim}"
+        )
+    return dims
+
+
+def _state(mat: np.ndarray, dims: tuple[int, int, int]) -> TripartiteState:
+    # The state of mat, a new C-ordered complex128 (n, n) array that no
+    # caller holds, for dims of three Python ints whose product is n: it
+    # holds mat itself, made read-only, without TripartiteState's copy and
+    # its second check of the dims.
+    state = object.__new__(TripartiteState)
+    object.__setattr__(state, "mat", _frozen(mat))
+    object.__setattr__(state, "dims", dims)
+    return state
+
+
 def tripartite(m, dims) -> TripartiteState:
     """Validate a raw matrix as a tripartite state.
 
     The state holds the symmetrized copy of m, and its analysis keeps the
     decomposition the validation made.
     """
-    state = TripartiteState(require_hermitian(as_matrix(m)), dims)
+    sym = require_hermitian(as_matrix(m))
+    state = _state(sym, _state_dims(dims, sym.shape[0]))
     state.rho  # validated by the analysis
     return state
 
@@ -216,17 +234,22 @@ def marginal_dims(dims, keep) -> tuple[int, ...]:
     return tuple(dims[SUBSYSTEMS.index(s)] for s in keep)
 
 
-def _traced_out(mat: np.ndarray, dims, keep: str) -> np.ndarray:
-    # The partial trace onto keep (normalized, not "ABC") of matrices of
-    # shape (..., n, n) on A (x) B (x) C, unvalidated.
-    tens = mat.reshape(*mat.shape[:-2], *dims, *dims)
+@lru_cache(maxsize=128)
+def _trace_layout(dims: tuple[int, int, int], keep: str) -> tuple[str, int]:
+    # _traced_out's einsum subscripts and the marginal's dimension.
     row = {"A": "a", "B": "b", "C": "c"}
     col = {"A": "x", "B": "y", "C": "z"}
     sub_in = "".join(row[s] for s in SUBSYSTEMS)
     sub_in += "".join(col[s] if s in keep else row[s] for s in SUBSYSTEMS)
     sub_out = "".join(row[s] for s in keep) + "".join(col[s] for s in keep)
-    reduced = np.einsum(f"...{sub_in}->...{sub_out}", tens)
-    d = math.prod(marginal_dims(dims, keep))
+    return f"...{sub_in}->...{sub_out}", math.prod(marginal_dims(dims, keep))
+
+
+def _traced_out(mat: np.ndarray, dims, keep: str) -> np.ndarray:
+    # The partial trace onto keep (normalized, not "ABC") of matrices of
+    # shape (..., n, n) on A (x) B (x) C, unvalidated.
+    subscripts, d = _trace_layout(tuple(dims), keep)
+    reduced = np.einsum(subscripts, mat.reshape(*mat.shape[:-2], *dims, *dims))
     return reduced.reshape(*mat.shape[:-2], d, d)
 
 

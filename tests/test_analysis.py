@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qcmi import analysis as analysis_module
+from qcmi import linalg, sampling, states
 from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_together
 from qcmi.channels import identity_channel
 from qcmi.cli import main
@@ -101,6 +102,45 @@ def test_scan_sample_makes_exactly_the_budget(decompositions):
     scan(ScanConfig(dims=(3, 3, 3), samples=samples, seed=31))
     assert sum(1 for n in decompositions if n == 27) == FULL_DIM_DECOMPOSITIONS_PER_SAMPLE * samples
     assert len(decompositions) == DECOMPOSITIONS_PER_SAMPLE * samples
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+def test_a_small_scan_call_has_a_fixed_cost(corpus, monkeypatch):
+    # One 2,2,2 call of 4 samples is one stack: one numpy.linalg call per
+    # kind of decomposition, no Hermitian deviation norm (each of the nine
+    # operands require_hermitian checks is exactly Hermitian at 2,2,2) and
+    # one dims check per draw.
+    cfg = ScanConfig(dims=(2, 2, 2), samples=4, seed=31, corpus=corpus)
+    calls = []
+    for name in np.linalg.__all__:
+        original = getattr(np.linalg, name)
+        if callable(original):
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+    norms = []
+
+    def counted_norm(m):
+        norms.append(np.shape(m))
+        return hs_norm(m)
+
+    monkeypatch.setattr(linalg, "hs_norm", counted_norm)
+    checks = []
+    tripartite_dims = states._tripartite_dims
+
+    def counted_dims(dims, *args):
+        checks.append(dims)
+        return tripartite_dims(dims, *args)
+
+    for module in (states, sampling):
+        monkeypatch.setattr(module, "_tripartite_dims", counted_dims)
+    scan(cfg)
+    assert sorted(calls) == ["eigh"] * 5 + ["eigvalsh"] * 4
+    assert norms == []
+    assert len(checks) == cfg.samples
 
 
 @pytest.mark.parametrize("command, full_dim", [("info", 6), ("classify", 3)])

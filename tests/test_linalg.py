@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from qcmi import linalg
 from qcmi.errors import DimensionMismatchError, NotFiniteError, NotHermitianError, NotPSDError
 from qcmi.linalg import (
     _eigh,
@@ -236,6 +237,98 @@ class TestHermitianPart:
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
             assert got.flags.c_contiguous and not np.shares_memory(got, m)
+
+
+class TestRequireHermitian:
+    """require_hermitian gives bitwise hermitian_part(m), checking an exactly
+    Hermitian m without a deviation norm and any other m by its deviation."""
+
+    def _cases(self):
+        rng = np.random.default_rng(46)
+        stack = np.stack([random_hermitian(5, rng) for _ in range(3)])
+        near = stack + 1e-15 * rng.standard_normal(stack.shape)
+        return [
+            stack,
+            stack[1],
+            stack.real,
+            # -0.0 imaginary parts on the diagonal, and signed zeros that
+            # equal their conjugate transposes' entries in value.
+            np.array([[complex(0.25, -0.0), -0.0 + 0.5j], [-0.0 - 0.5j, complex(0.75, -0.0)]]),
+            np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, 0.0), complex(-0.0, -0.0)]]),
+            np.diag([1.0, -0.0, 2.0]),
+            near,  # not exactly Hermitian, by far less than the tolerance
+            np.array([[1.0, 3e-9], [0.0, 1.0]]),  # by less than the tolerance
+            np.array([[1.0, 1e-8], [0.0, 1.0]]),  # above it, within it relative to ||m||_2
+        ]
+
+    def test_bitwise_hermitian_part(self):
+        for m in self._cases():
+            got = require_hermitian(m)
+            assert got.tobytes() == hermitian_part(np.asarray(m, dtype=complex)).tobytes()
+            assert got.flags.c_contiguous and not np.shares_memory(got, m)
+
+    @pytest.fixture
+    def norms(self, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(np.shape(m))
+            return hs_norm(m)
+
+        monkeypatch.setattr(linalg, "hs_norm", counted)
+        return calls
+
+    def test_exactly_hermitian_input_computes_no_deviation_norm(self, norms):
+        for m in self._cases()[:6]:
+            require_hermitian(m)
+        assert norms == []
+
+    def test_a_deviation_far_below_the_tolerance_is_not_computed(self, norms):
+        # A matrix's largest deviating entry bounds its norm.
+        require_hermitian(self._cases()[6])
+        assert norms == []
+
+    def test_a_deviation_near_the_tolerance_is_computed(self, norms):
+        require_hermitian(np.array([[1.0, 3e-9], [0.0, 1.0]]))
+        assert norms == [(2, 2)]
+        require_hermitian(np.array([[1.0, 1e-8], [0.0, 1.0]]))
+        assert norms == [(2, 2), (2, 2), (2, 2)]  # and the norm of m
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([[0.0, 1.0], [0.0, 0.0]], "matrix deviates from Hermitian by 1.414e+00"),
+            ([[1.0, 2e-8], [0.0, 1.0]], "matrix deviates from Hermitian by 2.828e-08"),
+            (np.diag([1.0 + 1e-3j, 1.0]), "matrix deviates from Hermitian by 2.000e-03"),
+            (
+                np.stack([np.eye(2), np.eye(2), [[1.0, 2.0 + 1j], [2.0, 1.0]]]),
+                "matrix deviates from Hermitian by 1.414e+00",
+            ),
+        ],
+        ids=["upper", "near-tolerance", "imaginary-diagonal", "stack"],
+    )
+    def test_non_hermitian_input_raises(self, m, message):
+        with pytest.raises(NotHermitianError) as exc:
+            require_hermitian(m)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            ([[0.5, np.inf], [np.inf, 0.5]], "matrix entry (0, 1) is (inf+0j)"),
+            ([[0.5, -np.inf], [-np.inf, 0.5]], "matrix entry (0, 1) is (-inf+0j)"),
+            ([[0.5, complex(np.inf, 1.0)], [complex(np.inf, -1.0), 0.5]], "matrix entry (0, 1) is (inf+1j)"),
+            (np.diag([np.inf, 0.5]), "matrix entry (0, 0) is (inf+0j)"),
+            ([[0.5, np.nan], [np.nan, 0.5]], "matrix entry (0, 1) is (nan+0j)"),
+            (np.stack([np.eye(2), [[1.0, np.inf], [np.inf, 1.0]]]), "matrix entry (1, 0, 1) is (inf+0j)"),
+        ],
+        ids=["inf", "-inf", "inf-complex", "inf-diagonal", "nan", "stack"],
+    )
+    def test_symmetric_non_finite_input_raises(self, m, message):
+        # Symmetric entry by entry, but not finite.
+        with pytest.raises(NotFiniteError) as exc:
+            require_hermitian(m)
+        assert str(exc.value) == message
 
 
 class TestNonFinite:

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -169,6 +173,41 @@ class TestCorpusDraws:
             corpus_state(cfg, 1)
             _public_sample(cfg, 1)
         assert calls == []
+
+
+DRAW_PINS = json.loads(Path(__file__).with_name("draw_pins.json").read_text())["pins"]
+PINNED_DIMS = ((2, 2, 2), (2, 3, 2), (5, 5, 5))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestDrawPins:
+    """Each corpus sampler draws bitwise the matrix, and leaves its generator
+    in the state, that it did at commit 1532dd0 (tests/draw_pins.json)."""
+
+    def test_the_pins_cover_every_corpus_dims_and_seed(self):
+        assert len(DRAW_PINS) == len(CORPORA) * len(PINNED_DIMS) * 20
+
+    @pytest.mark.parametrize("dims", PINNED_DIMS)
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_draws_match_the_pins(self, corpus, dims):
+        samplers = {
+            "hs-random": random_tripartite,
+            "classical-random": random_classical_state,
+            "markov": random_markov_state,
+        }
+        for seed in range(20):
+            rng = substream(seed, 0)
+            if corpus == "near-markov":
+                mix = NEAR_MARKOV_MIXES[seed % len(NEAR_MARKOV_MIXES)]
+                state = near_markov_state(dims, rng, mix)
+            else:
+                state = samplers[corpus](dims, rng)
+            generator = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
+            key = f"{corpus} {','.join(map(str, dims))} {seed}"
+            assert [_sha256(state.mat.tobytes()), _sha256(generator)] == DRAW_PINS[key], key
 
 
 # Every sampler of dims, called as a run would call it.

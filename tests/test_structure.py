@@ -35,7 +35,7 @@ import numpy as np
 import pytest
 
 import qcmi
-from qcmi import tolerances
+from qcmi import states, tolerances
 from qcmi.analysis import ChannelAnalysis
 from qcmi.channels import (
     KrausChannel,
@@ -45,7 +45,7 @@ from qcmi.channels import (
     random_channel,
 )
 from qcmi.sampling import random_classical, random_density, random_tripartite, substream
-from qcmi.states import TripartiteState
+from qcmi.states import TripartiteState, tripartite
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcmi"
@@ -263,6 +263,23 @@ def test_editing_a_channels_input_leaves_the_channel_unchanged():
         assert phi.apply(rho).tobytes() == before[name][0].tobytes()
         assert phi.dual(x).tobytes() == before[name][1].tobytes()
         assert np.trace(phi.apply(rho)).real == 1.0
+
+
+def test_tripartite_holds_its_symmetrized_copy_without_copying_it(monkeypatch):
+    # require_hermitian's result is already a copy of the input; the state
+    # holds that array itself, made read-only, so the matrix is copied once.
+    made = []
+    require_hermitian = states.require_hermitian
+
+    def recorded(m):
+        made.append(require_hermitian(m))
+        return made[-1]
+
+    monkeypatch.setattr(states, "require_hermitian", recorded)
+    m = np.eye(8, dtype=complex) / 8
+    st = tripartite(m, (2, 2, 2))
+    assert st.mat is made[0]
+    assert not st.mat.flags.writeable and m.flags.writeable
 
 
 @pytest.mark.parametrize("given", ["array", "view"])
