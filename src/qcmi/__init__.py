@@ -1,19 +1,21 @@
 """Conditional mutual information bounds for tripartite quantum states.
 
 The package computes I(A:C|B), the trace of the associated exponential
-operator exp(log rho_AB - log rho_B + log rho_BC), the lower-bound chain
-it generates, and the recovery-map diagnostics that decide when the
-bound chain is saturated. Each of these values of a TripartiteState is
-read from its analysis, state.analysis; the channel analogue of the bound
-is read from ChannelAnalysis(rho, sigma, phi).
+operator sigma* = exp(log rho_AB - log rho_B + log rho_BC), the
+lower-bound chain cmi >= log_overlap >= thm1 >= corollary it generates,
+and the recovery-map diagnostics that decide when the bound chain is
+saturated. Each of these values of a TripartiteState is read from its
+analysis: state.analysis.cmi, .sigma_star_trace, .log_overlap_bound,
+.thm1, .corollary_bound, the recovered states .m_mdag and .mdag_m, and
+their gaps .gap_m and .gap_mprime. evaluate_sample gathers them into one
+scan row. The channel analogue of the bound is read from
+ChannelAnalysis(rho, sigma, phi).
 """
 
 from .analysis import ChannelAnalysis
-from .bounds import BoundReport, bound_report, fidelity_lower_bound
+from .bounds import fidelity_lower_bound
 from .channels import (
     KrausChannel,
-    depolarizing_channel,
-    identity_channel,
     partial_trace_channel,
     petz_dual,
     random_channel,
@@ -57,7 +59,6 @@ from .linalg import (
     mat_log,
     mat_power,
     mat_sqrt,
-    support_projector,
     support_rank,
     trace_norm,
 )
@@ -65,15 +66,12 @@ from .recovery import (
     ClassificationLabel,
     classify,
     modular_residual,
-    recover_via_ab,
-    recover_via_bc,
 )
 from .sampling import (
     near_markov_state,
     random_classical,
     random_classical_state,
     random_density,
-    random_hermitian,
     random_markov_spec,
     random_markov_state,
     random_tripartite,
@@ -100,17 +98,11 @@ from .stateio import (
     write_markov_spec,
     write_state,
 )
-from .trace_inequalities import (
-    audenaert_gap,
-    gt_gap,
-    lieb_triple_rhs,
-    pb_gap,
-)
+from .trace_inequalities import gt_gap, lieb_triple_rhs, pb_gap
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
     "ChannelAnalysis",
     "ChannelGapSummary",
     "ClassicalJoint",
@@ -137,20 +129,16 @@ __all__ = [
     "TraceNotOneError",
     "TripartiteState",
     "ValidationError",
-    "audenaert_gap",
-    "bound_report",
     "channel_gap_scan",
     "classical_rel_entropy",
     "classical_state",
     "classify",
     "commutator",
-    "depolarizing_channel",
     "embed",
     "evaluate_sample",
     "fidelity",
     "fidelity_lower_bound",
     "gt_gap",
-    "identity_channel",
     "lieb_triple_rhs",
     "markov_state",
     "mat_exp",
@@ -167,21 +155,17 @@ __all__ = [
     "random_classical",
     "random_classical_state",
     "random_density",
-    "random_hermitian",
     "random_markov_spec",
     "random_markov_state",
     "random_tripartite",
     "random_unitary",
     "read_markov_spec",
     "read_state",
-    "recover_via_ab",
-    "recover_via_bc",
     "regularize",
     "rel_entropy",
     "run_conjecture",
     "scan",
     "substream",
-    "support_projector",
     "support_rank",
     "trace_norm",
     "tripartite",

@@ -38,8 +38,8 @@ pays for each decomposition at most once. StateAnalysis is one state's
 row of a stack, and TripartiteState.analysis holds it. It is the one
 read path of every value above: callers read state.analysis.cmi,
 .sigma_star, .m, .ruskai, .gap_m and the rest, with the bound chain
-.log_overlap_bound, .thm1 and .corollary_bound, and bound_report,
-classify, evaluate_sample and the slacks of qcmi.inequalities read the
+.log_overlap_bound, .thm1 and .corollary_bound, and classify,
+evaluate_sample, qcmi info and the slacks of qcmi.inequalities read the
 same attributes. A state analysed on its own is a stack of one;
 analyse_together gives several states one stack.
 

@@ -74,19 +74,6 @@ class KrausChannel:
         return (dagger(self.kraus) @ m @ self.kraus).sum(axis=0)
 
 
-def identity_channel(dim: int) -> KrausChannel:
-    """The identity channel on a dim-dimensional space, dim a positive integer."""
-    dim = _integer(dim, "dim", 1)
-    return KrausChannel(kraus=np.eye(dim)[np.newaxis])
-
-
-def depolarizing_channel(dim: int) -> KrausChannel:
-    """The fully depolarizing channel m -> Tr[m] I / dim, dim a positive integer."""
-    dim = _integer(dim, "dim", 1)
-    # The operators |i><j| / sqrt(dim), i slowest.
-    return KrausChannel(kraus=np.eye(dim * dim).reshape(dim * dim, dim, dim) / np.sqrt(dim))
-
-
 def partial_trace_channel(dims) -> KrausChannel:
     """The channel that traces out subsystem A of A (x) B (x) C.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import bound_report
 from .errors import InequalityViolationError, QcmiError, SingularMatrixError
 from .harness import (
     CONJECTURES,
@@ -133,15 +132,23 @@ def _cmd_info(args) -> int:
     state = read_state(args.state)
     if args.regularize:
         state = regularize(state)
-    rep = bound_report(state)
-    cls = classify(state, tol=args.tol)
     a = state.analysis
+    # cmi leads the entropies; the bound chain follows, as in a scan row.
+    record = {"dims": list(state.dims), "cmi": a.cmi, **vars(a.entropies)}
+    record.update(
+        sigma_star_trace=a.sigma_star_trace,
+        log_overlap_bound=a.log_overlap_bound,
+        thm1_bound=a.thm1,
+        corollary_bound=a.corollary_bound,
+        slack_thm1=a.cmi - a.thm1,
+        slack_corollary=a.cmi - a.corollary_bound,
+        support_restricted=a.support_restricted,
+    )
+    cls = classify(state, tol=args.tol)
     try:
         modular = modular_residual(state)
     except SingularMatrixError:
         modular = None
-    # cmi leads the entropies, with bound_report's value.
-    record = {"dims": list(state.dims), "cmi": rep.cmi, **vars(a.entropies), **vars(rep)}
     record.update(_classification(cls), recovery_gap_M=a.gap_m, recovery_gap_Mprime=a.gap_mprime)
     record.update(ruskai_residual=a.ruskai, modular_residual=modular)
     _print(record, args.json)

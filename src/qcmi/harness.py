@@ -16,7 +16,6 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .analysis import ChannelAnalysis, analyse_together
-from .bounds import bound_report
 from .channels import random_channel
 from .errors import ConfigError, InequalityViolationError
 from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
@@ -30,7 +29,7 @@ from .sampling import (
     substream,
 )
 from .states import TripartiteState, _integer, _tripartite_dims
-from .stateio import _write_text, to_text, write_json, write_state
+from .stateio import _require_path, _write_text, to_text, write_json, write_state
 from .tolerances import DEFAULT_TOL, _require_tol
 
 CORPORA = ("hs-random", "classical-random", "markov", "near-markov")
@@ -76,6 +75,8 @@ class ScanConfig:
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         object.__setattr__(self, "tol", _require_tol(self.tol))
+        if self.out is not None:  # checked before any sample is drawn
+            _require_path(self.out, ConfigError, "write")
 
     def as_dict(self) -> dict:
         return {
@@ -160,18 +161,28 @@ def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
 
 
 def evaluate_sample(state: TripartiteState, index: int, tol: float = DEFAULT_TOL) -> ScanRow:
-    """The per-sample record of bound and recovery diagnostics, labelled at tol."""
-    rep = bound_report(state)
+    """The per-sample record of bound and recovery diagnostics, labelled at tol.
+
+    Every value is read from the state's analysis; the slacks are cmi minus
+    each theorem's bound.
+    """
     a = state.analysis
     return ScanRow(
         index,
         *state.dims,
-        **vars(rep),
+        cmi=a.cmi,
+        sigma_star_trace=a.sigma_star_trace,
+        log_overlap_bound=a.log_overlap_bound,
+        thm1_bound=a.thm1,
+        corollary_bound=a.corollary_bound,
+        slack_thm1=a.cmi - a.thm1,
+        slack_corollary=a.cmi - a.corollary_bound,
         recovery_gap_M=a.gap_m,
         recovery_gap_Mprime=a.gap_mprime,
         commutator_trace_norm=a.commutator_norm,
         ruskai_residual=a.ruskai,
         label=classify(state, tol).label,
+        support_restricted=a.support_restricted,
     )
 
 

@@ -317,11 +317,6 @@ def mat_power(m, t: float) -> np.ndarray:
     return psd_eig(m, "power").power(t)
 
 
-def support_projector(m) -> np.ndarray:
-    """Orthogonal projector onto the support (range) of a PSD matrix."""
-    return psd_eig(m, "support projector").projector()
-
-
 def support_rank(m) -> int:
     """Number of eigenvalues above the support cutoff."""
     return psd_eig(m, "support rank").rank

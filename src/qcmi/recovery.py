@@ -9,12 +9,13 @@ state obtained by sandwiching rho_BC with sqrt(rho_AB) pinv_sqrt(rho_B),
 and M^dag M is the mirror recovery through the BC side. A state has zero
 conditional mutual information exactly when these recoveries reproduce it.
 
-M, the trace distances gap_m = ||rho - M M^dag||_1 and
-gap_mprime = ||rho - M^dag M||_1, and the Ruskai residual
-||log rho_ABC + log rho_B - log rho_AB - log rho_BC||_2 are read from the
-state's analysis (state.analysis.m, .gap_m, .gap_mprime, .ruskai). This
-module validates the recovered states, computes the modular residual, and
-classifies states from the same analysis.
+M, the recovered states M M^dag and M^dag M, the trace distances
+gap_m = ||rho - M M^dag||_1 and gap_mprime = ||rho - M^dag M||_1, and the
+Ruskai residual ||log rho_ABC + log rho_B - log rho_AB - log rho_BC||_2
+are read from the state's analysis (state.analysis.m, .m_mdag, .mdag_m,
+.gap_m, .gap_mprime, .ruskai); validate_density(state.analysis.m_mdag)
+checks a recovered state as a density matrix. This module computes the
+modular residual and classifies states from the same analysis.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import SingularMatrixError
 from .linalg import hs_norm
-from .states import DensityMatrix, TripartiteState, embed, validate_density
+from .states import TripartiteState, embed
 from .tolerances import DEFAULT_TOL, _require_tol
 
 DEFAULT_MODULAR_TIMES = (0.5, 1.0, 2.0)
@@ -42,16 +43,6 @@ class ClassificationLabel:
     commutator_norm: float
     reconstruction_gap: float
     tol: float
-
-
-def recover_via_ab(state: TripartiteState) -> DensityMatrix:
-    """Recovered state M M^dag: rho_BC sandwiched through the AB marginal."""
-    return validate_density(state.analysis.m_mdag)
-
-
-def recover_via_bc(state: TripartiteState) -> DensityMatrix:
-    """Mirror recovery M^dag M: rho_AB sandwiched through the BC marginal."""
-    return validate_density(state.analysis.mdag_m)
 
 
 def modular_residual(state: TripartiteState) -> float:

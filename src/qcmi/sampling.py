@@ -96,12 +96,6 @@ def _haar_unitaries(
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian Hermitian matrix (g + g^dag) * scale / 2."""
-    g = _ginibre(_integer(dim, "dim", 1), rng)
-    return scale * (g + g.conj().T) / 2.0
-
-
 def random_tripartite(dims, rng: np.random.Generator) -> TripartiteState:
     dims = _tripartite_dims(dims)
     return _state(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)

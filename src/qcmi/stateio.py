@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from typing import Any
 
@@ -78,11 +77,17 @@ def to_json(value) -> str:
     return "null" if value is None else to_text(value)
 
 
-def _write_text(path: str | os.PathLike, text: str) -> None:
+def _require_path(path, error: type[QcmiError], verb: str) -> None:
     # open() takes an integer, bools and numpy integers included, as a file
-    # descriptor, which it would write to and then close.
-    if isinstance(path, numbers.Integral):
-        raise ConfigError(f"cannot write {path!r}: a path must be a string or a path object")
+    # descriptor, which it would write to and then close, and raises
+    # TypeError on anything else that is not a string, bytes or a path
+    # object.
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise error(f"cannot {verb} {path!r}: a path must be a string or a path object")
+
+
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    _require_path(path, ConfigError, "write")
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -100,8 +105,7 @@ def write_state(state: TripartiteState, path: str | os.PathLike) -> None:
 
 
 def _load_json(path: str | os.PathLike) -> Any:
-    if isinstance(path, numbers.Integral):  # a file descriptor to open(), as in _write_text
-        raise ParseError(f"cannot read {path!r}: a path must be a string or a path object")
+    _require_path(path, ParseError, "read")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -1,9 +1,8 @@
 """Scalar trace inequalities of single matrices.
 
 Peierls-Bogoliubov, Golden-Thompson and Lieb's three-matrix value, from
-which the bound chain is proven, and Audenaert's inequality. The chain's
-own slacks are rows of qcmi.inequalities; these functions check each
-inequality on its own.
+which the bound chain is proven. The chain's own slacks are rows of
+qcmi.inequalities; these functions check each inequality on its own.
 
 Each function returns a gap or bound value rather than a boolean, so the
 tests can assert nonnegativity at an explicit tolerance and record how
@@ -15,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError
-from .linalg import dagger, mat_exp, mat_power, psd_eig, require_hermitian, trace_norm
+from .linalg import dagger, mat_exp, psd_eig, require_hermitian
 from .tolerances import LOG_MEAN_RTOL
 
 
@@ -75,20 +74,3 @@ def lieb_triple_rhs(r, s, t) -> float:
     safe = np.where(close, 1.0, diff)
     weights = np.where(close, 2.0 / (si + sj), (np.log(si) - np.log(sj)) / safe)
     return float(np.sum(rr * tt.T * weights).real)
-
-
-def audenaert_gap(m, n, t: float) -> float:
-    """Audenaert gap Tr[m^t n^(1-t)] - (Tr m + Tr n - ||m - n||_1) / 2.
-
-    Nonnegative for PSD m, n and t in [0, 1]. Powers are support
-    restricted, so t = 0 and t = 1 use the support projector of the
-    corresponding operand.
-    """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"exponent must lie in [0, 1], got {t}")
-    term = float(np.trace(mat_power(m, t) @ mat_power(n, 1.0 - t)).real)
-    mm = require_hermitian(m)
-    nn = require_hermitian(n)
-    _same_dim(mm, nn)
-    overlap = 0.5 * float((np.trace(mm) + np.trace(nn)).real - trace_norm(mm - nn))
-    return term - overlap

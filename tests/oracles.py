@@ -27,11 +27,29 @@ from qcmi.linalg import (
     mat_log,
     mat_power,
     mat_sqrt,
+    psd_eig,
     support_cutoff,
-    support_projector,
     trace_norm,
 )
 from qcmi.states import embed, validate_density
+
+
+def random_hermitian(dim, rng, scale=1.0):
+    """Gaussian Hermitian matrix (g + g^dag) * scale / 2, g complex Ginibre
+    with its real part drawn before its imaginary part."""
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return scale * (g + g.conj().T) / 2.0
+
+
+def identity_channel(dim):
+    """The identity channel, one Kraus operator."""
+    return KrausChannel(kraus=np.eye(dim)[np.newaxis])
+
+
+def depolarizing_channel(dim):
+    """The fully depolarizing channel m -> Tr[m] I / dim, with Kraus
+    operators |i><j| / sqrt(dim), i slowest."""
+    return KrausChannel(kraus=np.eye(dim * dim).reshape(dim * dim, dim, dim) / np.sqrt(dim))
 
 
 def eig2x2(m):
@@ -156,7 +174,7 @@ def _require_full_rank(rho, what):
 
 
 def _rel_entropy(rho, sigma):
-    comp = np.eye(sigma.dim) - support_projector(sigma.mat)
+    comp = np.eye(sigma.dim) - psd_eig(sigma.mat, "support projector").projector()
     if hs_norm(comp @ rho.mat @ comp) > 1e-9:
         return math.inf
     w = np.linalg.eigh(rho.mat)[0]

@@ -12,7 +12,6 @@ import pytest
 from qcmi import analysis as analysis_module
 from qcmi import linalg, sampling, states
 from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_together
-from qcmi.channels import identity_channel
 from qcmi.cli import main
 from qcmi.errors import SingularMatrixError, ValidationError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
@@ -25,7 +24,6 @@ from qcmi.linalg import (
     mat_sqrt,
     support_cutoff,
 )
-from qcmi.recovery import recover_via_ab, recover_via_bc
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.stateio import write_state
 from qcmi.states import (
@@ -40,7 +38,7 @@ from qcmi.states import (
 )
 from qcmi.tolerances import INTERSECTION_TOL
 from qcmi.trace_inequalities import lieb_triple_rhs
-from oracles import m_three_embeds, nussbaum_szkola, sqrtm_chain
+from oracles import identity_channel, m_three_embeds, nussbaum_szkola, sqrtm_chain
 from test_golden import cases as golden_cases
 from test_golden import record, restricted_states, sub_cutoff_classical
 
@@ -508,8 +506,8 @@ def test_m_embeds_nothing(full_dim_embeds):
 
 
 def _operators(st):
-    # Every operator the analysis builds on demand, and the recoveries that
-    # validate its kept M M^dag and M^dag M (None where that raises).
+    # Every operator the analysis builds on demand, and its kept M M^dag and
+    # M^dag M validated as density matrices (None where that raises).
     a = st.analysis
     ops = {
         "sigma_star": a.sigma_star,
@@ -518,9 +516,9 @@ def _operators(st):
         "mdag_m": a.mdag_m,
     }
     ops.update({f"log_{keep}": log for keep, log in zip(MARGINALS, a.embedded_logs)})
-    for name, recover in (("via_ab", recover_via_ab), ("via_bc", recover_via_bc)):
+    for name, product in (("via_ab", a.m_mdag), ("via_bc", a.mdag_m)):
         try:
-            ops[name] = recover(st).mat
+            ops[name] = validate_density(product).mat
         except ValidationError:
             ops[name] = None
     return ops

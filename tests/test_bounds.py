@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from qcmi.analysis import ChannelAnalysis
-from qcmi.bounds import bound_report, fidelity_lower_bound
-from qcmi.channels import depolarizing_channel, identity_channel, random_channel
+from qcmi.bounds import fidelity_lower_bound
+from qcmi.channels import random_channel
 from qcmi.errors import SingularMatrixError
 from qcmi.inequalities import proven_checks
 from qcmi.linalg import hs_norm, mat_log, trace_norm
@@ -17,6 +17,7 @@ from qcmi.sampling import (
 )
 from qcmi.states import ClassicalJoint, classical_state, embed, partial_trace, tripartite, validate_density
 from qcmi.trace_inequalities import lieb_triple_rhs
+from oracles import depolarizing_channel, identity_channel
 
 LN2 = math.log(2)
 
@@ -53,24 +54,24 @@ class TestSigmaStar:
         p[0, 0, 0] = 0.5
         p[0, 0, 1] = 0.5
         st = classical_state(ClassicalJoint(p))
-        rep = bound_report(st)
-        assert rep.support_restricted
-        assert rep.sigma_star_trace <= 1.0 + 1e-9
+        a = st.analysis
+        assert a.support_restricted
+        assert a.sigma_star_trace <= 1.0 + 1e-9
 
 
 class TestTraceExp:
     def test_product_state(self):
-        assert bound_report(product_state(substream(41, 0))).sigma_star_trace == pytest.approx(1.0, abs=1e-10)
+        assert product_state(substream(41, 0)).analysis.sigma_star_trace == pytest.approx(1.0, abs=1e-10)
 
     def test_parity_state(self):
-        assert bound_report(parity_state()).sigma_star_trace == pytest.approx(1.0, abs=1e-10)
+        assert parity_state().analysis.sigma_star_trace == pytest.approx(1.0, abs=1e-10)
 
     def test_at_most_one_and_below_lieb_rhs(self):
         rng = substream(41, 1)
         dims = (2, 2, 2)
         for _ in range(50):
             st = random_tripartite(dims, rng)
-            value = bound_report(st).sigma_star_trace
+            value = st.analysis.sigma_star_trace
             assert 0.0 < value <= 1.0 + 1e-9
             r = embed(partial_trace(st, "AB").mat, "AB", dims)
             s = embed(partial_trace(st, "B").mat, "B", dims)
@@ -81,48 +82,48 @@ class TestTraceExp:
 class TestLogOverlapBound:
     def test_markov_state(self):
         st = random_markov_state((2, 2, 2), substream(42, 0))
-        assert abs(bound_report(st).log_overlap_bound) <= 1e-7
+        assert abs(st.analysis.log_overlap_bound) <= 1e-7
 
     def test_product_state(self):
-        assert abs(bound_report(product_state(substream(42, 1))).log_overlap_bound) <= 1e-9
+        assert abs(product_state(substream(42, 1)).analysis.log_overlap_bound) <= 1e-9
 
     def test_parity_state_frozen_value(self):
-        assert bound_report(parity_state()).log_overlap_bound == pytest.approx(LN2, abs=1e-9)
+        assert parity_state().analysis.log_overlap_bound == pytest.approx(LN2, abs=1e-9)
 
 
-class TestBoundReport:
+class TestBoundChain:
     def test_markov_state_all_zero(self):
         st = random_markov_state((2, 3, 2), substream(43, 0))
-        rep = bound_report(st)
-        assert abs(rep.cmi) <= 1e-9
-        assert abs(rep.thm1_bound) <= 1e-8
-        assert abs(rep.corollary_bound) <= 1e-8
-        assert abs(rep.log_overlap_bound) <= 1e-7
+        a = st.analysis
+        assert abs(a.cmi) <= 1e-9
+        assert abs(a.thm1) <= 1e-8
+        assert abs(a.corollary_bound) <= 1e-8
+        assert abs(a.log_overlap_bound) <= 1e-7
 
     def test_parity_state_frozen_values(self):
-        rep = bound_report(parity_state())
-        assert rep.cmi == pytest.approx(LN2, abs=1e-9)
-        assert rep.thm1_bound == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-9)
-        assert rep.corollary_bound == pytest.approx(0.25, abs=1e-9)
-        assert rep.log_overlap_bound == pytest.approx(LN2, abs=1e-9)
-        assert rep.sigma_star_trace == pytest.approx(1.0, abs=1e-9)
+        a = parity_state().analysis
+        assert a.cmi == pytest.approx(LN2, abs=1e-9)
+        assert a.thm1 == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-9)
+        assert a.corollary_bound == pytest.approx(0.25, abs=1e-9)
+        assert a.log_overlap_bound == pytest.approx(LN2, abs=1e-9)
+        assert a.sigma_star_trace == pytest.approx(1.0, abs=1e-9)
 
     def test_chain_ordering_on_random_corpus(self):
         rng = substream(43, 1)
         for _ in range(100):
-            rep = bound_report(random_tripartite((2, 2, 2), rng))
-            assert rep.cmi >= rep.log_overlap_bound - 1e-8
-            assert rep.log_overlap_bound >= rep.thm1_bound - 1e-8
-            assert rep.thm1_bound >= rep.corollary_bound - 1e-8
-            assert rep.slack_thm1 >= -1e-8
-            assert rep.slack_corollary >= -1e-8
+            a = random_tripartite((2, 2, 2), rng).analysis
+            assert a.cmi >= a.log_overlap_bound - 1e-8
+            assert a.log_overlap_bound >= a.thm1 - 1e-8
+            assert a.thm1 >= a.corollary_bound - 1e-8
+            assert a.cmi - a.thm1 >= -1e-8
+            assert a.cmi - a.corollary_bound >= -1e-8
 
     def test_equality_case_detects_markov(self):
         # cmi ~ 0 forces the theorem bound to ~ 0
         st = random_markov_state((2, 2, 2), substream(43, 2))
-        rep = bound_report(st)
-        assert rep.cmi <= 1e-10
-        assert rep.thm1_bound <= 1e-8
+        a = st.analysis
+        assert a.cmi <= 1e-10
+        assert a.thm1 <= 1e-8
 
 
 class TestChannelGapBound:

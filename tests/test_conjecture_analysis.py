@@ -14,12 +14,13 @@ from oracles import (
     channel_gap_bound_alone,
     channel_rhs_mpmath,
     channel_sample_alone,
+    identity_channel,
     petz_dual_alone,
     random_unitary_alone,
     rotated_slacks_loop,
 )
 from qcmi.analysis import ChannelAnalysis
-from qcmi.channels import KrausChannel, identity_channel, petz_dual, random_channel
+from qcmi.channels import KrausChannel, petz_dual, random_channel
 from qcmi.errors import QcmiError, ValidationError
 from qcmi.harness import CORPORA, ScanConfig, corpus_state, run_conjecture
 from qcmi.inequalities import rotated_slacks

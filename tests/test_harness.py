@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcmi.bounds import bound_report
 from qcmi import harness
 from qcmi.errors import (
     ConfigError,
@@ -128,6 +127,18 @@ class TestScanConfig:
             ScanConfig(dims=(2, 2, 2), samples=1, tol=tol)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("out", [3, 2.5, ["x"], True], ids=repr)
+    def test_rejects_an_out_that_is_not_a_path_before_any_draw(self, out, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(harness, "substream", no_draw)
+        message = f"^cannot write {re.escape(repr(out))}: a path must be a string or a path object$"
+        with pytest.raises(ConfigError, match=message):
+            scan(ScanConfig(dims=(3, 3, 3), samples=40, out=out))
+        with pytest.raises(ConfigError, match=message):
+            channel_gap_scan(dim=2, kraus=1, samples=1, out=out)
+
     def test_as_dict_uses_format_key(self):
         cfg = ScanConfig(dims=(2, 3, 2), samples=4, seed=7, fmt="json")
         d = cfg.as_dict()
@@ -157,14 +168,14 @@ class TestCorpusState:
 
 
 class TestEvaluateSample:
-    def test_matches_direct_bound_report(self):
+    def test_matches_the_analysis(self):
         cfg = ScanConfig(dims=(2, 3, 2), samples=1, seed=13)
         st = corpus_state(cfg, 0)
         row = evaluate_sample(st, 0)
-        rep = bound_report(st)
-        assert row.cmi == rep.cmi
-        assert row.thm1_bound == rep.thm1_bound
-        assert row.sigma_star_trace == rep.sigma_star_trace
+        a = st.analysis
+        assert row.cmi == a.cmi
+        assert row.thm1_bound == a.thm1
+        assert row.sigma_star_trace == a.sigma_star_trace
         assert (row.dA, row.dB, row.dC) == (2, 3, 2)
         assert row.label in ("D1", "D2", "D3")
 
@@ -494,8 +505,7 @@ class TestConjectureSlacks:
     def test_rotated_identity_triple_matches_corollary(self):
         st = corpus_state(ScanConfig(dims=(2, 2, 2), samples=1, seed=23), 0)
         identity_slack, best = rotated_slacks(st.analysis, substream(23, 0, 1), 4)
-        rep = bound_report(st)
-        assert identity_slack == pytest.approx(rep.slack_corollary, abs=1e-10)
+        assert identity_slack == pytest.approx(evaluate_sample(st, 0).slack_corollary, abs=1e-10)
         assert best <= identity_slack + 1e-12
 
     def test_rotated_zero_unitary_samples_returns_identity_slack(self):

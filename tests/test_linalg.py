@@ -18,20 +18,14 @@ from qcmi.linalg import (
     psd_eig,
     require_hermitian,
     support_cutoff,
-    support_projector,
     support_rank,
     trace_norm,
 )
-from oracles import eig2x2
+from oracles import eig2x2, random_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def random_hermitian(dim, rng):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (g + g.conj().T) / 2.0
 
 
 class TestEigh:
@@ -160,7 +154,7 @@ class TestCommutator:
 class TestSupport:
     def test_projector_and_rank(self):
         m = np.diag([0.7, 0.3, 0.0])
-        np.testing.assert_allclose(support_projector(m), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(psd_eig(m, "test").projector(), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
         assert support_rank(m) == 2
         assert support_rank(np.eye(4) / 4) == 4
 
@@ -184,7 +178,7 @@ class TestStacks:
             (psd, pe.sqrt(), mat_sqrt),
             (psd, pe.log(), mat_log),
             (psd, pe.power(-0.5), lambda m: mat_power(m, -0.5)),
-            (psd, pe.projector(), support_projector),
+            (psd, pe.projector(), lambda m: psd_eig(m, "test").projector()),
         ]
         for operands, stacked, single in cases:
             for k, m in enumerate(operands):

@@ -6,7 +6,7 @@ import pytest
 from qcmi.entropy import rel_entropy
 from qcmi.errors import ConfigError, SingularMatrixError
 from qcmi.linalg import hs_norm, trace_norm
-from qcmi.recovery import classify, modular_residual, recover_via_ab, recover_via_bc
+from qcmi.recovery import classify, modular_residual
 from qcmi.sampling import (
     random_classical,
     random_density,
@@ -14,7 +14,7 @@ from qcmi.sampling import (
     random_tripartite,
     substream,
 )
-from qcmi.states import ClassicalJoint, classical_state, tripartite
+from qcmi.states import ClassicalJoint, classical_state, tripartite, validate_density
 from oracles import classical_marginal
 
 
@@ -65,25 +65,30 @@ class TestMOperator:
         assert trace_norm(st.mat - m @ m.conj().T) <= 1e-8
 
 
+def recovered_states(st):
+    # M M^dag and M^dag M, each validated as a density matrix.
+    a = st.analysis
+    return validate_density(a.m_mdag), validate_density(a.mdag_m)
+
+
 class TestRecoveryMaps:
     def test_outputs_are_states(self):
         rng = substream(51, 0)
         for _ in range(20):
             st = random_tripartite((2, 2, 2), rng)
-            for rec in (recover_via_ab(st), recover_via_bc(st)):
+            for rec in recovered_states(st):
                 assert np.trace(rec.mat).real == pytest.approx(1.0, abs=1e-9)
                 assert np.linalg.eigvalsh(rec.mat)[0] >= -1e-10
 
     def test_fixes_markov_states(self):
         for i in range(5):
             st = random_markov_state((2, 2, 2), substream(51, 1, i))
-            assert trace_norm(st.mat - recover_via_ab(st).mat) <= 1e-8
-            assert trace_norm(st.mat - recover_via_bc(st).mat) <= 1e-8
+            for rec in recovered_states(st):
+                assert trace_norm(st.mat - rec.mat) <= 1e-8
 
     def test_parity_state_recovers_uniform(self):
-        st = parity_state()
-        np.testing.assert_allclose(recover_via_ab(st).mat, np.eye(8) / 8, atol=1e-12)
-        np.testing.assert_allclose(recover_via_bc(st).mat, np.eye(8) / 8, atol=1e-12)
+        for rec in recovered_states(parity_state()):
+            np.testing.assert_allclose(rec.mat, np.eye(8) / 8, atol=1e-12)
 
     def test_classical_recovery_objects_coincide(self):
         # on diagonal states both maps and both Gram orderings agree with
@@ -95,14 +100,14 @@ class TestRecoveryMaps:
             m = st.analysis.m
             np.testing.assert_allclose(m @ m.conj().T, expected, atol=1e-10)
             np.testing.assert_allclose(m.conj().T @ m, expected, atol=1e-10)
-            np.testing.assert_allclose(recover_via_ab(st).mat, expected, atol=1e-10)
-            np.testing.assert_allclose(recover_via_bc(st).mat, expected, atol=1e-10)
+            for rec in recovered_states(st):
+                np.testing.assert_allclose(rec.mat, expected, atol=1e-10)
 
     def test_classical_cmi_equals_rel_entropy_to_recovery(self):
         for i in range(20):
             joint = random_classical((2, 2, 2), substream(51, 3, i))
             st = classical_state(joint)
-            recovered = recover_via_ab(st)
+            recovered, _ = recovered_states(st)
             value = st.analysis.cmi
             assert value == pytest.approx(rel_entropy(st.rho, recovered), abs=1e-9)
             assert value >= 0.5 * trace_norm(st.mat - recovered.mat) ** 2 - 1e-9

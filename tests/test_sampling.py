@@ -14,7 +14,6 @@ from qcmi.sampling import (
     random_classical,
     random_classical_state,
     random_density,
-    random_hermitian,
     random_markov_spec,
     random_markov_state,
     random_tripartite,
@@ -119,10 +118,6 @@ class TestCorpusSamplers:
         assert abs(st.analysis.cmi) <= 1e-9
         perturbed = near_markov_state((2, 2, 2), substream(5, 0), mix=0.2)
         assert perturbed.analysis.cmi > 1e-6
-
-    def test_random_hermitian_is_hermitian(self):
-        h = random_hermitian(4, substream(6, 0))
-        assert hs_norm(h - h.conj().T) <= 1e-14
 
 
 CONSTRUCTION_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 3, 3))
@@ -249,7 +244,6 @@ class TestSamplerDims:
 DIMENSION_SAMPLERS = {
     "random_density": random_density,
     "random_unitary": random_unitary,
-    "random_hermitian": random_hermitian,
     "random_channel d_in": lambda d, rng: random_channel(d, 4, 1, rng),
     "random_channel d_out": lambda d, rng: random_channel(4, d, 4, rng),
     "random_channel n_kraus": lambda d, rng: random_channel(4, 4, d, rng),

@@ -230,6 +230,40 @@ class TestIntegerPaths:
         os.fstat(int(path))
 
 
+NOT_PATHS = [None, ["p"], 2.5, 3 + 0j, {"path": "p"}]
+
+
+class TestNonPathArguments:
+    """A path is a string, bytes or a path object. Anything else is rejected
+    with the integer paths' message before any open, rather than reaching
+    open() and its TypeError."""
+
+    MESSAGE = ": a path must be a string or a path object$"
+
+    @pytest.mark.parametrize("path", NOT_PATHS, ids=repr)
+    def test_writing_rejects_it(self, path):
+        st = random_tripartite((1, 1, 2), substream(63, 0))
+        with pytest.raises(ConfigError, match=f"^cannot write {re.escape(repr(path))}{self.MESSAGE}"):
+            write_state(st, path)
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            write_markov_spec(random_markov_spec((1, 1, 1), substream(63, 1)), path)
+
+    @pytest.mark.parametrize("path", NOT_PATHS, ids=repr)
+    def test_reading_rejects_it(self, path):
+        with pytest.raises(ParseError, match=f"^cannot read {re.escape(repr(path))}{self.MESSAGE}"):
+            read_state(path)
+        with pytest.raises(ParseError, match=self.MESSAGE):
+            read_markov_spec(path)
+
+    @pytest.mark.parametrize("kind", ["str", "bytes", "path object"])
+    def test_strings_bytes_and_path_objects_are_paths(self, kind, tmp_path):
+        path = tmp_path / "state.json"
+        given = {"str": str(path), "bytes": os.fsencode(path), "path object": path}[kind]
+        st = random_tripartite((1, 1, 2), substream(63, 2))
+        write_state(st, given)
+        assert read_state(given).mat.tobytes() == st.mat.tobytes()
+
+
 class TestFmt17:
     def test_round_trips_doubles(self):
         for x in (1.0 / 3.0, 0.1, 2.0 - np.sqrt(2.0), 1e-300, 0.0):

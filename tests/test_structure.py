@@ -39,7 +39,6 @@ from qcmi import states, tolerances
 from qcmi.analysis import ChannelAnalysis
 from qcmi.channels import (
     KrausChannel,
-    depolarizing_channel,
     partial_trace_channel,
     petz_dual,
     random_channel,
@@ -237,7 +236,6 @@ HELD_ARRAYS = {
     "KrausChannel.kraus from a tuple": lambda: KrausChannel(kraus=(np.eye(2, dtype=complex),)).kraus,
     "random_channel": lambda: _triple(3)[2].kraus,
     "partial_trace_channel": lambda: partial_trace_channel((2, 2, 2)).kraus,
-    "depolarizing_channel": lambda: depolarizing_channel(2).kraus,
     "petz_dual": lambda: _petz_kraus(4),
     "ChannelAnalysis.exp_operator": lambda: ChannelAnalysis(*_triple(5)).exp_operator,
 }

@@ -4,26 +4,16 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qcmi.errors import NotHermitianError, NotPSDError, SingularMatrixError
+from qcmi.errors import NotHermitianError, SingularMatrixError
 from qcmi.inequalities import INEQUALITIES
 from qcmi.sampling import random_markov_state, random_tripartite, substream
 from qcmi.states import tripartite
-from qcmi.trace_inequalities import (
-    audenaert_gap,
-    gt_gap,
-    lieb_triple_rhs,
-    pb_gap,
-)
+from qcmi.trace_inequalities import gt_gap, lieb_triple_rhs, pb_gap
 from qcmi.linalg import mat_exp, mat_log
-from oracles import eig2x2, lieb_rhs_quad, trace_exp_triple
+from oracles import eig2x2, lieb_rhs_quad, random_hermitian, trace_exp_triple
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def random_hermitian(dim, rng, scale=1.0):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return scale * (g + g.conj().T) / 2.0
 
 
 def random_psd(dim, rng):
@@ -142,39 +132,6 @@ class TestLiebTriple:
         message = r"^middle operand is singular \(min eigenvalue 0\.000e\+00\)$"
         with pytest.raises(SingularMatrixError, match=message):
             lieb_triple_rhs(np.eye(2), np.diag([1.0, 0.0]), np.eye(2))
-
-
-class TestAudenaert:
-    def test_equal_arguments(self):
-        m = random_psd(3, np.random.default_rng(11))
-        assert audenaert_gap(m, m, 0.5) == pytest.approx(0.0, abs=1e-10)
-
-    def test_orthogonal_supports(self):
-        m = np.diag([1.0, 0.0])
-        n = np.diag([0.0, 1.0])
-        assert audenaert_gap(m, n, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_frozen_scalar_example(self):
-        # M = diag(1,0), N = I/2, t = 1/2: gap = 1/sqrt(2) - 1/2
-        got = audenaert_gap(np.diag([1.0, 0.0]), np.eye(2) / 2, 0.5)
-        assert got == pytest.approx(1.0 / math.sqrt(2) - 0.5, abs=1e-12)
-
-    def test_nonnegative_at_five_exponents(self):
-        rng = np.random.default_rng(20240605)
-        for i in range(200):
-            dim = 2 + i % 3
-            m = random_psd(dim, rng)
-            n = random_psd(dim, rng)
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                assert audenaert_gap(m, n, t) >= -1e-9
-
-    def test_exponent_out_of_range(self):
-        with pytest.raises(ValueError):
-            audenaert_gap(np.eye(2), np.eye(2), 1.5)
-
-    def test_rejects_non_psd(self):
-        with pytest.raises(NotPSDError):
-            audenaert_gap(np.diag([1.0, -1.0]), np.eye(2), 0.5)
 
 
 def powers_stormer_slacks(state):
