@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,37 @@ class TestKrausChannel:
     def test_inconsistent_shapes(self):
         with pytest.raises(DimensionMismatchError):
             KrausChannel(kraus=(np.eye(2), np.eye(3)))
+
+    @pytest.mark.parametrize("shape", [(), (2,), (1, 2, 2)])
+    def test_operators_must_be_matrices(self, shape):
+        message = f"Kraus operators must be matrices, got shape {shape}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            KrausChannel(kraus=(np.ones(shape),))
+
+    @pytest.mark.parametrize("given", ["tuple", "array"])
+    def test_in_and_out_dims_of_a_rectangular_channel(self, given):
+        # The rows of a 3 x 3 unitary split into two 2 x 3 operators, as a
+        # tuple of matrices and as one (k, d_out, d_in) array.
+        v = random_unitary(3, substream(30, 3))
+        ops = np.stack([v[:2], np.vstack([v[2:], np.zeros((1, 3))])])
+        phi = KrausChannel(kraus=tuple(ops) if given == "tuple" else ops)
+        assert (phi.in_dim, phi.out_dim) == (3, 2)
+        assert phi.kraus.shape == (2, 2, 3)
+        assert phi.kraus.tobytes() == ops.astype(complex).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 2), (3,), (3, 3, 1)])
+    def test_apply_rejects_a_wrong_shape(self, shape):
+        phi = random_channel(3, 2, 2, substream(30, 4))
+        message = f"channel input must be 3 dimensional, got shape {shape}"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            phi.apply(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (2, 2, 1)])
+    def test_dual_rejects_a_wrong_shape(self, shape):
+        phi = random_channel(3, 2, 2, substream(30, 5))
+        message = f"adjoint input must be 2 dimensional, got shape {shape}"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            phi.dual(np.zeros(shape))
 
     def test_apply_preserves_trace(self):
         rng = substream(30, 0)

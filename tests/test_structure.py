@@ -45,6 +45,7 @@ from qcmi.channels import (
 )
 from qcmi.sampling import random_classical, random_density, random_tripartite, substream
 from qcmi.states import TripartiteState, tripartite
+from oracles import depolarizing_channel
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcmi"
@@ -236,6 +237,7 @@ HELD_ARRAYS = {
     "KrausChannel.kraus from a tuple": lambda: KrausChannel(kraus=(np.eye(2, dtype=complex),)).kraus,
     "random_channel": lambda: _triple(3)[2].kraus,
     "partial_trace_channel": lambda: partial_trace_channel((2, 2, 2)).kraus,
+    "depolarizing_channel": lambda: depolarizing_channel(2).kraus,
     "petz_dual": lambda: _petz_kraus(4),
     "ChannelAnalysis.exp_operator": lambda: ChannelAnalysis(*_triple(5)).exp_operator,
 }
