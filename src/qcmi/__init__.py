@@ -42,11 +42,9 @@ from .errors import (
     ValidationError,
 )
 from .harness import (
-    ChannelGapSummary,
     ConjectureResult,
     ScanConfig,
     ScanRow,
-    channel_gap_scan,
     evaluate_sample,
     run_conjecture,
     scan,
@@ -104,7 +102,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelAnalysis",
-    "ChannelGapSummary",
     "ClassicalJoint",
     "ClassificationLabel",
     "ConfigError",
@@ -129,7 +126,6 @@ __all__ = [
     "TraceNotOneError",
     "TripartiteState",
     "ValidationError",
-    "channel_gap_scan",
     "classical_rel_entropy",
     "classical_state",
     "classify",

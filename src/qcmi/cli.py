@@ -15,7 +15,6 @@ from .harness import (
     CONJECTURES,
     CORPORA,
     ScanConfig,
-    channel_gap_scan,
     run_conjecture,
     scan,
 )
@@ -98,15 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cls.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_cls.add_argument("--json", action="store_true", help="print a JSON object")
 
-    p_gap = sub.add_parser("channel-gap", help="check the channel gap bound on random triples")
-    p_gap.add_argument("--dim", type=int, required=True, help="Hilbert space dimension")
-    p_gap.add_argument("--kraus", type=int, required=True, help="Kraus operators per channel")
-    p_gap.add_argument("--samples", type=int, required=True)
-    p_gap.add_argument("--seed", type=int, default=0)
-    p_gap.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p_gap.add_argument(
-        "--out", default="channel-gap", help="base name for violation artifacts"
-    )
     return parser
 
 
@@ -207,30 +197,12 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_channel_gap(args) -> int:
-    summary = channel_gap_scan(
-        dim=args.dim,
-        kraus=args.kraus,
-        samples=args.samples,
-        seed=args.seed,
-        tol=args.tol,
-        out=args.out,
-    )
-    print(
-        f"channel-gap: samples={summary.samples} dim={summary.dim} kraus={summary.kraus} "
-        f"min_gap_slack={to_text(summary.min_gap_slack)} min_lhs={to_text(summary.min_lhs)} "
-        f"violations={summary.violations}"
-    )
-    return 0
-
-
 _COMMANDS = {
     "info": _cmd_info,
     "scan": _cmd_scan,
     "conjecture": _cmd_conjecture,
     "markov": _cmd_markov,
     "classify": _cmd_classify,
-    "channel-gap": _cmd_channel_gap,
 }
 
 

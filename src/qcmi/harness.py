@@ -6,13 +6,16 @@ triple) to disk as a diagnostic artifact and raises
 InequalityViolationError, which the command line maps to exit code 2.
 Conjectured bounds are never asserted on open corpora; their slacks are
 recorded, and they are only required to hold on corpora where they are
-theorems (classical and Markov states). Which inequality is which, and
-where each is asserted, is the table in qcmi.inequalities.
+theorems (classical and Markov states). The channel conjecture is the one
+run over channel triples: it asserts the proven channel rows on every
+triple and records the two conjectured ones. Which inequality is which,
+and where each is asserted, is the table in qcmi.inequalities.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import asdict, dataclass, fields
 
 from .analysis import ChannelAnalysis, analyse_together
@@ -129,18 +132,6 @@ class ConjectureResult:
     argmin_path: str | None
 
 
-@dataclass(frozen=True)
-class ChannelGapSummary:
-    """Summary of a channel data-processing-gap scan."""
-
-    samples: int
-    dim: int
-    kraus: int
-    min_gap_slack: float
-    min_lhs: float
-    violations: int
-
-
 def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
     """Deterministically draw sample `index` of the configured corpus.
 
@@ -187,7 +178,8 @@ def evaluate_sample(state: TripartiteState, index: int, tol: float = DEFAULT_TOL
 
 
 def _artifact_path(out: str | None, suffix: str) -> str:
-    base = out if out is not None else "qcmi-run"
+    # Named after the report, whether out is a str, bytes or path object.
+    base = os.fsdecode(out) if out is not None else "qcmi-run"
     return f"{base}.{suffix}.json"
 
 
@@ -325,35 +317,33 @@ def _state_conjecture(cfg: ScanConfig, which: str, unitary_samples: int) -> list
     return [_result(cfg, which, slacks, lambda i, path: write_state(corpus_state(cfg, i), path))]
 
 
-def _channel(cfg: ScanConfig, kraus: int | None, index: int) -> ChannelAnalysis:
+def _channel(cfg: ScanConfig, index: int) -> ChannelAnalysis:
     # Channel triple `index` of dimension prod(cfg.dims), from substream(seed,
-    # index): a Kraus count in 1-4 unless kraus is given, then rho and sigma
-    # (random_density) and the channel.
+    # index): a Kraus count in 1-4, then rho and sigma (random_density) and
+    # the channel.
     dim = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
     rng = substream(cfg.seed, index)
-    count = 1 + int(rng.integers(4)) if kraus is None else kraus
+    count = 1 + int(rng.integers(4))
     rho = random_density(dim, rng)
     sigma = random_density(dim, rng)
     return ChannelAnalysis(rho, sigma, random_channel(dim, dim, count, rng))
 
 
-def _checked_channels(cfg: ScanConfig, kraus: int | None):
-    # The analysis of each channel triple and its proven rows' slacks by
-    # name, after they hold; a failing row writes the triple to disk and
-    # raises.
+def _checked_channels(cfg: ScanConfig):
+    # The analysis of each channel triple, after its proven rows hold; a
+    # failing row writes the triple to disk and raises.
     for i in range(cfg.samples):
-        a = _channel(cfg, kraus, i)
-        checks = proven_checks(a, cfg.corpus, CHANNEL)
-        _assert(a, cfg, i, checks, _write_channel)
-        yield a, dict(checks)
+        a = _channel(cfg, i)
+        _assert(a, cfg, i, proven_checks(a, cfg.corpus, CHANNEL), _write_channel)
+        yield a
 
 
 def _channel_conjecture(cfg: ScanConfig) -> list[ConjectureResult]:
     rows = [row for row in TABLE if row.applies == CHANNEL and not row.proven]
-    per_sample = [[row.slack(a, None) for row in rows] for a, _ in _checked_channels(cfg, None)]
+    per_sample = [[row.slack(a, None) for row in rows] for a in _checked_channels(cfg)]
 
     def write(index, path):
-        _write_channel(_channel(cfg, None, index), path)
+        _write_channel(_channel(cfg, index), path)
 
     return [_result(cfg, row.name, slacks, write) for row, slacks in zip(rows, zip(*per_sample))]
 
@@ -374,27 +364,3 @@ def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> li
         write_json(cfg.out, report)
     return results
 
-
-def channel_gap_scan(
-    dim: int,
-    kraus: int,
-    samples: int,
-    seed: int = 0,
-    tol: float = DEFAULT_TOL,
-    out: str | None = None,
-) -> ChannelGapSummary:
-    """Check the channel gap bound on random (rho, sigma, channel) triples."""
-    dim, kraus = _integer(dim, "dim", 1, ConfigError), _integer(kraus, "kraus", 1, ConfigError)
-    # A channel run of dimension dim is configured as dims (dim, 1, 1).
-    cfg = ScanConfig(dims=(dim, 1, 1), samples=samples, seed=seed, tol=tol, out=out)
-    slacks = [s for _, s in _checked_channels(cfg, kraus)]
-    # A violation raises, so a summary always reports 0 violations; the
-    # field keeps the summary's and the command line's format.
-    return ChannelGapSummary(
-        samples=cfg.samples,
-        dim=dim,
-        kraus=kraus,
-        min_gap_slack=min(s["channel-gap-bound"] for s in slacks),
-        min_lhs=min(s["channel-dpi-nonnegative"] for s in slacks),
-        violations=0,
-    )

@@ -5,9 +5,9 @@ to which samples it applies, and computes its slack, >= 0 when it holds.
 An asserted slack below -tol aborts the run.
 
 - Proven rows are asserted by every run that evaluates them: scan and
-  info evaluate the state rows, channel-gap and the channel conjecture
-  the channel rows. A proven row asserted on given corpora holds on
-  those corpora only; scan asserts it there, and info never.
+  info evaluate the state rows, the channel conjecture the channel
+  rows. A proven row asserted on given corpora holds on those corpora
+  only; scan asserts it there, and info never.
 - Conjecture rows are recorded by `qcmi conjecture`, and asserted only
   on the corpora where they are theorems.
 

@@ -16,7 +16,7 @@ import pytest
 from qcmi.analysis import ChannelAnalysis
 from qcmi.cli import main
 from qcmi.errors import InequalityViolationError
-from qcmi.harness import ScanConfig, channel_gap_scan, run_conjecture
+from qcmi.harness import ScanConfig, run_conjecture
 from qcmi.sampling import random_markov_spec, random_tripartite, substream
 from qcmi.states import ClassicalJoint, classical_state
 from qcmi.stateio import write_markov_spec, write_state
@@ -65,8 +65,9 @@ def channel_conjecture(tmp_path, monkeypatch, capsys):
 def channel_violation(tmp_path, monkeypatch, capsys):
     # A failing channel-dpi-nonnegative check at sample 0 writes the triple.
     monkeypatch.setattr(ChannelAnalysis, "lhs", property(lambda self: -1.0))
+    cfg = ScanConfig(dims=(2, 1, 1), samples=3, seed=4, out=str(tmp_path / "gap"))
     with pytest.raises(InequalityViolationError) as exc:
-        channel_gap_scan(dim=2, kraus=2, samples=3, seed=4, out=str(tmp_path / "gap"))
+        run_conjecture(cfg, "channel")
     files = _files(tmp_path)
     files["message"] = str(exc.value).replace(str(tmp_path), "TMP").encode()
     return files

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qcmi import harness
-from qcmi.analysis import StateAnalysis
+from qcmi.analysis import ChannelAnalysis, StateAnalysis
 from qcmi.cli import main
 from qcmi.errors import InequalityViolationError
 from qcmi.sampling import random_density, random_markov_state, random_tripartite, substream
@@ -261,6 +261,29 @@ class TestConjectureCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1", "-1.0")])
+    def test_tol_that_is_not_positive_exits_one(self, tol, shown, tmp_path, capsys):
+        argv = ["conjecture", "--which", "channel", "--dims", "2,1,1", "--samples", "1"]
+        assert main(argv + ["--tol", tol, "--out", str(tmp_path / "chan.json")]) == 1
+        assert capsys.readouterr().err == f"error: tol must be positive, got {shown}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_channel_violation_exits_two_and_writes_the_triple(self, tmp_path, capsys, monkeypatch):
+        # A failing channel-dpi-nonnegative check at sample 0.
+        monkeypatch.setattr(ChannelAnalysis, "lhs", property(lambda self: -1.0))
+        out = tmp_path / "X"
+        argv = ["conjecture", "--which", "channel", "--dims", "2,1,1", "--samples", "2"]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "violation: proven inequality 'channel-dpi-nonnegative' violated at sample 0: "
+            f"slack -1.000000e+00; channel written to {out}.violation-channel.json\n"
+        )
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["X.violation-channel.json"]
+        triple = json.loads((tmp_path / "X.violation-channel.json").read_text())
+        assert set(triple) == {"dim", "rho", "sigma", "kraus"}
+
 
 class TestMarkovCommand:
     def test_assemble_then_info_round_trip(self, tmp_path, capsys):
@@ -328,25 +351,6 @@ class TestClassifyCommand:
         assert captured.out == ""
 
 
-class TestChannelGapCommand:
-    def test_prints_summary(self, capsys):
-        rc = main(["channel-gap", "--dim", "2", "--kraus", "2", "--samples", "5", "--seed", "3"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "violations=0" in out
-        assert "min_gap_slack=" in out
-
-
-class TestChannelGapTolerance:
-    @pytest.mark.parametrize("tol,shown", [("nan", "nan"), ("-1", "-1.0")])
-    def test_tol_that_is_not_positive_exits_one(self, tol, shown, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        argv = ["channel-gap", "--dim", "2", "--kraus", "1", "--samples", "1", "--tol", tol]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == f"error: tol must be positive, got {shown}\n"
-        assert list(tmp_path.iterdir()) == []
-
-
 class TestErrorPaths:
     def test_no_arguments_exits_one(self, capsys):
         assert main([]) == 1
@@ -377,15 +381,12 @@ class TestErrorPaths:
         [
             ["scan", "--dims", "2,2,2", "--samples", "1"],
             ["conjecture", "--which", "channel", "--dims", "2,2,2", "--samples", "1"],
-            ["channel-gap", "--dim", "2", "--kraus", "1", "--samples", "1"],
         ],
-        ids=["scan", "conjecture", "channel-gap"],
+        ids=["scan", "conjecture"],
     )
     def test_negative_seed_exits_one(self, argv, tmp_path, capsys):
         out = tmp_path / "report.out"
-        if argv[0] != "channel-gap":
-            argv = argv + ["--out", str(out)]
-        assert main(argv + ["--seed", "-1"]) == 1
+        assert main(argv + ["--out", str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 

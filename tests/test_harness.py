@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import tempfile
 import types
@@ -24,7 +25,6 @@ from qcmi.harness import (
     ScanConfig,
     ScanRow,
     _abort,
-    channel_gap_scan,
     corpus_state,
     evaluate_sample,
     run_conjecture,
@@ -137,7 +137,7 @@ class TestScanConfig:
         with pytest.raises(ConfigError, match=message):
             scan(ScanConfig(dims=(3, 3, 3), samples=40, out=out))
         with pytest.raises(ConfigError, match=message):
-            channel_gap_scan(dim=2, kraus=1, samples=1, out=out)
+            run_conjecture(ScanConfig(dims=(2, 1, 1), samples=1, out=out), "channel")
 
     def test_as_dict_uses_format_key(self):
         cfg = ScanConfig(dims=(2, 3, 2), samples=4, seed=7, fmt="json")
@@ -487,6 +487,26 @@ class TestViolationHandling:
             _abort(st, cfg, "ssa-cmi-nonnegative", 0, -1.0)
         assert err.value.artifact_path == "qcmi-run.violation-state.json"
 
+    def test_a_bytes_out_names_the_violation_artifact_as_the_report(self, tmp_path, monkeypatch):
+        # Sample 0 of the markov corpus replaced by an hs-random state, which
+        # fails markov-cmi-zero.
+        monkeypatch.setattr(
+            harness, "corpus_state", lambda cfg, i: random_tripartite(cfg.dims, substream(40, i))
+        )
+        out = tmp_path / "x"
+        cfg = ScanConfig(dims=(2, 2, 2), samples=1, corpus="markov", out=os.fsencode(out))
+        with pytest.raises(InequalityViolationError) as err:
+            scan(cfg)
+        assert err.value.artifact_path == f"{out}.violation-state.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.violation-state.json"]
+
+    def test_a_bytes_out_names_the_argmin_artifact_as_the_report(self, tmp_path):
+        out = tmp_path / "x"
+        cfg = ScanConfig(dims=(2, 2, 2), samples=5, seed=26, corpus="markov", out=os.fsencode(out))
+        (res,) = run_conjecture(cfg, "half-recovery")
+        assert res.argmin_path == f"{out}.argmin-half-recovery.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x", "x.argmin-half-recovery.json"]
+
 
 class TestConjectureSlacks:
     def test_half_recovery_parity_value(self):
@@ -557,7 +577,7 @@ class TestProvenChecks:
         assert [name for name, s in checks.items() if s < 0] == ["log-overlap-below-cmi"]
 
     def test_channel_checks_are_the_two_proven_channel_rows(self):
-        a = harness._channel(ScanConfig(dims=(3, 1, 1), samples=1, seed=32), None, 0)
+        a = harness._channel(ScanConfig(dims=(3, 1, 1), samples=1, seed=32), 0)
         assert proven_checks(a, None, CHANNEL) == [
             ("channel-dpi-nonnegative", a.lhs),
             ("channel-gap-bound", a.lhs - a.rhs),
@@ -653,33 +673,28 @@ class TestRunConjecture:
                 assert chan["dim"] == 4
 
 
-class TestChannelGapScan:
-    def test_summary_fields(self):
-        s = channel_gap_scan(dim=3, kraus=2, samples=10, seed=29)
-        assert (s.samples, s.dim, s.kraus) == (10, 3, 2)
-        assert s.violations == 0
-        assert s.min_lhs >= -1e-8
-        assert s.min_gap_slack >= -1e-8
+class TestChannelConjectureConfig:
+    """A channel conjecture rejects its configuration before any draw."""
 
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ConfigError):
-            channel_gap_scan(dim=0, kraus=1, samples=1)
-        with pytest.raises(ConfigError):
-            channel_gap_scan(dim=2, kraus=0, samples=1)
-        with pytest.raises(ConfigError):
-            channel_gap_scan(dim=2, kraus=1, samples=0)
+    @staticmethod
+    def _run(**config):
+        return run_conjecture(ScanConfig(dims=(2, 1, 1), **config), "channel")
+
+    def test_rejects_no_samples(self):
+        with pytest.raises(ConfigError, match=r"^samples must be >= 1, got 0$"):
+            self._run(samples=0)
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_rejects_tol_that_is_not_positive(self, tol, tmp_path):
-        out = tmp_path / "gap"
+        out = tmp_path / "chan"
         with pytest.raises(ConfigError, match=r"^tol must be positive, got "):
-            channel_gap_scan(dim=2, kraus=1, samples=1, tol=tol, out=str(out))
+            self._run(samples=1, tol=tol, out=str(out))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("seed", [1.5, "3"])
     def test_rejects_non_integer_seed(self, seed):
         with pytest.raises(ConfigError, match=r"^seed must be an integer, got "):
-            channel_gap_scan(dim=2, kraus=1, samples=1, seed=seed)
+            self._run(samples=1, seed=seed)
 
     def test_rejects_negative_seed_before_any_draw(self, monkeypatch):
         def no_draw(*args):
@@ -687,7 +702,7 @@ class TestChannelGapScan:
 
         monkeypatch.setattr(harness, "substream", no_draw)
         with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
-            channel_gap_scan(dim=2, kraus=1, samples=1, seed=-1)
+            self._run(samples=1, seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -698,11 +713,10 @@ class TestChannelGapScan:
         (lambda: ScanConfig(dims=(2.9, 2, 2), samples=1), "dims entry must be an integer, got 2.9"),
         (lambda: ScanConfig(dims=(2, 0, 2), samples=1), "dims entry must be >= 1, got 0"),
         (lambda: ScanConfig(dims=(2, 2), samples=1), "dims must be three positive integers, got (2, 2)"),
-        (lambda: channel_gap_scan(dim=2, kraus=2, samples=1.5), "samples must be an integer, got 1.5"),
-        (lambda: channel_gap_scan(dim=2, kraus=2.5, samples=1), "kraus must be an integer, got 2.5"),
-        (lambda: channel_gap_scan(dim=2, kraus=0, samples=1), "kraus must be >= 1, got 0"),
-        (lambda: channel_gap_scan(dim=2.0, kraus=1, samples=1), "dim must be an integer, got 2.0"),
-        (lambda: channel_gap_scan(dim=0, kraus=1, samples=1), "dim must be >= 1, got 0"),
+        (
+            lambda: run_conjecture(ScanConfig(dims=(2, 1, 1), samples=1.5), "channel"),
+            "samples must be an integer, got 1.5",
+        ),
         (
             lambda: run_conjecture(
                 ScanConfig(dims=(2, 2, 2), samples=1), "rotated-quarter", unitary_samples=2.5
@@ -713,7 +727,6 @@ class TestChannelGapScan:
         (lambda: ScanConfig(dims=(True, 2, 2), samples=1), "dims entry must be an integer, got True"),
         (lambda: ScanConfig(dims=(2, 2, 2), samples=True), "samples must be an integer, got True"),
         (lambda: ScanConfig(dims=(2, 2, 2), samples=1, seed=False), "seed must be an integer, got False"),
-        (lambda: channel_gap_scan(dim=True, kraus=1, samples=1), "dim must be an integer, got True"),
         (
             lambda: run_conjecture(
                 ScanConfig(dims=(2, 2, 2), samples=1), "rotated-quarter", unitary_samples=True

@@ -1,8 +1,10 @@
 """The README shows what the code does.
 
-Every command-line example that needs no input file (scan, conjecture,
-channel-gap) is run through the installed entry point, qcmi.cli.run, in
-a temporary directory, and its stdout is compared with the README text.
+Every command-line example that needs no input file (scan, and
+conjecture for a state conjecture and for the channel one) is run through
+the installed entry point, qcmi.cli.run, in a temporary directory, and
+its stdout is compared with the README text. The README documents each
+subcommand of qcmi.cli under a heading of its own.
 Every fenced python block runs, with warnings as errors, in a temporary
 directory.
 The README's table of inequalities is the table of qcmi.inequalities,
@@ -24,12 +26,12 @@ from pathlib import Path
 import pytest
 
 from qcmi import tolerances
-from qcmi.cli import run
+from qcmi.cli import _COMMANDS, run
 from qcmi.harness import ScanConfig, corpus_state
 from qcmi.inequalities import ALWAYS, CHANNEL, STATE, TABLE, proven_checks
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-SELF_CONTAINED = ("scan", "conjecture", "channel-gap")
+SELF_CONTAINED = ("scan", "conjecture")
 
 
 def examples():
@@ -49,12 +51,23 @@ def examples():
             printed.append(line + "\n")
         argv = shlex.split(command)
         if argv[1] in SELF_CONTAINED:
-            out.append(pytest.param(argv, "".join(printed), id=argv[1]))
+            name = argv[1]
+            if "--which" in argv:
+                name += "-" + argv[argv.index("--which") + 1]
+            out.append(pytest.param(argv, "".join(printed), id=name))
     return out
 
 
 def test_every_self_contained_subcommand_has_an_example():
-    assert sorted(p.id for p in examples()) == sorted(SELF_CONTAINED)
+    ids = sorted(p.id for p in examples())
+    assert ids == ["conjecture-channel", "conjecture-rotated-quarter", "scan"]
+
+
+def test_the_command_line_section_documents_every_subcommand():
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Command line\n")
+    section = text[start:text.index("\n## ", start + 1)]
+    assert re.findall(r"^### (.+)$", section, flags=re.MULTILINE) == list(_COMMANDS)
 
 
 @pytest.mark.parametrize("argv, printed", examples())
