@@ -268,6 +268,17 @@ class TestConjectureCommand:
         assert capsys.readouterr().err == f"error: tol must be positive, got {shown}\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_channel_prints_both_results(self, tmp_path, capsys):
+        out = tmp_path / "chan.json"
+        argv = ["conjecture", "--which", "channel", "--dims", "3,1,1", "--samples", "8", "--seed", "3"]
+        assert main(argv + ["--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:2]] == ["channel-traceexp", "channel-petz-pinsker"]
+        for line in lines[:2]:
+            assert "samples=8 " in line
+            assert line.endswith(" violations=0")
+        assert lines[2:] == [f"wrote report to {out}"]
+
     def test_channel_violation_exits_two_and_writes_the_triple(self, tmp_path, capsys, monkeypatch):
         # A failing channel-dpi-nonnegative check at sample 0.
         monkeypatch.setattr(ChannelAnalysis, "lhs", property(lambda self: -1.0))
@@ -359,6 +370,10 @@ class TestErrorPaths:
     def test_unknown_subcommand_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_deleted_channel_gap_command_exits_one(self, capsys):
+        assert main(["channel-gap", "--dim", "2", "--kraus", "1", "--samples", "1"]) == 1
+        assert "invalid choice: 'channel-gap'" in capsys.readouterr().err
 
     def test_bad_dims_exit_one(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from qcmi import harness
+from qcmi.analysis import ChannelAnalysis
+from qcmi.channels import random_channel
 from qcmi.errors import (
     ConfigError,
     InequalityViolationError,
@@ -43,6 +45,7 @@ from qcmi.recovery import classify
 from qcmi.sampling import (
     near_markov_state,
     random_classical_state,
+    random_density,
     random_markov_state,
     random_tripartite,
     random_unitary,
@@ -507,6 +510,16 @@ class TestViolationHandling:
         assert res.argmin_path == f"{out}.argmin-half-recovery.json"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x", "x.argmin-half-recovery.json"]
 
+    def test_a_bytes_out_names_the_channel_artifact_as_the_report(self, tmp_path, monkeypatch):
+        # A failing channel-dpi-nonnegative check at sample 0.
+        monkeypatch.setattr(ChannelAnalysis, "lhs", property(lambda self: -1.0))
+        out = tmp_path / "x"
+        cfg = ScanConfig(dims=(2, 1, 1), samples=2, out=os.fsencode(out))
+        with pytest.raises(InequalityViolationError) as err:
+            run_conjecture(cfg, "channel")
+        assert err.value.artifact_path == f"{out}.violation-channel.json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.violation-channel.json"]
+
 
 class TestConjectureSlacks:
     def test_half_recovery_parity_value(self):
@@ -703,6 +716,39 @@ class TestChannelConjectureConfig:
         monkeypatch.setattr(harness, "substream", no_draw)
         with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
             self._run(samples=1, seed=-1)
+
+
+class TestChannelDraws:
+    """The one path that draws channel triples: _channel and _checked_channels."""
+
+    def test_kraus_count_is_drawn_first_from_one_to_four(self):
+        cfg = ScanConfig(dims=(2, 1, 1), samples=40, seed=30)
+        counts = []
+        for i in range(cfg.samples):
+            rng = substream(cfg.seed, i)
+            count = 1 + int(rng.integers(4))
+            rho = random_density(2, rng)
+            sigma = random_density(2, rng)
+            phi = random_channel(2, 2, count, rng)
+            a = harness._channel(cfg, i)
+            assert a.phi.kraus.shape[0] == count
+            np.testing.assert_array_equal(a.rho.mat, rho.mat)
+            np.testing.assert_array_equal(a.sigma.mat, sigma.mat)
+            np.testing.assert_array_equal(a.phi.kraus, phi.kraus)
+            counts.append(count)
+        assert sorted(set(counts)) == [1, 2, 3, 4]
+
+    def test_channel_dimension_is_the_product_of_dims(self):
+        a = harness._channel(ScanConfig(dims=(2, 3, 1), samples=1, seed=31), 0)
+        assert a.rho.mat.shape == a.sigma.mat.shape == (6, 6)
+        assert a.phi.kraus.shape[1:] == (6, 6)
+
+    def test_proven_channel_rows_hold_on_every_sample(self):
+        cfg = ScanConfig(dims=(3, 1, 1), samples=10, seed=29)
+        analyses = list(harness._checked_channels(cfg))
+        assert len(analyses) == 10
+        assert min(a.lhs for a in analyses) >= -1e-8
+        assert min(a.lhs - a.rhs for a in analyses) >= -1e-8
 
 
 @pytest.mark.parametrize(
