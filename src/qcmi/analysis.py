@@ -34,14 +34,17 @@ thm1 and ruskai as sums over the transfer matrix W = |Q^dag V|^2, for Q
 rho's and V sigma*'s eigenvectors, which is not kept. h, the embedded
 logs, sigma* and M are built on demand, for the rows asked for,
 read-only and not kept. Each piece is computed on first use, so a stack
-pays for each decomposition at most once. StateAnalysis is one state's
-row of a stack, and TripartiteState.analysis holds it. It is the one
-read path of every value above: callers read state.analysis.cmi,
-.sigma_star, .m, .ruskai, .gap_m and the rest, with the bound chain
-.log_overlap_bound, .thm1 and .corollary_bound, and classify,
-evaluate_sample, qcmi info and the slacks of qcmi.inequalities read the
-same attributes. A state analysed on its own is a stack of one;
-analyse_together gives several states one stack.
+pays for each decomposition at most once. Each scalar is also kept as
+a column, a list of Python floats over the stack (StackAnalysis.column),
+converted once; a scan builds its rows from the columns.
+StateAnalysis is one state's row of a stack, and
+TripartiteState.analysis holds it. It is the one read path of every
+value above: callers read state.analysis.cmi, .sigma_star, .m, .ruskai,
+.gap_m and the rest, with the bound chain .log_overlap_bound, .thm1 and
+.corollary_bound, each scalar its entry of a column, and classify, qcmi
+info and the slacks of qcmi.inequalities read the same attributes. A
+state analysed on its own is a stack of one; analyse_together gives
+several states one stack.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
 of the channel bound and the Petz recovery: one decomposition per matrix,
@@ -173,6 +176,7 @@ class StackAnalysis:
         # A single (read-only) matrix is viewed as a stack of one, not copied.
         self.mat = mats[0][np.newaxis] if len(mats) == 1 else _frozen(np.array(mats))
         self.dims = dims
+        self._columns: dict[str, list] = {}
 
     def __len__(self) -> int:
         return self.mat.shape[0]
@@ -206,6 +210,8 @@ class StackAnalysis:
         return EntropyReport(
             s_abc=s_abc, s_ab=s_ab, s_bc=s_bc, s_b=s_b, cmi=s_ab + s_bc - s_abc - s_b
         )
+
+    cmi = property(lambda self: self.entropies.cmi)
 
     # -- sigma* and the bound chain ---------------------------------------
 
@@ -373,6 +379,29 @@ class StackAnalysis:
         """||[M, M^dag]||_1."""
         return trace_norm(self.m_mdag - self.mdag_m)
 
+    # -- columns ---------------------------------------------------------
+
+    def column(self, name: str) -> list:
+        """The scalar `name` of every state, as a list of Python floats
+        (bools for support_restricted), converted from the stack's array on
+        first read and kept.
+
+        Scan rows and proven slacks read these lists, not the arrays. The
+        two bounds derived from the chain are Python arithmetic on each
+        element, math.log and a float square, which numpy's vectorized
+        log and power do not match bitwise on every input.
+        """
+        column = self._columns.get(name)
+        if column is None:
+            if name == "log_overlap_bound":
+                column = [_overlap_bound(x) for x in self.column("overlap")]
+            elif name == "corollary_bound":
+                column = [0.25 * td**2 for td in self.column("trace_distance")]
+            else:
+                column = getattr(self, name).tolist()
+            self._columns[name] = column
+        return column
+
 
 def analyse_together(states: Sequence[TripartiteState]) -> None:
     """Give same-dims states one StackAnalysis, each its row as .analysis."""
@@ -382,14 +411,9 @@ def analyse_together(states: Sequence[TripartiteState]) -> None:
         vars(state)["analysis"] = StateAnalysis(stack, i)
 
 
-def _row(name: str, kind=None, doc: str | None = None) -> _cached:
-    # Row `index` of the stack's value `name`, optionally as a Python scalar.
-    def get(self):
-        value = getattr(self.stack, name)[self.index]
-        return value if kind is None else kind(value)
-
-    get.__doc__ = doc
-    return _cached(get)
+def _scalar(name: str, doc: str | None = None) -> property:
+    # This state's entry of the stack's column `name`.
+    return property(lambda self: self.stack.column(name)[self.index], doc=doc)
 
 
 def _built(name: str, doc: str | None = None) -> property:
@@ -405,9 +429,10 @@ def _built(name: str, doc: str | None = None) -> property:
 class StateAnalysis:
     """The spectral data of one state: row `index` of a StackAnalysis.
 
-    Scalars come back as Python floats and operators as read-only (n, n)
-    arrays: M M^dag and M^dag M are views of the stack's, and the others
-    are built for this state alone on each read.
+    Scalars come back as Python floats, this state's entries of the
+    stack's columns, and operators as read-only (n, n) arrays: M M^dag and
+    M^dag M are views of the stack's, and the others are built for this
+    state alone on each read.
     """
 
     def __init__(self, stack: StackAnalysis, index: int):
@@ -440,9 +465,7 @@ class StateAnalysis:
             cmi=float(e.cmi[i]),
         )
 
-    @property
-    def cmi(self) -> float:
-        return self.entropies.cmi
+    cmi = _scalar("cmi")
 
     @property
     def _rows(self) -> slice:
@@ -455,28 +478,22 @@ class StateAnalysis:
         return tuple(log[0] for log in self.stack.embedded_logs(self._rows))
 
     sigma_star = _built("sigma_star")
-    support_restricted = _row("support_restricted", bool)
-    sigma_star_trace = _row("sigma_star_trace", float)
-    overlap = _row("overlap", float, doc="Tr[sqrt(rho) sqrt(sigma*)].")
-    thm1 = _row("thm1", float, doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
-    trace_distance = _row("trace_distance", float, doc="||rho - sigma*||_1.")
+    support_restricted = _scalar("support_restricted")
+    sigma_star_trace = _scalar("sigma_star_trace")
+    overlap = _scalar("overlap", doc="Tr[sqrt(rho) sqrt(sigma*)].")
+    log_overlap_bound = _scalar(
+        "log_overlap_bound", doc="-2 log Tr[sqrt(rho) sqrt(sigma*)], infinite at zero overlap."
+    )
+    thm1 = _scalar("thm1", doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
+    trace_distance = _scalar("trace_distance", doc="||rho - sigma*||_1.")
+    corollary_bound = _scalar("corollary_bound", doc="||rho - sigma*||_1^2 / 4.")
     m = _built("m", doc="M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded.")
-    m_mdag = _row("m_mdag")
-    mdag_m = _row("mdag_m")
-    gap_m = _row("gap_m", float, doc="||rho - M M^dag||_1.")
-    gap_mprime = _row("gap_mprime", float, doc="||rho - M^dag M||_1.")
-    commutator_norm = _row("commutator_norm", float, doc="||[M, M^dag]||_1.")
-    ruskai = _row("ruskai", float, doc="||log rho - h||_2 with support-restricted logs.")
-
-    @_cached
-    def log_overlap_bound(self) -> float:
-        """-2 log Tr[sqrt(rho) sqrt(sigma*)], infinite at zero overlap."""
-        return _overlap_bound(self.overlap)
-
-    @_cached
-    def corollary_bound(self) -> float:
-        """||rho - sigma*||_1^2 / 4."""
-        return 0.25 * self.trace_distance**2
+    m_mdag = property(lambda self: self.stack.m_mdag[self.index])
+    mdag_m = property(lambda self: self.stack.mdag_m[self.index])
+    gap_m = _scalar("gap_m", doc="||rho - M M^dag||_1.")
+    gap_mprime = _scalar("gap_mprime", doc="||rho - M^dag M||_1.")
+    commutator_norm = _scalar("commutator_norm", doc="||[M, M^dag]||_1.")
+    ruskai = _scalar("ruskai", doc="||log rho - h||_2 with support-restricted logs.")
 
 
 class ChannelAnalysis:

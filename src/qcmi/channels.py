@@ -20,11 +20,11 @@ class KrausChannel:
     kraus is one read-only complex array of shape (k, d_out, d_in), copied
     once from the given operators (a sequence of d_out x d_in matrices or
     a 3-D array); trace preservation sum_k K^dag K = I is checked on
-    construction. Iterating over it and len() read it as the sequence of
-    operators, and to_json() writes it as the list of them, so a channel
-    triple's JSON is that of the operators. apply, dual and the check each
-    sum one stacked product over the operators, in operator order except
-    that numpy sums four or more 1x1 terms pairwise.
+    construction. The class defines no iteration, len() or JSON form of
+    its own: the operators are kraus[i], their count kraus.shape[0], and
+    a channel triple's artifact writes kraus. apply, dual and the check
+    each sum one stacked product over the operators, in operator order
+    except that numpy sums four or more 1x1 terms pairwise.
     """
 
     kraus: np.ndarray

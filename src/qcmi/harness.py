@@ -18,11 +18,11 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .analysis import ChannelAnalysis, analyse_together
+from .analysis import ChannelAnalysis, StackAnalysis, analyse_together
 from .channels import random_channel
 from .errors import ConfigError, InequalityViolationError
 from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
-from .recovery import classify
+from .recovery import _label
 from .sampling import (
     near_markov_state,
     random_classical_state,
@@ -155,26 +155,43 @@ def evaluate_sample(state: TripartiteState, index: int, tol: float = DEFAULT_TOL
     """The per-sample record of bound and recovery diagnostics, labelled at tol.
 
     Every value is read from the state's analysis; the slacks are cmi minus
-    each theorem's bound.
+    each theorem's bound. It is the row a scan makes of the sample.
     """
     a = state.analysis
-    return ScanRow(
-        index,
-        *state.dims,
-        cmi=a.cmi,
-        sigma_star_trace=a.sigma_star_trace,
-        log_overlap_bound=a.log_overlap_bound,
-        thm1_bound=a.thm1,
-        corollary_bound=a.corollary_bound,
-        slack_thm1=a.cmi - a.thm1,
-        slack_corollary=a.cmi - a.corollary_bound,
-        recovery_gap_M=a.gap_m,
-        recovery_gap_Mprime=a.gap_mprime,
-        commutator_trace_norm=a.commutator_norm,
-        ruskai_residual=a.ruskai,
-        label=classify(state, tol).label,
-        support_restricted=a.support_restricted,
+    return _scan_rows(a.stack, [a.index], [index], _require_tol(tol))[0]
+
+
+def _scan_rows(stack: StackAnalysis, positions, indices, tol: float) -> list[ScanRow]:
+    # The rows of the stack's states `positions`, as samples `indices`,
+    # read from the stack's columns and labelled by classify's rule.
+    cmi, trace, log_overlap, thm1, corollary, gap, gap_prime, comm, ruskai, restricted = (
+        stack.column(name)
+        for name in (
+            "cmi", "sigma_star_trace", "log_overlap_bound", "thm1", "corollary_bound", "gap_m",
+            "gap_mprime", "commutator_norm", "ruskai", "support_restricted",
+        )
     )
+    dims = stack.dims
+    return [
+        ScanRow(
+            index,
+            *dims,
+            cmi=cmi[k],
+            sigma_star_trace=trace[k],
+            log_overlap_bound=log_overlap[k],
+            thm1_bound=thm1[k],
+            corollary_bound=corollary[k],
+            slack_thm1=cmi[k] - thm1[k],
+            slack_corollary=cmi[k] - corollary[k],
+            recovery_gap_M=gap[k],
+            recovery_gap_Mprime=gap_prime[k],
+            commutator_trace_norm=comm[k],
+            ruskai_residual=ruskai[k],
+            label=_label(comm[k], gap[k], tol),
+            support_restricted=restricted[k],
+        )
+        for k, index in zip(positions, indices)
+    ]
 
 
 def _artifact_path(out: str | None, suffix: str) -> str:
@@ -219,14 +236,16 @@ def _one_by_one(cfg: ScanConfig, indices: range, drawn: list[TripartiteState], e
             analyse_together([state])  # a stack of its own, not the failed one
         else:
             state = corpus_state(cfg, i)
-        yield state, evaluate(state, i)
+        (value,) = evaluate([state], range(i, i + 1))
+        yield state, value
 
 
 def _evaluated(cfg: ScanConfig, indices: range, evaluate):
-    # (state, evaluate(state, i)) for samples `indices`, drawn one substream
-    # each and evaluated from one stacked analysis. If that raises, the
-    # samples are evaluated again one at a time, each after the checks of
-    # the one before, so the error surfaces at the same sample as without
+    # (state, value) for samples `indices`, drawn one substream each and
+    # analysed as one stack, whose values evaluate(states, indices) gives
+    # in one pass. If that raises, the samples are evaluated again one at
+    # a time, each a stack of its own and after the checks of the one
+    # before, so the error surfaces at the same sample as without
     # stacking. States already drawn are reused; the draw that raised is
     # repeated in its turn.
     states = []
@@ -234,16 +253,17 @@ def _evaluated(cfg: ScanConfig, indices: range, evaluate):
         for i in indices:
             states.append(corpus_state(cfg, i))
         analyse_together(states)
-        return zip(states, [evaluate(state, i) for state, i in zip(states, indices)])
+        return zip(states, evaluate(states, indices))
     except Exception:
         return _one_by_one(cfg, indices, states, evaluate)
 
 
 def _checked(cfg: ScanConfig, evaluate, checks) -> list:
-    # evaluate(state, i) of every sample, in index order, each after its
+    # The value of every sample, in index order, each after its
     # checks(state, value) hold. Consecutive samples are analysed together
-    # in groups (see STACK_BUDGET); each value is bitwise that of its sample
-    # analysed alone.
+    # in groups (see STACK_BUDGET), and evaluate(states, indices) gives the
+    # values of a group's states, which share one analysis; each value is
+    # bitwise that of its sample analysed alone.
     n = cfg.dims[0] * cfg.dims[1] * cfg.dims[2]
     size = max(1, STACK_BUDGET // (n * n))
     values = []
@@ -261,15 +281,17 @@ def _checked(cfg: ScanConfig, evaluate, checks) -> list:
 def scan(cfg: ScanConfig) -> list[ScanRow]:
     """Evaluate the corpus, assert proven inequalities, write the report.
 
-    Consecutive samples are analysed together (see STACK_BUDGET); each row
-    is bitwise the row of its sample analysed alone. Rows are labelled at
+    Consecutive samples are analysed together (see STACK_BUDGET), and a
+    stack's rows are read from its columns in one pass; each row is
+    bitwise the row of its sample analysed alone. Rows are labelled at
     the run's tol.
     """
-    rows = _checked(
-        cfg,
-        lambda state, i: evaluate_sample(state, i, cfg.tol),
-        lambda state, _: proven_checks(state.analysis, cfg.corpus),
-    )
+
+    def evaluate(states, indices):
+        stack = states[0].analysis.stack
+        return _scan_rows(stack, range(len(stack)), indices, cfg.tol)
+
+    rows = _checked(cfg, evaluate, lambda state, _: proven_checks(state.analysis, cfg.corpus))
     if cfg.out is not None:
         write_scan_report(cfg, rows)
     return rows
@@ -310,7 +332,10 @@ def _state_conjecture(cfg: ScanConfig, which: str, unitary_samples: int) -> list
     name = f"{which} (proven on {cfg.corpus})"
     slacks = _checked(
         cfg,
-        lambda state, i: row.slack(state.analysis, (cfg.seed, i, unitary_samples)),
+        lambda states, indices: [
+            row.slack(state.analysis, (cfg.seed, i, unitary_samples))
+            for state, i in zip(states, indices)
+        ],
         lambda state, slack: [(name, slack)] if row.asserted_on(cfg.corpus) else [],
     )
     # The argmin witness is drawn again rather than kept from its group.
@@ -360,7 +385,10 @@ def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> li
     else:
         results = _state_conjecture(cfg, which, unitary_samples)
     if cfg.out is not None:
-        report = {"which": which, "config": cfg.as_dict(), "results": [asdict(r) for r in results]}
+        config = cfg.as_dict()
+        if which == "rotated-quarter":  # the one conjecture that draws unitaries
+            config["unitary_samples"] = unitary_samples
+        report = {"which": which, "config": config, "results": [asdict(r) for r in results]}
         write_json(cfg.out, report)
     return results
 

@@ -77,12 +77,17 @@ def classify(state: TripartiteState, tol: float = DEFAULT_TOL) -> Classification
     a = state.analysis
     comm_norm = a.commutator_norm
     gap = a.gap_m
-    if comm_norm > tol:
-        label = "D3"
-    elif gap <= tol:
-        label = "D1"
-    else:
-        label = "D2"
     return ClassificationLabel(
-        label=label, commutator_norm=comm_norm, reconstruction_gap=gap, tol=tol
+        label=_label(comm_norm, gap, tol),
+        commutator_norm=comm_norm,
+        reconstruction_gap=gap,
+        tol=tol,
     )
+
+
+def _label(comm_norm: float, gap: float, tol: float) -> str:
+    # classify's rule, from ||[M, M^dag]||_1 and ||rho - M M^dag||_1 at a
+    # checked tol.
+    if comm_norm > tol:
+        return "D3"
+    return "D1" if gap <= tol else "D2"

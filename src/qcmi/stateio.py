@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 from typing import Any
 
 import numpy as np
@@ -87,10 +88,30 @@ def _require_path(path, error: type[QcmiError], verb: str) -> None:
 
 
 def _write_text(path: str | os.PathLike, text: str) -> None:
+    """Write text as UTF-8 to path, rewriting an existing file in place.
+
+    The file is opened without truncating it, every byte is written from
+    the start, and then a regular file is cut at the end of the text, so
+    it holds exactly the text; devices such as /dev/null and pipes are
+    written and not cut. Truncating first would free the old file's
+    blocks before the same number are allocated again, which costs more
+    than the write on file systems that discard freed blocks. The
+    trade-off: a crash in mid-rewrite can leave a longer old file's tail
+    after the new bytes, where truncating first could leave a short file.
+    A new file gets mode 0o666 less the umask, as open() gives it.
+    """
     _require_path(path, ConfigError, "write")
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qcmi import harness
-from qcmi.analysis import ChannelAnalysis
+from qcmi.analysis import ChannelAnalysis, analyse_together
 from qcmi.channels import random_channel
 from qcmi.errors import (
     ConfigError,
@@ -51,13 +51,14 @@ from qcmi.sampling import (
     random_unitary,
     substream,
 )
-from qcmi.stateio import read_state, to_json as _json_value
+from qcmi.stateio import read_state, to_json as _json_value, write_state
 from qcmi.states import (
     ClassicalJoint,
     TripartiteState,
     classical_state,
     validate_density,
 )
+from test_golden import restricted_states, sub_cutoff_classical
 
 LN2 = math.log(2)
 
@@ -468,6 +469,95 @@ class TestStackedScan:
             with pytest.raises(error) as alone:
                 _invalid_draw(kind, cfg, 3).analysis.cmi
             assert str(alone.value) == str(exc.value)
+
+
+def _rows_alone(cfg, draw=None) -> list[str]:
+    # repr of each sample's evaluate_sample row, its state analysed alone.
+    draw = draw or corpus_state
+    return [repr(evaluate_sample(draw(cfg, i), i, cfg.tol)) for i in range(cfg.samples)]
+
+
+class TestColumns:
+    """A scan reads a stack's rows from its columns, one pass per stack:
+    the rows are bitwise evaluate_sample's, each sample analysed alone."""
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    @pytest.mark.parametrize("dims,samples", [((2, 2, 2), 40), ((2, 3, 2), 12)])
+    def test_rows_equal_evaluate_sample_on_every_corpus(self, corpus, dims, samples):
+        cfg = ScanConfig(dims=dims, samples=samples, seed=45, corpus=corpus)
+        assert [repr(row) for row in scan(cfg)] == _rows_alone(cfg)
+
+    def test_rows_equal_evaluate_sample_at_a_non_default_tol(self):
+        # tol 1e-3 labels 12 of these 20 near-markov samples otherwise than
+        # the default tol (TestEvaluateSample).
+        cfg = ScanConfig(dims=(2, 2, 2), samples=20, seed=3, corpus="near-markov", tol=1e-3)
+        assert [repr(row) for row in scan(cfg)] == _rows_alone(cfg)
+
+    def test_rows_equal_evaluate_sample_on_a_support_restricted_stack(self, monkeypatch):
+        # Low-rank states, whose sigma* takes the support-restricted branch,
+        # and a full-rank state with a sub-cutoff eigenvalue, among
+        # hs-random draws of one stack.
+        special = restricted_states()
+        injected = {
+            1: special["ghz"], 3: special["w"], 4: special["singular-ab-classical"],
+            6: sub_cutoff_classical(),
+        }
+        original = harness.corpus_state
+
+        def draw(cfg, i):
+            if i in injected:
+                return TripartiteState(injected[i].mat, injected[i].dims)
+            return original(cfg, i)
+
+        monkeypatch.setattr(harness, "corpus_state", draw)
+        cfg = ScanConfig(dims=(2, 2, 2), samples=8, seed=46)
+        rows = scan(cfg)
+        assert [repr(row) for row in rows] == _rows_alone(cfg, draw)
+        restricted = [row.sample_index for row in rows if row.support_restricted]
+        assert restricted == [1, 3, 4]
+
+    def test_the_derived_bounds_are_python_arithmetic(self):
+        # -2 log overlap with math.log and ||rho - sigma*||_1^2 / 4 with a
+        # Python float square, element by element. Where numpy's
+        # vectorized log uses AVX-512, np.log differs from math.log on
+        # samples 0, 22 and 225 of this stack, and 0.25 * td**2 over the
+        # array differs on sample 251, so a vectorized column fails here.
+        cfg = ScanConfig(dims=(2, 2, 2), samples=256, seed=0)
+        rows = scan(cfg)
+        states = [corpus_state(cfg, i) for i in range(cfg.samples)]
+        analyse_together(states)
+        for row, state in zip(rows, states):
+            a = state.analysis
+            assert repr(row.log_overlap_bound) == repr(-2.0 * math.log(a.overlap))
+            assert repr(row.corollary_bound) == repr(0.25 * a.trace_distance**2)
+            assert repr(a.log_overlap_bound) == repr(row.log_overlap_bound)
+            assert repr(a.corollary_bound) == repr(row.corollary_bound)
+
+    def test_a_violation_mid_stack_raises_its_message_and_artifact(self, tmp_path, monkeypatch):
+        # Sample 5 of 12 markov samples, one stack, replaced by an hs-random
+        # draw: markov-cmi-zero fails there with the slack -cmi of that
+        # state analysed alone, after samples 0-4 pass their checks.
+        violating = random_tripartite((2, 2, 2), substream(47, 5))
+        original = harness.corpus_state
+        monkeypatch.setattr(
+            harness, "corpus_state",
+            lambda cfg, i: TripartiteState(violating.mat, cfg.dims) if i == 5 else original(cfg, i),
+        )
+        out = tmp_path / "run.csv"
+        cfg = ScanConfig(dims=(2, 2, 2), samples=12, seed=47, corpus="markov", out=str(out))
+        with pytest.raises(InequalityViolationError) as err:
+            scan(cfg)
+        slack = -evaluate_sample(TripartiteState(violating.mat, cfg.dims), 5).cmi
+        path = f"{out}.violation-state.json"
+        assert str(err.value) == (
+            f"proven inequality 'markov-cmi-zero' violated at sample 5: slack {slack:.6e} "
+            f"is below -1.0e-08; state written to {path}"
+        )
+        assert err.value.artifact_path == path
+        want = tmp_path / "want.json"
+        write_state(violating, want)
+        assert Path(path).read_bytes() == want.read_bytes()
+        assert not out.exists()
 
 
 class TestViolationHandling:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -219,6 +220,7 @@ class TestIntegerPaths:
         # records any attempt to use them.
         opened = []
         monkeypatch.setattr(stateio, "open", lambda *a, **k: opened.append(a), raising=False)
+        monkeypatch.setattr(stateio.os, "open", lambda *a, **k: opened.append(a))
         st = random_tripartite((1, 1, 2), substream(62, 2))
         with pytest.raises(ConfigError, match="^cannot write "):
             write_state(st, path)
@@ -262,6 +264,94 @@ class TestNonPathArguments:
         st = random_tripartite((1, 1, 2), substream(63, 2))
         write_state(st, given)
         assert read_state(given).mat.tobytes() == st.mat.tobytes()
+
+
+class TestWriter:
+    """The one text writer rewrites a file in place and cuts it at the end
+    of the new text; devices and pipes are written and not cut."""
+
+    TEXT = "sample_index,cmi\n0,0.69314718055994529\n1,-0\n"
+
+    def test_a_shorter_rewrite_leaves_no_stale_bytes(self, tmp_path):
+        path = tmp_path / "report.csv"
+        stateio._write_text(path, self.TEXT * 40)
+        stateio._write_text(path, self.TEXT)
+        assert path.read_bytes() == self.TEXT.encode()
+        stateio._write_text(path, "")
+        assert path.read_bytes() == b""
+
+    def test_a_rewrite_is_byte_identical_to_a_fresh_write(self, tmp_path):
+        fresh = tmp_path / "fresh.csv"
+        stateio._write_text(fresh, self.TEXT)
+        for before in ("", "x" * 7, "y" * 4000, self.TEXT[::-1]):
+            path = tmp_path / "old.csv"
+            path.write_text(before)
+            inode = os.stat(path).st_ino
+            stateio._write_text(path, self.TEXT)
+            assert path.read_bytes() == fresh.read_bytes()
+            assert os.stat(path).st_ino == inode  # the same file, not a replacement
+
+    def test_a_scan_rewrites_its_report_as_a_fresh_one(self, tmp_path):
+        cfg = ScanConfig(dims=(2, 2, 2), samples=3, seed=64, out=str(tmp_path / "a.csv"))
+        longer = dataclasses.replace(cfg, samples=9)
+        scan(longer)
+        scan(cfg)
+        scan(dataclasses.replace(cfg, out=str(tmp_path / "b.csv")))
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_dev_null_is_a_target(self):
+        stateio._write_text(os.devnull, self.TEXT)
+        scan(ScanConfig(dims=(2, 2, 2), samples=2, seed=64, out=os.devnull))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_fifo_is_a_target(self, tmp_path):
+        # The reader is opened first, without blocking, so the writer's open
+        # returns at once; the text fits in the pipe's buffer.
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            stateio._write_text(fifo, self.TEXT)
+            assert os.read(reader, 1 << 16) == self.TEXT.encode()
+        finally:
+            os.close(reader)
+
+    def test_a_new_file_gets_the_umask_mode(self, tmp_path):
+        old = os.umask(0o027)
+        try:
+            stateio._write_text(tmp_path / "new.csv", self.TEXT)
+            with open(tmp_path / "by-open.csv", "w") as fh:
+                fh.write(self.TEXT)
+        finally:
+            os.umask(old)
+        mode = os.stat(tmp_path / "new.csv").st_mode & 0o777
+        assert mode == 0o640 == os.stat(tmp_path / "by-open.csv").st_mode & 0o777
+
+    def test_a_directory_raises_the_error_of_open(self, tmp_path):
+        # The message a truncating open() gave, with the path.
+        with pytest.raises(OSError) as opened:
+            open(tmp_path, "w")
+        want = f"cannot write {tmp_path}: {opened.value}"
+        assert "Is a directory" in want
+        with pytest.raises(ConfigError) as err:
+            stateio._write_text(tmp_path, self.TEXT)
+        assert str(err.value) == want
+        with pytest.raises(ConfigError) as err:
+            scan(ScanConfig(dims=(2, 2, 2), samples=1, out=str(tmp_path)))
+        assert str(err.value) == want
+
+    def test_an_integer_path_raises_before_any_open(self, monkeypatch):
+        opened = []
+        monkeypatch.setattr(stateio.os, "open", lambda *a, **k: opened.append(a))
+        with pytest.raises(ConfigError) as err:
+            stateio._write_text(5, self.TEXT)
+        assert str(err.value) == "cannot write 5: a path must be a string or a path object"
+        assert opened == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_a_failed_write_raises_config_error(self):
+        with pytest.raises(ConfigError, match=r"^cannot write /dev/full: \[Errno 28\] "):
+            stateio._write_text("/dev/full", self.TEXT)
 
 
 class TestFmt17:
