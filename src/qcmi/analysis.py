@@ -44,7 +44,9 @@ value above: callers read state.analysis.cmi, .sigma_star, .m, .ruskai,
 .corollary_bound, each scalar its entry of a column, and classify, qcmi
 info and the slacks of qcmi.inequalities read the same attributes. A
 state analysed on its own is a stack of one; analyse_together gives
-several states one stack.
+several states one stack. A scan's group of samples is built as one
+(k, n, n) array (qcmi.sampling), which its stack reads as it is and its
+states view.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
 of the channel bound and the Petz recovery: one decomposition per matrix,
@@ -81,6 +83,7 @@ from .states import (
     TripartiteState,
     _frozen,
     _require_full_rank,
+    _state,
     _traced_out,
     _validated,
     embed,
@@ -164,17 +167,13 @@ class StackAnalysis:
     analyse each state alone to find which state fails.
     """
 
-    def __init__(self, states: Sequence[TripartiteState]):
-        dims = states[0].dims
-        if any(s.dims != dims for s in states):
-            raise DimensionMismatchError("a stack analysis needs states of the same dims")
-        # The matrices rather than the states: holding a state would make a
-        # reference cycle with its analysis, and every analysed state's
-        # operators would then stay in memory until the cyclic garbage
-        # collector happens to run.
-        mats = [s.mat for s in states]
-        # A single (read-only) matrix is viewed as a stack of one, not copied.
-        self.mat = mats[0][np.newaxis] if len(mats) == 1 else _frozen(np.array(mats))
+    def __init__(self, mat: np.ndarray, dims: tuple[int, int, int]):
+        # mat is the read-only (k, n, n) stack itself, not copied. The
+        # analysis holds the matrices rather than the states: holding a
+        # state would make a reference cycle with its analysis, and every
+        # analysed state's operators would then stay in memory until the
+        # cyclic garbage collector happens to run.
+        self.mat = mat
         self.dims = dims
         self._columns: dict[str, list] = {}
 
@@ -405,10 +404,26 @@ class StackAnalysis:
 
 def analyse_together(states: Sequence[TripartiteState]) -> None:
     """Give same-dims states one StackAnalysis, each its row as .analysis."""
-    stack = StackAnalysis(states)
+    dims = states[0].dims
+    if any(s.dims != dims for s in states):
+        raise DimensionMismatchError("a stack analysis needs states of the same dims")
+    mats = [s.mat for s in states]
+    # A single (read-only) matrix is viewed as a stack of one, not copied.
+    stack = StackAnalysis(mats[0][np.newaxis] if len(mats) == 1 else _frozen(np.array(mats)), dims)
     for i, state in enumerate(states):
         # The slot TripartiteState.analysis fills on first access.
         vars(state)["analysis"] = StateAnalysis(stack, i)
+
+
+def _analysed(mat: np.ndarray, dims: tuple[int, int, int]) -> list[TripartiteState]:
+    # The states of mat, a new (k, n, n) stack that no caller holds, made
+    # read-only: state i views mat[i] and holds row i of one StackAnalysis
+    # of mat, which reads the stack without a copy.
+    stack = StackAnalysis(_frozen(mat), dims)
+    states = [_state(m, dims) for m in stack.mat]
+    for i, state in enumerate(states):
+        vars(state)["analysis"] = StateAnalysis(stack, i)
+    return states
 
 
 def _scalar(name: str, doc: str | None = None) -> property:

@@ -18,20 +18,26 @@ import math
 import os
 from dataclasses import asdict, dataclass, fields
 
-from .analysis import ChannelAnalysis, StackAnalysis, analyse_together
+import numpy as np
+
+from .analysis import ChannelAnalysis, StackAnalysis, _analysed
 from .channels import random_channel
 from .errors import ConfigError, InequalityViolationError
 from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
 from .recovery import _label
 from .sampling import (
-    near_markov_state,
-    random_classical_state,
+    _classical_build,
+    _classical_draw,
+    _markov_build,
+    _markov_draw,
+    _near_markov_build,
+    _near_markov_draw,
+    _tripartite_build,
+    _tripartite_draw,
     random_density,
-    random_markov_state,
-    random_tripartite,
     substream,
 )
-from .states import TripartiteState, _integer, _tripartite_dims
+from .states import TripartiteState, _integer, _state, _tripartite_dims
 from .stateio import _require_path, _write_text, to_text, write_json, write_state
 from .tolerances import DEFAULT_TOL, _require_tol
 
@@ -132,23 +138,44 @@ class ConjectureResult:
     argmin_path: str | None
 
 
+def _draw(cfg: ScanConfig, index: int):
+    # Sample `index`'s draw: the generator calls of the corpus' public
+    # sampler on substream(seed, index), which _matrices builds.
+    rng = substream(cfg.seed, index)
+    dims = cfg.dims
+    if cfg.corpus == "hs-random":
+        return _tripartite_draw(dims, rng)
+    if cfg.corpus == "classical-random":
+        return _classical_draw(dims, rng)
+    if cfg.corpus == "markov":
+        return _markov_draw(dims, rng)
+    return _near_markov_draw(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
+
+
+# Each corpus' build: the (k, n, n) matrices of k samples' draws at once.
+_BUILDS = {
+    "hs-random": _tripartite_build,
+    "classical-random": _classical_build,
+    "markov": _markov_build,
+    "near-markov": _near_markov_build,
+}
+
+
+def _matrices(cfg: ScanConfig, draws: list) -> np.ndarray:
+    # The matrices of the samples drawn as draws, built as one group.
+    return _BUILDS[cfg.corpus](cfg.dims, draws)
+
+
 def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
     """Deterministically draw sample `index` of the configured corpus.
 
     The sample is the state the corpus' public sampler (random_tripartite,
     random_classical_state, random_markov_state or near_markov_state)
-    draws from substream(seed, index). Its matrix is a density matrix by
-    construction and is validated once, by the state's analysis.
+    draws from substream(seed, index), and bitwise the state that sample
+    is in a scan's group. Its matrix is a density matrix by construction
+    and is validated once, by the state's analysis.
     """
-    rng = substream(cfg.seed, index)
-    dims = cfg.dims
-    if cfg.corpus == "hs-random":
-        return random_tripartite(dims, rng)
-    if cfg.corpus == "classical-random":
-        return random_classical_state(dims, rng)
-    if cfg.corpus == "markov":
-        return random_markov_state(dims, rng)
-    return near_markov_state(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
+    return _state(_matrices(cfg, [_draw(cfg, index)])[0], cfg.dims)
 
 
 def evaluate_sample(state: TripartiteState, index: int, tol: float = DEFAULT_TOL) -> ScanRow:
@@ -229,33 +256,37 @@ def _assert(witness, cfg: ScanConfig, index: int, checks, write=write_state) -> 
             _abort(witness, cfg, name, index, slack, write)
 
 
-def _one_by_one(cfg: ScanConfig, indices: range, drawn: list[TripartiteState], evaluate):
+def _one_by_one(cfg: ScanConfig, indices: range, draws: list, evaluate):
     for k, i in enumerate(indices):
-        if k < len(drawn):
-            state = drawn[k]
-            analyse_together([state])  # a stack of its own, not the failed one
-        else:
-            state = corpus_state(cfg, i)
+        draw = draws[k] if k < len(draws) else _draw(cfg, i)
+        # A stack of its own, not the failed one.
+        (state,) = _analysed(_matrices(cfg, [draw]), cfg.dims)
         (value,) = evaluate([state], range(i, i + 1))
         yield state, value
 
 
 def _evaluated(cfg: ScanConfig, indices: range, evaluate):
-    # (state, value) for samples `indices`, drawn one substream each and
-    # analysed as one stack, whose values evaluate(states, indices) gives
-    # in one pass. If that raises, the samples are evaluated again one at
-    # a time, each a stack of its own and after the checks of the one
-    # before, so the error surfaces at the same sample as without
-    # stacking. States already drawn are reused; the draw that raised is
-    # repeated in its turn.
-    states = []
+    # (state, value) for samples `indices`, drawn in index order one
+    # substream each, built as one group and analysed as one stack, whose
+    # values evaluate(states, indices) gives in one pass. If that raises,
+    # the samples are evaluated again one at a time, each built and
+    # analysed alone and after the checks of the one before, so the error
+    # surfaces at the same sample as without stacking; built alone, a
+    # sample is bitwise its state in the group. If a draw or the build
+    # raised, the draws made are reused and the draw that raised is
+    # repeated in its turn. A built group's draws are freed before its
+    # analysis (at 5,5,5 a draw is as large as its matrix), so its
+    # samples are drawn again.
+    draws = []
     try:
         for i in indices:
-            states.append(corpus_state(cfg, i))
-        analyse_together(states)
+            draws.append(_draw(cfg, i))
+        mats = _matrices(cfg, draws)
+        draws.clear()
+        states = _analysed(mats, cfg.dims)
         return zip(states, evaluate(states, indices))
     except Exception:
-        return _one_by_one(cfg, indices, states, evaluate)
+        return _one_by_one(cfg, indices, draws, evaluate)
 
 
 def _checked(cfg: ScanConfig, evaluate, checks) -> list:

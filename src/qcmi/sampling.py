@@ -7,27 +7,49 @@ statistically independent, reproduce bitwise for a fixed seed, and do not
 depend on evaluation order, so scans can be resumed or parallelized
 without changing their output.
 
+Group draws: each corpus sampler has two phases. Its draw makes one
+sample's generator calls and nothing else: the Ginibre normals of each
+Hilbert-Schmidt matrix, for a Markov state first its block layout and
+Dirichlet weights and then its block factors' normals, and for a
+near-markov state the noise's normals after the Markov draw. Its build
+makes the matrices of a group of k samples' draws at once, an array of
+shape (k, n, n): one Ginibre product G G^dag, trace normalisation and
+Hermitian part per factor size over the whole group, the Markov sectors
+filled sample by sample from those stacked factors, and the near-markov
+mixture over the stack with each sample's weight. A scan draws the
+samples of a group in index order, each on its own substream, and builds
+the group once. The generator calls are the public sampler's, unchanged
+in kind, arguments and order, and the stacked arithmetic acts on each
+matrix as on that matrix alone, so state i of a group is bitwise its lone
+draw and leaves its generator in the same state. The public samplers are
+the build on a group of one.
+
 The tripartite samplers return unvalidated TripartiteState values: their
 matrices are density matrices by construction, and each state's analysis
 validates it when a value is first read. Every sampler checks its
-dimensions before it draws, so a dimension that is not a positive integer
-raises DimensionMismatchError and leaves the generator where it was.
+arguments before it draws, so a dimension that is not a positive integer
+raises DimensionMismatchError, and a near-markov mix that is not a real
+number in [0, 1] raises NotDistributionError, and either leaves the
+generator where it was.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .linalg import _qr, hermitian_part
+from .errors import NotDistributionError
+from .linalg import _qr, dagger, hermitian_part
 from .states import (
     ClassicalJoint,
     DensityMatrix,
     MarkovBlock,
     MarkovSpec,
     TripartiteState,
-    _classical_matrix,
-    _markov_matrix,
+    _classical_matrices,
     _integer,
+    _markov_matrices,
     _state,
     _tripartite_dims,
     validate_density,
@@ -46,25 +68,26 @@ def substream(seed: int, index: int, *subkey: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
-def _ginibre(dim: int, rng: np.random.Generator) -> np.ndarray:
-    # One standard_normal call draws the real and then the imaginary parts,
-    # the values two consecutive calls draw.
-    normal = rng.standard_normal((2, dim, dim))
-    return normal[0] + 1j * normal[1]
+def _hs_draw(dim: int, rng: np.random.Generator) -> np.ndarray:
+    # The Ginibre normals of one Hilbert-Schmidt matrix: one standard_normal
+    # call draws the real and then the imaginary parts.
+    return rng.standard_normal((2, dim, dim))
 
 
-def _hs_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    # random_density's matrix, unvalidated: PSD with unit trace by
-    # construction, and symmetrized as validate_density does.
-    g = _ginibre(dim, rng)
-    m = g @ g.conj().T
-    m /= m.trace().real
+def _hs_matrices(normals: np.ndarray) -> np.ndarray:
+    # The Hilbert-Schmidt matrices G G^dag / Tr(G G^dag) of normals of shape
+    # (k, 2, d, d), unvalidated: PSD with unit trace by construction, and
+    # symmetrized as validate_density does.
+    g = normals[:, 0] + 1j * normals[:, 1]
+    m = g @ dagger(g)
+    m /= m.trace(axis1=1, axis2=2).real[:, None, None]
     return hermitian_part(m)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> DensityMatrix:
     """Hilbert-Schmidt distributed density matrix: G G^dag normalized."""
-    return validate_density(_hs_matrix(_integer(dim, "dim", 1), rng))
+    dim = _integer(dim, "dim", 1)
+    return validate_density(_hs_matrices(_hs_draw(dim, rng)[np.newaxis])[0])
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -96,34 +119,49 @@ def _haar_unitaries(
     return q * (diag / np.abs(diag))[..., None, :]
 
 
+def _alone(build, dims: tuple[int, int, int], draw) -> TripartiteState:
+    # The state of one sample's draw: the build on a group of one.
+    return _state(build(dims, [draw])[0], dims)
+
+
+def _tripartite_draw(dims: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    return _hs_draw(dims[0] * dims[1] * dims[2], rng)
+
+
+def _tripartite_build(dims: tuple[int, int, int], draws) -> np.ndarray:
+    return _hs_matrices(np.array(draws))
+
+
 def random_tripartite(dims, rng: np.random.Generator) -> TripartiteState:
     dims = _tripartite_dims(dims)
-    return _state(_hs_matrix(dims[0] * dims[1] * dims[2], rng), dims)
+    return _alone(_tripartite_build, dims, _tripartite_draw(dims, rng))
+
+
+def _classical_draw(dims: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
+    return rng.dirichlet(np.ones(dims[0] * dims[1] * dims[2]))
+
+
+def _classical_build(dims: tuple[int, int, int], draws) -> np.ndarray:
+    return _classical_matrices(np.array(draws))
 
 
 def random_classical(dims, rng: np.random.Generator) -> ClassicalJoint:
     """Joint distribution drawn uniformly from the probability simplex."""
     dims = _tripartite_dims(dims)
-    cells = dims[0] * dims[1] * dims[2]
-    return ClassicalJoint(p=rng.dirichlet(np.ones(cells)).reshape(dims))
+    return ClassicalJoint(p=_classical_draw(dims, rng).reshape(dims))
 
 
-def random_markov_spec(dims, rng: np.random.Generator) -> MarkovSpec:
-    """Random block decomposition of B with Hilbert-Schmidt block factors.
-
-    The decomposition is sampled greedily: while capacity remains, pick a
-    (d_left, d_right) pair uniformly among those that still fit. Block
-    weights are flat Dirichlet.
-    """
+def random_classical_state(dims, rng: np.random.Generator) -> TripartiteState:
     dims = _tripartite_dims(dims)
-    blocks = [MarkovBlock(*block) for block in _markov_blocks(dims, rng)]
-    return MarkovSpec(d_a=dims[0], d_c=dims[2], blocks=tuple(blocks))
+    return _alone(_classical_build, dims, _classical_draw(dims, rng))
 
 
-def _markov_blocks(dims, rng: np.random.Generator) -> list:
-    # The (weight, d_left, d_right, rho_al, rho_rc) blocks of
-    # random_markov_spec and random_markov_state, unvalidated, for dims
-    # they have checked.
+def _markov_draw(dims: tuple[int, int, int], rng: np.random.Generator) -> tuple:
+    # (shapes, weights, normals) of one Markov state: its block layout, a
+    # list of (d_left, d_right), sampled greedily (while capacity remains,
+    # a pair drawn uniformly among those that still fit), its flat
+    # Dirichlet block weights as Python floats, and the normals of each
+    # block's rho_al and rho_rc in turn.
     d_a, d_b, d_c = dims
     shapes: list[tuple[int, int]] = []
     remaining = d_b
@@ -135,34 +173,79 @@ def _markov_blocks(dims, rng: np.random.Generator) -> list:
         ]
         shapes.append(pairs[int(rng.integers(len(pairs)))])
         remaining -= shapes[-1][0] * shapes[-1][1]
-    weights = rng.dirichlet(np.ones(len(shapes)))
+    weights = rng.dirichlet(np.ones(len(shapes))).tolist()
+    normals = [(_hs_draw(d_a * dl, rng), _hs_draw(dr * d_c, rng)) for dl, dr in shapes]
+    return shapes, weights, normals
+
+
+def _markov_blocks(dims: tuple[int, int, int], draws) -> list[list[tuple]]:
+    # The (weight, d_left, d_right, rho_al, rho_rc) blocks of each Markov
+    # draw, unvalidated. Its factors are rows of one Hilbert-Schmidt stack
+    # per factor size over the group, each stack in the order of the draws.
+    d_a, _, d_c = dims
+    by_size: dict[int, list[np.ndarray]] = {}
+    for _, _, normals in draws:
+        for pair in normals:
+            for normal in pair:
+                by_size.setdefault(normal.shape[-1], []).append(normal)
+    factors = {size: iter(_hs_matrices(np.array(group))) for size, group in by_size.items()}
     return [
-        (float(w), dl, dr, _hs_matrix(d_a * dl, rng), _hs_matrix(dr * d_c, rng))
-        for w, (dl, dr) in zip(weights, shapes)
+        [
+            (w, dl, dr, next(factors[d_a * dl]), next(factors[dr * d_c]))
+            for w, (dl, dr) in zip(weights, shapes)
+        ]
+        for shapes, weights, _ in draws
     ]
 
 
-def _random_markov_matrix(dims: tuple[int, int, int], rng: np.random.Generator) -> np.ndarray:
-    # random_markov_state's matrix, for dims it has checked.
-    return _markov_matrix(dims[0], dims[2], _markov_blocks(dims, rng))
+def _markov_build(dims: tuple[int, int, int], draws) -> np.ndarray:
+    return _markov_matrices(dims, _markov_blocks(dims, draws))
+
+
+def random_markov_spec(dims, rng: np.random.Generator) -> MarkovSpec:
+    """Random block decomposition of B with Hilbert-Schmidt block factors.
+
+    The decomposition is sampled greedily: while capacity remains, pick a
+    (d_left, d_right) pair uniformly among those that still fit. Block
+    weights are flat Dirichlet.
+    """
+    dims = _tripartite_dims(dims)
+    (blocks,) = _markov_blocks(dims, [_markov_draw(dims, rng)])
+    return MarkovSpec(d_a=dims[0], d_c=dims[2], blocks=tuple(MarkovBlock(*b) for b in blocks))
 
 
 def random_markov_state(dims, rng: np.random.Generator) -> TripartiteState:
     dims = _tripartite_dims(dims)
-    return _state(_random_markov_matrix(dims, rng), dims)
+    return _alone(_markov_build, dims, _markov_draw(dims, rng))
 
 
-def random_classical_state(dims, rng: np.random.Generator) -> TripartiteState:
-    joint = random_classical(dims, rng)
-    return _state(_classical_matrix(joint), joint.dims)
+def _near_markov_draw(dims: tuple[int, int, int], rng: np.random.Generator, mix: float) -> tuple:
+    # (Markov draw, noise normals, mix): the Markov state is drawn first.
+    return _markov_draw(dims, rng), _tripartite_draw(dims, rng), mix
+
+
+def _near_markov_build(dims: tuple[int, int, int], draws) -> np.ndarray:
+    base = _markov_build(dims, [markov for markov, _, _ in draws])
+    noise = _hs_matrices(np.array([normals for _, normals, _ in draws]))
+    mix = np.array([mix for _, _, mix in draws])[:, None, None]
+    return hermitian_part((1.0 - mix) * base + mix * noise)
+
+
+def _require_mix(mix) -> float:
+    # mix as a Python float; NotDistributionError unless it is a real
+    # number in [0, 1], so that (1 - mix, mix) are mixture weights. A bool
+    # is not a weight here, and NaN fails the comparison.
+    if isinstance(mix, bool) or not isinstance(mix, numbers.Real) or not 0.0 <= mix <= 1.0:
+        raise NotDistributionError(f"mix must be a real number in [0, 1], got {mix!r}")
+    return float(mix)
 
 
 def near_markov_state(dims, rng: np.random.Generator, mix: float) -> TripartiteState:
     """Convex mixture (1 - mix) * markov + mix * random, for small mix.
 
-    The Markov state is random_markov_state's, drawn from rng first.
+    The Markov state is random_markov_state's, drawn from rng first. mix
+    must be a real number in [0, 1].
     """
     dims = _tripartite_dims(dims)
-    base = _random_markov_matrix(dims, rng)
-    noise = _hs_matrix(base.shape[0], rng)
-    return _state(hermitian_part((1.0 - mix) * base + mix * noise), dims)
+    mix = _require_mix(mix)
+    return _alone(_near_markov_build, dims, _near_markov_draw(dims, rng, mix))

@@ -171,7 +171,7 @@ class TripartiteState:
         """The state's spectral analysis, built on first access and kept."""
         from .analysis import StackAnalysis, StateAnalysis
 
-        return StateAnalysis(StackAnalysis([self]), 0)
+        return StateAnalysis(StackAnalysis(self.mat[np.newaxis], self.dims), 0)
 
 
 def _state_dims(dims, dim: int) -> tuple[int, int, int]:
@@ -348,14 +348,18 @@ class ClassicalJoint:
         return self.p.shape
 
 
-def _classical_matrix(joint: ClassicalJoint) -> np.ndarray:
-    # Real and diagonal, so bitwise its own Hermitian part.
-    return np.diag(joint.p.ravel(order="C").astype(complex))
+def _classical_matrices(p: np.ndarray) -> np.ndarray:
+    # The diagonal matrices of the rows of p, shape (k, n): real and
+    # diagonal, so bitwise their own Hermitian parts.
+    k, n = p.shape
+    mats = np.zeros((k, n, n), dtype=complex)
+    mats.reshape(k, n * n)[:, :: n + 1] = p
+    return mats
 
 
 def classical_state(joint: ClassicalJoint) -> TripartiteState:
     """Embed a classical joint distribution as a diagonal tripartite state."""
-    return tripartite(_classical_matrix(joint), joint.dims)
+    return tripartite(_classical_matrices(joint.p.reshape(1, -1))[0], joint.dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,20 +435,25 @@ def markov_state(spec: MarkovSpec) -> TripartiteState:
     numpy.kron forms it.
     """
     blocks = [(b.weight, b.d_left, b.d_right, b.rho_al.mat, b.rho_rc.mat) for b in spec.blocks]
-    return tripartite(_markov_matrix(spec.d_a, spec.d_c, blocks), spec.dims)
+    return tripartite(_markov_matrices(spec.dims, [blocks])[0], spec.dims)
 
 
-def _markov_matrix(d_a: int, d_c: int, blocks) -> np.ndarray:
-    # markov_state's matrix from (weight, d_left, d_right, rho_al, rho_rc)
-    # blocks, unvalidated.
-    d_b = sum(dl * dr for _, dl, dr, _, _ in blocks)
-    rho = np.zeros((d_a, d_b, d_c) * 2, dtype=complex)
-    offset = 0
-    for weight, dl, dr, rho_al, rho_rc in blocks:
-        al = np.reshape(rho_al, (d_a, dl, 1, 1) * 2)
-        rc = np.reshape(rho_rc, (1, 1, dr, d_c) * 2)
-        sector = slice(offset, offset + dl * dr)
-        rho[:, sector, :, :, sector, :] += weight * (al * rc).reshape((d_a, dl * dr, d_c) * 2)
-        offset += dl * dr
+def _markov_matrices(dims: tuple[int, int, int], samples) -> np.ndarray:
+    # The (k, n, n) matrices of k Markov states on dims, unvalidated, each
+    # from its list of (weight, d_left, d_right, rho_al, rho_rc) blocks:
+    # filled state by state into one stack, whose Hermitian part is taken
+    # at once. (Filling the states of one block layout together, from
+    # gathered factors, was faster only from about 20 states on, and
+    # slower for 4.)
+    d_a, d_b, d_c = dims
+    rho = np.zeros((len(samples),) + (d_a, d_b, d_c) * 2, dtype=complex)
+    for out, blocks in zip(rho, samples):
+        offset = 0
+        for weight, dl, dr, rho_al, rho_rc in blocks:
+            block = rho_al.reshape((d_a, dl, 1, 1) * 2) * rho_rc.reshape((1, 1, dr, d_c) * 2)
+            block *= weight  # bitwise weight * block: a real factor commutes
+            end = offset + dl * dr
+            out[:, offset:end, :, :, offset:end, :] += block.reshape((d_a, dl * dr, d_c) * 2)
+            offset = end
     dim = d_a * d_b * d_c
-    return hermitian_part(rho.reshape(dim, dim))
+    return hermitian_part(rho.reshape(len(samples), dim, dim))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qcmi import harness
 from qcmi.linalg import HermitianEigen
 
 
@@ -20,3 +21,42 @@ def applies(monkeypatch):
 
     monkeypatch.setattr(HermitianEigen, "apply", recorded)
     return calls
+
+
+class _Injected:
+    """A sample's draw replaced by a given state."""
+
+    def __init__(self, state):
+        self.state = state
+
+
+@pytest.fixture
+def inject_samples(monkeypatch):
+    """Replace corpus samples: inject_samples({index: state_for(cfg, index)}).
+
+    state_for is called where sample index is drawn (harness._draw), so it
+    may raise there, in the draw's turn; its state's matrix then takes the
+    sample's place in the matrices of its group (harness._matrices), the
+    others built from their draws as one group. Scans, conjecture runs and
+    corpus_state all see the replacement. A later call replaces the
+    replacements.
+    """
+    draw, build = harness._draw, harness._matrices
+
+    def install(replacements):
+        def injected_draw(cfg, index):
+            if index in replacements:
+                return _Injected(replacements[index](cfg, index))
+            return draw(cfg, index)
+
+        def injected_build(cfg, draws):
+            drawn = [d for d in draws if not isinstance(d, _Injected)]
+            built = iter(build(cfg, drawn) if drawn else ())
+            return np.array(
+                [d.state.mat if isinstance(d, _Injected) else next(built) for d in draws]
+            )
+
+        monkeypatch.setattr(harness, "_draw", injected_draw)
+        monkeypatch.setattr(harness, "_matrices", injected_build)
+
+    return install

@@ -427,17 +427,10 @@ class TestErrorPaths:
         assert captured.err.startswith(f"error: cannot write {out}: ")
         assert captured.out == ""
 
-    def test_violation_with_unwritable_artifact_exits_two(self, tmp_path, capsys, monkeypatch):
+    def test_violation_with_unwritable_artifact_exits_two(self, tmp_path, capsys, inject_samples):
         # Sample 0 of the markov corpus replaced by an hs-random state, which
         # fails markov-cmi-zero; its artifact cannot be written.
-        original = harness.corpus_state
-
-        def corpus_state(cfg, index):
-            if index == 0:
-                return random_tripartite(cfg.dims, substream(cfg.seed, index))
-            return original(cfg, index)
-
-        monkeypatch.setattr(harness, "corpus_state", corpus_state)
+        inject_samples({0: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
         out = tmp_path / "missing" / "r.csv"
         argv = ["scan", "--dims", "2,2,2", "--samples", "2", "--corpus", "markov"]
         assert main(argv + ["--out", str(out)]) == 2

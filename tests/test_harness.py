@@ -24,6 +24,7 @@ from qcmi.errors import (
 from qcmi.harness import (
     CORPORA,
     CSV_COLUMNS,
+    STACK_BUDGET,
     ScanConfig,
     ScanRow,
     _abort,
@@ -318,10 +319,12 @@ def _negative_diagonal_state(dims):
 
 
 def _invalid_draw(kind, cfg, i):
-    # A corpus draw that skipped validation and is not a density matrix:
-    # the drawn state, made non-Hermitian, scaled to trace 1.5, or rotated
-    # from a spectrum with the eigenvalue -1e-6 (its marginals are PSD).
-    mat = corpus_state(cfg, i).mat
+    # A markov corpus draw that skipped validation and is not a density
+    # matrix: the drawn state, made non-Hermitian, scaled to trace 1.5, or
+    # rotated from a spectrum with the eigenvalue -1e-6 (its marginals are
+    # PSD). It is drawn with the public sampler, which sample injection
+    # leaves as it is.
+    mat = random_markov_state(cfg.dims, substream(cfg.seed, i)).mat
     n = mat.shape[0]
     if kind == "non-hermitian":
         mat = mat + 1e-3 * np.triu(np.ones((n, n)), 1)
@@ -345,21 +348,6 @@ INVALID_DRAWS = {
 class TestStackedScan:
     """Samples evaluated in one stack abort exactly as samples evaluated one by one."""
 
-    @pytest.fixture
-    def inject(self, monkeypatch):
-        # Replace corpus samples: inject({index: state_for(cfg, index)}).
-        original = harness.corpus_state
-
-        def install(replacements):
-            def corpus_state(cfg, index):
-                if index in replacements:
-                    return replacements[index](cfg, index)
-                return original(cfg, index)
-
-            monkeypatch.setattr(harness, "corpus_state", corpus_state)
-
-        return install
-
     @staticmethod
     def _failure(tmp_path, monkeypatch, budget, error):
         # (message with the out path replaced, artifact bytes or None)
@@ -372,47 +360,55 @@ class TestStackedScan:
         return str(exc.value).replace(str(out), "OUT"), path and Path(path).read_bytes()
 
     def _stacked_and_alone(self, tmp_path, monkeypatch, error):
-        stacked = self._failure(tmp_path, monkeypatch, harness.STACK_BUDGET, error)
+        # The module's budget: an earlier call in the test may have left
+        # harness.STACK_BUDGET patched to 1.
+        stacked = self._failure(tmp_path, monkeypatch, STACK_BUDGET, error)
         alone = self._failure(tmp_path, monkeypatch, 1, error)  # a stack per sample
         assert stacked == alone
         return stacked
 
-    def test_violation_inside_a_stack_aborts_at_its_index(self, tmp_path, monkeypatch, inject):
+    def test_violation_inside_a_stack_aborts_at_its_index(
+        self, tmp_path, monkeypatch, inject_samples
+    ):
         # An hs-random state in the markov corpus fails markov-cmi-zero.
-        inject({2: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
+        inject_samples({2: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
         message, artifact = self._stacked_and_alone(tmp_path, monkeypatch, InequalityViolationError)
         assert "'markov-cmi-zero' violated at sample 2" in message
         assert artifact is not None
 
-    def test_a_stack_that_raises_is_evaluated_one_by_one(self, tmp_path, monkeypatch, inject):
-        inject({3: lambda cfg, i: _negative_diagonal_state(cfg.dims)})
+    def test_a_stack_that_raises_is_evaluated_one_by_one(
+        self, tmp_path, monkeypatch, inject_samples
+    ):
+        inject_samples({3: lambda cfg, i: _negative_diagonal_state(cfg.dims)})
         message, _ = self._stacked_and_alone(tmp_path, monkeypatch, NotPSDError)
         assert "-1.000e-06" in message
 
-    def test_a_violation_before_a_failing_state_comes_first(self, tmp_path, monkeypatch, inject):
-        inject({
+    def test_a_violation_before_a_failing_state_comes_first(
+        self, tmp_path, monkeypatch, inject_samples
+    ):
+        inject_samples({
             1: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i)),
             3: lambda cfg, i: _negative_diagonal_state(cfg.dims),
         })
         message, _ = self._stacked_and_alone(tmp_path, monkeypatch, InequalityViolationError)
         assert "violated at sample 1" in message
 
-    def test_drawn_states_are_reused_and_a_failed_draw_repeated(
-        self, tmp_path, monkeypatch, inject
+    def test_draws_are_reused_and_a_failed_draw_repeated(
+        self, tmp_path, monkeypatch, inject_samples
     ):
         def failing_draw(cfg, i):
             raise ConfigError(f"no state for sample {i}")
 
         def failure(budget, error, replacements):
             # (message, artifact) and the sample indices drawn, in order
-            inject(replacements)
-            inner, draws = harness.corpus_state, []
+            inject_samples(replacements)
+            inner, draws = harness._draw, []
 
-            def corpus_state(cfg, i):
+            def draw(cfg, i):
                 draws.append(i)
                 return inner(cfg, i)
 
-            monkeypatch.setattr(harness, "corpus_state", corpus_state)
+            monkeypatch.setattr(harness, "_draw", draw)
             return self._failure(tmp_path, monkeypatch, budget, error), draws
 
         violating = lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))  # noqa: E731
@@ -421,18 +417,23 @@ class TestStackedScan:
             ({1: violating, 4: failing_draw}, InequalityViolationError, [0, 1, 2, 3, 4]),
             # 0-3 are reused and the draw that raised is repeated in its turn.
             ({4: failing_draw}, ConfigError, [0, 1, 2, 3, 4, 4]),
+            # The group was built, and its draws freed, before its analysis
+            # raised: one by one draws the samples again, up to the failing one.
+            ({3: lambda cfg, i: _negative_diagonal_state(cfg.dims)}, NotPSDError,
+             [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]),
         ]
         for replacements, error, want in cases:
-            stacked, draws = failure(harness.STACK_BUDGET, error, replacements)
+            stacked, draws = failure(STACK_BUDGET, error, replacements)
             assert draws == want
             alone, _ = failure(1, error, replacements)
             assert stacked == alone
-        assert stacked[0] == "no state for sample 4"
+            if error is ConfigError:
+                assert stacked[0] == "no state for sample 4"
 
-    def test_unwritable_artifact_still_reports_the_violation(self, tmp_path, inject):
+    def test_unwritable_artifact_still_reports_the_violation(self, tmp_path, inject_samples):
         # The violation at sample 1 is raised with the write error, and no
         # artifact, when the artifact's directory does not exist.
-        inject({1: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
+        inject_samples({1: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
         out = tmp_path / "missing" / "run.csv"
         cfg = ScanConfig(dims=(2, 2, 2), samples=3, seed=38, corpus="markov", out=str(out))
         with pytest.raises(InequalityViolationError) as err:
@@ -445,16 +446,18 @@ class TestStackedScan:
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("kind", sorted(INVALID_DRAWS))
-    def test_an_invalid_draw_raises_as_validation_would(self, tmp_path, monkeypatch, inject, kind):
+    def test_an_invalid_draw_raises_as_validation_would(
+        self, tmp_path, monkeypatch, inject_samples, kind
+    ):
         # The analysis validates draws: the error type and message are those
         # of validate_density, alone and inside a stack, and a violation at
         # an earlier sample still comes first.
         error, message = INVALID_DRAWS[kind]
-        inject({3: lambda cfg, i: _invalid_draw(kind, cfg, i)})
+        inject_samples({3: lambda cfg, i: _invalid_draw(kind, cfg, i)})
         got, artifact = self._stacked_and_alone(tmp_path, monkeypatch, error)
         assert re.match(message, got)
         assert artifact is None
-        inject({
+        inject_samples({
             1: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i)),
             3: lambda cfg, i: _invalid_draw(kind, cfg, i),
         })
@@ -471,10 +474,10 @@ class TestStackedScan:
             assert str(alone.value) == str(exc.value)
 
 
-def _rows_alone(cfg, draw=None) -> list[str]:
-    # repr of each sample's evaluate_sample row, its state analysed alone.
-    draw = draw or corpus_state
-    return [repr(evaluate_sample(draw(cfg, i), i, cfg.tol)) for i in range(cfg.samples)]
+def _rows_alone(cfg) -> list[str]:
+    # repr of each sample's evaluate_sample row, its state (corpus_state,
+    # which sees injected samples) analysed alone.
+    return [repr(evaluate_sample(corpus_state(cfg, i), i, cfg.tol)) for i in range(cfg.samples)]
 
 
 class TestColumns:
@@ -493,7 +496,7 @@ class TestColumns:
         cfg = ScanConfig(dims=(2, 2, 2), samples=20, seed=3, corpus="near-markov", tol=1e-3)
         assert [repr(row) for row in scan(cfg)] == _rows_alone(cfg)
 
-    def test_rows_equal_evaluate_sample_on_a_support_restricted_stack(self, monkeypatch):
+    def test_rows_equal_evaluate_sample_on_a_support_restricted_stack(self, inject_samples):
         # Low-rank states, whose sigma* takes the support-restricted branch,
         # and a full-rank state with a sub-cutoff eigenvalue, among
         # hs-random draws of one stack.
@@ -502,17 +505,12 @@ class TestColumns:
             1: special["ghz"], 3: special["w"], 4: special["singular-ab-classical"],
             6: sub_cutoff_classical(),
         }
-        original = harness.corpus_state
-
-        def draw(cfg, i):
-            if i in injected:
-                return TripartiteState(injected[i].mat, injected[i].dims)
-            return original(cfg, i)
-
-        monkeypatch.setattr(harness, "corpus_state", draw)
+        inject_samples({
+            i: lambda cfg, i: TripartiteState(injected[i].mat, injected[i].dims) for i in injected
+        })
         cfg = ScanConfig(dims=(2, 2, 2), samples=8, seed=46)
         rows = scan(cfg)
-        assert [repr(row) for row in rows] == _rows_alone(cfg, draw)
+        assert [repr(row) for row in rows] == _rows_alone(cfg)
         restricted = [row.sample_index for row in rows if row.support_restricted]
         assert restricted == [1, 3, 4]
 
@@ -533,16 +531,12 @@ class TestColumns:
             assert repr(a.log_overlap_bound) == repr(row.log_overlap_bound)
             assert repr(a.corollary_bound) == repr(row.corollary_bound)
 
-    def test_a_violation_mid_stack_raises_its_message_and_artifact(self, tmp_path, monkeypatch):
+    def test_a_violation_mid_stack_raises_its_message_and_artifact(self, tmp_path, inject_samples):
         # Sample 5 of 12 markov samples, one stack, replaced by an hs-random
         # draw: markov-cmi-zero fails there with the slack -cmi of that
         # state analysed alone, after samples 0-4 pass their checks.
         violating = random_tripartite((2, 2, 2), substream(47, 5))
-        original = harness.corpus_state
-        monkeypatch.setattr(
-            harness, "corpus_state",
-            lambda cfg, i: TripartiteState(violating.mat, cfg.dims) if i == 5 else original(cfg, i),
-        )
+        inject_samples({5: lambda cfg, i: TripartiteState(violating.mat, cfg.dims)})
         out = tmp_path / "run.csv"
         cfg = ScanConfig(dims=(2, 2, 2), samples=12, seed=47, corpus="markov", out=str(out))
         with pytest.raises(InequalityViolationError) as err:
@@ -580,12 +574,10 @@ class TestViolationHandling:
             _abort(st, cfg, "ssa-cmi-nonnegative", 0, -1.0)
         assert err.value.artifact_path == "qcmi-run.violation-state.json"
 
-    def test_a_bytes_out_names_the_violation_artifact_as_the_report(self, tmp_path, monkeypatch):
+    def test_a_bytes_out_names_the_violation_artifact_as_the_report(self, tmp_path, inject_samples):
         # Sample 0 of the markov corpus replaced by an hs-random state, which
         # fails markov-cmi-zero.
-        monkeypatch.setattr(
-            harness, "corpus_state", lambda cfg, i: random_tripartite(cfg.dims, substream(40, i))
-        )
+        inject_samples({0: lambda cfg, i: random_tripartite(cfg.dims, substream(40, i))})
         out = tmp_path / "x"
         cfg = ScanConfig(dims=(2, 2, 2), samples=1, corpus="markov", out=os.fsencode(out))
         with pytest.raises(InequalityViolationError) as err:
@@ -916,41 +908,31 @@ class TestStackedConjecture:
 
     @pytest.mark.parametrize("index", [3, 270])
     def test_violation_on_an_asserted_corpus_aborts_at_its_index(
-        self, tmp_path, monkeypatch, failing_row, index
+        self, tmp_path, monkeypatch, inject_samples, failing_row, index
     ):
-        original = harness.corpus_state
-
-        def corpus_state(cfg, i):
-            if i == index:
-                return random_tripartite(cfg.dims, substream(cfg.seed, i))
-            return original(cfg, i)
-
-        monkeypatch.setattr(harness, "corpus_state", corpus_state)
+        inject_samples({index: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))})
         stacked = self._run(tmp_path, monkeypatch, harness.STACK_BUDGET, "half-recovery", "markov")
         alone = self._run(tmp_path, monkeypatch, 1, "half-recovery", "markov")
         assert stacked == alone
         assert stacked[0] == "InequalityViolationError"
         assert f"'half-recovery (proven on markov)' violated at sample {index}:" in stacked[1]
 
-    def test_a_stack_that_raises_is_evaluated_one_by_one(self, tmp_path, monkeypatch, failing_row):
-        original = harness.corpus_state
+    def test_a_stack_that_raises_is_evaluated_one_by_one(
+        self, tmp_path, monkeypatch, inject_samples, failing_row
+    ):
         bad = {5: lambda cfg, i: _negative_diagonal_state(cfg.dims),
                2: lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))}
-
-        def corpus_state(cfg, i):
-            return bad[i](cfg, i) if i in bad else original(cfg, i)
-
-        monkeypatch.setattr(harness, "corpus_state", corpus_state)
+        inject_samples(bad)  # reads bad at each draw
         runs = [
             self._run(tmp_path, monkeypatch, budget, "half-recovery", "markov", samples=8)
-            for budget in (harness.STACK_BUDGET, 1)
+            for budget in (STACK_BUDGET, 1)
         ]
         assert runs[0] == runs[1]
         assert "violated at sample 2" in runs[0][1]
         del bad[2]
         runs = [
             self._run(tmp_path, monkeypatch, budget, "half-recovery", "markov", samples=8)
-            for budget in (harness.STACK_BUDGET, 1)
+            for budget in (STACK_BUDGET, 1)
         ]
         assert runs[0] == runs[1]
         assert runs[0][0] == "NotPSDError"

@@ -1,15 +1,18 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qcmi import harness
 from qcmi.channels import random_channel
-from qcmi.errors import DimensionMismatchError
-from qcmi.harness import CORPORA, NEAR_MARKOV_MIXES, ScanConfig, corpus_state
+from qcmi.errors import DimensionMismatchError, NotDistributionError
+from qcmi.harness import CORPORA, NEAR_MARKOV_MIXES, STACK_BUDGET, ScanConfig, corpus_state
 from qcmi.linalg import hs_norm
 from qcmi.sampling import (
+    _haar_unitaries,
     near_markov_state,
     random_classical,
     random_classical_state,
@@ -123,9 +126,10 @@ class TestCorpusSamplers:
 CONSTRUCTION_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (3, 1, 3), (2, 2, 2), (3, 3, 3))
 
 
-def _public_sample(cfg, i):
-    # Sample i of the corpus from its public sampler, called directly.
-    rng = substream(cfg.seed, i)
+def _public_sample(cfg, i, rng=None):
+    # Sample i of the corpus from its public sampler, called directly, on
+    # rng or else on substream(seed, i).
+    rng = rng or substream(cfg.seed, i)
     if cfg.corpus == "hs-random":
         return random_tripartite(cfg.dims, rng)
     if cfg.corpus == "classical-random":
@@ -170,6 +174,82 @@ class TestCorpusDraws:
         assert calls == []
 
 
+GROUP_DIMS = ((1, 1, 1), (1, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 3, 3))
+# (first index, size) of each group, at seed 79. The last starts at an
+# index not divisible by 4, so near-markov's mixes cycle inside it; the
+# groups of 3 and 4 mix one-block and two-block Markov layouts wherever
+# d_B >= 2 (test_the_groups_cycle_the_mixes_and_mix_markov_layouts).
+GROUPS = ((0, 1), (0, 3), (0, 4), (3, 4))
+GROUP_SEED = 79
+
+
+def _generator_state(rng) -> str:
+    return json.dumps(rng.bit_generator.state, sort_keys=True)
+
+
+def _group(cfg, indices, monkeypatch):
+    # The states of samples `indices` as a scan draws them, one substream
+    # each, builds them as one group and analyses them as one stack, and
+    # the state of each sample's generator after its draw.
+    generators = []
+
+    def recorded(*key):
+        generators.append(substream(*key))
+        return generators[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "substream", recorded)
+        states = [state for state, _ in harness._evaluated(cfg, indices, lambda states, _: states)]
+    return states, [_generator_state(rng) for rng in generators]
+
+
+class TestGroupDraws:
+    """A scan's group of samples is bitwise its samples drawn alone by the
+    public samplers, and leaves each generator in the same state."""
+
+    @staticmethod
+    def _check(cfg, indices, monkeypatch):
+        states, generators = _group(cfg, indices, monkeypatch)
+        stack = states[0].analysis.stack
+        assert len(states) == len(generators) == len(stack) == len(indices)
+        for k, (i, state, generator) in enumerate(zip(indices, states, generators)):
+            rng = substream(cfg.seed, i)
+            alone = _public_sample(cfg, i, rng)
+            assert state.mat.tobytes() == alone.mat.tobytes(), (cfg, i)
+            assert generator == _generator_state(rng), (cfg, i)
+            # The analysis reads the built stack itself, which the states view.
+            assert state.analysis.stack is stack and state.analysis.index == k
+            assert np.shares_memory(state.mat, stack.mat)
+            assert not state.mat.flags.writeable
+
+    @pytest.mark.parametrize("dims", GROUP_DIMS)
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_each_sample_of_a_group_is_its_lone_draw(self, corpus, dims, monkeypatch):
+        for start, size in GROUPS:
+            cfg = ScanConfig(dims=dims, samples=start + size, seed=GROUP_SEED, corpus=corpus)
+            self._check(cfg, range(start, start + size), monkeypatch)
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_a_full_2_2_2_group_is_its_lone_draws(self, corpus, monkeypatch):
+        # A scan's group at 2,2,2, from index 1.
+        size = STACK_BUDGET // 64
+        assert size == 256
+        cfg = ScanConfig(dims=(2, 2, 2), samples=size + 1, seed=GROUP_SEED, corpus=corpus)
+        self._check(cfg, range(1, size + 1), monkeypatch)
+
+    def test_the_groups_cycle_the_mixes_and_mix_markov_layouts(self):
+        start, size = GROUPS[-1]
+        cfg = ScanConfig(dims=(2, 2, 2), samples=8, seed=GROUP_SEED, corpus="near-markov")
+        mixes = [harness._draw(cfg, i)[2] for i in range(start, start + size)]
+        assert mixes == [1e-4, 1e-1, 1e-2, 1e-3]
+        for dims in GROUP_DIMS:
+            if dims[1] >= 2:
+                cfg = ScanConfig(dims=dims, samples=8, seed=GROUP_SEED, corpus="markov")
+                for start, size in GROUPS[1:]:
+                    blocks = {len(harness._draw(cfg, i)[0]) for i in range(start, start + size)}
+                    assert {1, 2} <= blocks, (dims, start)
+
+
 DRAW_PINS = json.loads(Path(__file__).with_name("draw_pins.json").read_text())["pins"]
 PINNED_DIMS = ((2, 2, 2), (2, 3, 2), (5, 5, 5))
 
@@ -205,6 +285,55 @@ class TestDrawPins:
             assert [_sha256(state.mat.tobytes()), _sha256(generator)] == DRAW_PINS[key], key
 
 
+CHANNEL_DRAW_PINS = json.loads(
+    Path(__file__).with_name("channel_draw_pins.json").read_text()
+)["pins"]
+
+
+def _pin(drawn: bytes, rng) -> list[str]:
+    return [_sha256(drawn), _sha256(_generator_state(rng).encode())]
+
+
+class TestChannelDrawPins:
+    """The draws of the channel and rotated-quarter conjectures are bitwise,
+    with their generators' states, those of commit fccd4c8
+    (tests/channel_draw_pins.json)."""
+
+    def test_the_pins_cover_every_draw_and_seed(self):
+        assert len(CHANNEL_DRAW_PINS) == 5 * 20
+
+    def test_random_density_and_random_unitary_match_the_pins(self):
+        for seed in range(20):
+            for n in (8, 27):
+                rng = substream(seed, 0)
+                drawn = random_density(n, rng).mat.tobytes()
+                assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[f"random_density {n} {seed}"]
+            rng = substream(seed, 0)
+            drawn = random_unitary(27, rng).tobytes()
+            assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[f"random_unitary 27 {seed}"]
+
+    def test_rotated_quarter_unitaries_match_the_pins(self):
+        # The unitary triples of a rotated-quarter sample at 3,3,3 with
+        # --unitary-samples 10, drawn from its substream(seed, i, 1).
+        for seed in range(20):
+            rng = substream(seed, 0, 1)
+            drawn = _haar_unitaries((10, 3), 27, rng).tobytes()
+            assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[f"rotated-quarter 27 {seed}"]
+
+    def test_channel_triples_match_the_pins(self, monkeypatch):
+        generators = []
+        monkeypatch.setattr(
+            harness, "substream", lambda *key: generators.append(substream(*key)) or generators[-1]
+        )
+        counts = set()
+        for seed in range(20):
+            a = harness._channel(ScanConfig(dims=(3, 3, 3), samples=1, seed=seed), 0)
+            counts.add(len(a.phi.kraus))
+            drawn = a.rho.mat.tobytes() + a.sigma.mat.tobytes() + a.phi.kraus.tobytes()
+            assert _pin(drawn, generators[-1]) == CHANNEL_DRAW_PINS[f"channel 27 {seed}"]
+        assert counts == {1, 2, 3, 4}
+
+
 # Every sampler of dims, called as a run would call it.
 DIMS_SAMPLERS = {
     "random_tripartite": random_tripartite,
@@ -237,6 +366,27 @@ class TestSamplerDims:
             assert given.mat.tobytes() == want.mat.tobytes()
         else:
             assert repr(given) == repr(want)
+
+
+class TestNearMarkovMix:
+    """A mix that is not a real number in [0, 1] is not a mixture weight: it
+    raises before any draw, so the generator is left where it was."""
+
+    @pytest.mark.parametrize(
+        "mix", [1.5, -0.5, 2, -1e-300, math.nan, math.inf, True, "0.1", None, 0.5j]
+    )
+    def test_bad_mix_raises_without_drawing(self, mix):
+        rng = substream(74, 0)
+        with pytest.raises(NotDistributionError, match=r"mix must be a real number in \[0, 1\]"):
+            near_markov_state((2, 2, 2), rng, mix)
+        assert rng.random() == substream(74, 0).random()
+
+    @pytest.mark.parametrize("mix", [0, 1, 0.0, 1.0, np.float64(1e-2), np.float32(0.5)])
+    def test_real_mixes_in_the_unit_interval_draw_as_floats(self, mix):
+        given = near_markov_state((2, 2, 2), substream(75, 0), mix)
+        want = near_markov_state((2, 2, 2), substream(75, 0), float(mix))
+        assert given.mat.tobytes() == want.mat.tobytes()
+        given.analysis.cmi  # a density matrix
 
 
 # Every sampler of one dimension, the bad value in each of random_channel's

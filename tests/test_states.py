@@ -16,7 +16,7 @@ from qcmi.linalg import hs_norm
 from qcmi.states import (
     ClassicalJoint,
     _embed_layout,
-    _markov_matrix,
+    _markov_matrices,
     _traced_out,
     _validated,
     MarkovBlock,
@@ -30,7 +30,13 @@ from qcmi.states import (
     tripartite,
     validate_density,
 )
-from qcmi.sampling import _hs_matrix, _markov_blocks, random_density, random_tripartite, substream
+from qcmi.sampling import (
+    _markov_blocks,
+    _markov_draw,
+    random_density,
+    random_tripartite,
+    substream,
+)
 from oracles import classical_marginal, markov_matrix_isometry
 
 
@@ -358,21 +364,24 @@ class TestMarkovState:
         # Every product is with an exact 1 or 0, so the broadcast Kronecker
         # product added into the sector's B range gives the same bits as
         # V (rho_AL (x) rho_RC) V^T for the 0/1 isometry V of each block.
+        # The blocks of 40 draws, built as one group, and the states of all
+        # of them assembled as one stack.
         d_a, d_b, d_c = dims
-        specs = [_markov_blocks(dims, substream(15, i)) for i in range(40)]
+        specs = _markov_blocks(dims, [_markov_draw(dims, substream(15, i)) for i in range(40)])
         rng = substream(15, 99)
         # Fixed multi-block splits of B, largest sectors first and last.
         for shapes in ([(1, 1)] * d_b, [(d_b, 1)], [(1, d_b)], [(1, 1), (1, d_b - 1)]):
             if all(dl * dr > 0 for dl, dr in shapes):
                 w = rng.dirichlet(np.ones(len(shapes)))
                 specs.append([
-                    (float(wk), dl, dr, _hs_matrix(d_a * dl, rng), _hs_matrix(dr * d_c, rng))
+                    (float(wk), dl, dr, random_density(d_a * dl, rng).mat,
+                     random_density(dr * d_c, rng).mat)
                     for wk, (dl, dr) in zip(w, shapes)
                 ])
         if d_b > 1:
             assert any(len(blocks) > 1 for blocks in specs)
-        for blocks in specs:
-            got = _markov_matrix(d_a, d_c, blocks)
+        stacked = _markov_matrices(dims, specs)
+        for got, blocks in zip(stacked, specs):
             want = markov_matrix_isometry(d_a, d_c, blocks)
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
