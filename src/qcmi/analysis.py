@@ -43,10 +43,9 @@ value above: callers read state.analysis.cmi, .sigma_star, .m, .ruskai,
 .gap_m and the rest, with the bound chain .log_overlap_bound, .thm1 and
 .corollary_bound, each scalar its entry of a column, and classify, qcmi
 info and the slacks of qcmi.inequalities read the same attributes. A
-state analysed on its own is a stack of one; analyse_together gives
-several states one stack. A scan's group of samples is built as one
-(k, n, n) array (qcmi.sampling), which its stack reads as it is and its
-states view.
+state analysed on its own is a stack of one. A scan's group of samples
+is built as one (k, n, n) array (qcmi.sampling), which its stack reads
+as it is and its states view.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
 of the channel bound and the Petz recovery: one decomposition per matrix,
@@ -58,13 +57,11 @@ as qcmi.ChannelAnalysis.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 import numpy as np
 
 from .channels import KrausChannel, _petz_dual
 from .entropy import EntropyReport, _entropy, _outside_support, _rel_entropy
-from .errors import DimensionMismatchError
 from .linalg import (
     HermitianEigen,
     PsdEigen,
@@ -400,19 +397,6 @@ class StackAnalysis:
                 column = getattr(self, name).tolist()
             self._columns[name] = column
         return column
-
-
-def analyse_together(states: Sequence[TripartiteState]) -> None:
-    """Give same-dims states one StackAnalysis, each its row as .analysis."""
-    dims = states[0].dims
-    if any(s.dims != dims for s in states):
-        raise DimensionMismatchError("a stack analysis needs states of the same dims")
-    mats = [s.mat for s in states]
-    # A single (read-only) matrix is viewed as a stack of one, not copied.
-    stack = StackAnalysis(mats[0][np.newaxis] if len(mats) == 1 else _frozen(np.array(mats)), dims)
-    for i, state in enumerate(states):
-        # The slot TripartiteState.analysis fills on first access.
-        vars(state)["analysis"] = StateAnalysis(stack, i)
 
 
 def _analysed(mat: np.ndarray, dims: tuple[int, int, int]) -> list[TripartiteState]:

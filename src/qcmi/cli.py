@@ -1,13 +1,14 @@
 """Command line interface.
 
-Exit codes: 0 on success, 1 on usage or validation errors, 2 when a
-proven inequality fails beyond tolerance (a diagnostic artifact is
-written in that case).
+Exit codes: 0 on success, 1 on usage or validation errors or when
+standard output is a closed pipe, 2 when a proven inequality fails
+beyond tolerance (a diagnostic artifact is written in that case).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .errors import InequalityViolationError, QcmiError, SingularMatrixError
@@ -224,7 +225,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # here, so that a closed pipe raises where it is caught
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; what is left goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

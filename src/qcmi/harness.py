@@ -256,11 +256,10 @@ def _assert(witness, cfg: ScanConfig, index: int, checks, write=write_state) -> 
             _abort(witness, cfg, name, index, slack, write)
 
 
-def _one_by_one(cfg: ScanConfig, indices: range, draws: list, evaluate):
-    for k, i in enumerate(indices):
-        draw = draws[k] if k < len(draws) else _draw(cfg, i)
+def _one_by_one(cfg: ScanConfig, indices: range, evaluate):
+    for i in indices:
         # A stack of its own, not the failed one.
-        (state,) = _analysed(_matrices(cfg, [draw]), cfg.dims)
+        (state,) = _analysed(_matrices(cfg, [_draw(cfg, i)]), cfg.dims)
         (value,) = evaluate([state], range(i, i + 1))
         yield state, value
 
@@ -269,24 +268,17 @@ def _evaluated(cfg: ScanConfig, indices: range, evaluate):
     # (state, value) for samples `indices`, drawn in index order one
     # substream each, built as one group and analysed as one stack, whose
     # values evaluate(states, indices) gives in one pass. If that raises,
-    # the samples are evaluated again one at a time, each built and
-    # analysed alone and after the checks of the one before, so the error
-    # surfaces at the same sample as without stacking; built alone, a
-    # sample is bitwise its state in the group. If a draw or the build
-    # raised, the draws made are reused and the draw that raised is
-    # repeated in its turn. A built group's draws are freed before its
-    # analysis (at 5,5,5 a draw is as large as its matrix), so its
-    # samples are drawn again.
-    draws = []
+    # the samples are drawn and evaluated again one at a time, each built
+    # and analysed alone and after the checks of the one before, so the
+    # error surfaces at the same sample as without stacking; a draw is a
+    # function of (seed, index), and built alone a sample is bitwise its
+    # state in the group. The group's draws are freed once it is built,
+    # before its analysis (at 5,5,5 a draw is as large as its matrix).
     try:
-        for i in indices:
-            draws.append(_draw(cfg, i))
-        mats = _matrices(cfg, draws)
-        draws.clear()
-        states = _analysed(mats, cfg.dims)
+        states = _analysed(_matrices(cfg, [_draw(cfg, i) for i in indices]), cfg.dims)
         return zip(states, evaluate(states, indices))
     except Exception:
-        return _one_by_one(cfg, indices, draws, evaluate)
+        return _one_by_one(cfg, indices, evaluate)
 
 
 def _checked(cfg: ScanConfig, evaluate, checks) -> list:

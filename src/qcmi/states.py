@@ -222,10 +222,10 @@ def regularize(state: TripartiteState) -> TripartiteState:
 def _normalize_keep(keep) -> str:
     labels = "".join(dict.fromkeys(str(keep).upper()))
     if not labels:
-        raise ValueError("keep must name at least one subsystem")
+        raise DimensionMismatchError("keep must name at least one subsystem")
     bad = [s for s in labels if s not in SUBSYSTEMS]
     if bad:
-        raise ValueError(f"unknown subsystem label(s) {bad}, expected letters from 'ABC'")
+        raise DimensionMismatchError(f"unknown subsystem label(s) {bad}, expected letters from 'ABC'")
     return "".join(s for s in SUBSYSTEMS if s in labels)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from qcmi import analysis as analysis_module
 from qcmi import linalg, sampling, states
-from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, analyse_together
+from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, _analysed
 from qcmi.cli import main
 from qcmi.errors import SingularMatrixError, ValidationError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
@@ -105,9 +105,11 @@ def test_scan_sample_makes_exactly_the_budget(decompositions):
 @pytest.mark.parametrize("corpus", CORPORA)
 def test_a_small_scan_call_has_a_fixed_cost(corpus, monkeypatch):
     # One 2,2,2 call of 4 samples is one stack: one numpy.linalg call per
-    # kind of decomposition, no Hermitian deviation norm (each of the nine
-    # operands require_hermitian checks is exactly Hermitian at 2,2,2) and
-    # no dims check per draw: the config's dims were checked when it was made.
+    # kind of decomposition, no Hermitian deviation norm and no dims check
+    # per draw: the config's dims were checked when it was made. Of the nine
+    # operands require_hermitian checks, the hs-random exponent h differs
+    # from h^dag in the sign of a zero (d holds two -0.0 words) and passes
+    # by the max-entry bound; the others are exactly Hermitian.
     cfg = ScanConfig(dims=(2, 2, 2), samples=4, seed=31, corpus=corpus)
     calls = []
     for name in np.linalg.__all__:
@@ -185,7 +187,7 @@ def test_partial_trace_before_the_analysis_validates_the_marginal_alone(decompos
 @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 3, 2), (3, 1, 3), (2, 3, 2)])
 def test_partial_trace_is_bitwise_the_marginal_validated_alone(dims):
     states = [random_tripartite(dims, substream(34, i)) for i in range(5)]
-    analyse_together(states)
+    states = _analysed(np.array([s.mat for s in states]), dims)
     for st in states:
         for keep in MARGINALS:
             got = partial_trace(st, keep)
@@ -250,6 +252,11 @@ def test_sub_cutoff_eigenvalue_is_dropped():
     root_rho = np.sqrt(np.diag(st.mat).real)
     assert abs(a.overlap - root_rho @ kept) > 3e-14
     assert abs(a.thm1 - np.sum((root_rho - kept) ** 2)) > 6e-14
+
+
+def test_a_zero_overlap_has_an_infinite_bound():
+    # -2 log overlap, where math.log(0.0) would raise.
+    assert analysis_module._overlap_bound(0.0) == float("inf")
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (4, 4, 4)])
@@ -338,8 +345,7 @@ def _mixed_stacks():
 
 @pytest.mark.parametrize("states", _mixed_stacks(), ids=lambda states: str(states[0].dims))
 def test_mixed_stack_matches_states_analysed_alone(states, applies):
-    stacked = [TripartiteState(st.mat, st.dims) for st in states]
-    analyse_together(stacked)
+    stacked = _analysed(np.array([st.mat for st in states]), states[0].dims)
     assert len({id(st.analysis.stack) for st in stacked}) == 1
     # sigma* is rebuilt from exp(h)'s decomposition for the full-rank rows
     # only; the restricted rows copy the sigma* they keep.
@@ -379,8 +385,7 @@ def test_support_ranks_from_eigh_agree_with_validate_density():
     # marginal ranks are compared with validate_density's in
     # test_drift_set_marginals_are_bitwise_the_marginals_validated_alone.
     for states in _drift_groups():
-        analyse_together(states)
-        for st in states:
+        for st in _analysed(np.array([s.mat for s in states]), states[0].dims):
             assert st.analysis.rho.support_rank == validate_density(st.mat).support_rank
             for keep, marginal in zip(MARGINALS, st.analysis.marginals):
                 assert marginal.support_rank == partial_trace(st, keep).support_rank
@@ -392,8 +397,7 @@ def test_drift_set_marginals_are_bitwise_the_marginals_validated_alone():
     # makes of each partial trace alone: the same decomposition, cutoff and
     # support rank.
     for states in _drift_groups():
-        analyse_together(states)
-        for st in states:
+        for st in _analysed(np.array([s.mat for s in states]), states[0].dims):
             for keep, got in zip(MARGINALS, st.analysis.marginals):
                 alone = validate_density(_traced_out(st.mat, st.dims, keep))
                 assert got.support_rank == alone.support_rank
@@ -430,13 +434,10 @@ def _oracle_states():
     # The drift set's states, analysed in their corpus stacks, the golden
     # states one by one, and the mixed stacks of full-rank, support-restricted
     # and sub-cutoff states.
-    groups = _drift_groups()
-    for states in groups:
-        analyse_together(states)
-    for states in _mixed_stacks():
-        stacked = [TripartiteState(st.mat, st.dims) for st in states]
-        analyse_together(stacked)
-        groups.append(stacked)
+    groups = [
+        _analysed(np.array([st.mat for st in states]), states[0].dims)
+        for states in _drift_groups() + _mixed_stacks()
+    ]
     return [st for states in groups for st in states]
 
 
@@ -546,8 +547,7 @@ def test_support_restricted_sigma_star_is_p_exp_php_p():
     alone = list(restricted_states().values())
     stacked = []
     for states in _mixed_stacks():
-        stacked.append([TripartiteState(st.mat, st.dims) for st in states])
-        analyse_together(stacked[-1])
+        stacked.append(_analysed(np.array([st.mat for st in states]), states[0].dims))
     restricted = [st for st in alone + sum(stacked, []) if st.analysis.support_restricted]
     assert len(restricted) == 2 * len(alone)
     for st in restricted:
@@ -596,8 +596,7 @@ KEPT_FULL_DIM = {"mat", "rho_psd", "_sigma", "_m_products"}
 
 def test_a_stack_keeps_only_its_decompositions_and_m_products():
     cfg = ScanConfig(dims=(3, 3, 3), samples=4, seed=43)
-    states = [corpus_state(cfg, i) for i in range(cfg.samples)]
-    analyse_together(states)
+    states = _analysed(np.array([corpus_state(cfg, i).mat for i in range(cfg.samples)]), cfg.dims)
     for i, st in enumerate(states):
         evaluate_sample(st, i)
         proven_checks(st.analysis, cfg.corpus)

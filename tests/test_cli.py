@@ -475,3 +475,27 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     assert failed.returncode == 1
     assert failed.stderr == "error: seed must be >= 0, got -1\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_closed_stdout_exits_1_without_a_traceback(unbuffered, tmp_path):
+    # The read end of the child's stdout pipe is closed before it writes,
+    # so its first write, or the flush of its buffer, meets a broken pipe.
+    path = tmp_path / "p.json"
+    write_state(parity_state(), path)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "qcmi", "info", str(path)],
+            cwd=tmp_path, stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1, done.stderr
+    # No traceback and no "Exception ignored" from the flush at exit.
+    assert done.stderr == ""

@@ -142,3 +142,8 @@ class TestFidelity:
             a = random_density(3, rng)
             b = random_density(3, rng)
             assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-9)
+
+    def test_rejects_states_of_different_dimensions(self):
+        a, b = validate_density(np.eye(2) / 2), validate_density(np.eye(3) / 3)
+        with pytest.raises(DimensionMismatchError, match="^states have dimensions 2 and 3$"):
+            fidelity(a, b)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qcmi import harness
-from qcmi.analysis import ChannelAnalysis, analyse_together
+from qcmi.analysis import ChannelAnalysis, _analysed
 from qcmi.channels import random_channel
 from qcmi.errors import (
     ConfigError,
@@ -393,9 +393,7 @@ class TestStackedScan:
         message, _ = self._stacked_and_alone(tmp_path, monkeypatch, InequalityViolationError)
         assert "violated at sample 1" in message
 
-    def test_draws_are_reused_and_a_failed_draw_repeated(
-        self, tmp_path, monkeypatch, inject_samples
-    ):
+    def test_one_by_one_draws_each_sample_again(self, tmp_path, monkeypatch, inject_samples):
         def failing_draw(cfg, i):
             raise ConfigError(f"no state for sample {i}")
 
@@ -412,13 +410,12 @@ class TestStackedScan:
             return self._failure(tmp_path, monkeypatch, budget, error), draws
 
         violating = lambda cfg, i: random_tripartite(cfg.dims, substream(cfg.seed, i))  # noqa: E731
+        # Whether a draw, the build or the analysis raised, one by one draws
+        # the samples again from sample 0, up to the one that fails.
         cases = [
-            # Samples 0 and 1 are reused; one by one stops at the violation.
-            ({1: violating, 4: failing_draw}, InequalityViolationError, [0, 1, 2, 3, 4]),
-            # 0-3 are reused and the draw that raised is repeated in its turn.
-            ({4: failing_draw}, ConfigError, [0, 1, 2, 3, 4, 4]),
-            # The group was built, and its draws freed, before its analysis
-            # raised: one by one draws the samples again, up to the failing one.
+            # The draw of sample 4 raises; one by one stops at the violation.
+            ({1: violating, 4: failing_draw}, InequalityViolationError, [0, 1, 2, 3, 4, 0, 1]),
+            ({4: failing_draw}, ConfigError, [0, 1, 2, 3, 4, 0, 1, 2, 3, 4]),
             ({3: lambda cfg, i: _negative_diagonal_state(cfg.dims)}, NotPSDError,
              [0, 1, 2, 3, 4, 5, 0, 1, 2, 3]),
         ]
@@ -522,8 +519,9 @@ class TestColumns:
         # array differs on sample 251, so a vectorized column fails here.
         cfg = ScanConfig(dims=(2, 2, 2), samples=256, seed=0)
         rows = scan(cfg)
-        states = [corpus_state(cfg, i) for i in range(cfg.samples)]
-        analyse_together(states)
+        states = _analysed(
+            np.array([corpus_state(cfg, i).mat for i in range(cfg.samples)]), cfg.dims
+        )
         for row, state in zip(rows, states):
             a = state.analysis
             assert repr(row.log_overlap_bound) == repr(-2.0 * math.log(a.overlap))

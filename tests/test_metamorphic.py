@@ -40,7 +40,7 @@ import math
 import numpy as np
 import pytest
 
-from qcmi.analysis import ChannelAnalysis, analyse_together
+from qcmi.analysis import ChannelAnalysis, _analysed
 from qcmi.channels import partial_trace_channel
 from qcmi.harness import CORPORA, ScanConfig, corpus_state, evaluate_sample
 from qcmi.linalg import dagger, hermitian_part
@@ -233,8 +233,7 @@ def test_channel_analysis_of_the_partial_trace_is_the_scan_chain(dims):
     # The state side is analysed as one stack, the channel side one matrix
     # at a time.
     cfg = ScanConfig(dims=dims, samples=CROSS_SAMPLES, seed=5)
-    states = [corpus_state(cfg, i) for i in range(cfg.samples)]
-    analyse_together(states)
+    states = _analysed(np.array([corpus_state(cfg, i).mat for i in range(cfg.samples)]), dims)
     phi = partial_trace_channel(dims)
     d_c = dims[2]
     for i, state in enumerate(states):

@@ -88,6 +88,24 @@ class TestStateRoundTrip:
             read_state(path)
         assert str(exc.value) == f"matrix entry (1, 0) is ({float(value)!r}+0j)"
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "top level: expected a JSON object"),
+            ({"dims": [1, 1, 1], "matrix": []}, "matrix: expected a nonempty list of rows"),
+            (
+                {"dims": [1, 1, 2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]},
+                "matrix: row 1 does not have 2 entries",
+            ),
+        ],
+        ids=["list", "empty-matrix", "ragged-row"],
+    )
+    def test_rejects_a_malformed_document(self, doc, message, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read_state(path)
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"dims": [2, 2')
@@ -154,6 +172,27 @@ class TestMarkovSpecRoundTrip:
         target = doc if field in ("dA", "dC") else doc["blocks"][0]
         target[field] = value
         path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            read_markov_spec(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "top level: expected a JSON object"),
+            (lambda doc: {**doc, "blocks": []}, "blocks: expected a nonempty list"),
+            (lambda doc: {**doc, "blocks": [1]}, "blocks[0]: expected an object"),
+            (
+                lambda doc: {**doc, "blocks": [{**doc["blocks"][0], "rho_AL": [[[2.0, 0.0]]]}]},
+                "blocks[0].rho_AL: trace is 2.0, expected 1 within 1e-10",
+            ),
+        ],
+        ids=["list", "no-blocks", "number-block", "not-a-density-factor"],
+    )
+    def test_rejects_a_malformed_spec(self, edit, message, tmp_path):
+        spec = random_markov_spec((1, 1, 1), substream(61, 3))
+        path = tmp_path / "spec.json"
+        write_markov_spec(spec, path)
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             read_markov_spec(path)
 

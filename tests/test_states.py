@@ -167,8 +167,10 @@ class TestPartialTrace:
 
     def test_empty_keep_rejected(self):
         st = random_tripartite((2, 2, 2), substream(12, 1))
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError, match="at least one subsystem"):
             partial_trace(st, "")
+        with pytest.raises(DimensionMismatchError, match=r"unknown subsystem label\(s\) \['D'\]"):
+            partial_trace(st, "AD")
 
 
 class TestEmbed:
@@ -255,6 +257,10 @@ class TestClassicalState:
         expected = np.zeros((8, 8))
         expected[0, 0] = 1.0
         np.testing.assert_allclose(st.mat, expected, atol=1e-14)
+
+    def test_rejects_a_joint_that_is_not_3d(self):
+        with pytest.raises(DimensionMismatchError, match="^joint distribution must be 3-d, got 2-d$"):
+            ClassicalJoint(np.full((2, 2), 0.25))
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NotDistributionError):
@@ -402,6 +408,18 @@ class TestMarkovState:
                 d_a=2, d_c=2,
                 blocks=(MarkovBlock(weight=1.0, d_left=1, d_right=1, rho_al=rho3, rho_rc=rho2),),
             )
+        rho1 = validate_density(np.eye(1))
+        for d_left, rho_rc, message in [
+            (0, rho1, "block 0: factor dimensions must be >= 1"),
+            (1, rho2, "block 0: rho_rc has dimension 2, expected 1"),
+        ]:
+            block = MarkovBlock(weight=1.0, d_left=d_left, d_right=1, rho_al=rho1, rho_rc=rho_rc)
+            with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+                MarkovSpec(d_a=1, d_c=1, blocks=(block,))
+
+    def test_a_spec_needs_a_block(self):
+        with pytest.raises(NotDistributionError, match="^a Markov spec needs at least one block$"):
+            MarkovSpec(d_a=1, d_c=1, blocks=())
 
 
 class TestIntegerDims:
@@ -444,6 +462,11 @@ class TestIntegerDims:
     def test_a_dimension_below_one_names_the_bound(self, call, message):
         with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
             call()
+
+    def test_dims_must_multiply_to_the_matrix_dimension(self):
+        message = "dims (2, 3, 1) imply dimension 6, matrix has dimension 4"
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            TripartiteState(np.eye(4) / 4, (2, 3, 1))
 
     def test_numpy_integers_are_python_ints(self):
         st = TripartiteState(np.eye(8) / 8, (np.int64(2), np.int32(2), np.uint8(2)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qcmi.errors import NotHermitianError, SingularMatrixError
+from qcmi.errors import DimensionMismatchError, NotHermitianError, SingularMatrixError
 from qcmi.inequalities import INEQUALITIES
 from qcmi.sampling import random_markov_state, random_tripartite, substream
 from qcmi.states import tripartite
@@ -54,6 +54,11 @@ class TestPeierlsBogoliubov:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             pb_gap(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    def test_rejects_operands_on_different_spaces(self):
+        message = r"^operands act on different spaces: \[2, 3\]$"
+        with pytest.raises(DimensionMismatchError, match=message):
+            pb_gap(np.eye(2), np.eye(3))
 
 
 class TestGoldenThompson:
