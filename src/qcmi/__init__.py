@@ -52,12 +52,7 @@ from .harness import (
 )
 from .linalg import (
     HermitianEigen,
-    commutator,
     mat_exp,
-    mat_log,
-    mat_power,
-    mat_sqrt,
-    support_rank,
     trace_norm,
 )
 from .recovery import (
@@ -67,7 +62,6 @@ from .recovery import (
 )
 from .sampling import (
     near_markov_state,
-    random_classical,
     random_classical_state,
     random_density,
     random_markov_spec,
@@ -129,7 +123,6 @@ __all__ = [
     "classical_rel_entropy",
     "classical_state",
     "classify",
-    "commutator",
     "embed",
     "evaluate_sample",
     "fidelity",
@@ -138,9 +131,6 @@ __all__ = [
     "lieb_triple_rhs",
     "markov_state",
     "mat_exp",
-    "mat_log",
-    "mat_power",
-    "mat_sqrt",
     "modular_residual",
     "near_markov_state",
     "partial_trace",
@@ -148,7 +138,6 @@ __all__ = [
     "pb_gap",
     "petz_dual",
     "random_channel",
-    "random_classical",
     "random_classical_state",
     "random_density",
     "random_markov_spec",
@@ -162,7 +151,6 @@ __all__ = [
     "run_conjecture",
     "scan",
     "substream",
-    "support_rank",
     "trace_norm",
     "tripartite",
     "validate_density",

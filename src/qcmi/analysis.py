@@ -25,13 +25,15 @@ read the decompositions it keeps.
 
 A row of a report is scalars, so the analysis keeps decompositions and
 scalars and not the operators between them. It keeps rho's, the
-marginals' and exp(h)'s decompositions, M M^dag and M^dag M (two of the
-three trace norms that read them are all classify needs), and each
-scalar. Each group of scalars is computed from one build of its
-operators, which is freed before the next group: Tr sigma* and
-||rho - sigma*||_1 from sigma*, the M products from M, and the overlap,
-thm1 and ruskai as sums over the transfer matrix W = |Q^dag V|^2, for Q
-rho's and V sigma*'s eigenvectors, which is not kept. h, the embedded
+marginals' and exp(h)'s decompositions, the three marginal logs at
+marginal dimension (built once, for h and the embedded logs), M M^dag
+and M^dag M (two of the three trace norms that read them are all
+classify needs), and each scalar. Each group of scalars is computed
+from one build of its operators, which is freed before the next group:
+Tr sigma* and ||rho - sigma*||_1 from sigma*, the M products from M,
+and the overlap, thm1 and ruskai as sums over the transfer matrix
+W = |Q^dag V|^2, for Q rho's and V sigma*'s eigenvectors, which is not
+kept. h, the embedded
 logs, sigma* and M are built on demand, for the rows asked for,
 read-only and not kept. Each piece is computed on first use, so a stack
 pays for each decomposition at most once. Each scalar is also kept as
@@ -129,8 +131,8 @@ def _intersection_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _exp_eigen(h: np.ndarray) -> PsdEigen:
     # exp(h) as a decomposition, from one decomposition of h. Its sqrt
-    # keeps mat_sqrt's rule: eigenvalues e^w at or below the support
-    # cutoff of the spectrum e^w count as zero.
+    # keeps the PSD rule of every sqrt: eigenvalues e^w at or below the
+    # support cutoff of the spectrum e^w count as zero.
     e = _eigh(h)
     return as_psd(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors), "sqrt")
 
@@ -211,12 +213,19 @@ class StackAnalysis:
 
     # -- sigma* and the bound chain ---------------------------------------
 
+    @_cached
+    def _marginal_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # log rho_AB, log rho_BC and log rho_B of every state, support-
+        # restricted, at marginal dimension. exponent and embedded_logs
+        # embed the rows they are asked for; the embedded logs are not kept.
+        return tuple(_frozen(e.log()) for e in self.marginal_psd)
+
     def embedded_logs(self, rows: slice = ALL) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """log rho_AB (x) I, I (x) log rho_BC and I (x) log rho_B (x) I of
         the states `rows`, built on each call."""
         return tuple(
-            _frozen(embed(_psd_rows(e, rows).log(), keep, self.dims))
-            for e, keep in zip(self.marginal_psd, MARGINALS)
+            _frozen(embed(log[rows], keep, self.dims))
+            for log, keep in zip(self._marginal_logs, MARGINALS)
         )
 
     def exponent(self, rows: slice = ALL) -> np.ndarray:
@@ -226,10 +235,10 @@ class StackAnalysis:
         It is summed in place one embedded log at a time, with the additions
         of the formula in its order.
         """
-        psd_ab, psd_bc, psd_b = (_psd_rows(e, rows) for e in self.marginal_psd)
-        h = embed(psd_ab.log(), "AB", self.dims)
-        h += embed(psd_bc.log(), "BC", self.dims)
-        h -= embed(psd_b.log(), "B", self.dims)
+        log_ab, log_bc, log_b = (log[rows] for log in self._marginal_logs)
+        h = embed(log_ab, "AB", self.dims)
+        h += embed(log_bc, "BC", self.dims)
+        h -= embed(log_b, "B", self.dims)
         return _frozen(h)
 
     @_cached
@@ -237,8 +246,8 @@ class StackAnalysis:
         # (decomposition of sigma*, sigma* of the support-restricted rows,
         # support_restricted). A full-rank row's decomposition is exp(h)'s,
         # from which sigma* is rebuilt; a restricted row keeps its sigma*,
-        # and its decomposition is the one mat_sqrt makes of it. h is built
-        # for this and not kept.
+        # and its decomposition is psd_eig's of it. h is built for this
+        # and not kept.
         h = self.exponent()
         (ab, psd_ab), (bc, psd_bc), _ = self.marginals
         full = (psd_ab.rank == ab.shape[-1]) & (psd_bc.rank == bc.shape[-1])
@@ -505,15 +514,16 @@ class ChannelAnalysis:
     Every value reads the same decompositions:
 
     * one of each of rho, sigma, phi(rho) and phi(sigma), which serves its
-      validation, entropy, log, sqrt and inverse sqrt;
+      validation, entropy, log and sqrt;
     * one of the exponent, which gives X and its square root; the overlap
       Tr[sqrt(rho) sqrt(X)] is a sum over the transfer matrix of rho's and
       the exponent's eigenvectors, so no operator but X is built;
     * one spectrum for the Petz recovery gap ||rho - P(phi(rho))||_1.
 
-    From these it builds six matrix functions: log sigma, log phi(rho) and
+    From these it builds five matrix functions: log sigma, log phi(rho) and
     log phi(sigma), each once for lhs and the exponent, X for its trace,
-    and sqrt(sigma) and phi(sigma)^(-1/2) for the Petz map.
+    and sqrt(sigma) for the Petz map, whose Kraus operators come from one
+    SVD (channels.petz_dual).
 
     rho and sigma are DensityMatrix values, validated with their
     decompositions, which are read here. The checks raise in this order:
@@ -561,7 +571,7 @@ class ChannelAnalysis:
     @_cached
     def _x(self) -> PsdEigen:
         # X = exp(x) as a decomposition, from one of its exponent x, with
-        # mat_sqrt's support cutoff.
+        # the support cutoff of its spectrum.
         out_rho, out_sigma = self._outputs
         _require_full_rank(out_rho, "phi(rho)")
         _require_full_rank(out_sigma, "phi(sigma)")
@@ -589,7 +599,7 @@ class ChannelAnalysis:
     @_cached
     def petz(self) -> KrausChannel:
         """The Petz transpose of phi with respect to sigma (channels.petz_dual)."""
-        return _petz_dual(self.phi, self.sigma.eig, self._outputs[1].eig)
+        return _petz_dual(self.phi, self.sigma.eig)
 
     @_cached
     def petz_gap(self) -> float:

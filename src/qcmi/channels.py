@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularMatrixError, ValidationError
-from .linalg import PsdEigen, _require_finite, dagger, hs_norm, psd_eig
+from .linalg import PsdEigen, _require_finite, _svd, dagger, hs_norm, support_cutoff
 from .sampling import _haar_unitaries
 from .states import DensityMatrix, _frozen, _integer, _tripartite_dims
 from .tolerances import COMPLETENESS_TOL
@@ -111,8 +111,8 @@ def petz_dual(phi: KrausChannel, sigma: DensityMatrix) -> KrausChannel:
     """Petz transpose of phi with respect to a full-rank reference state.
 
     Kraus operators are sigma^(1/2) K^dag phi(sigma)^(-1/2). The composite
-    petz_dual(phi, sigma) after phi fixes sigma and is trace preserving
-    whenever phi(sigma) is full rank.
+    petz_dual(phi, sigma) after phi fixes sigma, and the map is trace
+    preserving by construction; phi(sigma) must be nonsingular.
     """
     if sigma.dim != phi.in_dim:
         raise DimensionMismatchError(
@@ -120,12 +120,22 @@ def petz_dual(phi: KrausChannel, sigma: DensityMatrix) -> KrausChannel:
         )
     if not sigma.is_full_rank():
         raise SingularMatrixError("Petz transpose needs a full-rank reference state")
-    return _petz_dual(phi, sigma.eig, psd_eig(phi.apply(sigma.mat), "power"))
+    return _petz_dual(phi, sigma.eig)
 
 
-def _petz_dual(phi: KrausChannel, sigma: PsdEigen, out: PsdEigen) -> KrausChannel:
-    # petz_dual from the decompositions of a full-rank reference state
-    # sigma and of its channel output phi(sigma).
-    if out.eigenvalues[0] <= out.cutoff:
+def _petz_dual(phi: KrausChannel, sigma: PsdEigen) -> KrausChannel:
+    # petz_dual from the decomposition of a full-rank reference state sigma.
+    # C = [K_1 sigma^1/2, ..., K_k sigma^1/2] has C C^dag = phi(sigma), and
+    # the Kraus operators are the adjoints of the d_out x d_in blocks of
+    # its polar factor V = phi(sigma)^-1/2 C = U W^dag, for the thin SVD
+    # C = U S W^dag. V V^dag = I, so the map is complete to rounding,
+    # however ill-conditioned phi(sigma) is. S**2 are phi(sigma)'s
+    # eigenvalues, all of them when C has at least d_out columns.
+    k, d_out, d_in = phi.kraus.shape
+    c = (phi.kraus @ sigma.sqrt()).transpose(1, 0, 2).reshape(d_out, k * d_in)
+    u, s, wh = _svd(c)
+    w = s * s
+    if len(w) < d_out or w[-1] <= support_cutoff(w):
         raise SingularMatrixError("channel output of the reference state is singular")
-    return KrausChannel(kraus=sigma.sqrt() @ dagger(phi.kraus) @ out.power(-0.5))
+    v = (u @ wh).reshape(d_out, k, d_in)
+    return KrausChannel(kraus=dagger(v.transpose(1, 0, 2)))

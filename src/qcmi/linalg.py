@@ -4,7 +4,7 @@ Every matrix function in the package goes through one eigendecomposition
 routine so that support handling (pseudo-inverses, logs of singular
 operators) stays consistent, and one PSD rule (_with_cutoff) decides
 which matrices are negative. No other module calls numpy.linalg: every
-eigh, eigvalsh and qr of the package is made here. Matrix 2-norms are
+eigh, eigvalsh, qr and svd of the package is made here. Matrix 2-norms are
 Frobenius norms.
 """
 
@@ -262,6 +262,11 @@ def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(a)
 
 
+def _svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Thin SVD factors U, S, W^dag of a, numpy.linalg read at call time.
+    return np.linalg.svd(a, full_matrices=False)
+
+
 def _with_cutoff(e: HermitianEigen) -> tuple[PsdEigen, np.ndarray]:
     # The one PSD rule: e with its support cutoff, and which matrices have
     # a least eigenvalue below minus their cutoff, that is, a genuinely
@@ -294,46 +299,9 @@ def mat_exp(m) -> np.ndarray:
     return hermitian_part(e.apply(np.exp(e.eigenvalues)))
 
 
-def mat_log(m) -> np.ndarray:
-    """Support-restricted logarithm of a PSD matrix.
-
-    Kernel eigenvalues map to 0, so exp(mat_log(rho)) reproduces rho on its
-    support and acts as the identity times zero on the kernel.
-    """
-    return psd_eig(m, "log").log()
-
-
-def mat_sqrt(m) -> np.ndarray:
-    """Principal square root of a PSD matrix (kernel stays kernel)."""
-    return psd_eig(m, "sqrt").sqrt()
-
-
-def mat_power(m, t: float) -> np.ndarray:
-    """Support-restricted real power of a PSD matrix.
-
-    Negative exponents invert on the support only, so mat_power(rho, -0.5)
-    is the pseudo-inverse square root.
-    """
-    return psd_eig(m, "power").power(t)
-
-
-def support_rank(m) -> int:
-    """Number of eigenvalues above the support cutoff."""
-    return psd_eig(m, "support rank").rank
-
-
 def trace_norm(m):
     """Schatten 1-norm of a Hermitian matrix (sum of |eigenvalues|).
 
     A stack of matrices takes one eigvalsh call and gives an array of norms.
     """
     return _scalar(np.abs(_eigvalsh(require_hermitian(m))).sum(axis=-1))
-
-
-def commutator(a, b) -> np.ndarray:
-    """a @ b - b @ a."""
-    x = as_matrix(a)
-    y = as_matrix(b)
-    if x.shape != y.shape:
-        raise DimensionMismatchError(f"commutator of shapes {x.shape} and {y.shape}")
-    return x @ y - y @ x

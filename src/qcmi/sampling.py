@@ -42,7 +42,6 @@ import numpy as np
 from .errors import NotDistributionError
 from .linalg import _qr, dagger, hermitian_part
 from .states import (
-    ClassicalJoint,
     DensityMatrix,
     MarkovBlock,
     MarkovSpec,
@@ -143,12 +142,6 @@ def _classical_draw(dims: tuple[int, int, int], rng: np.random.Generator) -> np.
 
 def _classical_build(dims: tuple[int, int, int], draws) -> np.ndarray:
     return _classical_matrices(np.array(draws))
-
-
-def random_classical(dims, rng: np.random.Generator) -> ClassicalJoint:
-    """Joint distribution drawn uniformly from the probability simplex."""
-    dims = _tripartite_dims(dims)
-    return ClassicalJoint(p=_classical_draw(dims, rng).reshape(dims))
 
 
 def random_classical_state(dims, rng: np.random.Generator) -> TripartiteState:

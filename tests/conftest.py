@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import platform
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,25 @@ def applies(monkeypatch):
 
     monkeypatch.setattr(HermitianEigen, "apply", recorded)
     return calls
+
+
+# The platform the bitwise pins (tests/pins/, tests/draw_pins.json and
+# tests/channel_draw_pins.json) were recorded on. Another numpy, BLAS or
+# CPU may round differently in the last bits.
+PINS_RECORDED_ON = "Python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31 DYNAMIC_ARCH, AVX-512"
+
+
+@pytest.fixture
+def pin_platforms():
+    """The message of a failing bitwise pin: where the pins were recorded
+    and what is running."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):  # an older numpy has no mode="dicts"
+        blas = "an unreported BLAS"
+    running = f"Python {platform.python_version()}, numpy {np.__version__}, {blas}"
+    return f"pins recorded on {PINS_RECORDED_ON}; running on {running}"
 
 
 class _Injected:

@@ -24,14 +24,11 @@ from qcmi.linalg import (
     hermitian_part,
     hs_norm,
     mat_exp,
-    mat_log,
-    mat_power,
-    mat_sqrt,
     psd_eig,
     support_cutoff,
     trace_norm,
 )
-from qcmi.states import embed, validate_density
+from qcmi.states import ClassicalJoint, embed, validate_density
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -39,6 +36,12 @@ def random_hermitian(dim, rng, scale=1.0):
     with its real part drawn before its imaginary part."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return scale * (g + g.conj().T) / 2.0
+
+
+def dirichlet_joint(dims, rng):
+    """A classical joint distribution of shape dims, drawn uniformly from
+    the probability simplex."""
+    return ClassicalJoint(p=rng.dirichlet(np.ones(math.prod(dims))).reshape(dims))
 
 
 def identity_channel(dim):
@@ -180,7 +183,7 @@ def _rel_entropy(rho, sigma):
     w = np.linalg.eigh(rho.mat)[0]
     on = w > support_cutoff(w)
     entropy = -np.sum(np.where(on, w * np.log(np.where(on, w, 1.0)), 0.0)).item()
-    return -entropy - float(np.trace(rho.mat @ mat_log(sigma.mat)).real)
+    return -entropy - float(np.trace(rho.mat @ psd_eig(sigma.mat, "log").log()).real)
 
 
 def channel_exponent_alone(rho, sigma, phi):
@@ -191,7 +194,10 @@ def channel_exponent_alone(rho, sigma, phi):
     phi_sigma = validate_density(phi.apply(sigma.mat))
     _require_full_rank(phi_rho, "phi(rho)")
     _require_full_rank(phi_sigma, "phi(sigma)")
-    x = mat_log(sigma.mat) + phi.dual(mat_log(phi_rho.mat)) - phi.dual(mat_log(phi_sigma.mat))
+    log_sigma, log_out_rho, log_out_sigma = (
+        psd_eig(m, "log").log() for m in (sigma.mat, phi_rho.mat, phi_sigma.mat)
+    )
+    x = log_sigma + phi.dual(log_out_rho) - phi.dual(log_out_sigma)
     return hermitian_part(x)
 
 
@@ -208,24 +214,47 @@ def channel_gap_bound_alone(rho, sigma, phi):
     phi_sigma = validate_density(phi.apply(sigma.mat))
     lhs = _rel_entropy(rho, sigma) - _rel_entropy(phi_rho, phi_sigma)
     ex = channel_exp_operator_alone(rho, sigma, phi)
-    overlap = float(np.trace(mat_sqrt(rho.mat) @ mat_sqrt(ex)).real)
+    overlap = float(np.trace(psd_eig(rho.mat, "sqrt").sqrt() @ psd_eig(ex, "sqrt").sqrt()).real)
     return float(lhs), math.inf if overlap <= 1e-300 else -2.0 * math.log(overlap)
 
 
-def petz_dual_alone(phi, sigma):
-    """Petz transpose with Kraus operators sigma^1/2 K^dag phi(sigma)^-1/2."""
+def _petz_reference(phi, sigma):
+    # petz_dual's checks of the reference state.
     if sigma.dim != phi.in_dim:
         raise DimensionMismatchError(
             f"reference state dimension {sigma.dim} does not match channel input {phi.in_dim}"
         )
     if not sigma.is_full_rank():
         raise SingularMatrixError("Petz transpose needs a full-rank reference state")
+
+
+def petz_dual_alone(phi, sigma):
+    """Petz transpose from the polar factor of C = [K_1 sigma^1/2, ...,
+    K_k sigma^1/2], one operator at a time: its Kraus operators are the
+    adjoints of the blocks of U W^dag, for C = U S W^dag."""
+    _petz_reference(phi, sigma)
+    s_half = psd_eig(sigma.mat, "sqrt").sqrt()
+    c = np.hstack([k @ s_half for k in phi.kraus])
+    u, s, wh = np.linalg.svd(c, full_matrices=False)
+    w = s * s
+    if len(w) < phi.out_dim or w[-1] <= support_cutoff(w):
+        raise SingularMatrixError("channel output of the reference state is singular")
+    v = u @ wh
+    d_in = phi.in_dim
+    blocks = (v[:, i * d_in:(i + 1) * d_in] for i in range(len(phi.kraus)))
+    return KrausChannel(kraus=tuple(dagger(b) for b in blocks))
+
+
+def petz_dual_eigen_alone(phi, sigma):
+    """Petz transpose with Kraus operators sigma^1/2 K^dag phi(sigma)^-1/2,
+    phi(sigma)^-1/2 from phi(sigma)'s eigenvalues."""
+    _petz_reference(phi, sigma)
     out = phi.apply(sigma.mat)
     w = np.linalg.eigvalsh((out + dagger(out)) / 2.0)
     if w[0] <= support_cutoff(w):
         raise SingularMatrixError("channel output of the reference state is singular")
-    s_half = mat_sqrt(sigma.mat)
-    out_inv_half = mat_power(out, -0.5)
+    s_half = psd_eig(sigma.mat, "sqrt").sqrt()
+    out_inv_half = psd_eig(out, "power").power(-0.5)
     return KrausChannel(kraus=tuple(s_half @ dagger(k) @ out_inv_half for k in phi.kraus))
 
 

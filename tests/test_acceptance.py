@@ -23,7 +23,6 @@ from qcmi.inequalities import rotated_slacks
 from qcmi.linalg import trace_norm
 from qcmi.recovery import classify, modular_residual
 from qcmi.sampling import (
-    random_classical,
     random_density,
     random_markov_state,
     random_tripartite,
@@ -37,7 +36,7 @@ from qcmi.states import (
     validate_density,
 )
 from qcmi.trace_inequalities import gt_gap, lieb_triple_rhs, pb_gap
-from oracles import depolarizing_channel, random_hermitian
+from oracles import depolarizing_channel, dirichlet_joint, random_hermitian
 
 LN2 = math.log(2)
 
@@ -188,7 +187,7 @@ def test_criterion_8_trace_inequality_suites():
 def test_criterion_9_classical_pinsker():
     ok = True
     for i in range(100):
-        st = classical_state(random_classical((2, 2, 2), substream(906, i)))
+        st = classical_state(dirichlet_joint((2, 2, 2), substream(906, i)))
         recovered = validate_density(st.analysis.m_mdag)
         value = st.analysis.cmi
         gap = trace_norm(st.mat - recovered.mat)

@@ -21,8 +21,9 @@ from qcmi.linalg import (
     hermitian_part,
     hs_norm,
     mat_exp,
-    mat_sqrt,
+    psd_eig,
     support_cutoff,
+    trace_norm,
 )
 from qcmi.sampling import random_density, random_tripartite, random_unitary, substream
 from qcmi.stateio import write_state
@@ -222,14 +223,23 @@ def _states():
 
 def _root_forms(state):
     # Tr[sqrt(rho) sqrt(sigma*)] and ||sqrt(rho) - sqrt(sigma*)||_2^2 from
-    # mat_sqrt of rho and of sigma*, each with its own support cutoff.
-    root_rho, root_sigma = mat_sqrt(state.mat), mat_sqrt(state.analysis.sigma_star)
+    # the sqrt of rho and of sigma*, each with its own support cutoff.
+    root_rho = psd_eig(state.mat, "sqrt").sqrt()
+    root_sigma = psd_eig(state.analysis.sigma_star, "sqrt").sqrt()
     return np.trace(root_rho @ root_sigma).real, hs_norm(root_rho - root_sigma) ** 2
 
 
 @pytest.mark.parametrize("state", _states())
+def test_commutator_norm_is_the_trace_norm_of_the_commutator_of_m(state):
+    a = state.analysis
+    m = a.m
+    m_dag = dagger(m)
+    assert a.commutator_norm == trace_norm(m @ m_dag - m_dag @ m)
+
+
+@pytest.mark.parametrize("state", _states())
 def test_overlap_and_thm1_keep_the_support_cutoff(state):
-    # The sums over W must equal the mat_sqrt forms: eigenvalues of sigma*
+    # The sums over W must equal the sqrt forms: eigenvalues of sigma*
     # at or below the support cutoff count as zero, also when they come
     # from exp(h) rather than from a decomposition of sigma* itself.
     overlap, thm1 = _root_forms(state)
@@ -241,7 +251,7 @@ def test_sub_cutoff_eigenvalue_is_dropped():
     # sigma*[000] ~ 3e-18 is below sigma*'s support cutoff. Its square root,
     # ~2e-9 against sqrt(rho[000]) ~ 2e-5, would move the overlap by 4e-14
     # and thm1 by 8e-14; the classical state's W is a permutation, so both
-    # match the mat_sqrt forms to roundoff.
+    # match the sqrt forms to roundoff.
     st = sub_cutoff_classical()
     a = st.analysis
     assert 0.0 < a.sigma_star[0, 0].real < 1e-17

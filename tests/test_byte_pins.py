@@ -130,9 +130,9 @@ def _pinned(case) -> dict[str, bytes]:
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c.__name__ for c in CASES])
-def test_output_bytes_match_the_pins(case, tmp_path, monkeypatch, capsys):
+def test_output_bytes_match_the_pins(case, tmp_path, monkeypatch, capsys, pin_platforms):
     got = case(tmp_path, monkeypatch, capsys)
     want = _pinned(case)
     assert sorted(got) == sorted(want)
     for name in want:
-        assert got[name] == want[name], name
+        assert got[name] == want[name], f"{name}: {pin_platforms}"

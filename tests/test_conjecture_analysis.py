@@ -1,7 +1,8 @@
 """The conjecture runs' shared spectral data: equality with the
 per-matrix compositions in tests/oracles.py (bitwise but for the channel
-bound's rhs), the rhs against a 40-digit evaluation, and decomposition
-budgets."""
+bound's rhs), the rhs against a 40-digit evaluation, decomposition
+budgets, and the completeness of the Petz map where phi(sigma) is
+ill-conditioned."""
 
 import math
 
@@ -19,14 +20,16 @@ from oracles import (
     random_unitary_alone,
     rotated_slacks_loop,
 )
+from qcmi import harness
 from qcmi.analysis import ChannelAnalysis
 from qcmi.channels import KrausChannel, petz_dual, random_channel
-from qcmi.errors import QcmiError, ValidationError
+from qcmi.errors import QcmiError
 from qcmi.harness import CORPORA, ScanConfig, corpus_state, run_conjecture
 from qcmi.inequalities import rotated_slacks
-from qcmi.linalg import PsdEigen
+from qcmi.linalg import PsdEigen, dagger, hs_norm
 from qcmi.sampling import random_density, random_unitary, substream
 from qcmi.states import validate_density
+from qcmi.tolerances import COMPLETENESS_TOL
 
 # One channel sample decomposes rho, sigma, phi(rho) and phi(sigma) (each
 # once for its validation and its functions) and the exponent of the exp
@@ -35,9 +38,10 @@ from qcmi.states import validate_density
 DECOMPOSITIONS_PER_CHANNEL_SAMPLE = 6
 # Its matrix functions: log sigma, log phi(rho) and log phi(sigma), each
 # built once for lhs and the exponent; the exp operator, for Tr X; and
-# sqrt(sigma) and phi(sigma)^(-1/2) for the Petz map. sigma and phi(sigma)
-# are full rank, so rel_entropy builds no support projector.
-BUILDS_PER_CHANNEL_SAMPLE = 6
+# sqrt(sigma) for the Petz map, whose phi(sigma)^(-1/2) is read from one
+# SVD and not built. sigma and phi(sigma) are full rank, so rel_entropy
+# builds no support projector.
+BUILDS_PER_CHANNEL_SAMPLE = 5
 
 # The analysis takes rhs's overlap as a sum over the transfer matrix of
 # rho's and the exponent's eigenvectors; the composition multiplies
@@ -50,6 +54,15 @@ RHS_ATOL = 4e-14
 # Against channel_rhs_mpmath at dims 3 and 8 the analysis' rhs was off by
 # at most 2.4e-15; RHS_MPMATH_ATOL leaves a margin of 4x.
 RHS_MPMATH_ATOL = 1e-14
+
+# ROADMAP 2(c)'s channel triples at 3,3,3, one Kraus operator each:
+# phi(sigma)'s condition number is 2.6e8 and 9.4e7, and sigma's smallest
+# eigenvalue 5.0e-10 and 1.4e-9. The Petz map built from phi(sigma)'s
+# eigenvalues failed its completeness check on both (deviation 1.153e-08
+# and 1.675e-08 against COMPLETENESS_TOL * sqrt(27) = 5.2e-9); the polar
+# factor's map reads 9.1e-15 and 8.0e-15.
+ILL_CONDITIONED_SEEDS = (486743973, 3193065472)
+PETZ_COMPLETENESS_ATOL = 1e-13
 
 ROTATED_DIMS = ((1, 1, 1), (2, 1, 2), (2, 2, 2), (3, 3, 3))
 UNITARY_SAMPLES = (0, 1, 4, 10)
@@ -260,11 +273,29 @@ def test_channel_sample_build_budget(applies, monkeypatch):
     assert len(shapes) == samples
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ValidationError,
-    reason="ROADMAP 2(c): the Petz map of this valid triple fails its completeness check "
-    "(deviation 1.153e-08; sigma's smallest eigenvalue is 5.0e-10)",
-)
-def test_the_petz_map_of_an_ill_conditioned_triple_is_a_channel():
-    run_conjecture(ScanConfig(dims=(3, 3, 3), samples=1, seed=486743973), "channel")
+@pytest.mark.parametrize("seed", ILL_CONDITIONED_SEEDS)
+def test_the_petz_map_of_an_ill_conditioned_triple_is_a_channel(seed):
+    cfg = ScanConfig(dims=(3, 3, 3), samples=1, seed=seed)
+    run_conjecture(cfg, "channel")
+    a = harness._channel(cfg, 0)
+    assert a.sigma.eig.eigenvalues[0] <= 2e-9
+    kraus = a.petz.kraus
+    dev = hs_norm((dagger(kraus) @ kraus).sum(axis=0) - np.eye(27))
+    assert dev <= PETZ_COMPLETENESS_ATOL
+    assert PETZ_COMPLETENESS_ATOL < 1e-4 * COMPLETENESS_TOL * math.sqrt(27)
+
+
+@pytest.mark.parametrize("samples", [1, 4])
+def test_a_rotated_quarter_run_builds_each_marginal_log_once(samples, monkeypatch):
+    # One stack of samples at 3,3,3: log rho_AB, log rho_BC and log rho_B,
+    # each one stacked call, serve sigma* and the rotated exponents alike.
+    calls = []
+    log = PsdEigen.log
+
+    def recorded_log(self):
+        calls.append(self.eigenvectors.shape)
+        return log(self)
+
+    monkeypatch.setattr(PsdEigen, "log", recorded_log)
+    run_conjecture(ScanConfig(dims=(3, 3, 3), samples=samples, seed=58), "rotated-quarter", 2)
+    assert calls == [(samples, 9, 9), (samples, 9, 9), (samples, 3, 3)]

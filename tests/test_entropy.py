@@ -6,9 +6,9 @@ import pytest
 from qcmi.entropy import classical_rel_entropy, fidelity, rel_entropy, vn_entropy
 from qcmi.errors import DimensionMismatchError, NotDistributionError
 from qcmi.linalg import trace_norm
-from qcmi.sampling import random_classical, random_density, random_tripartite, substream
+from qcmi.sampling import random_density, random_tripartite, substream
 from qcmi.states import ClassicalJoint, classical_state, tripartite, validate_density
-from oracles import classical_cmi
+from oracles import classical_cmi, dirichlet_joint
 
 
 def parity_state():
@@ -91,7 +91,7 @@ class TestCmi:
 
     def test_matches_classical_summation_oracle(self):
         for i in range(100):
-            joint = random_classical((2, 2, 2), substream(21, 2, i))
+            joint = dirichlet_joint((2, 2, 2), substream(21, 2, i))
             got = classical_state(joint).analysis.cmi
             assert got == pytest.approx(classical_cmi(joint.p), abs=1e-10)
 

@@ -3,29 +3,22 @@ import pytest
 import scipy.linalg
 
 from qcmi import linalg
-from qcmi.errors import DimensionMismatchError, NotFiniteError, NotHermitianError, NotPSDError
+from qcmi.errors import NotFiniteError, NotHermitianError, NotPSDError
 from qcmi.linalg import (
     _eigh,
     as_psd,
-    commutator,
     dagger,
     hermitian_part,
     hs_norm,
     mat_exp,
-    mat_log,
-    mat_power,
-    mat_sqrt,
     psd_eig,
     require_hermitian,
     support_cutoff,
-    support_rank,
     trace_norm,
 )
 from oracles import eig2x2, random_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 class TestEigh:
@@ -69,16 +62,24 @@ class TestEigh:
             _eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _sqrt(m):
+    return psd_eig(m, "sqrt").sqrt()
+
+
+def _log(m):
+    return psd_eig(m, "log").log()
+
+
 class TestMatrixFunctions:
     def test_exp_of_zero_is_identity(self):
         np.testing.assert_allclose(mat_exp(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
     def test_sqrt_diagonal(self):
-        np.testing.assert_allclose(mat_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
+        np.testing.assert_allclose(_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_log_support_convention(self):
         # kernel eigenvalues map to 0, not -inf
-        got = mat_log(np.diag([0.5, 0.5, 0.0]))
+        got = _log(np.diag([0.5, 0.5, 0.0]))
         np.testing.assert_allclose(got, np.diag([-np.log(2), -np.log(2), 0.0]), atol=1e-14)
 
     def test_log_exp_roundtrip_on_support(self):
@@ -87,19 +88,19 @@ class TestMatrixFunctions:
             g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-            assert hs_norm(mat_exp(mat_log(rho)) - rho) <= 1e-9
+            assert hs_norm(mat_exp(_log(rho)) - rho) <= 1e-9
 
     def test_matches_scipy_on_full_rank(self):
         rng = np.random.default_rng(3)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         rho = g @ g.conj().T + 0.1 * np.eye(3)
-        np.testing.assert_allclose(mat_log(rho), scipy.linalg.logm(rho), atol=1e-10)
-        np.testing.assert_allclose(mat_sqrt(rho), scipy.linalg.sqrtm(rho), atol=1e-10)
+        np.testing.assert_allclose(_log(rho), scipy.linalg.logm(rho), atol=1e-10)
+        np.testing.assert_allclose(_sqrt(rho), scipy.linalg.sqrtm(rho), atol=1e-10)
         np.testing.assert_allclose(mat_exp(rho), scipy.linalg.expm(rho), atol=1e-8)
 
     def test_negative_power_is_support_pseudoinverse(self):
         m = np.diag([4.0, 0.0])
-        np.testing.assert_allclose(mat_power(m, -0.5), np.diag([0.5, 0.0]), atol=1e-14)
+        np.testing.assert_allclose(psd_eig(m, "power").power(-0.5), np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_cpower_unitary_on_support(self):
         rho = np.diag([0.5, 0.25, 0.25])
@@ -114,7 +115,7 @@ class TestMatrixFunctions:
 
     def test_sqrt_rejects_negative(self):
         with pytest.raises(NotPSDError):
-            mat_sqrt(np.diag([1.0, -0.5]))
+            _sqrt(np.diag([1.0, -0.5]))
 
 
 class TestNorms:
@@ -134,29 +135,12 @@ class TestNorms:
             trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestCommutator:
-    def test_diagonal_matrices_commute(self):
-        c = commutator(np.diag([1.0, 2.0]), np.diag([5.0, -1.0]))
-        np.testing.assert_allclose(c, np.zeros((2, 2)), atol=1e-14)
-
-    def test_pauli_x_z(self):
-        np.testing.assert_allclose(commutator(PAULI_X, PAULI_Z), -2j * PAULI_Y, atol=1e-14)
-
-    def test_identity_commutes(self):
-        m = random_hermitian(3, np.random.default_rng(0))
-        np.testing.assert_allclose(commutator(m, np.eye(3)), np.zeros((3, 3)), atol=1e-14)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            commutator(np.eye(2), np.eye(3))
-
-
 class TestSupport:
     def test_projector_and_rank(self):
         m = np.diag([0.7, 0.3, 0.0])
         np.testing.assert_allclose(psd_eig(m, "test").projector(), np.diag([1.0, 1.0, 0.0]), atol=1e-12)
-        assert support_rank(m) == 2
-        assert support_rank(np.eye(4) / 4) == 4
+        assert psd_eig(m, "test").rank == 2
+        assert psd_eig(np.eye(4) / 4, "test").rank == 4
 
 
 class TestStacks:
@@ -174,10 +158,10 @@ class TestStacks:
             (herm, trace_norm(herm), trace_norm),
             (herm, require_hermitian(herm), require_hermitian),
             (herm, mat_exp(herm), mat_exp),
-            (psd, pe.rank, support_rank),
-            (psd, pe.sqrt(), mat_sqrt),
-            (psd, pe.log(), mat_log),
-            (psd, pe.power(-0.5), lambda m: mat_power(m, -0.5)),
+            (psd, pe.rank, lambda m: psd_eig(m, "test").rank),
+            (psd, pe.sqrt(), lambda m: psd_eig(m, "test").sqrt()),
+            (psd, pe.log(), lambda m: psd_eig(m, "test").log()),
+            (psd, pe.power(-0.5), lambda m: psd_eig(m, "test").power(-0.5)),
             (psd, pe.projector(), lambda m: psd_eig(m, "test").projector()),
         ]
         for operands, stacked, single in cases:

@@ -8,14 +8,13 @@ from qcmi.errors import ConfigError, SingularMatrixError
 from qcmi.linalg import hs_norm, trace_norm
 from qcmi.recovery import classify, modular_residual
 from qcmi.sampling import (
-    random_classical,
     random_density,
     random_markov_state,
     random_tripartite,
     substream,
 )
 from qcmi.states import ClassicalJoint, classical_state, tripartite, validate_density
-from oracles import classical_marginal
+from oracles import classical_marginal, dirichlet_joint
 
 
 def parity_state():
@@ -52,7 +51,7 @@ class TestMOperator:
         np.testing.assert_allclose(m @ m.conj().T, st.mat, atol=1e-10)
 
     def test_diagonal_entries_on_classical_state(self):
-        joint = random_classical((2, 2, 2), substream(50, 1))
+        joint = dirichlet_joint((2, 2, 2), substream(50, 1))
         st = classical_state(joint)
         m = st.analysis.m
         expected = np.sqrt(classical_recovery_table(joint.p)).ravel()
@@ -94,7 +93,7 @@ class TestRecoveryMaps:
         # on diagonal states both maps and both Gram orderings agree with
         # the classical table p_ij p_jk / p_j
         for i in range(20):
-            joint = random_classical((2, 2, 2), substream(51, 2, i))
+            joint = dirichlet_joint((2, 2, 2), substream(51, 2, i))
             st = classical_state(joint)
             expected = np.diag(classical_recovery_table(joint.p).ravel())
             m = st.analysis.m
@@ -105,7 +104,7 @@ class TestRecoveryMaps:
 
     def test_classical_cmi_equals_rel_entropy_to_recovery(self):
         for i in range(20):
-            joint = random_classical((2, 2, 2), substream(51, 3, i))
+            joint = dirichlet_joint((2, 2, 2), substream(51, 3, i))
             st = classical_state(joint)
             recovered, _ = recovered_states(st)
             value = st.analysis.cmi

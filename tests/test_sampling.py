@@ -14,7 +14,6 @@ from qcmi.linalg import hs_norm
 from qcmi.sampling import (
     _haar_unitaries,
     near_markov_state,
-    random_classical,
     random_classical_state,
     random_density,
     random_markov_spec,
@@ -23,7 +22,8 @@ from qcmi.sampling import (
     random_unitary,
     substream,
 )
-from qcmi.states import validate_density
+from qcmi.states import classical_state, validate_density
+from oracles import dirichlet_joint
 
 
 class TestSubstream:
@@ -93,11 +93,16 @@ class TestCorpusSamplers:
         assert st.dims == (2, 3, 2)
         assert st.mat.shape == (12, 12)
 
-    def test_random_classical_is_distribution(self):
-        joint = random_classical((2, 2, 2), substream(2, 1))
-        assert joint.p.shape == (2, 2, 2)
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 3, 2)])
+    def test_random_classical_state_is_the_dirichlet_joint(self, dims):
+        # The state is bitwise classical_state of one Dirichlet draw over
+        # the joint's entries, a distribution.
+        joint = dirichlet_joint(dims, substream(2, 1))
+        assert joint.p.shape == dims
         assert joint.p.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(joint.p >= 0)
+        want = classical_state(joint).mat
+        assert random_classical_state(dims, substream(2, 1)).mat.tobytes() == want.tobytes()
 
     def test_random_classical_state_is_diagonal(self):
         st = random_classical_state((2, 2, 2), substream(2, 2))
@@ -267,7 +272,7 @@ class TestDrawPins:
 
     @pytest.mark.parametrize("dims", PINNED_DIMS)
     @pytest.mark.parametrize("corpus", CORPORA)
-    def test_draws_match_the_pins(self, corpus, dims):
+    def test_draws_match_the_pins(self, corpus, dims, pin_platforms):
         samplers = {
             "hs-random": random_tripartite,
             "classical-random": random_classical_state,
@@ -282,7 +287,8 @@ class TestDrawPins:
                 state = samplers[corpus](dims, rng)
             generator = json.dumps(rng.bit_generator.state, sort_keys=True).encode()
             key = f"{corpus} {','.join(map(str, dims))} {seed}"
-            assert [_sha256(state.mat.tobytes()), _sha256(generator)] == DRAW_PINS[key], key
+            pin = [_sha256(state.mat.tobytes()), _sha256(generator)]
+            assert pin == DRAW_PINS[key], f"{key}: {pin_platforms}"
 
 
 CHANNEL_DRAW_PINS = json.loads(
@@ -302,25 +308,28 @@ class TestChannelDrawPins:
     def test_the_pins_cover_every_draw_and_seed(self):
         assert len(CHANNEL_DRAW_PINS) == 5 * 20
 
-    def test_random_density_and_random_unitary_match_the_pins(self):
+    def test_random_density_and_random_unitary_match_the_pins(self, pin_platforms):
         for seed in range(20):
             for n in (8, 27):
                 rng = substream(seed, 0)
                 drawn = random_density(n, rng).mat.tobytes()
-                assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[f"random_density {n} {seed}"]
+                key = f"random_density {n} {seed}"
+                assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[key], f"{key}: {pin_platforms}"
             rng = substream(seed, 0)
             drawn = random_unitary(27, rng).tobytes()
-            assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[f"random_unitary 27 {seed}"]
+            key = f"random_unitary 27 {seed}"
+            assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[key], f"{key}: {pin_platforms}"
 
-    def test_rotated_quarter_unitaries_match_the_pins(self):
+    def test_rotated_quarter_unitaries_match_the_pins(self, pin_platforms):
         # The unitary triples of a rotated-quarter sample at 3,3,3 with
         # --unitary-samples 10, drawn from its substream(seed, i, 1).
         for seed in range(20):
             rng = substream(seed, 0, 1)
             drawn = _haar_unitaries((10, 3), 27, rng).tobytes()
-            assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[f"rotated-quarter 27 {seed}"]
+            key = f"rotated-quarter 27 {seed}"
+            assert _pin(drawn, rng) == CHANNEL_DRAW_PINS[key], f"{key}: {pin_platforms}"
 
-    def test_channel_triples_match_the_pins(self, monkeypatch):
+    def test_channel_triples_match_the_pins(self, monkeypatch, pin_platforms):
         generators = []
         monkeypatch.setattr(
             harness, "substream", lambda *key: generators.append(substream(*key)) or generators[-1]
@@ -330,14 +339,14 @@ class TestChannelDrawPins:
             a = harness._channel(ScanConfig(dims=(3, 3, 3), samples=1, seed=seed), 0)
             counts.add(len(a.phi.kraus))
             drawn = a.rho.mat.tobytes() + a.sigma.mat.tobytes() + a.phi.kraus.tobytes()
-            assert _pin(drawn, generators[-1]) == CHANNEL_DRAW_PINS[f"channel 27 {seed}"]
+            key = f"channel 27 {seed}"
+            assert _pin(drawn, generators[-1]) == CHANNEL_DRAW_PINS[key], f"{key}: {pin_platforms}"
         assert counts == {1, 2, 3, 4}
 
 
 # Every sampler of dims, called as a run would call it.
 DIMS_SAMPLERS = {
     "random_tripartite": random_tripartite,
-    "random_classical": random_classical,
     "random_classical_state": random_classical_state,
     "random_markov_spec": random_markov_spec,
     "random_markov_state": random_markov_state,

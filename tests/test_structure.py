@@ -11,7 +11,7 @@ neither list can drift from the other.
 
 numpy.linalg is called from qcmi/linalg.py only, the package's one
 spectral chokepoint: every decomposition and factorization (eigh,
-eigvalsh, qr) goes through it, where it can be counted and timed.
+eigvalsh, qr, svd) goes through it, where it can be counted and timed.
 
 Every numeric threshold is defined once, in qcmi/tolerances.py. A small
 number literal (0 < |x| <= 1e-6) in any other module would be a second
@@ -43,9 +43,9 @@ from qcmi.channels import (
     petz_dual,
     random_channel,
 )
-from qcmi.sampling import random_classical, random_density, random_tripartite, substream
+from qcmi.sampling import random_density, random_tripartite, substream
 from qcmi.states import TripartiteState, tripartite
-from oracles import depolarizing_channel
+from oracles import depolarizing_channel, dirichlet_joint
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qcmi"
@@ -233,7 +233,7 @@ def _petz_kraus(i):
 HELD_ARRAYS = {
     "DensityMatrix.mat": lambda: random_density(3, substream(38, 0)).mat,
     "TripartiteState.mat": lambda: random_tripartite((2, 2, 2), substream(38, 1)).mat,
-    "ClassicalJoint.p": lambda: random_classical((2, 2, 2), substream(38, 2)).p,
+    "ClassicalJoint.p": lambda: dirichlet_joint((2, 2, 2), substream(38, 2)).p,
     "KrausChannel.kraus from a tuple": lambda: KrausChannel(kraus=(np.eye(2, dtype=complex),)).kraus,
     "random_channel": lambda: _triple(3)[2].kraus,
     "partial_trace_channel": lambda: partial_trace_channel((2, 2, 2)).kraus,
