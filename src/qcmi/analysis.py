@@ -59,6 +59,7 @@ as qcmi.ChannelAnalysis.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -89,29 +90,6 @@ from .states import (
     validate_density,
 )
 from .tolerances import INTERSECTION_TOL, ZERO_OVERLAP
-
-
-class _cached:
-    """functools.cached_property without its lock.
-
-    The value is computed on the first read and kept in the instance's
-    __dict__, where later reads find it without calling the descriptor.
-    On Python 3.11 cached_property takes an RLock on every first read; a
-    stack has dozens of them.
-    """
-
-    def __init__(self, get):
-        self.get = get
-        self.__doc__ = get.__doc__
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.get(obj)
-        return value
 
 
 def _overlap_bound(overlap: float) -> float:
@@ -181,12 +159,12 @@ class StackAnalysis:
 
     # -- rho and its marginals, validated ---------------------------------
 
-    @_cached
+    @cached_property
     def rho_psd(self) -> PsdEigen:
         """The decomposition of rho, validated."""
         return _validated(self.mat)[1]
 
-    @_cached
+    @cached_property
     def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen], ...]:
         """(read-only stack, decomposition) of rho_AB, rho_BC and rho_B,
         validated after rho."""
@@ -200,7 +178,7 @@ class StackAnalysis:
 
     # -- entropies -------------------------------------------------------
 
-    @_cached
+    @cached_property
     def entropies(self) -> EntropyReport:
         """The entropies and the cmi, each an array over the stack."""
         s_ab, s_bc, s_b = (_entropy(e) for e in self.marginal_psd)
@@ -213,7 +191,7 @@ class StackAnalysis:
 
     # -- sigma* and the bound chain ---------------------------------------
 
-    @_cached
+    @cached_property
     def _marginal_logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # log rho_AB, log rho_BC and log rho_B of every state, support-
         # restricted, at marginal dimension. exponent and embedded_logs
@@ -241,7 +219,7 @@ class StackAnalysis:
         h -= embed(log_b, "B", self.dims)
         return _frozen(h)
 
-    @_cached
+    @cached_property
     def _sigma(self) -> tuple[PsdEigen, dict[int, np.ndarray], np.ndarray]:
         # (decomposition of sigma*, sigma* of the support-restricted rows,
         # support_restricted). A full-rank row's decomposition is exp(h)'s,
@@ -299,7 +277,7 @@ class StackAnalysis:
 
     support_restricted = property(lambda self: self._sigma[2])
 
-    @_cached
+    @cached_property
     def _sigma_values(self) -> tuple[np.ndarray, np.ndarray]:
         # Tr sigma* and ||rho - sigma*||_1 from one build of sigma*, whose
         # array then takes rho - sigma*.
@@ -310,7 +288,7 @@ class StackAnalysis:
     sigma_star_trace = property(lambda self: self._sigma_values[0])
     trace_distance = property(lambda self: self._sigma_values[1], doc="||rho - sigma*||_1.")
 
-    @_cached
+    @cached_property
     def _chain_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # The overlap, thm1 and ruskai as sums over W = |Q^dag V|^2 (Q rho's,
         # V sigma*'s eigenvectors): the Bhattacharyya coefficient and squared
@@ -358,7 +336,7 @@ class StackAnalysis:
         n = d_a * d_b * d_c
         return _frozen(m.reshape(k, n, n))
 
-    @_cached
+    @cached_property
     def _m_products(self) -> tuple[np.ndarray, np.ndarray]:
         # M M^dag and M^dag M from one build of M. They are kept: each is
         # read by two trace norms, and classify reads only two of the three.
@@ -369,17 +347,17 @@ class StackAnalysis:
     m_mdag = property(lambda self: self._m_products[0])
     mdag_m = property(lambda self: self._m_products[1])
 
-    @_cached
+    @cached_property
     def gap_m(self) -> np.ndarray:
         """||rho - M M^dag||_1."""
         return trace_norm(self.mat - self.m_mdag)
 
-    @_cached
+    @cached_property
     def gap_mprime(self) -> np.ndarray:
         """||rho - M^dag M||_1."""
         return trace_norm(self.mat - self.mdag_m)
 
-    @_cached
+    @cached_property
     def commutator_norm(self) -> np.ndarray:
         """||[M, M^dag]||_1."""
         return trace_norm(self.m_mdag - self.mdag_m)
@@ -447,13 +425,13 @@ class StateAnalysis:
         self.stack = stack
         self.index = index
 
-    @_cached
+    @cached_property
     def rho(self) -> DensityMatrix:
         """rho, validated, with its decomposition."""
         i = self.index
         return DensityMatrix(mat=self.stack.mat[i], eig=_psd_rows(self.stack.rho_psd, i))
 
-    @_cached
+    @cached_property
     def marginals(self) -> tuple[DensityMatrix, DensityMatrix, DensityMatrix]:
         """Validated (rho_AB, rho_BC, rho_B), with their decompositions."""
         i = self.index
@@ -461,7 +439,7 @@ class StateAnalysis:
             DensityMatrix(mat=mat[i], eig=_psd_rows(e, i)) for mat, e in self.stack.marginals
         )
 
-    @_cached
+    @cached_property
     def entropies(self) -> EntropyReport:
         e = self.stack.entropies
         i = self.index
@@ -540,24 +518,24 @@ class ChannelAnalysis:
         self.sigma = sigma
         self.phi = phi
 
-    @_cached
+    @cached_property
     def _phi_rho(self) -> np.ndarray:
         # phi(rho) as the channel returns it, which the Petz map recovers.
         return self.phi.apply(self.rho.mat)
 
-    @_cached
+    @cached_property
     def _outputs(self) -> tuple[DensityMatrix, DensityMatrix]:
         # phi(rho) and phi(sigma), validated, with their decompositions.
         return validate_density(self._phi_rho), validate_density(self.phi.apply(self.sigma.mat))
 
-    @_cached
+    @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # log sigma, log phi(rho) and log phi(sigma), support-restricted,
         # each built once for lhs and X's exponent.
         out_rho, out_sigma = self._outputs
         return self.sigma.eig.log(), out_rho.eig.log(), out_sigma.eig.log()
 
-    @_cached
+    @cached_property
     def lhs(self) -> float:
         """S(rho || sigma) - S(phi(rho) || phi(sigma))."""
         out_rho, out_sigma = self._outputs
@@ -568,7 +546,7 @@ class ChannelAnalysis:
             return float(s_in - math.inf)
         return float(s_in - _rel_entropy(out_rho, log_out_sigma))
 
-    @_cached
+    @cached_property
     def _x(self) -> PsdEigen:
         # X = exp(x) as a decomposition, from one of its exponent x, with
         # the support cutoff of its spectrum.
@@ -578,30 +556,30 @@ class ChannelAnalysis:
         log_sigma, log_out_rho, log_out_sigma = self._logs
         return _exp_eigen(log_sigma + self.phi.dual(log_out_rho) - self.phi.dual(log_out_sigma))
 
-    @_cached
+    @cached_property
     def exp_operator(self) -> np.ndarray:
         """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
         e = self._x
         return _frozen(hermitian_part(e.apply(e.eigenvalues)))
 
-    @_cached
+    @cached_property
     def trace_exp(self) -> float:
         """Tr X, at most 1 if the conjectured trace bound holds."""
         return float(np.trace(self.exp_operator).real)
 
-    @_cached
+    @cached_property
     def rhs(self) -> float:
         """-2 log Tr[sqrt(rho) sqrt(X)], the lower bound on lhs."""
         rho, x = self.rho.eig, self._x
         a, b = rho._on_support(np.sqrt), x._on_support(np.sqrt)
         return _overlap_bound(float(np.einsum("ij,i,j->", _transfer(rho, x), a, b)))
 
-    @_cached
+    @cached_property
     def petz(self) -> KrausChannel:
         """The Petz transpose of phi with respect to sigma (channels.petz_dual)."""
         return _petz_dual(self.phi, self.sigma.eig)
 
-    @_cached
+    @cached_property
     def petz_gap(self) -> float:
         """||rho - P(phi(rho))||_1 for the Petz map P."""
         return trace_norm(self.rho.mat - self.petz.apply(self._phi_rho))

@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_conj.add_argument("--corpus", choices=CORPORA, default="hs-random")
     p_conj.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_conj.add_argument("--out", required=True, help="report file to write")
-    p_conj.set_defaults(format="json")
 
     p_markov = sub.add_parser("markov", help="assemble a Markov state from a block spec")
     p_markov.add_argument("--spec", required=True, help="Markov spec JSON file")
@@ -154,7 +153,7 @@ def _cmd_info(args) -> int:
     return 2 if bad else 0
 
 
-def _config(args) -> ScanConfig:
+def _config(args, **extra) -> ScanConfig:
     return ScanConfig(
         dims=args.dims,
         samples=args.samples,
@@ -162,12 +161,12 @@ def _config(args) -> ScanConfig:
         corpus=args.corpus,
         tol=args.tol,
         out=args.out,
-        fmt=args.format,
+        **extra,
     )
 
 
 def _cmd_scan(args) -> int:
-    rows = scan(_config(args))
+    rows = scan(_config(args, fmt=args.format))
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

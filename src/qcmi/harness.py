@@ -9,7 +9,9 @@ recorded, and they are only required to hold on corpora where they are
 theorems (classical and Markov states). The channel conjecture is the one
 run over channel triples: it asserts the proven channel rows on every
 triple and records the two conjectured ones. Which inequality is which,
-and where each is asserted, is the table in qcmi.inequalities.
+and where each is asserted, is the table in qcmi.inequalities. Its TABLE
+defines the conjectures: the unproven state rows, and "channel" for the
+unproven channel rows.
 """
 
 from __future__ import annotations
@@ -23,26 +25,15 @@ import numpy as np
 from .analysis import ChannelAnalysis, StackAnalysis, _analysed
 from .channels import random_channel
 from .errors import ConfigError, InequalityViolationError
-from .inequalities import CHANNEL, INEQUALITIES, TABLE, proven_checks
+from .inequalities import CHANNEL, INEQUALITIES, STATE, TABLE, proven_checks
 from .recovery import _label
-from .sampling import (
-    _classical_build,
-    _classical_draw,
-    _markov_build,
-    _markov_draw,
-    _near_markov_build,
-    _near_markov_draw,
-    _tripartite_build,
-    _tripartite_draw,
-    random_density,
-    substream,
-)
+from .sampling import CORPORA as _SAMPLERS, random_density, substream
 from .states import TripartiteState, _integer, _state, _tripartite_dims
 from .stateio import _require_path, _write_text, to_text, write_json, write_state
 from .tolerances import DEFAULT_TOL, _require_tol
 
-CORPORA = ("hs-random", "classical-random", "markov", "near-markov")
-CONJECTURES = ("half-recovery", "commutator-eighth", "rotated-quarter", "channel")
+CORPORA = tuple(_SAMPLERS)
+CONJECTURES = tuple(r.name for r in TABLE if r.applies == STATE and not r.proven) + ("channel",)
 
 # Scan analyses consecutive samples together in stacks of up to
 # STACK_BUDGET // n**2 states of dimension n, so that one stacked operand
@@ -141,29 +132,17 @@ class ConjectureResult:
 def _draw(cfg: ScanConfig, index: int):
     # Sample `index`'s draw: the generator calls of the corpus' public
     # sampler on substream(seed, index), which _matrices builds.
+    draw, _ = _SAMPLERS[cfg.corpus]
     rng = substream(cfg.seed, index)
-    dims = cfg.dims
-    if cfg.corpus == "hs-random":
-        return _tripartite_draw(dims, rng)
-    if cfg.corpus == "classical-random":
-        return _classical_draw(dims, rng)
-    if cfg.corpus == "markov":
-        return _markov_draw(dims, rng)
-    return _near_markov_draw(dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
-
-
-# Each corpus' build: the (k, n, n) matrices of k samples' draws at once.
-_BUILDS = {
-    "hs-random": _tripartite_build,
-    "classical-random": _classical_build,
-    "markov": _markov_build,
-    "near-markov": _near_markov_build,
-}
+    if cfg.corpus == "near-markov":
+        return draw(cfg.dims, rng, NEAR_MARKOV_MIXES[index % len(NEAR_MARKOV_MIXES)])
+    return draw(cfg.dims, rng)
 
 
 def _matrices(cfg: ScanConfig, draws: list) -> np.ndarray:
     # The matrices of the samples drawn as draws, built as one group.
-    return _BUILDS[cfg.corpus](cfg.dims, draws)
+    _, build = _SAMPLERS[cfg.corpus]
+    return build(cfg.dims, draws)
 
 
 def corpus_state(cfg: ScanConfig, index: int) -> TripartiteState:
@@ -409,6 +388,7 @@ def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> li
         results = _state_conjecture(cfg, which, unitary_samples)
     if cfg.out is not None:
         config = cfg.as_dict()
+        del config["format"]  # only scans write a format
         if which == "rotated-quarter":  # the one conjecture that draws unitaries
             config["unitary_samples"] = unitary_samples
         report = {"which": which, "config": config, "results": [asdict(r) for r in results]}

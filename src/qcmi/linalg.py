@@ -57,22 +57,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def hs_norm(m):
     """Hilbert-Schmidt (Frobenius) norm; a float, or an array of norms for a stack."""
     a = np.asarray(m)
-    # numpy.linalg.norm's reduction for each matrix of the stack: the dot
-    # of the entries with themselves, for complex input the dot of the real
-    # parts plus the dot of the imaginary parts. matmul makes that same BLAS
-    # dot call per matrix, so every norm is bitwise numpy.linalg.norm of
-    # its matrix alone. Real input keeps its own dot: as complex, its norm
-    # would differ in the last bits.
-    stack = a.shape[:-2]
-    if np.iscomplexobj(a):
-        v = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64)
-        v = v.reshape(stack + (1, -1, 2))
-        re, im = v[..., 0], v[..., 1]
-        sq = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
-    else:
-        v = np.ascontiguousarray(a, dtype=np.float64).reshape(stack + (1, -1))
-        sq = v @ v.swapaxes(-1, -2)
-    return _scalar(np.sqrt(sq.reshape(stack)))
+    # numpy.linalg.norm of each matrix of the stack in turn, so that every
+    # norm is bitwise numpy.linalg.norm of its matrix alone.
+    norms = [np.linalg.norm(x) for x in a.reshape(-1, *a.shape[-2:])]
+    return _scalar(np.array(norms).reshape(a.shape[:-2]))
 
 
 def _conj_transposed(m: np.ndarray) -> np.ndarray:

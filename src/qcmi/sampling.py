@@ -22,7 +22,8 @@ the group once. The generator calls are the public sampler's, unchanged
 in kind, arguments and order, and the stacked arithmetic acts on each
 matrix as on that matrix alone, so state i of a group is bitwise its lone
 draw and leaves its generator in the same state. The public samplers are
-the build on a group of one.
+the build on a group of one. The table CORPORA defines the harness
+corpora: it maps each corpus name to its (draw, build) pair.
 
 The tripartite samplers return unvalidated TripartiteState values: their
 matrices are density matrices by construction, and each state's analysis
@@ -242,3 +243,14 @@ def near_markov_state(dims, rng: np.random.Generator, mix: float) -> TripartiteS
     dims = _tripartite_dims(dims)
     mix = _require_mix(mix)
     return _alone(_near_markov_build, dims, _near_markov_draw(dims, rng, mix))
+
+
+# Each harness corpus' (draw, build): draw(dims, rng) makes one sample's
+# generator calls (near-markov's also takes the sample's mix), and
+# build(dims, draws) the (k, n, n) matrices of k samples' draws at once.
+CORPORA = {
+    "hs-random": (_tripartite_draw, _tripartite_build),
+    "classical-random": (_classical_draw, _classical_build),
+    "markov": (_markov_draw, _markov_build),
+    "near-markov": (_near_markov_draw, _near_markov_build),
+}

@@ -191,6 +191,16 @@ class TestScanCommand:
         assert doc["config"]["corpus"] == "markov"
 
 
+# A corpus for each conjecture's report test: those it is asserted on,
+# and the channel run's one corpus.
+REPORT_CORPORA = {
+    "half-recovery": "markov",
+    "commutator-eighth": "classical-random",
+    "rotated-quarter": "hs-random",
+    "channel": "hs-random",
+}
+
+
 class TestConjectureCommand:
     def test_half_recovery_on_classical_corpus(self, tmp_path, capsys):
         out = tmp_path / "conj.json"
@@ -226,6 +236,22 @@ class TestConjectureCommand:
         )
         assert rc == 0
         assert "min_slack=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("which", harness.CONJECTURES)
+    def test_writes_the_bytes_run_conjecture_writes(self, which, tmp_path, capsys):
+        # One run through the library and through the command, to the same
+        # path: the report and its argmin artifacts are the same files.
+        corpus = REPORT_CORPORA[which]
+        out = tmp_path / "report"
+        cfg = harness.ScanConfig(dims=(2, 1, 2), samples=5, seed=3, corpus=corpus, out=str(out))
+        harness.run_conjecture(cfg, which)
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        argv = ["conjecture", "--which", which, "--dims", "2,1,2", "--samples", "5", "--seed", "3"]
+        assert main(argv + ["--corpus", corpus, "--out", str(out)]) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+        assert b'"format"' not in written["report"]
 
     def test_negative_unitary_samples_rejected(self, tmp_path, capsys):
         out = tmp_path / "rot.json"

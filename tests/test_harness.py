@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcmi import harness
+from qcmi import harness, sampling
 from qcmi.analysis import ChannelAnalysis, _analysed
 from qcmi.channels import random_channel
 from qcmi.errors import (
@@ -35,8 +35,10 @@ from qcmi.harness import (
     write_scan_report,
 )
 from qcmi.inequalities import (
+    ALWAYS,
     CHANNEL,
     INEQUALITIES,
+    TABLE,
     commutator_slack,
     half_recovery_slack,
     proven_checks,
@@ -668,6 +670,11 @@ class TestProvenChecks:
         assert checks["log-overlap-below-cmi"] == -math.inf
         assert checks["thm1-below-log-overlap"] == math.inf
         assert [name for name, s in checks.items() if s < 0] == ["log-overlap-below-cmi"]
+
+    def test_the_table_asserts_rows_only_on_real_corpora(self):
+        # A misspelt corpus would silently never assert its row.
+        named = {c for row in TABLE if row.asserted != ALWAYS for c in row.asserted}
+        assert named and named <= set(sampling.CORPORA)
 
     def test_channel_checks_are_the_two_proven_channel_rows(self):
         a = harness._channel(ScanConfig(dims=(3, 1, 1), samples=1, seed=32), 0)

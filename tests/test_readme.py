@@ -12,6 +12,8 @@ which lists each proven step once; print it with
 
     PYTHONPATH=src python tests/test_readme.py
 
+The README names every corpus of the harness where scan lists them, and
+gives each conjecture a bullet of its own, in the harness' order.
 The README's table of tolerances names every constant of qcmi.tolerances
 with its value, in the module's order.
 """
@@ -27,7 +29,7 @@ import pytest
 
 from qcmi import tolerances
 from qcmi.cli import _COMMANDS, run
-from qcmi.harness import ScanConfig, corpus_state
+from qcmi.harness import CONJECTURES, CORPORA, ScanConfig, corpus_state
 from qcmi.inequalities import ALWAYS, CHANNEL, STATE, TABLE, proven_checks
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -68,6 +70,23 @@ def test_the_command_line_section_documents_every_subcommand():
     start = text.index("\n## Command line\n")
     section = text[start:text.index("\n## ", start + 1)]
     assert re.findall(r"^### (.+)$", section, flags=re.MULTILINE) == list(_COMMANDS)
+
+
+def _section(heading: str) -> str:
+    # The README's text from `heading` to the next heading.
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"\n{heading}\n")
+    return text[start:text.index("\n#", start + 1)]
+
+
+def test_the_scan_section_names_every_corpus():
+    paragraph = _section("### scan").split("\nCorpora: ")[1].split("\n\n")[0]
+    assert re.findall(r"`([a-z-]+)`\s\(", paragraph) == list(CORPORA)
+
+
+def test_the_conjecture_section_has_a_bullet_per_conjecture():
+    bullets = re.findall(r"^\* `([a-z-]+)`:", _section("### conjecture"), flags=re.MULTILINE)
+    assert bullets == list(CONJECTURES)
 
 
 @pytest.mark.parametrize("argv, printed", examples())
