@@ -18,7 +18,7 @@ from qcmi.cli import main
 from qcmi.errors import InequalityViolationError
 from qcmi.harness import ScanConfig, run_conjecture
 from qcmi.sampling import random_markov_spec, random_tripartite, substream
-from qcmi.states import ClassicalJoint, classical_state
+from qcmi.states import ClassicalJoint, classical_state, tripartite
 from qcmi.stateio import write_markov_spec, write_state
 
 PINS = Path(__file__).with_name("pins")
@@ -30,6 +30,14 @@ def parity_state():
         for b in range(2):
             p[a, b, (a + b) % 2] = 0.25
     return classical_state(ClassicalJoint(p))
+
+
+def w_state():
+    # (|001> + |010> + |100>) / sqrt(3): rho_AB and rho_BC have rank 2 of 4,
+    # so sigma* is support-restricted.
+    psi = np.zeros(8)
+    psi[[1, 2, 4]] = 1.0 / np.sqrt(3.0)
+    return tripartite(np.outer(psi, psi), (2, 2, 2))
 
 
 def _files(tmp_path) -> dict[str, bytes]:
@@ -81,24 +89,24 @@ def _cli(argv, capsys) -> bytes:
 def _state_files(tmp_path):
     full = tmp_path / "full.json"
     parity = tmp_path / "parity.json"
+    w = tmp_path / "w.json"
     write_state(random_tripartite((2, 1, 2), substream(71, 0)), full)
     write_state(parity_state(), parity)
-    return full, parity
+    write_state(w_state(), w)
+    return full, parity, w
 
 
 def info(tmp_path, monkeypatch, capsys):
-    full, parity = _state_files(tmp_path)
     out = {}
-    for path in (full, parity):
+    for path in _state_files(tmp_path):
         out[f"{path.stem}.txt"] = _cli(["info", str(path)], capsys)
         out[f"{path.stem}.json"] = _cli(["info", str(path), "--json"], capsys)
     return out
 
 
 def classify(tmp_path, monkeypatch, capsys):
-    full, parity = _state_files(tmp_path)
     out = {}
-    for path in (full, parity):
+    for path in _state_files(tmp_path):
         out[f"{path.stem}.txt"] = _cli(["classify", str(path)], capsys)
         out[f"{path.stem}.json"] = _cli(["classify", str(path), "--json"], capsys)
     return out
