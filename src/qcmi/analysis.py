@@ -6,7 +6,9 @@ Every per-state diagnostic reads the same decompositions:
   serves its validation, entropy, log, sqrt and pseudo-inverse sqrt;
 * one of rho, which serves its validation and S(ABC);
 * one of the exponent h = log rho_AB - log rho_B + log rho_BC, which gives
-  sigma* = exp(h);
+  sigma* = exp(h), or for singular rho_AB or rho_BC one of the sum of the
+  embedded support projectors and one of h compressed onto the
+  intersection P of those supports, which give sigma* = P exp(P h P) P;
 * one spectrum per trace norm: rho - sigma*, rho - M M^dag, rho - M^dag M
   and [M, M^dag].
 
@@ -18,26 +20,27 @@ each matrix bitwise the result of a call on that matrix alone (the
 grouping-invariance tests check this), so a state's values do not depend
 on the stack it was analysed in.
 
-The analysis validates rho and its marginals with states._validated, the
-one density check, from these decompositions, before it derives anything
-from them. That is where a TripartiteState is validated, and consumers
-read the decompositions it keeps.
+The analysis validates rho (Hermitian already: its state's constructor
+or sampler made it so) with states._checked and its marginals with
+states._validated, the one density check, from these decompositions,
+before it derives anything from them. That is where a TripartiteState is
+validated, and consumers read the decompositions it keeps.
 
 A row of a report is scalars, so the analysis keeps decompositions and
 scalars and not the operators between them. It keeps rho's, the
-marginals' and exp(h)'s decompositions, the three marginal logs at
+marginals' and sigma*'s decompositions, the three marginal logs at
 marginal dimension (built once, for h and the embedded logs), M M^dag
 and M^dag M (two of the three trace norms that read them are all
-classify needs), and each scalar. Each group of scalars is computed
-from one build of its operators, which is freed before the next group:
-Tr sigma* and ||rho - sigma*||_1 from sigma*, the M products from M,
-and the overlap, thm1 and ruskai as sums over the transfer matrix
+classify needs), and each scalar. Each group of scalars is computed from
+one build of its operators, which is freed before the next group:
+Tr sigma* and ||rho - sigma*||_1 from sigma*, the M products from M, and
+the overlap, thm1 and ruskai as sums over the transfer matrix
 W = |Q^dag V|^2, for Q rho's and V sigma*'s eigenvectors, which is not
-kept. h, the embedded
-logs, sigma* and M are built on demand, for the rows asked for,
+kept. h, the embedded logs, sigma* (rebuilt from its decomposition, for
+every row alike) and M are built on demand, for the rows asked for,
 read-only and not kept. Each piece is computed on first use, so a stack
-pays for each decomposition at most once. Each scalar is also kept as
-a column, a list of Python floats over the stack (StackAnalysis.column),
+pays for each decomposition at most once. Each scalar is also kept as a
+column, a list of Python floats over the stack (StackAnalysis.column),
 converted once; a scan builds its rows from the columns.
 StateAnalysis is one state's row of a stack, and
 TripartiteState.analysis holds it. It is the one read path of every
@@ -73,14 +76,13 @@ from .linalg import (
     dagger,
     hermitian_part,
     hs_norm,
-    mat_exp,
-    psd_eig,
     trace_norm,
 )
 from .states import (
     MARGINALS,
     DensityMatrix,
     TripartiteState,
+    _checked,
     _frozen,
     _require_full_rank,
     _state,
@@ -97,14 +99,6 @@ def _overlap_bound(overlap: float) -> float:
     if overlap <= ZERO_OVERLAP:
         return math.inf
     return -2.0 * math.log(overlap)
-
-
-def _intersection_projector(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # Intersection of the ranges of two orthogonal projectors: the
-    # eigenvalue-2 eigenspace of p + q.
-    e = _eigh(p + q)
-    cols = e.eigenvectors[:, e.eigenvalues > 2.0 - INTERSECTION_TOL]
-    return hermitian_part(cols @ dagger(cols))
 
 
 def _exp_eigen(h: np.ndarray) -> PsdEigen:
@@ -162,7 +156,7 @@ class StackAnalysis:
     @cached_property
     def rho_psd(self) -> PsdEigen:
         """The decomposition of rho, validated."""
-        return _validated(self.mat)[1]
+        return _checked(self.mat)
 
     @cached_property
     def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen], ...]:
@@ -220,62 +214,53 @@ class StackAnalysis:
         return _frozen(h)
 
     @cached_property
-    def _sigma(self) -> tuple[PsdEigen, dict[int, np.ndarray], np.ndarray]:
-        # (decomposition of sigma*, sigma* of the support-restricted rows,
-        # support_restricted). A full-rank row's decomposition is exp(h)'s,
-        # from which sigma* is rebuilt; a restricted row keeps its sigma*,
-        # and its decomposition is psd_eig's of it. h is built for this
-        # and not kept.
+    def _sigma(self) -> tuple[PsdEigen, np.ndarray]:
+        # (decomposition of sigma*, support_restricted). A full-rank row's
+        # decomposition is exp(h)'s, a restricted row's _restricted_exp's.
+        # h is built for this and not kept.
         h = self.exponent()
         (ab, psd_ab), (bc, psd_bc), _ = self.marginals
         full = (psd_ab.rank == ab.shape[-1]) & (psd_bc.rank == bc.shape[-1])
         if full.all():  # the common case, without copies into a mixed stack
-            return _exp_eigen(h), {}, ~full
-        w, v, cutoff = np.empty(h.shape[:-1]), np.empty_like(h), np.empty(len(self))
+            return _exp_eigen(h), ~full
+        w, v = np.empty(h.shape[:-1]), np.empty_like(h)
         if full.any():
-            e = _exp_eigen(h[full])
-            w[full], v[full], cutoff[full] = e.eigenvalues, e.eigenvectors, e.cutoff
-        restricted = {}
+            e = _eigh(h[full])
+            w[full], v[full] = np.exp(e.eigenvalues), e.eigenvectors
         for i in np.flatnonzero(~full):
-            sig = self._restricted_sigma(i, h[i])
-            e = psd_eig(sig, "sqrt")
-            w[i], v[i], cutoff[i] = e.eigenvalues, e.eigenvectors, e.cutoff
-            restricted[int(i)] = _frozen(sig)
-        return PsdEigen(eigenvalues=w, eigenvectors=v, cutoff=cutoff), restricted, ~full
+            w[i], v[i] = self._restricted_exp(i, h[i])
+        return as_psd(HermitianEigen(w, v), "sqrt"), ~full
 
-    def _restricted_sigma(self, i: int, h: np.ndarray) -> np.ndarray:
-        # Singular rho_AB or rho_BC: exponentiate on the intersection P of
-        # the embedded supports, sigma* = P exp(P h P) P, for h row i's
-        # exponent. The kernel of P carries eigenvalue 1 in exp(P h P), so
-        # the overlap and thm1 take their own decomposition of sigma* rather
-        # than one of P h P.
+    def _restricted_exp(self, i: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Singular rho_AB or rho_BC: sigma* = P exp(P h P) P for h row i's
+        # exponent and P the projector onto the intersection of the
+        # embedded supports, the eigenvalue-2 eigenspace V of their sum.
+        # That is V exp(V^dag h V) V^dag, so for (w, U) the decomposition
+        # of V^dag h V its eigenvalues are (0, ..., 0, e^w) on the columns
+        # (V_perp, V U): the kernel's are exactly 0, and the support
+        # cutoff is that of sigma*'s own spectrum.
         psd_ab, psd_bc, _ = self.marginal_psd
-        dims = self.dims
-        proj = _intersection_projector(
-            embed(_psd_rows(psd_ab, i).projector(), "AB", dims),
-            embed(_psd_rows(psd_bc, i).projector(), "BC", dims),
-        )
-        compressed = hermitian_part(proj @ h @ proj)
-        return hermitian_part(proj @ mat_exp(compressed) @ proj)
+        both = embed(_psd_rows(psd_ab, i).projector(), "AB", self.dims)
+        both += embed(_psd_rows(psd_bc, i).projector(), "BC", self.dims)
+        e = _eigh(both)
+        on = e.eigenvalues > 2.0 - INTERSECTION_TOL
+        v = e.eigenvectors[:, on]
+        c = _eigh(dagger(v) @ h @ v)
+        w = np.concatenate([np.zeros(np.count_nonzero(~on)), np.exp(c.eigenvalues)])
+        return w, np.concatenate([e.eigenvectors[:, ~on], v @ c.eigenvectors], axis=1)
 
     def _new_sigma_star(self, rows: slice) -> np.ndarray:
-        # sigma* of the states `rows` in a new, writable array: rebuilt from
-        # exp(h)'s decomposition for the full-rank rows, copied for the others.
-        ex, restricted, _ = self._sigma
-        index = range(len(self))[rows]
-        full = [i for i in index if i not in restricted]
-        e = _psd_rows(ex, rows if len(full) == len(index) else full)
-        sigma = hermitian_part(e.apply(e.eigenvalues))
-        if len(full) == len(index):
-            return sigma
-        rebuilt = iter(sigma)
-        return np.stack([restricted[i] if i in restricted else next(rebuilt) for i in index])
+        # sigma* of the states `rows` in a new, writable array, rebuilt
+        # from its decomposition.
+        e = _psd_rows(self._sigma[0], rows)
+        return hermitian_part(e.apply(e.eigenvalues))
 
     def sigma_star(self, rows: slice = ALL) -> np.ndarray:
-        """sigma* = exp(h) of the states `rows`, built on each call."""
+        """sigma* of the states `rows`, built on each call: exp(h), or
+        P exp(P h P) P for a support-restricted row."""
         return _frozen(self._new_sigma_star(rows))
 
-    support_restricted = property(lambda self: self._sigma[2])
+    support_restricted = property(lambda self: self._sigma[1])
 
     @cached_property
     def _sigma_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +278,7 @@ class StackAnalysis:
         # The overlap, thm1 and ruskai as sums over W = |Q^dag V|^2 (Q rho's,
         # V sigma*'s eigenvectors): the Bhattacharyya coefficient and squared
         # Hellinger distance of the Nussbaum-Szkola pair (lambda_i W_ij, mu_j W_ij).
-        rho, (sig, _, restricted) = self.rho_psd, self._sigma
+        rho, (sig, restricted) = self.rho_psd, self._sigma
         w = _transfer(rho, sig)
         a, b = rho._on_support(np.sqrt), sig._on_support(np.sqrt)
         overlap = np.einsum("kij,ki,kj->k", w, a, b)

@@ -56,7 +56,8 @@ NEAR_MARKOV_MIXES = (1e-1, 1e-2, 1e-3, 1e-4)
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Shared configuration for scans and conjecture runs."""
+    """Shared configuration for scans and conjecture runs. fmt is read by
+    scans only: a conjecture report is always JSON."""
 
     dims: tuple[int, int, int]
     samples: int

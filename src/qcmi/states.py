@@ -106,14 +106,11 @@ def _require_full_rank(rho: DensityMatrix, what: str) -> None:
         raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
 
 
-def _validated(m) -> tuple[np.ndarray, PsdEigen]:
-    # The one density check, on matrices of shape (..., n, n), from one
-    # eigh: each matrix must be Hermitian, have no eigenvalue below minus
-    # its support cutoff (as_psd's rule) and have unit trace. Returns the
-    # read-only symmetrized copies and their decompositions, which hold
-    # the support ranks. The first matrix that fails raises; a NaN or
-    # infinite entry raises NotFiniteError (require_hermitian's check).
-    sym = require_hermitian(m)
+def _checked(sym: np.ndarray) -> PsdEigen:
+    # The decompositions, with their support ranks, of Hermitian matrices
+    # (..., n, n) from one eigh, which must have no eigenvalue below minus
+    # the support cutoff (as_psd's rule) and unit trace; the first that
+    # fails raises.
     e, negative = _with_cutoff(_eigh_symmetrized(sym))
     if np.count_nonzero(negative):
         found = _first(e.eigenvalues[..., 0], negative)
@@ -123,7 +120,15 @@ def _validated(m) -> tuple[np.ndarray, PsdEigen]:
     failed = abs(tr - 1.0) > TRACE_ATOL
     if np.count_nonzero(failed):
         raise TraceNotOneError(f"trace is {_first(tr, failed)!r}, expected 1 within {TRACE_ATOL}")
-    return _frozen(sym), e
+    return e
+
+
+def _validated(m) -> tuple[np.ndarray, PsdEigen]:
+    # The one density check, require_hermitian's and then _checked's, of
+    # matrices (..., n, n): their read-only symmetrized copies and their
+    # decompositions. A NaN or infinite entry raises NotFiniteError.
+    sym = require_hermitian(m)
+    return _frozen(sym), _checked(sym)
 
 
 def validate_density(m) -> DensityMatrix:
@@ -140,13 +145,15 @@ def validate_density(m) -> DensityMatrix:
 class TripartiteState:
     """A matrix on A (x) B (x) C with explicit subsystem dimensions.
 
-    The state holds a read-only copy of the matrix, so editing the
-    caller's array, or the base of a view, leaves it unchanged. The
-    state's analysis validates it as a density matrix the first time a
-    value is read. The samplers, and so the states a run draws from its
-    corpus, build density matrices by construction and leave that to the
+    On construction the matrix must be square, finite and Hermitian
+    (require_hermitian's check) and dims must match it. The state holds
+    the read-only symmetrized copy that check makes, so editing the
+    caller's array, or the base of a view, leaves it unchanged. Its
+    analysis checks positivity and unit trace the first time a value is
+    read. The samplers, and so the states a run draws from its corpus,
+    build density matrices by construction and leave that to the
     analysis. The constructors of outside input, tripartite, read_state,
-    regularize, markov_state and classical_state, validate on
+    regularize, markov_state and classical_state, validate in full on
     construction.
     """
 
@@ -154,7 +161,7 @@ class TripartiteState:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _frozen(as_matrix(self.mat).copy()))
+        object.__setattr__(self, "mat", _frozen(require_hermitian(as_matrix(self.mat))))
         object.__setattr__(self, "dims", _state_dims(self.dims, self.dim))
 
     @property
@@ -186,10 +193,10 @@ def _state_dims(dims, dim: int) -> tuple[int, int, int]:
 
 
 def _state(mat: np.ndarray, dims: tuple[int, int, int]) -> TripartiteState:
-    # The state of mat, a new C-ordered complex128 (n, n) array that no
-    # caller holds, for dims of three Python ints whose product is n: it
-    # holds mat itself, made read-only, without TripartiteState's copy and
-    # its second check of the dims.
+    # The state of mat, a new C-ordered complex128 Hermitian (n, n) array
+    # that no caller holds, for dims of three Python ints whose product is
+    # n: it holds mat itself, made read-only, without TripartiteState's
+    # symmetrized copy and its check of the dims.
     state = object.__new__(TripartiteState)
     object.__setattr__(state, "mat", _frozen(mat))
     object.__setattr__(state, "dims", dims)
@@ -197,13 +204,9 @@ def _state(mat: np.ndarray, dims: tuple[int, int, int]) -> TripartiteState:
 
 
 def tripartite(m, dims) -> TripartiteState:
-    """Validate a raw matrix as a tripartite state.
-
-    The state holds the symmetrized copy of m, and its analysis keeps the
-    decomposition the validation made.
-    """
-    sym = require_hermitian(as_matrix(m))
-    state = _state(sym, _state_dims(dims, sym.shape[0]))
+    """Validate a raw matrix as a tripartite state: the constructor's
+    checks, then the analysis's, which keeps the decomposition it made."""
+    state = TripartiteState(m, dims)
     state.rho  # validated by the analysis
     return state
 

@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qcmi import analysis as analysis_module
 from qcmi import linalg, sampling, states
@@ -37,19 +38,24 @@ from qcmi.states import (
     tripartite,
     validate_density,
 )
-from qcmi.tolerances import INTERSECTION_TOL
+from qcmi.tolerances import DEFAULT_TOL, INTERSECTION_TOL
 from qcmi.trace_inequalities import lieb_triple_rhs
 from oracles import identity_channel, m_three_embeds, nussbaum_szkola, sqrtm_chain
 from test_golden import cases as golden_cases
 from test_golden import record, restricted_states, sub_cutoff_classical
+from test_metamorphic import _low_rank
 
 # One scan sample at full dimension d decomposes rho (which also validates
 # it), the exponent h, and the four trace-norm spectra rho - sigma*,
 # rho - M M^dag, rho - M^dag M and [M, M^dag]; with the three marginals,
 # each decomposed once for its validation and its functions, that makes
-# nine. A support-restricted sample would add decompositions of its own.
+# nine. A support-restricted sample decomposes, in place of h, the sum of
+# the embedded support projectors of rho_AB and rho_BC at full dimension
+# and h compressed onto their intersection at the intersection's
+# dimension: ten, six of them at full dimension.
 FULL_DIM_DECOMPOSITIONS_PER_SAMPLE = 6
 DECOMPOSITIONS_PER_SAMPLE = 9
+RESTRICTED_DECOMPOSITIONS_PER_SAMPLE = 10
 
 
 @pytest.fixture
@@ -101,6 +107,17 @@ def test_scan_sample_makes_exactly_the_budget(decompositions):
     scan(ScanConfig(dims=(3, 3, 3), samples=samples, seed=31))
     assert sum(1 for n in decompositions if n == 27) == FULL_DIM_DECOMPOSITIONS_PER_SAMPLE * samples
     assert len(decompositions) == DECOMPOSITIONS_PER_SAMPLE * samples
+
+
+@pytest.mark.parametrize("tag", sorted(restricted_states()))
+def test_a_support_restricted_sample_makes_ten_decompositions(tag, decompositions):
+    st = restricted_states()[tag]
+    fresh = TripartiteState(st.mat, st.dims)
+    decompositions.clear()
+    evaluate_sample(fresh, 0)
+    assert fresh.analysis.support_restricted
+    assert len(decompositions) == RESTRICTED_DECOMPOSITIONS_PER_SAMPLE
+    assert decompositions.count(st.dim) == FULL_DIM_DECOMPOSITIONS_PER_SAMPLE
 
 
 @pytest.mark.parametrize("corpus", CORPORA)
@@ -357,14 +374,14 @@ def _mixed_stacks():
 def test_mixed_stack_matches_states_analysed_alone(states, applies):
     stacked = _analysed(np.array([st.mat for st in states]), states[0].dims)
     assert len({id(st.analysis.stack) for st in stacked}) == 1
-    # sigma* is rebuilt from exp(h)'s decomposition for the full-rank rows
-    # only; the restricted rows copy the sigma* they keep.
+    # sigma* of every row, full-rank and restricted, is rebuilt from its
+    # decomposition in one stacked rebuild.
     stack = stacked[0].analysis.stack
     full = int(np.count_nonzero(~stack.support_restricted))
     assert 0 < full < len(stack)
     applies.clear()
     stack.sigma_star()
-    assert applies == [(full, stack.mat.shape[-1])]
+    assert applies == [(len(stack), stack.mat.shape[-1])]
     for together, alone in zip(stacked, states):
         assert record(together, "hs-random") == record(alone, "hs-random")
         for name in ("sigma_star", "m", "m_mdag", "mdag_m"):
@@ -550,10 +567,38 @@ def test_on_demand_operators_are_read_only_and_do_not_depend_on_the_stack():
             assert op.tobytes() == second[name].tobytes() == alone[name].tobytes(), name
 
 
+# sigma* against P exp(P h P) P composed with mat_exp or scipy's expm:
+# over the restricted states, the mixed stacks and the low-rank sweep
+# below, entries differed by at most 3.2e-16 (the rank-3 rho at 3,3,3,
+# whose marginals are full rank and P = I; 1.7e-16 on restricted rows),
+# so 1e-15 leaves a margin of 3x.
+RESTRICTED_SIGMA_ATOL = 1e-15
+
+
+def _intersection(st):
+    # (w, q) of the sum of the embedded support projectors of rho_AB and
+    # rho_BC, which marks their intersection as its eigenvalue-2
+    # eigenspace, and h, composed from numpy.
+    a = st.analysis
+    psd_ab, psd_bc, _ = (m.eig for m in a.marginals)
+    both = embed(psd_ab.projector(), "AB", st.dims) + embed(psd_bc.projector(), "BC", st.dims)
+    w, q = np.linalg.eigh(hermitian_part(both))
+    log_ab, log_bc, log_b = a.embedded_logs
+    return w > 2.0 - INTERSECTION_TOL, q, log_ab + log_bc - log_b
+
+
+def _p_exp_php_p(st, expm):
+    on, q, h = _intersection(st)
+    proj = hermitian_part(q[:, on] @ dagger(q[:, on]))
+    return hermitian_part(proj @ expm(hermitian_part(proj @ h @ proj)) @ proj)
+
+
 def test_support_restricted_sigma_star_is_p_exp_php_p():
-    # A restricted row's sigma* is bitwise P exp(P h P) P, for P the
-    # intersection of the embedded supports, alone and in a mixed stack;
-    # not a rebuild from the decomposition that its sqrt reads.
+    # A restricted row's sigma* is bitwise V exp(V^dag h V) V^dag, for V
+    # the orthonormal columns of the intersection P of the embedded
+    # supports, rebuilt from eigenvalues (0, ..., 0, e^w) on the columns
+    # (V_perp, V U) for (w, U) the decomposition of V^dag h V; alone and
+    # in a mixed stack. That is P exp(P h P) P, to RESTRICTED_SIGMA_ATOL.
     alone = list(restricted_states().values())
     stacked = []
     for states in _mixed_stacks():
@@ -561,16 +606,30 @@ def test_support_restricted_sigma_star_is_p_exp_php_p():
     restricted = [st for st in alone + sum(stacked, []) if st.analysis.support_restricted]
     assert len(restricted) == 2 * len(alone)
     for st in restricted:
-        a = st.analysis
-        psd_ab, psd_bc, _ = (m.eig for m in a.marginals)
-        both = embed(psd_ab.projector(), "AB", st.dims) + embed(psd_bc.projector(), "BC", st.dims)
-        w, v = np.linalg.eigh(hermitian_part(both))
-        cols = v[:, w > 2.0 - INTERSECTION_TOL]
-        proj = hermitian_part(cols @ dagger(cols))
-        log_ab, log_bc, log_b = a.embedded_logs
-        compressed = hermitian_part(proj @ (log_ab + log_bc - log_b) @ proj)
-        want = hermitian_part(proj @ mat_exp(compressed) @ proj)
-        assert a.sigma_star.tobytes() == want.tobytes()
+        on, q, h = _intersection(st)
+        v = q[:, on]
+        w, u = np.linalg.eigh(hermitian_part(dagger(v) @ h @ v))
+        vecs = np.concatenate([q[:, ~on], v @ u], axis=1)
+        vals = np.concatenate([np.zeros(np.count_nonzero(~on)), np.exp(w)])
+        want = hermitian_part((vecs * vals) @ dagger(vecs))
+        assert st.analysis.sigma_star.tobytes() == want.tobytes()
+        cross = _p_exp_php_p(st, mat_exp)
+        assert np.abs(st.analysis.sigma_star - cross).max() <= RESTRICTED_SIGMA_ATOL
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (4, 4, 4)])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_low_rank_states_hold_the_proven_rows(dims, rank):
+    # rho = G G^dag / Tr for a Gaussian n x rank G: singular marginals for
+    # every rank here but 3 at 3,3,3. Every proven row asserted always
+    # holds at the default tol, and sigma* is P exp(P h P) P by scipy.
+    for i in range(2):
+        st = _low_rank(dims, rank, i)
+        assert st.analysis.support_restricted == (rank * dims[2] < dims[0] * dims[1])
+        for name, slack in proven_checks(st.analysis, None):
+            assert slack >= -DEFAULT_TOL, (name, slack)
+        cross = _p_exp_php_p(st, scipy.linalg.expm)
+        assert np.abs(st.analysis.sigma_star - cross).max() <= RESTRICTED_SIGMA_ATOL
 
 
 def test_the_rotated_bound_pays_for_no_overlap_and_no_m():
@@ -597,7 +656,7 @@ def _full_dim_arrays(value, shape):
     return [a for item in items for a in _full_dim_arrays(item, shape)]
 
 
-# What a stack keeps at full dimension: rho, rho's decomposition, exp(h)'s
+# What a stack keeps at full dimension: rho, rho's decomposition, sigma*'s
 # decomposition (for sigma* and, with rho's, the overlap, thm1 and
 # ruskai), and M M^dag and M^dag M (for the trace norms classify reads).
 # Every other full-dimension operator, h among them, is built on demand.
@@ -614,6 +673,22 @@ def test_a_stack_keeps_only_its_decompositions_and_m_products():
     stack = states[0].analysis.stack
     held = {name for name, value in vars(stack).items() if _full_dim_arrays(value, (4, 27, 27))}
     assert held == KEPT_FULL_DIM
+
+
+@pytest.mark.parametrize("states", _mixed_stacks(), ids=lambda states: str(states[0].dims))
+def test_a_mixed_stack_keeps_no_sigma_star(states):
+    # A restricted row's sigma* is rebuilt from its decomposition like
+    # any other: the stack keeps what a full-rank stack keeps and no
+    # matrix of one state.
+    stacked = _analysed(np.array([st.mat for st in states]), states[0].dims)
+    for i, st in enumerate(stacked):
+        evaluate_sample(st, i)
+        _operators(st)
+    stack = stacked[0].analysis.stack
+    held = {name for name, value in vars(stack).items() if _full_dim_arrays(value, stack.mat.shape)}
+    assert held == KEPT_FULL_DIM
+    one = stack.mat.shape[1:]
+    assert [name for name, value in vars(stack).items() if _full_dim_arrays(value, one)] == []
 
 
 # Traced with tracemalloc (numpy 2.4, one BLAS thread), 5,5,5 scan samples

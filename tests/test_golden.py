@@ -98,8 +98,9 @@ def restricted_sub_cutoff_classical():
     ~4e-11 between the support cutoff of sigma* (~1.25e-11) and 1e-10.
 
     In the support-restricted branch exp(P h P) carries eigenvalue 1 on
-    the kernel of P; a cutoff taken from that spectrum would drop the
-    small eigenvalue and move thm1 by ~2e-8.
+    the kernel of P; a cutoff taken from that spectrum, rather than from
+    sigma* = P exp(P h P) P's, would drop the small eigenvalue and move
+    thm1 by ~2e-8.
     """
     p = np.zeros((3, 2, 3))
     p[0, 0, 0] = 2e-6

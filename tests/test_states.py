@@ -9,6 +9,7 @@ from qcmi.errors import (
     DimensionMismatchError,
     NotDistributionError,
     NotFiniteError,
+    NotHermitianError,
     NotPSDError,
     TraceNotOneError,
 )
@@ -92,6 +93,34 @@ class TestValidate:
         st = tripartite(np.diag(diag), (2, 2, 2))
         assert st.rho.support_rank == 7
         assert st.analysis.cmi >= 0.0  # sqrt and log accept what validation accepts
+
+    def test_the_constructor_holds_the_symmetrized_matrix(self):
+        # An entry off by 1e-12j, within HERMITIAN_RTOL: the state holds
+        # (m + m^dag) / 2, the matrix validate_density returns, and its
+        # analysis reads that matrix.
+        m = random_tripartite((2, 2, 2), substream(1, 0)).mat.copy()
+        m[0, 1] += 1e-12j
+        st = TripartiteState(m, (2, 2, 2))
+        want = validate_density(m).mat
+        assert st.mat.tobytes() == want.tobytes()
+        assert st.rho.mat.tobytes() == want.tobytes()
+        assert np.array_equal(st.rho.mat, st.rho.mat.conj().T)
+        assert tripartite(m, (2, 2, 2)).mat.tobytes() == want.tobytes()
+        a_b = st.analysis.marginals[2].mat
+        assert a_b.tobytes() == validate_density(_traced_out(want, (2, 2, 2), "B")).mat.tobytes()
+
+    def test_the_constructor_checks_hermiticity_and_finiteness(self):
+        m = np.eye(8, dtype=complex) / 8
+        m[0, 1] = 1e-3
+        with pytest.raises(NotHermitianError, match="^matrix deviates from Hermitian by"):
+            TripartiteState(m, (2, 2, 2))
+        m[0, 1] = np.nan
+        with pytest.raises(NotFiniteError, match=r"^matrix entry \(0, 1\) is \(nan\+0j\)$"):
+            TripartiteState(m, (2, 2, 2))
+        # Positivity and trace wait for the analysis.
+        st = TripartiteState(np.eye(8) / 4, (2, 2, 2))
+        with pytest.raises(TraceNotOneError):
+            st.rho
 
 
 class TestStackHelpers:
