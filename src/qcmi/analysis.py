@@ -39,18 +39,19 @@ W = |Q^dag V|^2, for Q rho's and V sigma*'s eigenvectors, which is not
 kept. h, the embedded logs, sigma* (rebuilt from its decomposition, for
 every row alike) and M are built on demand, for the rows asked for,
 read-only and not kept. Each piece is computed on first use, so a stack
-pays for each decomposition at most once. Each scalar is also kept as a
-column, a list of Python floats over the stack (StackAnalysis.column),
-converted once; a scan builds its rows from the columns.
+pays for each decomposition at most once. Each scalar is kept once, as
+a column: a list of Python floats over the stack, converted where it is
+computed and held by the attribute that computes it; a scan builds its
+rows from the columns.
 StateAnalysis is one state's row of a stack, and
 TripartiteState.analysis holds it. It is the one read path of every
 value above: callers read state.analysis.cmi, .sigma_star, .m, .ruskai,
 .gap_m and the rest, with the bound chain .log_overlap_bound, .thm1 and
-.corollary_bound, each scalar its entry of a column, and classify, qcmi
-info and the slacks of qcmi.inequalities read the same attributes. A
-state analysed on its own is a stack of one. A scan's group of samples
-is built as one (k, n, n) array (qcmi.sampling), which its stack reads
-as it is and its states view.
+.corollary_bound, each scalar its entry of the stack's column, and
+classify, qcmi info and the slacks of qcmi.inequalities read the same
+attributes. A state analysed on its own is a stack of one. A scan's
+group of samples is built as one (k, n, n) array (qcmi.sampling), which
+its stack reads as it is and its states view.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
 of the channel bound and the Petz recovery: one decomposition per matrix,
@@ -72,7 +73,7 @@ from .linalg import (
     HermitianEigen,
     PsdEigen,
     _eigh,
-    as_psd,
+    _with_cutoff,
     dagger,
     hermitian_part,
     hs_norm,
@@ -104,9 +105,9 @@ def _overlap_bound(overlap: float) -> float:
 def _exp_eigen(h: np.ndarray) -> PsdEigen:
     # exp(h) as a decomposition, from one decomposition of h. Its sqrt
     # keeps the PSD rule of every sqrt: eigenvalues e^w at or below the
-    # support cutoff of the spectrum e^w count as zero.
+    # support cutoff of the spectrum e^w count as zero; none is negative.
     e = _eigh(h)
-    return as_psd(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors), "sqrt")
+    return _with_cutoff(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors))[0]
 
 
 def _transfer(p: HermitianEigen, q: HermitianEigen) -> np.ndarray:
@@ -133,9 +134,10 @@ def _psd_rows(e: PsdEigen, rows: int | slice | list[int]) -> PsdEigen:
 class StackAnalysis:
     """Lazily computed spectral data of k states with the same dims.
 
-    Operators have shape (k, n, n) and scalars shape (k,). A stacked
-    computation that raises names the first failing matrix of the stack;
-    analyse each state alone to find which state fails.
+    Operators have shape (k, n, n), and each scalar is a list of k Python
+    floats (bools for support_restricted). A stacked computation that
+    raises names the first failing matrix of the stack; analyse each
+    state alone to find which state fails.
     """
 
     def __init__(self, mat: np.ndarray, dims: tuple[int, int, int]):
@@ -146,7 +148,6 @@ class StackAnalysis:
         # cyclic garbage collector happens to run.
         self.mat = mat
         self.dims = dims
-        self._columns: dict[str, list] = {}
 
     def __len__(self) -> int:
         return self.mat.shape[0]
@@ -174,14 +175,13 @@ class StackAnalysis:
 
     @cached_property
     def entropies(self) -> EntropyReport:
-        """The entropies and the cmi, each an array over the stack."""
+        """The entropies and the cmi, each a list over the stack."""
         s_ab, s_bc, s_b = (_entropy(e) for e in self.marginal_psd)
         s_abc = _entropy(self.rho_psd)
-        return EntropyReport(
-            s_abc=s_abc, s_ab=s_ab, s_bc=s_bc, s_b=s_b, cmi=s_ab + s_bc - s_abc - s_b
-        )
+        cmi = s_ab + s_bc - s_abc - s_b
+        return EntropyReport(*(x.tolist() for x in (s_abc, s_ab, s_bc, s_b, cmi)))
 
-    cmi = property(lambda self: self.entropies.cmi)
+    cmi = property(lambda self: self.entropies.cmi, doc="S(AB) + S(BC) - S(ABC) - S(B).")
 
     # -- sigma* and the bound chain ---------------------------------------
 
@@ -215,9 +215,9 @@ class StackAnalysis:
 
     @cached_property
     def _sigma(self) -> tuple[PsdEigen, np.ndarray]:
-        # (decomposition of sigma*, support_restricted). A full-rank row's
-        # decomposition is exp(h)'s, a restricted row's _restricted_exp's.
-        # h is built for this and not kept.
+        # (decomposition of sigma*, mask of the support-restricted rows). A
+        # full-rank row's decomposition is exp(h)'s, a restricted row's
+        # _restricted_exp's. h is built for this and not kept.
         h = self.exponent()
         (ab, psd_ab), (bc, psd_bc), _ = self.marginals
         full = (psd_ab.rank == ab.shape[-1]) & (psd_bc.rank == bc.shape[-1])
@@ -229,7 +229,7 @@ class StackAnalysis:
             w[full], v[full] = np.exp(e.eigenvalues), e.eigenvectors
         for i in np.flatnonzero(~full):
             w[i], v[i] = self._restricted_exp(i, h[i])
-        return as_psd(HermitianEigen(w, v), "sqrt"), ~full
+        return _with_cutoff(HermitianEigen(w, v))[0], ~full
 
     def _restricted_exp(self, i: int, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Singular rho_AB or rho_BC: sigma* = P exp(P h P) P for h row i's
@@ -260,21 +260,29 @@ class StackAnalysis:
         P exp(P h P) P for a support-restricted row."""
         return _frozen(self._new_sigma_star(rows))
 
-    support_restricted = property(lambda self: self._sigma[1])
+    @cached_property
+    def support_restricted(self) -> list[bool]:
+        """Whether sigma* is P exp(P h P) P: rho_AB or rho_BC is singular."""
+        return self._sigma[1].tolist()
 
     @cached_property
-    def _sigma_values(self) -> tuple[np.ndarray, np.ndarray]:
+    def _sigma_values(self) -> tuple[list[float], list[float]]:
         # Tr sigma* and ||rho - sigma*||_1 from one build of sigma*, whose
         # array then takes rho - sigma*.
         sigma = self._new_sigma_star(ALL)
         trace = np.trace(sigma, axis1=-2, axis2=-1).real
-        return trace, trace_norm(np.subtract(self.mat, sigma, out=sigma))
+        return trace.tolist(), trace_norm(np.subtract(self.mat, sigma, out=sigma)).tolist()
 
-    sigma_star_trace = property(lambda self: self._sigma_values[0])
+    sigma_star_trace = property(lambda self: self._sigma_values[0], doc="Tr sigma*.")
     trace_distance = property(lambda self: self._sigma_values[1], doc="||rho - sigma*||_1.")
 
     @cached_property
-    def _chain_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def corollary_bound(self) -> list[float]:
+        """||rho - sigma*||_1^2 / 4."""
+        return [0.25 * td**2 for td in self.trace_distance]
+
+    @cached_property
+    def _chain_values(self) -> tuple[list[float], list[float], list[float]]:
         # The overlap, thm1 and ruskai as sums over W = |Q^dag V|^2 (Q rho's,
         # V sigma*'s eigenvectors): the Bhattacharyya coefficient and squared
         # Hellinger distance of the Nussbaum-Szkola pair (lambda_i W_ij, mu_j W_ij).
@@ -295,11 +303,18 @@ class StackAnalysis:
             row = slice(i, i + 1)
             log = _psd_rows(rho, row).log()
             ruskai[i] = hs_norm(np.subtract(log, self.exponent(row), out=log))[0]
-        return overlap, thm1, ruskai
+        return overlap.tolist(), thm1.tolist(), ruskai.tolist()
 
     overlap = property(lambda self: self._chain_values[0], doc="Tr[sqrt(rho) sqrt(sigma*)].")
     thm1 = property(lambda self: self._chain_values[1], doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
     ruskai = property(lambda self: self._chain_values[2], doc="||log rho - h||_2 on supports.")
+
+    @cached_property
+    def log_overlap_bound(self) -> list[float]:
+        """-2 log Tr[sqrt(rho) sqrt(sigma*)], infinite at zero overlap."""
+        # As in corollary_bound, Python arithmetic on each element: numpy's
+        # vectorized log and power do not match it bitwise on every input.
+        return [_overlap_bound(x) for x in self.overlap]
 
     # -- recovery operator and Markov residuals ---------------------------
 
@@ -333,42 +348,19 @@ class StackAnalysis:
     mdag_m = property(lambda self: self._m_products[1])
 
     @cached_property
-    def gap_m(self) -> np.ndarray:
+    def gap_m(self) -> list[float]:
         """||rho - M M^dag||_1."""
-        return trace_norm(self.mat - self.m_mdag)
+        return trace_norm(self.mat - self.m_mdag).tolist()
 
     @cached_property
-    def gap_mprime(self) -> np.ndarray:
+    def gap_mprime(self) -> list[float]:
         """||rho - M^dag M||_1."""
-        return trace_norm(self.mat - self.mdag_m)
+        return trace_norm(self.mat - self.mdag_m).tolist()
 
     @cached_property
-    def commutator_norm(self) -> np.ndarray:
+    def commutator_norm(self) -> list[float]:
         """||[M, M^dag]||_1."""
-        return trace_norm(self.m_mdag - self.mdag_m)
-
-    # -- columns ---------------------------------------------------------
-
-    def column(self, name: str) -> list:
-        """The scalar `name` of every state, as a list of Python floats
-        (bools for support_restricted), converted from the stack's array on
-        first read and kept.
-
-        Scan rows and proven slacks read these lists, not the arrays. The
-        two bounds derived from the chain are Python arithmetic on each
-        element, math.log and a float square, which numpy's vectorized
-        log and power do not match bitwise on every input.
-        """
-        column = self._columns.get(name)
-        if column is None:
-            if name == "log_overlap_bound":
-                column = [_overlap_bound(x) for x in self.column("overlap")]
-            elif name == "corollary_bound":
-                column = [0.25 * td**2 for td in self.column("trace_distance")]
-            else:
-                column = getattr(self, name).tolist()
-            self._columns[name] = column
-        return column
+        return trace_norm(self.m_mdag - self.mdag_m).tolist()
 
 
 def _analysed(mat: np.ndarray, dims: tuple[int, int, int]) -> list[TripartiteState]:
@@ -382,9 +374,10 @@ def _analysed(mat: np.ndarray, dims: tuple[int, int, int]) -> list[TripartiteSta
     return states
 
 
-def _scalar(name: str, doc: str | None = None) -> property:
-    # This state's entry of the stack's column `name`.
-    return property(lambda self: self.stack.column(name)[self.index], doc=doc)
+def _scalar(name: str) -> property:
+    # This state's entry of the stack's column `name`, with its docstring.
+    doc = getattr(StackAnalysis, name).__doc__
+    return property(lambda self: getattr(self.stack, name)[self.index], doc=doc)
 
 
 def _built(name: str, doc: str | None = None) -> property:
@@ -401,9 +394,11 @@ class StateAnalysis:
     """The spectral data of one state: row `index` of a StackAnalysis.
 
     Scalars come back as Python floats, this state's entries of the
-    stack's columns, and operators as read-only (n, n) arrays: M M^dag and
-    M^dag M are views of the stack's, and the others are built for this
-    state alone on each read.
+    stack's columns: each scalar is kept once, as the stack's list of
+    Python floats, which rows and slacks read, and documented there.
+    Operators come back as read-only (n, n) arrays: M M^dag and M^dag M
+    are views of the stack's, and the others are built for this state
+    alone on each read.
     """
 
     def __init__(self, stack: StackAnalysis, index: int):
@@ -426,15 +421,7 @@ class StateAnalysis:
 
     @cached_property
     def entropies(self) -> EntropyReport:
-        e = self.stack.entropies
-        i = self.index
-        return EntropyReport(
-            s_abc=float(e.s_abc[i]),
-            s_ab=float(e.s_ab[i]),
-            s_bc=float(e.s_bc[i]),
-            s_b=float(e.s_b[i]),
-            cmi=float(e.cmi[i]),
-        )
+        return EntropyReport(*(col[self.index] for col in vars(self.stack.entropies).values()))
 
     cmi = _scalar("cmi")
 
@@ -451,20 +438,18 @@ class StateAnalysis:
     sigma_star = _built("sigma_star")
     support_restricted = _scalar("support_restricted")
     sigma_star_trace = _scalar("sigma_star_trace")
-    overlap = _scalar("overlap", doc="Tr[sqrt(rho) sqrt(sigma*)].")
-    log_overlap_bound = _scalar(
-        "log_overlap_bound", doc="-2 log Tr[sqrt(rho) sqrt(sigma*)], infinite at zero overlap."
-    )
-    thm1 = _scalar("thm1", doc="||sqrt(rho) - sqrt(sigma*)||_2^2.")
-    trace_distance = _scalar("trace_distance", doc="||rho - sigma*||_1.")
-    corollary_bound = _scalar("corollary_bound", doc="||rho - sigma*||_1^2 / 4.")
+    overlap = _scalar("overlap")
+    log_overlap_bound = _scalar("log_overlap_bound")
+    thm1 = _scalar("thm1")
+    trace_distance = _scalar("trace_distance")
+    corollary_bound = _scalar("corollary_bound")
     m = _built("m", doc="M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded.")
     m_mdag = property(lambda self: self.stack.m_mdag[self.index])
     mdag_m = property(lambda self: self.stack.mdag_m[self.index])
-    gap_m = _scalar("gap_m", doc="||rho - M M^dag||_1.")
-    gap_mprime = _scalar("gap_mprime", doc="||rho - M^dag M||_1.")
-    commutator_norm = _scalar("commutator_norm", doc="||[M, M^dag]||_1.")
-    ruskai = _scalar("ruskai", doc="||log rho - h||_2 with support-restricted logs.")
+    gap_m = _scalar("gap_m")
+    gap_mprime = _scalar("gap_mprime")
+    commutator_norm = _scalar("commutator_norm")
+    ruskai = _scalar("ruskai")
 
 
 class ChannelAnalysis:

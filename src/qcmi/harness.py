@@ -172,7 +172,7 @@ def _scan_rows(stack: StackAnalysis, positions, indices, tol: float) -> list[Sca
     # The rows of the stack's states `positions`, as samples `indices`,
     # read from the stack's columns and labelled by classify's rule.
     cmi, trace, log_overlap, thm1, corollary, gap, gap_prime, comm, ruskai, restricted = (
-        stack.column(name)
+        getattr(stack, name)
         for name in (
             "cmi", "sigma_star_trace", "log_overlap_bound", "thm1", "corollary_bound", "gap_m",
             "gap_mprime", "commutator_norm", "ruskai", "support_restricted",
@@ -214,14 +214,11 @@ def _write_channel(a: ChannelAnalysis, path: str) -> None:
 
 def _abort(witness, cfg: ScanConfig, name: str, index: int, slack: float, write=write_state):
     # Writes the witness, a state or (write=_write_channel) a channel
-    # triple's analysis, and raises. The channel message names no tolerance.
-    # A witness that cannot be written is reported in the violation's
-    # message, which then has no artifact.
-    if write is write_state:
-        what, below = "state", f" is below -{cfg.tol:.1e}"
-    else:
-        what, below = "channel", ""
-    message = f"proven inequality {name!r} violated at sample {index}: slack {slack:.6e}{below}"
+    # triple's analysis, and raises. A witness that cannot be written is
+    # reported in the violation's message, which then has no artifact.
+    what = "state" if write is write_state else "channel"
+    below = f"slack {slack:.6e} is below -{cfg.tol:.1e}"
+    message = f"proven inequality {name!r} violated at sample {index}: {below}"
     path = _artifact_path(cfg.out, f"violation-{what}")
     try:
         write(witness, path)

@@ -264,21 +264,16 @@ def _with_cutoff(e: HermitianEigen) -> tuple[PsdEigen, np.ndarray]:
     return psd, w[..., 0] < -np.asarray(psd.cutoff)
 
 
-def as_psd(e: HermitianEigen, what: str) -> PsdEigen:
-    """Attach the support cutoff, raising if e has a genuinely negative eigenvalue.
+def psd_eig(m, what: str) -> PsdEigen:
+    """One eigendecomposition of a PSD matrix; what names the caller in errors.
 
-    For a stack the first matrix with such an eigenvalue raises.
+    For a stack the first matrix with a genuinely negative eigenvalue raises.
     """
-    psd, negative = _with_cutoff(e)
+    psd, negative = _with_cutoff(_eigh(m))
     if np.count_nonzero(negative):
-        found = _first(e.eigenvalues[..., 0], negative)
+        found = _first(psd.eigenvalues[..., 0], negative)
         raise NotPSDError(f"{what} requires a PSD input, found eigenvalue {found:.3e}")
     return psd
-
-
-def psd_eig(m, what: str) -> PsdEigen:
-    """One eigendecomposition of a PSD matrix; what names the caller in errors."""
-    return as_psd(_eigh(m), what)
 
 
 def mat_exp(m) -> np.ndarray:

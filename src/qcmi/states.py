@@ -109,7 +109,7 @@ def _require_full_rank(rho: DensityMatrix, what: str) -> None:
 def _checked(sym: np.ndarray) -> PsdEigen:
     # The decompositions, with their support ranks, of Hermitian matrices
     # (..., n, n) from one eigh, which must have no eigenvalue below minus
-    # the support cutoff (as_psd's rule) and unit trace; the first that
+    # the support cutoff (_with_cutoff's rule) and unit trace; the first that
     # fails raises.
     e, negative = _with_cutoff(_eigh_symmetrized(sym))
     if np.count_nonzero(negative):

@@ -28,7 +28,7 @@ from qcmi.linalg import (
     support_cutoff,
     trace_norm,
 )
-from qcmi.states import ClassicalJoint, embed, validate_density
+from qcmi.states import ClassicalJoint, classical_state, embed, validate_density
 
 
 def random_hermitian(dim, rng, scale=1.0):
@@ -42,6 +42,16 @@ def dirichlet_joint(dims, rng):
     """A classical joint distribution of shape dims, drawn uniformly from
     the probability simplex."""
     return ClassicalJoint(p=rng.dirichlet(np.ones(math.prod(dims))).reshape(dims))
+
+
+def parity_state():
+    """The classical state with C = A xor B for uniform bits A and B:
+    I(A:C|B) = log 2."""
+    p = np.zeros((2, 2, 2))
+    for a in range(2):
+        for b in range(2):
+            p[a, b, (a + b) % 2] = 0.25
+    return classical_state(ClassicalJoint(p))
 
 
 def identity_channel(dim):

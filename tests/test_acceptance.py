@@ -29,14 +29,13 @@ from qcmi.sampling import (
     substream,
 )
 from qcmi.states import (
-    ClassicalJoint,
     classical_state,
     embed,
     partial_trace,
     validate_density,
 )
 from qcmi.trace_inequalities import gt_gap, lieb_triple_rhs, pb_gap
-from oracles import depolarizing_channel, dirichlet_joint, random_hermitian
+from oracles import depolarizing_channel, dirichlet_joint, parity_state, random_hermitian
 
 LN2 = math.log(2)
 
@@ -44,14 +43,6 @@ LN2 = math.log(2)
 def report(num: int, name: str, ok: bool) -> None:
     print(f"criterion {num} {name}: {'PASS' if ok else 'FAIL'}")
     assert ok, f"criterion {num} {name} failed"
-
-
-def parity_state():
-    p = np.zeros((2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            p[a, b, (a + b) % 2] = 0.25
-    return classical_state(ClassicalJoint(p))
 
 
 @pytest.fixture(scope="module")

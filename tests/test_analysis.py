@@ -12,7 +12,7 @@ import scipy.linalg
 
 from qcmi import analysis as analysis_module
 from qcmi import linalg, sampling, states
-from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, _analysed
+from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, StateAnalysis, _analysed
 from qcmi.cli import main
 from qcmi.errors import SingularMatrixError, ValidationError
 from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
@@ -377,7 +377,7 @@ def test_mixed_stack_matches_states_analysed_alone(states, applies):
     # sigma* of every row, full-rank and restricted, is rebuilt from its
     # decomposition in one stacked rebuild.
     stack = stacked[0].analysis.stack
-    full = int(np.count_nonzero(~stack.support_restricted))
+    full = stack.support_restricted.count(False)
     assert 0 < full < len(stack)
     applies.clear()
     stack.sigma_star()
@@ -689,6 +689,61 @@ def test_a_mixed_stack_keeps_no_sigma_star(states):
     assert held == KEPT_FULL_DIM
     one = stack.mat.shape[1:]
     assert [name for name, value in vars(stack).items() if _full_dim_arrays(value, one)] == []
+
+
+def _scalar_stacks():
+    # A full-rank 2,2,2 stack of 4 and a stack that mixes full-rank and
+    # support-restricted rows.
+    full = [random_tripartite((2, 2, 2), substream(45, i)) for i in range(4)]
+    return [full, _mixed_stacks()[0]]
+
+
+def _read_rows_and_checks(states):
+    # The stack of `states` after every row and every proven check is read.
+    stacked = _analysed(np.array([st.mat for st in states]), states[0].dims)
+    for i, st in enumerate(stacked):
+        evaluate_sample(st, i)
+        for corpus in (None, *CORPORA):
+            proven_checks(st.analysis, corpus)
+    return stacked
+
+
+@pytest.mark.parametrize("states", _scalar_stacks(), ids=["full-rank", "mixed"])
+def test_a_stack_keeps_each_scalar_once(states):
+    # Each scalar is its stack's list of Python floats; the only (k,) arrays
+    # left are decomposition data: the support cutoffs of rho, the
+    # marginals and sigma*, and sigma*'s restricted mask.
+    stack = _read_rows_and_checks(states)[0].analysis.stack
+    sigma, restricted = stack._sigma
+    kept = [e.cutoff for e in (stack.rho_psd, *stack.marginal_psd, sigma)] + [restricted]
+    held = [a for value in vars(stack).values() for a in _full_dim_arrays(value, (len(stack),))]
+    assert sorted(map(id, held)) == sorted(map(id, kept))
+
+
+# The StateAnalysis scalars, each read from its stack's list by _scalar.
+SCALARS = [
+    name
+    for name, attr in vars(StateAnalysis).items()
+    if isinstance(attr, property) and attr.fget.__qualname__.startswith("_scalar.")
+]
+
+
+@pytest.mark.parametrize("states", _scalar_stacks(), ids=["full-rank", "mixed"])
+def test_each_state_scalar_is_its_stack_list_entry(states):
+    assert len(SCALARS) == 12
+    stacked = _read_rows_and_checks(states)
+    stack = stacked[0].analysis.stack
+    for name in SCALARS:
+        column = getattr(stack, name)
+        assert type(column) is list and len(column) == len(stack), name
+        kind = bool if name == "support_restricted" else float
+        assert all(type(x) is kind for x in column), name
+        assert all(getattr(st.analysis, name) is x for st, x in zip(stacked, column)), name
+        doc = getattr(StackAnalysis, name).__doc__
+        assert doc and getattr(StateAnalysis, name).__doc__ == doc, name
+    report = stack.entropies
+    for i, st in enumerate(stacked):
+        assert vars(st.analysis.entropies) == {k: col[i] for k, col in vars(report).items()}
 
 
 # Traced with tracemalloc (numpy 2.4, one BLAS thread), 5,5,5 scan samples

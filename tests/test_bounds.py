@@ -17,17 +17,9 @@ from qcmi.sampling import (
 )
 from qcmi.states import ClassicalJoint, classical_state, embed, partial_trace, tripartite, validate_density
 from qcmi.trace_inequalities import lieb_triple_rhs
-from oracles import depolarizing_channel, identity_channel
+from oracles import depolarizing_channel, identity_channel, parity_state
 
 LN2 = math.log(2)
-
-
-def parity_state():
-    p = np.zeros((2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            p[a, b, (a + b) % 2] = 0.25
-    return classical_state(ClassicalJoint(p))
 
 
 def product_state(rng):

@@ -18,18 +18,11 @@ from qcmi.cli import main
 from qcmi.errors import InequalityViolationError
 from qcmi.harness import ScanConfig, run_conjecture
 from qcmi.sampling import random_markov_spec, random_tripartite, substream
-from qcmi.states import ClassicalJoint, classical_state, tripartite
+from qcmi.states import tripartite
 from qcmi.stateio import write_markov_spec, write_state
+from oracles import parity_state
 
 PINS = Path(__file__).with_name("pins")
-
-
-def parity_state():
-    p = np.zeros((2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            p[a, b, (a + b) % 2] = 0.25
-    return classical_state(ClassicalJoint(p))
 
 
 def w_state():

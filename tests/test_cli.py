@@ -13,18 +13,11 @@ from qcmi.analysis import ChannelAnalysis, StateAnalysis
 from qcmi.cli import main
 from qcmi.errors import InequalityViolationError
 from qcmi.sampling import random_density, random_markov_state, random_tripartite, substream
-from qcmi.states import ClassicalJoint, MarkovBlock, MarkovSpec, TripartiteState, classical_state
+from qcmi.states import MarkovBlock, MarkovSpec, TripartiteState
 from qcmi.stateio import write_markov_spec, write_state
+from oracles import parity_state
 
 LN2 = math.log(2)
-
-
-def parity_state():
-    p = np.zeros((2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            p[a, b, (a + b) % 2] = 0.25
-    return classical_state(ClassicalJoint(p))
 
 
 def text_fields(out: str) -> dict:
@@ -314,7 +307,7 @@ class TestConjectureCommand:
         captured = capsys.readouterr()
         assert captured.err == (
             "violation: proven inequality 'channel-dpi-nonnegative' violated at sample 0: "
-            f"slack -1.000000e+00; channel written to {out}.violation-channel.json\n"
+            f"slack -1.000000e+00 is below -1.0e-08; channel written to {out}.violation-channel.json\n"
         )
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["X.violation-channel.json"]

@@ -8,15 +8,7 @@ from qcmi.errors import DimensionMismatchError, NotDistributionError
 from qcmi.linalg import trace_norm
 from qcmi.sampling import random_density, random_tripartite, substream
 from qcmi.states import ClassicalJoint, classical_state, tripartite, validate_density
-from oracles import classical_cmi, dirichlet_joint
-
-
-def parity_state():
-    p = np.zeros((2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            p[a, b, (a + b) % 2] = 0.25
-    return classical_state(ClassicalJoint(p))
+from oracles import classical_cmi, dirichlet_joint, parity_state
 
 
 class TestVnEntropy:

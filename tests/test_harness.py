@@ -56,22 +56,14 @@ from qcmi.sampling import (
 )
 from qcmi.stateio import read_state, to_json as _json_value, write_state
 from qcmi.states import (
-    ClassicalJoint,
     TripartiteState,
     classical_state,
     validate_density,
 )
+from oracles import parity_state
 from test_golden import restricted_states, sub_cutoff_classical
 
 LN2 = math.log(2)
-
-
-def parity_state():
-    p = np.zeros((2, 2, 2))
-    for a in range(2):
-        for b in range(2):
-            p[a, b, (a + b) % 2] = 0.25
-    return classical_state(ClassicalJoint(p))
 
 
 class TestScanConfig:

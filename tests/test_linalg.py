@@ -6,7 +6,6 @@ from qcmi import linalg
 from qcmi.errors import NotFiniteError, NotHermitianError, NotPSDError
 from qcmi.linalg import (
     _eigh,
-    as_psd,
     dagger,
     hermitian_part,
     hs_norm,
@@ -185,7 +184,7 @@ class TestStacks:
     def test_first_failing_matrix_raises(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([1.0, -0.25])])
         with pytest.raises(NotPSDError, match="-5.000e-01"):
-            as_psd(_eigh(stack), "test")
+            psd_eig(stack, "test")
         stack = np.stack([np.eye(2), np.eye(2), [[0.0, 1.0], [0.0, 0.0]]])
         with pytest.raises(NotHermitianError):
             require_hermitian(stack)
