@@ -13,7 +13,6 @@ ChannelAnalysis(rho, sigma, phi).
 """
 
 from .analysis import ChannelAnalysis
-from .bounds import fidelity_lower_bound
 from .channels import (
     KrausChannel,
     partial_trace_channel,
@@ -90,7 +89,6 @@ from .stateio import (
     write_markov_spec,
     write_state,
 )
-from .trace_inequalities import gt_gap, lieb_triple_rhs, pb_gap
 
 __version__ = "0.1.0"
 
@@ -126,16 +124,12 @@ __all__ = [
     "embed",
     "evaluate_sample",
     "fidelity",
-    "fidelity_lower_bound",
-    "gt_gap",
-    "lieb_triple_rhs",
     "markov_state",
     "mat_exp",
     "modular_residual",
     "near_markov_state",
     "partial_trace",
     "partial_trace_channel",
-    "pb_gap",
     "petz_dual",
     "random_channel",
     "random_classical_state",

@@ -55,9 +55,10 @@ its stack reads as it is and its states view.
 
 ChannelAnalysis does the same for one channel triple (rho, sigma, phi)
 of the channel bound and the Petz recovery: one decomposition per matrix,
-and the bound's overlap as a sum over the same transfer matrix. It is the
-read path of the channel bound (lhs, rhs, exp_operator) and is exported
-as qcmi.ChannelAnalysis.
+and the bound's overlap as a sum over the same transfer matrix. The exp
+operator X, like sigma*, is rebuilt from its decomposition on each read.
+It is the read path of the channel bound (lhs, rhs, exp_operator) and is
+exported as qcmi.ChannelAnalysis.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ from .linalg import (
     HermitianEigen,
     PsdEigen,
     _eigh,
+    _exp_eigen,
+    _rebuilt,
     _with_cutoff,
     dagger,
-    hermitian_part,
     hs_norm,
     trace_norm,
 )
@@ -100,14 +102,6 @@ def _overlap_bound(overlap: float) -> float:
     if overlap <= ZERO_OVERLAP:
         return math.inf
     return -2.0 * math.log(overlap)
-
-
-def _exp_eigen(h: np.ndarray) -> PsdEigen:
-    # exp(h) as a decomposition, from one decomposition of h. Its sqrt
-    # keeps the PSD rule of every sqrt: eigenvalues e^w at or below the
-    # support cutoff of the spectrum e^w count as zero; none is negative.
-    e = _eigh(h)
-    return _with_cutoff(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors))[0]
 
 
 def _transfer(p: HermitianEigen, q: HermitianEigen) -> np.ndarray:
@@ -249,16 +243,10 @@ class StackAnalysis:
         w = np.concatenate([np.zeros(np.count_nonzero(~on)), np.exp(c.eigenvalues)])
         return w, np.concatenate([e.eigenvectors[:, ~on], v @ c.eigenvectors], axis=1)
 
-    def _new_sigma_star(self, rows: slice) -> np.ndarray:
-        # sigma* of the states `rows` in a new, writable array, rebuilt
-        # from its decomposition.
-        e = _psd_rows(self._sigma[0], rows)
-        return hermitian_part(e.apply(e.eigenvalues))
-
     def sigma_star(self, rows: slice = ALL) -> np.ndarray:
         """sigma* of the states `rows`, built on each call: exp(h), or
         P exp(P h P) P for a support-restricted row."""
-        return _frozen(self._new_sigma_star(rows))
+        return _frozen(_rebuilt(_psd_rows(self._sigma[0], rows)))
 
     @cached_property
     def support_restricted(self) -> list[bool]:
@@ -268,8 +256,8 @@ class StackAnalysis:
     @cached_property
     def _sigma_values(self) -> tuple[list[float], list[float]]:
         # Tr sigma* and ||rho - sigma*||_1 from one build of sigma*, whose
-        # array then takes rho - sigma*.
-        sigma = self._new_sigma_star(ALL)
+        # new array then takes rho - sigma*.
+        sigma = _rebuilt(self._sigma[0])
         trace = np.trace(sigma, axis1=-2, axis2=-1).real
         return trace.tolist(), trace_norm(np.subtract(self.mat, sigma, out=sigma)).tolist()
 
@@ -344,8 +332,8 @@ class StackAnalysis:
         m_dag = dagger(m)
         return _frozen(m @ m_dag), _frozen(m_dag @ m)
 
-    m_mdag = property(lambda self: self._m_products[0])
-    mdag_m = property(lambda self: self._m_products[1])
+    m_mdag = property(lambda self: self._m_products[0], doc="M M^dag, kept.")
+    mdag_m = property(lambda self: self._m_products[1], doc="M^dag M, kept.")
 
     @cached_property
     def gap_m(self) -> list[float]:
@@ -380,14 +368,11 @@ def _scalar(name: str) -> property:
     return property(lambda self: getattr(self.stack, name)[self.index], doc=doc)
 
 
-def _built(name: str, doc: str | None = None) -> property:
+def _built(name: str) -> property:
     # The stack's operator `name` built for this state alone on each read,
-    # a read-only (n, n) array that nothing keeps.
-    def get(self):
-        return getattr(self.stack, name)(self._rows)[0]
-
-    get.__doc__ = doc
-    return property(get)
+    # a read-only (n, n) array that nothing keeps, with its docstring.
+    doc = getattr(StackAnalysis, name).__doc__
+    return property(lambda self: getattr(self.stack, name)(self._rows)[0], doc=doc)
 
 
 class StateAnalysis:
@@ -421,6 +406,7 @@ class StateAnalysis:
 
     @cached_property
     def entropies(self) -> EntropyReport:
+        """This state's entropies and cmi, Python floats."""
         return EntropyReport(*(col[self.index] for col in vars(self.stack.entropies).values()))
 
     cmi = _scalar("cmi")
@@ -443,9 +429,9 @@ class StateAnalysis:
     thm1 = _scalar("thm1")
     trace_distance = _scalar("trace_distance")
     corollary_bound = _scalar("corollary_bound")
-    m = _built("m", doc="M = sqrt(rho_AB) pinv_sqrt(rho_B) sqrt(rho_BC), embedded.")
-    m_mdag = property(lambda self: self.stack.m_mdag[self.index])
-    mdag_m = property(lambda self: self.stack.mdag_m[self.index])
+    m = _built("m")
+    m_mdag = property(lambda self: self.stack.m_mdag[self.index], doc=StackAnalysis.m_mdag.__doc__)
+    mdag_m = property(lambda self: self.stack.mdag_m[self.index], doc=StackAnalysis.mdag_m.__doc__)
     gap_m = _scalar("gap_m")
     gap_mprime = _scalar("gap_mprime")
     commutator_norm = _scalar("commutator_norm")
@@ -468,10 +454,10 @@ class ChannelAnalysis:
       the exponent's eigenvectors, so no operator but X is built;
     * one spectrum for the Petz recovery gap ||rho - P(phi(rho))||_1.
 
-    From these it builds five matrix functions: log sigma, log phi(rho) and
-    log phi(sigma), each once for lhs and the exponent, X for its trace,
-    and sqrt(sigma) for the Petz map, whose Kraus operators come from one
-    SVD (channels.petz_dual).
+    From these it builds log sigma, log phi(rho) and log phi(sigma), each
+    once for lhs and the exponent, and sqrt(sigma) for the Petz map, whose
+    Kraus operators come from one SVD (channels.petz_dual). X is rebuilt
+    on each read of exp_operator, Tr X from one build, and not kept.
 
     rho and sigma are DensityMatrix values, validated with their
     decompositions, which are read here. The checks raise in this order:
@@ -526,11 +512,10 @@ class ChannelAnalysis:
         log_sigma, log_out_rho, log_out_sigma = self._logs
         return _exp_eigen(log_sigma + self.phi.dual(log_out_rho) - self.phi.dual(log_out_sigma))
 
-    @cached_property
+    @property
     def exp_operator(self) -> np.ndarray:
         """exp(log sigma + phi^dag(log phi(rho)) - phi^dag(log phi(sigma)))."""
-        e = self._x
-        return _frozen(hermitian_part(e.apply(e.eigenvalues)))
+        return _frozen(_rebuilt(self._x))
 
     @cached_property
     def trace_exp(self) -> float:

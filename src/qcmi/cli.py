@@ -153,7 +153,7 @@ def _cmd_info(args) -> int:
     return 2 if bad else 0
 
 
-def _config(args, **extra) -> ScanConfig:
+def _config(args) -> ScanConfig:
     return ScanConfig(
         dims=args.dims,
         samples=args.samples,
@@ -161,12 +161,11 @@ def _config(args, **extra) -> ScanConfig:
         corpus=args.corpus,
         tol=args.tol,
         out=args.out,
-        **extra,
     )
 
 
 def _cmd_scan(args) -> int:
-    rows = scan(_config(args, fmt=args.format))
+    rows = scan(_config(args), args.format)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 

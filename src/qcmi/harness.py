@@ -56,8 +56,7 @@ NEAR_MARKOV_MIXES = (1e-1, 1e-2, 1e-3, 1e-4)
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Shared configuration for scans and conjecture runs. fmt is read by
-    scans only: a conjecture report is always JSON."""
+    """Shared configuration for scans and conjecture runs."""
 
     dims: tuple[int, int, int]
     samples: int
@@ -65,7 +64,6 @@ class ScanConfig:
     corpus: str = "hs-random"
     tol: float = DEFAULT_TOL
     out: str | None = None
-    fmt: str = "csv"
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _tripartite_dims(self.dims, ConfigError))
@@ -73,8 +71,6 @@ class ScanConfig:
         object.__setattr__(self, "seed", _integer(self.seed, "seed", 0, ConfigError))
         if self.corpus not in CORPORA:
             raise ConfigError(f"unknown corpus {self.corpus!r}, expected one of {CORPORA}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         object.__setattr__(self, "tol", _require_tol(self.tol))
         if self.out is not None:  # checked before any sample is drawn
             _require_path(self.out, ConfigError, "write")
@@ -86,7 +82,6 @@ class ScanConfig:
             "seed": self.seed,
             "corpus": self.corpus,
             "tol": self.tol,
-            "format": self.fmt,
         }
 
 
@@ -236,7 +231,7 @@ def _assert(witness, cfg: ScanConfig, index: int, checks, write=write_state) -> 
 def _one_by_one(cfg: ScanConfig, indices: range, evaluate):
     for i in indices:
         # A stack of its own, not the failed one.
-        (state,) = _analysed(_matrices(cfg, [_draw(cfg, i)]), cfg.dims)
+        state = corpus_state(cfg, i)
         (value,) = evaluate([state], range(i, i + 1))
         yield state, value
 
@@ -278,14 +273,20 @@ def _checked(cfg: ScanConfig, evaluate, checks) -> list:
     return values
 
 
-def scan(cfg: ScanConfig) -> list[ScanRow]:
+def _require_format(fmt: str) -> None:
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+
+
+def scan(cfg: ScanConfig, fmt: str = "csv") -> list[ScanRow]:
     """Evaluate the corpus, assert proven inequalities, write the report.
 
     Consecutive samples are analysed together (see STACK_BUDGET), and a
     stack's rows are read from its columns in one pass; each row is
     bitwise the row of its sample analysed alone. Rows are labelled at
-    the run's tol.
+    the run's tol. fmt, "csv" or "json", is checked before any draw.
     """
+    _require_format(fmt)
 
     def evaluate(states, indices):
         stack = states[0].analysis.stack
@@ -293,16 +294,19 @@ def scan(cfg: ScanConfig) -> list[ScanRow]:
 
     rows = _checked(cfg, evaluate, lambda state, _: proven_checks(state.analysis, cfg.corpus))
     if cfg.out is not None:
-        write_scan_report(cfg, rows)
+        write_scan_report(cfg, rows, fmt)
     return rows
 
 
-def write_scan_report(cfg: ScanConfig, rows: list[ScanRow]) -> None:
-    if cfg.fmt == "csv":
+def write_scan_report(cfg: ScanConfig, rows: list[ScanRow], fmt: str) -> None:
+    """Write rows to cfg.out as CSV, or as JSON with the config and fmt."""
+    _require_format(fmt)
+    if fmt == "csv":
         lines = [CSV_COLUMNS, *([getattr(row, c) for c in CSV_COLUMNS] for row in rows)]
         _write_text(cfg.out, "".join(to_text(line) + "\n" for line in lines))
     else:
-        write_json(cfg.out, {"config": cfg.as_dict(), "rows": [asdict(row) for row in rows]})
+        config = {**cfg.as_dict(), "format": fmt}
+        write_json(cfg.out, {"config": config, "rows": [asdict(row) for row in rows]})
 
 
 def _result(cfg: ScanConfig, conjecture_id: str, slacks: list[float], write) -> ConjectureResult:
@@ -386,7 +390,6 @@ def run_conjecture(cfg: ScanConfig, which: str, unitary_samples: int = 10) -> li
         results = _state_conjecture(cfg, which, unitary_samples)
     if cfg.out is not None:
         config = cfg.as_dict()
-        del config["format"]  # only scans write a format
         if which == "rotated-quarter":  # the one conjecture that draws unitaries
             config["unitary_samples"] = unitary_samples
         report = {"which": which, "config": config, "results": [asdict(r) for r in results]}

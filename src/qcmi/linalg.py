@@ -276,10 +276,23 @@ def psd_eig(m, what: str) -> PsdEigen:
     return psd
 
 
+def _exp_eigen(h) -> PsdEigen:
+    # exp(h) as a decomposition, from one decomposition of h. Its sqrt
+    # keeps the PSD rule of every sqrt: eigenvalues e^w at or below the
+    # support cutoff of the spectrum e^w count as zero; none is negative.
+    e = _eigh(h)
+    return _with_cutoff(HermitianEigen(np.exp(e.eigenvalues), e.eigenvectors))[0]
+
+
+def _rebuilt(e: HermitianEigen) -> np.ndarray:
+    # The matrix of a decomposition, Q diag(w) Q^dag symmetrized, in a new
+    # writable array.
+    return hermitian_part(e.apply(e.eigenvalues))
+
+
 def mat_exp(m) -> np.ndarray:
     """exp(m) for Hermitian m."""
-    e = _eigh(m)
-    return hermitian_part(e.apply(np.exp(e.eigenvalues)))
+    return _rebuilt(_exp_eigen(m))
 
 
 def trace_norm(m):

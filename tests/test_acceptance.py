@@ -222,14 +222,8 @@ def test_criterion_11_determinism(tmp_path):
         second = tmp_path / f"b-{corpus_name}.{fmt}"
         for out in (first, second):
             scan(
-                ScanConfig(
-                    dims=(2, 2, 2),
-                    samples=15,
-                    seed=909,
-                    corpus=corpus_name,
-                    out=str(out),
-                    fmt=fmt,
-                )
+                ScanConfig(dims=(2, 2, 2), samples=15, seed=909, corpus=corpus_name, out=str(out)),
+                fmt,
             )
         ok = ok and first.read_bytes() == second.read_bytes()
     report(11, "report-determinism", ok)

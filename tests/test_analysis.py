@@ -746,6 +746,22 @@ def test_each_state_scalar_is_its_stack_list_entry(states):
         assert vars(st.analysis.entropies) == {k: col[i] for k, col in vars(report).items()}
 
 
+# The views a StateAnalysis makes of its stack's data in a form of its
+# own, documented where they are defined. Every other public attribute is
+# read from the stack's attribute of the same name, and documented there.
+STATE_VIEWS = {"rho", "marginals", "entropies", "embedded_logs"}
+
+
+def test_each_state_attribute_is_documented_once():
+    public = {name for name in vars(StateAnalysis) if not name.startswith("_")}
+    assert STATE_VIEWS <= public
+    for name in public - STATE_VIEWS:
+        doc = getattr(StackAnalysis, name).__doc__
+        assert doc and getattr(StateAnalysis, name).__doc__ == doc, name
+    for name in STATE_VIEWS:
+        assert getattr(StateAnalysis, name).__doc__, name
+
+
 # Traced with tracemalloc (numpy 2.4, one BLAS thread), 5,5,5 scan samples
 # of every corpus at seeds 3-6 peaked at most 7.22 full-dimension operands
 # (125 x 125 complex, 250 KB each) above the memory before their draw, and

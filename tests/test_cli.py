@@ -461,7 +461,7 @@ class TestErrorPaths:
         assert captured.out == ""
 
     def test_violation_maps_to_exit_two(self, tmp_path, capsys, monkeypatch):
-        def boom(cfg):
+        def boom(cfg, fmt):
             raise InequalityViolationError("synthetic failure", artifact_path="x.json")
 
         monkeypatch.setattr("qcmi.cli.scan", boom)

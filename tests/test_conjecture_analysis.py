@@ -168,6 +168,24 @@ def test_channel_analysis_matches_the_composition(triple):
         assert dm.is_full_rank() == validate_density(m).is_full_rank()
 
 
+def test_a_channel_analysis_keeps_no_exp_operator():
+    # X is rebuilt from its decomposition on each read: after its trace,
+    # no array the analysis keeps, alone or in a tuple (its logs), is X.
+    rng = substream(59, 0)
+    rho, sigma = random_density(3, rng), random_density(3, rng)
+    phi = random_channel(3, 2, 2, rng)
+    a = ChannelAnalysis(rho, sigma, phi)
+    a.trace_exp
+    ex = channel_exp_operator_alone(rho, sigma, phi)
+    kept = [v for x in vars(a).values() for v in (x if isinstance(x, tuple) else (x,))]
+    assert not any(isinstance(v, np.ndarray) and np.array_equal(v, ex) for v in kept)
+    assert "exp_operator" not in vars(a)
+    first, second = a.exp_operator, a.exp_operator
+    assert first is not second
+    np.testing.assert_array_equal(first, ex)
+    np.testing.assert_array_equal(second, ex)
+
+
 @pytest.mark.parametrize("triple", [t for t in _triples() if t[0].dim < 27], ids=_triple_id)
 def test_channel_rhs_matches_a_40_digit_evaluation(triple):
     rho, sigma, phi = triple

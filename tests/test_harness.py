@@ -81,9 +81,24 @@ class TestScanConfig:
         with pytest.raises(ConfigError):
             ScanConfig(dims=(2, 0, 2), samples=1)
 
-    def test_rejects_unknown_format(self):
-        with pytest.raises(ConfigError):
-            ScanConfig(dims=(2, 2, 2), samples=1, fmt="xml")
+    def test_scan_rejects_unknown_format_before_any_draw(self, tmp_path, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a sample")
+
+        monkeypatch.setattr(harness, "substream", no_draw)
+        out = tmp_path / "scan.xml"
+        out.write_bytes(b"kept")
+        cfg = ScanConfig(dims=(2, 2, 2), samples=1, out=str(out))
+        message = r"^format must be 'csv' or 'json', got 'xml'$"
+        with pytest.raises(ConfigError, match=message):
+            scan(cfg, fmt="xml")
+        with pytest.raises(ConfigError, match=message):
+            write_scan_report(cfg, [], "xml")
+        assert out.read_bytes() == b"kept"
+
+    def test_holds_the_six_settings_both_runners_read(self):
+        names = [f.name for f in dataclasses.fields(ScanConfig)]
+        assert names == ["dims", "samples", "seed", "corpus", "tol", "out"]
 
     def test_rejects_nonpositive_tol(self):
         with pytest.raises(ConfigError):
@@ -100,11 +115,10 @@ class TestScanConfig:
             ScanConfig(dims=(2, 2, 2), samples=1, seed=seed)
 
     def test_stores_an_integer_seed_as_int(self):
-        cfg = ScanConfig(dims=(2, 1, 2), samples=1, seed=np.int64(3), fmt="json")
+        cfg = ScanConfig(dims=(2, 1, 2), samples=1, seed=np.int64(3))
         assert type(cfg.seed) is int
         assert _json_value(cfg.as_dict()) == (
-            '{"dims":[2,1,2],"samples":1,"seed":3,"corpus":"hs-random","tol":1e-08,'
-            '"format":"json"}'
+            '{"dims":[2,1,2],"samples":1,"seed":3,"corpus":"hs-random","tol":1e-08}'
         )
 
     @pytest.mark.parametrize(
@@ -138,10 +152,9 @@ class TestScanConfig:
         with pytest.raises(ConfigError, match=message):
             run_conjecture(ScanConfig(dims=(2, 1, 1), samples=1, out=out), "channel")
 
-    def test_as_dict_uses_format_key(self):
-        cfg = ScanConfig(dims=(2, 3, 2), samples=4, seed=7, fmt="json")
-        d = cfg.as_dict()
-        assert d["format"] == "json"
+    def test_as_dict_holds_no_format(self):
+        d = ScanConfig(dims=(2, 3, 2), samples=4, seed=7).as_dict()
+        assert "format" not in d
         assert d["dims"] == [2, 3, 2]
 
 
@@ -235,12 +248,12 @@ class TestScan:
 
     def test_json_report_parses(self, tmp_path):
         out = str(tmp_path / "scan.json")
-        cfg = ScanConfig(dims=(2, 2, 2), samples=3, seed=19, out=out, fmt="json")
-        rows = scan(cfg)
+        cfg = ScanConfig(dims=(2, 2, 2), samples=3, seed=19, out=out)
+        rows = scan(cfg, "json")
         with open(out) as fh:
             doc = json.load(fh)
-        assert doc["config"]["corpus"] == "hs-random"
-        assert doc["config"]["format"] == "json"
+        # The run's config, with the format added last.
+        assert list(doc["config"].items()) == [*cfg.as_dict().items(), ("format", "json")]
         assert len(doc["rows"]) == 3
         first = doc["rows"][0]
         assert first["cmi"] == rows[0].cmi
@@ -297,8 +310,8 @@ REPORT_JSON = (
 @pytest.mark.parametrize("fmt,want", [("csv", REPORT_CSV), ("json", REPORT_JSON)])
 def test_scan_report_bytes(tmp_path, fmt, want):
     out = tmp_path / f"scan.{fmt}"
-    cfg = ScanConfig(dims=(2, 1, 2), samples=2, seed=7, out=str(out), fmt=fmt)
-    write_scan_report(cfg, list(REPORT_ROWS))
+    cfg = ScanConfig(dims=(2, 1, 2), samples=2, seed=7, out=str(out))
+    write_scan_report(cfg, list(REPORT_ROWS), fmt)
     assert out.read_bytes() == want.encode()
 
 
@@ -717,6 +730,17 @@ class TestRunConjecture:
             doc = json.load(fh)
         assert doc["which"] == "half-recovery"
         assert doc["results"][0]["violations"] == 0
+
+    @pytest.mark.parametrize("which", harness.CONJECTURES)
+    def test_report_config_is_the_run_config(self, tmp_path, which):
+        # Plus unitary_samples where the conjecture draws unitaries.
+        out = tmp_path / "conj"
+        cfg = ScanConfig(dims=(2, 1, 2), samples=2, seed=29, out=str(out))
+        run_conjecture(cfg, which, unitary_samples=3)
+        want = cfg.as_dict()
+        if which == "rotated-quarter":
+            want["unitary_samples"] = 3
+        assert json.loads(out.read_bytes())["config"] == want
 
     def test_argmin_state_artifact_round_trips(self, tmp_path):
         out = str(tmp_path / "conj")
