@@ -20,6 +20,19 @@ each matrix bitwise the result of a call on that matrix alone (the
 grouping-invariance tests check this), so a state's values do not depend
 on the stack it was analysed in.
 
+rho's eigh and the exponent's do not depend on each other. For a large
+stack, of k * n**3 at least linalg.EIGH_AHEAD_WORK = 2**18 (3,3,3 scans'
+stacks of 22, and every stack from n = 64 up, so each 5,5,5 sample), rho
+is decomposed on the package's one worker thread, requested when the
+stack is built. Meanwhile the first read of the marginals builds sigma*'s
+chain on the calling thread (the marginals, their logs, h and its eigh)
+with the functions that build it lazily, and keeps it once rho is
+validated. A part of the chain that raises there is built again after
+rho's checks, so every error surfaces at the same read, with the same type
+and message, as when rho is decomposed inline, which a smaller stack
+does. Values are bitwise those of the inline path, and the BLAS thread
+count is left as it is.
+
 The analysis validates rho (Hermitian already: its state's constructor
 or sampler made it so) with states._checked and its marginals with
 states._validated, the one density check, from these decompositions,
@@ -74,6 +87,7 @@ from .linalg import (
     HermitianEigen,
     PsdEigen,
     _eigh,
+    _eigh_ahead,
     _exp_eigen,
     _rebuilt,
     _with_cutoff,
@@ -142,6 +156,9 @@ class StackAnalysis:
         # cyclic garbage collector happens to run.
         self.mat = mat
         self.dims = dims
+        # rho's eigh, requested now: a large stack's is computed on the
+        # worker thread while this one builds sigma*'s chain (marginals).
+        self._rho_eigh, self._rho_ahead = _eigh_ahead(mat)
 
     def __len__(self) -> int:
         return self.mat.shape[0]
@@ -151,14 +168,42 @@ class StackAnalysis:
     @cached_property
     def rho_psd(self) -> PsdEigen:
         """The decomposition of rho, validated."""
-        return _checked(self.mat)
+        return _checked(self.mat, self._rho_eigh())
 
     @cached_property
     def marginals(self) -> tuple[tuple[np.ndarray, PsdEigen], ...]:
         """(read-only stack, decomposition) of rho_AB, rho_BC and rho_B,
         validated after rho."""
+        if self._rho_ahead and "rho_psd" not in vars(self):
+            return self._marginals_ahead()
         self.rho_psd  # rho is validated first; every other value derives from it or these
+        return self._validated_marginals()
+
+    def _validated_marginals(self) -> tuple[tuple[np.ndarray, PsdEigen], ...]:
         return tuple(_validated(_traced_out(self.mat, self.dims, keep)) for keep in MARGINALS)
+
+    def _marginals_ahead(self) -> tuple[tuple[np.ndarray, PsdEigen], ...]:
+        # marginals while the worker decomposes rho: sigma*'s chain (the
+        # marginals, their logs and sigma*'s decomposition) is built here
+        # first, by the functions that build it lazily, and kept only once
+        # rho is validated. A part of the chain that raises is dropped and
+        # built again lazily, after rho's checks, so every error surfaces
+        # where it does when nothing is built ahead. A later read, after
+        # such an error, takes the lazy path.
+        self._rho_ahead = False
+        cache = vars(self)
+        try:
+            cache["marginals"] = self._validated_marginals()
+            self._sigma
+        except Exception:
+            pass
+        try:
+            self.rho_psd
+        except Exception:
+            for name in ("marginals", "_marginal_logs", "_sigma"):
+                cache.pop(name, None)
+            raise
+        return cache["marginals"] if "marginals" in cache else self._validated_marginals()
 
     @property
     def marginal_psd(self) -> tuple[PsdEigen, PsdEigen, PsdEigen]:

@@ -6,12 +6,21 @@ operators) stays consistent, and one PSD rule (_with_cutoff) decides
 which matrices are negative. No other module calls numpy.linalg: every
 eigh, eigvalsh, qr and svd of the package is made here. Matrix 2-norms are
 Frobenius norms.
+
+The package's one worker thread lives here too: _eigh_ahead hands the
+eigh of a large stack to it, so that the caller can go on meanwhile.
+Only eigh goes there, which releases the GIL; eigvalsh, qr and det hold
+it, so they stay on the calling thread. A decomposition the worker has not
+started by the time it is read is cancelled and made by the caller.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -236,6 +245,65 @@ def _eigh_symmetrized(h: np.ndarray) -> HermitianEigen:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NoConvergenceError(f"eigensolver did not converge: {exc}") from exc
     return HermitianEigen(eigenvalues=w, eigenvectors=q)
+
+
+# _eigh_ahead hands a stack of k matrices of dimension n to the worker
+# thread when k * n**3 is at least EIGH_AHEAD_WORK, and decomposes a
+# smaller one inline: there the handoff costs more than the overlap saves.
+# Measured on an Intel Xeon with 2 cores and one BLAS thread, as scans
+# with rho's eigh on the worker against inline, 20 alternating rounds, ms
+# per sample (rounds the worker won), in two runs: n = 27 alone ran 1.12x
+# and 1.13x (1/20, 0/20) as long, in stacks of 2 and 4 1.19x and 1.04x,
+# of 8 1.04x (8/20) and 0.95x (18/20), of 11 0.89x and 0.93x, of 16 0.93x
+# and 0.89x and of 22 0.91x and 0.92x (18-19/20); n = 36 and 48 alone
+# 1.08x and 1.07x; n = 64 alone 0.90x and 0.94x and in fours 0.90x and
+# 0.87x; n = 80 alone 1.00x and 0.89x and in pairs 0.83x and 0.87x; n =
+# 125 alone 0.85x and 0.87x (18-19/20). So 3,3,3 scans (stacks of 22) and
+# everything from 4,4,4 up use the worker, and 2,2,2 scans and a lone
+# state at 3,3,3 do not.
+EIGH_AHEAD_WORK = 2**18
+
+_worker = None  # the executor of the one worker thread, made on first use
+
+
+def _forget_worker() -> None:
+    # A forked child has no worker thread; the parent's executor would
+    # queue work for it that never runs (and keep each queued matrix), so
+    # the child makes its own.
+    global _worker
+    _worker = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _eigh_ahead(h: np.ndarray) -> tuple[Callable[[], HermitianEigen], bool]:
+    # _eigh_symmetrized(h), requested now and read later: a callable that
+    # yields it, and whether it is being computed on the worker thread. A
+    # stack of at least EIGH_AHEAD_WORK is submitted to the worker at once;
+    # a smaller one is decomposed inline, on the callable's first call.
+    # Either way the decomposition is bitwise the same, and an error of the
+    # decomposition is raised by the callable.
+    if h.size * h.shape[-1] < EIGH_AHEAD_WORK:
+        return partial(_eigh_symmetrized, h), False
+    global _worker
+    if _worker is None:
+        # Imported here: importing it costs about 6 ms, which a run that
+        # never decomposes a large stack need not pay.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="qcmi-eigh")
+    return partial(_eigh_done, _worker.submit(_eigh_symmetrized, h), h), True
+
+
+def _eigh_done(future, h: np.ndarray) -> HermitianEigen:
+    # The worker's _eigh_symmetrized(h). If the worker has not started it
+    # (its thread is not yet scheduled), it is cancelled and made here, so
+    # that a caller never waits for a thread that has not begun.
+    if future.cancel():
+        return _eigh_symmetrized(h)
+    return future.result()
 
 
 def _eigvalsh(h: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from .errors import (
     TraceNotOneError,
 )
 from .linalg import (
+    HermitianEigen,
     PsdEigen,
     _eigh_symmetrized,
     _first,
@@ -106,12 +107,12 @@ def _require_full_rank(rho: DensityMatrix, what: str) -> None:
         raise SingularMatrixError(f"{what} must be full rank (support rank {rho.support_rank} of {rho.dim})")
 
 
-def _checked(sym: np.ndarray) -> PsdEigen:
+def _checked(sym: np.ndarray, eigen: HermitianEigen) -> PsdEigen:
     # The decompositions, with their support ranks, of Hermitian matrices
-    # (..., n, n) from one eigh, which must have no eigenvalue below minus
-    # the support cutoff (_with_cutoff's rule) and unit trace; the first that
-    # fails raises.
-    e, negative = _with_cutoff(_eigh_symmetrized(sym))
+    # (..., n, n) from eigen, their eigh, checked: they must have no
+    # eigenvalue below minus the support cutoff (_with_cutoff's rule) and
+    # unit trace; the first that fails raises.
+    e, negative = _with_cutoff(eigen)
     if np.count_nonzero(negative):
         found = _first(e.eigenvalues[..., 0], negative)
         floor = -_first(e.cutoff, negative)
@@ -128,7 +129,7 @@ def _validated(m) -> tuple[np.ndarray, PsdEigen]:
     # matrices (..., n, n): their read-only symmetrized copies and their
     # decompositions. A NaN or infinite entry raises NotFiniteError.
     sym = require_hermitian(m)
-    return _frozen(sym), _checked(sym)
+    return _frozen(sym), _checked(sym, _eigh_symmetrized(sym))
 
 
 def validate_density(m) -> DensityMatrix:

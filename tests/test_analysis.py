@@ -3,6 +3,9 @@ the numerical contracts of the overlap, thm1, M and the Lieb value of its
 marginals."""
 
 import dataclasses
+import math
+import multiprocessing
+import threading
 import tracemalloc
 import weakref
 
@@ -14,8 +17,16 @@ from qcmi import analysis as analysis_module
 from qcmi import linalg, sampling, states
 from qcmi.analysis import MARGINALS, ChannelAnalysis, StackAnalysis, StateAnalysis, _analysed
 from qcmi.cli import main
-from qcmi.errors import SingularMatrixError, ValidationError
-from qcmi.harness import CORPORA, STACK_BUDGET, ScanConfig, corpus_state, evaluate_sample, scan
+from qcmi.errors import NotPSDError, SingularMatrixError, ValidationError
+from qcmi.harness import (
+    CORPORA,
+    STACK_BUDGET,
+    ScanConfig,
+    corpus_state,
+    evaluate_sample,
+    run_conjecture,
+    scan,
+)
 from qcmi.inequalities import proven_checks, rotated_slacks
 from qcmi.linalg import (
     dagger,
@@ -800,3 +811,154 @@ def test_a_5_5_5_scan_sample_working_set():
             tracemalloc.stop()
     assert 5 <= (held - before) / operand <= SCAN_SAMPLE_HELD_OPERANDS
     assert (peak - before) / operand <= SCAN_SAMPLE_PEAK_OPERANDS
+
+
+# -- rho's eigh on the worker thread ------------------------------------------
+
+
+def on_both_paths(monkeypatch, compute):
+    """[compute() with every stack's rho decomposed on the worker thread,
+    compute() with every one decomposed inline]."""
+    flags = []
+    ahead = analysis_module._eigh_ahead
+
+    def recorded(h):
+        got = ahead(h)
+        flags.append(got[1])
+        return got
+
+    monkeypatch.setattr(analysis_module, "_eigh_ahead", recorded)
+    out = []
+    for work, on_worker in ((0, True), (math.inf, False)):
+        monkeypatch.setattr(linalg, "EIGH_AHEAD_WORK", work)
+        flags.clear()
+        out.append(compute())
+        assert flags and all(flag is on_worker for flag in flags)
+    return out
+
+
+def raised(read):
+    """(type, message) of the exception read() raises."""
+    with pytest.raises(Exception) as info:
+        read()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("corpus", CORPORA)
+@pytest.mark.parametrize("dims, samples", [((2, 2, 2), 6), ((3, 3, 3), 22), ((5, 5, 5), 2)])
+def test_rows_are_bitwise_the_same_on_the_worker_and_inline(monkeypatch, corpus, dims, samples):
+    cfg = ScanConfig(dims=dims, samples=samples, seed=11, corpus=corpus)
+    on_worker, inline = on_both_paths(monkeypatch, lambda: repr(scan(cfg)))
+    assert on_worker == inline
+
+
+def test_a_rotated_quarter_report_is_the_same_on_the_worker_and_inline(monkeypatch, tmp_path):
+    def report():
+        out = tmp_path / "q.json"
+        cfg = ScanConfig(dims=(3, 3, 3), samples=22, seed=5, out=str(out))
+        results = run_conjecture(cfg, "rotated-quarter", unitary_samples=2)
+        return repr(results), out.read_bytes()
+
+    on_worker, inline = on_both_paths(monkeypatch, report)
+    assert on_worker == inline
+
+
+def _not_psd_5_5_5(least: float) -> TripartiteState:
+    # Hermitian and of unit trace, with rho's least eigenvalue `least`.
+    p = np.full(125, (1.0 - least) / 124)
+    p[0] = least
+    return TripartiteState(np.diag(p).astype(complex), (5, 5, 5))
+
+
+# At -0.5 rho_B is not PSD either (its least eigenvalue is -0.21), so the
+# marginals built ahead raise; at -1e-3 they are PSD, and sigma*'s chain
+# built ahead holds.
+@pytest.mark.parametrize("least", [-0.5, -1e-3])
+def test_a_non_psd_state_raises_rhos_error_on_the_worker_and_inline(monkeypatch, least):
+    def errors():
+        a = _not_psd_5_5_5(least).analysis
+        return [raised(lambda: a.cmi), raised(lambda: a.sigma_star), raised(lambda: a.cmi)]
+
+    on_worker, inline = on_both_paths(monkeypatch, errors)
+    assert on_worker == inline
+    assert inline == [inline[0]] * 3
+    assert inline[0][0] is NotPSDError
+    assert inline[0][1].startswith(f"minimum eigenvalue {least:.3e} is below")
+
+
+def test_an_error_of_sigma_star_surfaces_where_it_does_inline(monkeypatch):
+    # Built ahead on the worker path and dropped, it raises again when
+    # sigma* is read, and not when the marginals are.
+    def fail(h):
+        raise FloatingPointError("exp of the exponent")
+
+    monkeypatch.setattr(analysis_module, "_exp_eigen", fail)
+
+    def reads():
+        a = corpus_state(ScanConfig(dims=(5, 5, 5), samples=1, seed=3), 0).analysis
+        return a.cmi, raised(lambda: a.sigma_star_trace)
+
+    on_worker, inline = on_both_paths(monkeypatch, reads)
+    assert on_worker == inline
+    assert inline[1] == (FloatingPointError, "exp of the exponent")
+
+
+def test_reading_rho_alone_makes_no_eigh_of_h(monkeypatch, decompositions):
+    monkeypatch.setattr(linalg, "EIGH_AHEAD_WORK", 0)
+    state = TripartiteState(random_tripartite((5, 5, 5), substream(7, 0)).mat, (5, 5, 5))
+    decompositions.clear()
+    state.analysis.rho
+    assert state.analysis.stack._rho_ahead
+    assert decompositions == [125]
+    assert "marginals" not in vars(state.analysis.stack)
+
+
+def test_rho_not_started_on_the_worker_is_decomposed_by_the_caller(monkeypatch):
+    # While the worker is held by another task, a scan at 5,5,5 cancels
+    # rho's pending eigh and makes it itself, instead of waiting.
+    cfg = ScanConfig(dims=(5, 5, 5), samples=2, seed=3)
+    _, inline = on_both_paths(monkeypatch, lambda: repr(scan(cfg)))
+    monkeypatch.setattr(linalg, "EIGH_AHEAD_WORK", 0)
+    scan(ScanConfig(dims=(2, 2, 2), samples=1, seed=3))  # the worker exists
+    release = threading.Event()
+    blocker = linalg._worker.submit(release.wait, 60)
+    try:
+        assert repr(scan(cfg)) == inline
+        assert blocker.running()
+    finally:
+        release.set()
+    assert blocker.result(60)
+
+
+def _scan_in_child(cfg, conn):
+    # Sends the row and whether an eigh of linalg ran off the main thread.
+    eigh, off_main = linalg._eigh_symmetrized, []
+
+    def recorded(h):
+        off_main.append(threading.current_thread() is not threading.main_thread())
+        return eigh(h)
+
+    linalg._eigh_symmetrized = recorded
+    conn.send((repr(scan(cfg)), any(off_main)))
+    conn.close()
+
+
+# Forking a process that runs a thread warns on Python 3.12 and later.
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_scans_with_its_own_worker():
+    cfg = ScanConfig(dims=(5, 5, 5), samples=1, seed=3)
+    parent = repr(scan(cfg))  # the parent's worker thread now runs
+    assert linalg._worker is not None
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_scan_in_child, args=(cfg, send))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child's scan did not return"
+        assert receive.recv() == (parent, True)
+        child.join(30)
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join()

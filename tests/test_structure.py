@@ -12,6 +12,8 @@ neither list can drift from the other.
 numpy.linalg is called from qcmi/linalg.py only, the package's one
 spectral chokepoint: every decomposition and factorization (eigh,
 eigvalsh, qr, svd) goes through it, where it can be counted and timed.
+It also holds the package's one worker thread: no other module imports
+threading or concurrent.
 
 Every numeric threshold is defined once, in qcmi/tolerances.py. A small
 number literal (0 < |x| <= 1e-6) in any other module would be a second
@@ -134,6 +136,44 @@ def test_the_guard_catches_numpy_linalg(tmp_path):
         encoding="utf-8",
     )
     assert len(_numpy_linalg_uses(path)) == 4
+
+
+def _thread_imports(path: Path) -> list[str]:
+    problems = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in ("threading", "_thread", "concurrent"):
+                problems.append(f"{path.name}:{node.lineno} imports {name}")
+    return problems
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+    ids=lambda p: p.name,
+)
+def test_module_leaves_threads_to_linalg(path):
+    assert _thread_imports(path) == []
+
+
+def test_the_guard_catches_thread_imports(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import threading\n"
+        "import concurrent.futures as cf\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from _thread import start_new_thread\n"
+        "from .linalg import _eigh_ahead\n"
+        "import queue\n",
+        encoding="utf-8",
+    )
+    assert len(_thread_imports(path)) == 4
 
 
 SMALL = 1e-6
