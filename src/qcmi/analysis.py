@@ -27,7 +27,9 @@ is decomposed on the package's one worker thread, requested when the
 stack is built. Meanwhile the first read of the marginals builds sigma*'s
 chain on the calling thread (the marginals, their logs, h and its eigh)
 with the functions that build it lazily, and keeps it once rho is
-validated. A part of the chain that raises there is built again after
+validated; if the worker has not started on rho by then, the caller
+cancels it and decomposes rho itself (linalg's _eigh_done). A part of
+the chain that raises there is built again after
 rho's checks, so every error surfaces at the same read, with the same type
 and message, as when rho is decomposed inline, which a smaller stack
 does. Values are bitwise those of the inline path, and the BLAS thread

@@ -267,9 +267,10 @@ _worker = None  # the executor of the one worker thread, made on first use
 
 
 def _forget_worker() -> None:
-    # A forked child has no worker thread; the parent's executor would
-    # queue work for it that never runs (and keep each queued matrix), so
-    # the child makes its own.
+    # A forked child has no worker thread; work submitted to the parent's
+    # executor would never run there (each read would cancel it and
+    # decompose inline) and would stay queued with its matrix, so the child
+    # makes its own.
     global _worker
     _worker = None
 
@@ -298,9 +299,12 @@ def _eigh_ahead(h: np.ndarray) -> tuple[Callable[[], HermitianEigen], bool]:
 
 
 def _eigh_done(future, h: np.ndarray) -> HermitianEigen:
-    # The worker's _eigh_symmetrized(h). If the worker has not started it
-    # (its thread is not yet scheduled), it is cancelled and made here, so
-    # that a caller never waits for a thread that has not begun.
+    # The worker's _eigh_symmetrized(h). If the worker has not started it by
+    # the time it is read, its core was not scheduled (a host that steals
+    # it made waiting slower than inline), so the caller cancels it and
+    # makes it itself. A worker preempted mid-eigh is waited for: making
+    # the eigh a second time would make the number of decompositions vary
+    # from run to run.
     if future.cancel():
         return _eigh_symmetrized(h)
     return future.result()

@@ -914,20 +914,31 @@ def test_reading_rho_alone_makes_no_eigh_of_h(monkeypatch, decompositions):
 
 
 def test_rho_not_started_on_the_worker_is_decomposed_by_the_caller(monkeypatch):
-    # While the worker is held by another task, a scan at 5,5,5 cancels
-    # rho's pending eigh and makes it itself, instead of waiting.
+    # While the worker is held by another task, as when the host does not
+    # schedule its core, the caller cancels rho's pending eigh and makes it
+    # itself instead of waiting. Rows, and the errors of a non-PSD state
+    # read twice, are those of the inline path.
     cfg = ScanConfig(dims=(5, 5, 5), samples=2, seed=3)
-    _, inline = on_both_paths(monkeypatch, lambda: repr(scan(cfg)))
+
+    def results():
+        a = _not_psd_5_5_5(-1e-3).analysis
+        return repr(scan(cfg)), [raised(lambda: a.cmi), raised(lambda: a.cmi)]
+
+    _, inline = on_both_paths(monkeypatch, results)
     monkeypatch.setattr(linalg, "EIGH_AHEAD_WORK", 0)
     scan(ScanConfig(dims=(2, 2, 2), samples=1, seed=3))  # the worker exists
     release = threading.Event()
     blocker = linalg._worker.submit(release.wait, 60)
     try:
-        assert repr(scan(cfg)) == inline
+        a = _not_psd_5_5_5(-1e-3).analysis
+        assert results() == inline
+        assert raised(lambda: a.cmi) == inline[1][0]
         assert blocker.running()
     finally:
         release.set()
     assert blocker.result(60)
+    linalg._worker.submit(int).result(60)  # the worker has drained its queue
+    assert raised(lambda: a.cmi) == inline[1][0]  # its cancelled request is not read
 
 
 def _scan_in_child(cfg, conn):
